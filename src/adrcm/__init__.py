@@ -15,18 +15,7 @@ from .model import (
     torus_dist,
     up_neighbors,
 )
-from .cliques import (
-    CliqueCountResult,
-    CliqueQuery,
-    count_cliques,
-    count_cliques_centered,
-    count_cliques_upto,
-    count_joint_cliques,
-    d_max,
-    diff1_clique,
-    diff2_clique,
-    run_clique_query,
-)
+from .cliques import count_cliques_centered, count_cliques_upto
 from .trees import (
     BlockSums,
     DirectedTreeSpec,
@@ -46,7 +35,6 @@ from .theory import (
     RateExponents,
     RegimeError,
     SigmaEstimate,
-    TheoryTargets,
     c_plus,
     gamma_diagnostics,
     lambda_down,
@@ -54,7 +42,6 @@ from .theory import (
     rate_exponents,
     s_wedge,
     sigma_palm,
-    theory_targets,
 )
 from .harness import (
     CliqueStatistic,

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -84,7 +85,8 @@ configuration grammar
         directory = out
         formats = csv,json
 
-    Blank lines and lines starting with '#' or ';' are ignored.  Tree files
+    A '#' or ';' at the start of a line or after whitespace begins a
+    comment; elsewhere, as in a path, it is kept.  Tree files
     use the line forms  m=<int>, root=<int>, edge=<i>-><j>.
 
 regimes
@@ -127,6 +129,11 @@ class RunConfig:
         return ModelParams(self.gamma, self.beta, self.n)
 
 
+# A comment starts at '#' or ';' only at the start of a line or after
+# whitespace, so a path such as a#b.tree survives.
+_COMMENT = re.compile(r"(?:^|\s)[#;].*")
+
+
 def _suggest(key: str, options: tuple[str, ...]) -> str:
     close = difflib.get_close_matches(key, options, n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
@@ -142,7 +149,7 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
     values: dict[str, str] = {}
     section: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -231,7 +238,8 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
             errors.append(f"tree_file {tree_file!r} does not exist")
         else:
             try:
-                leaves = parse_tree_spec(open(tree_file, encoding="utf-8").read()).leaf_count
+                with open(tree_file, encoding="utf-8") as handle:
+                    leaves = parse_tree_spec(handle.read()).leaf_count
             except TreeSpecError as exc:
                 errors.append(f"tree_file {tree_file!r}: {exc}")
 
@@ -337,7 +345,7 @@ def _summary(cfg: RunConfig, **sections) -> dict:
         test_statistics=sections.get("test_statistics", {}),
         p_values=sections.get("p_values", {}),
         seeds={"master": cfg.seed},
-        wall_time=sections.get("wall_time", 0.0),
+        wall_time=0.0,  # set by run() once the mode has finished
         config_hash=config_hash(cfg),
     )
     for key in ("files", "notes"):
@@ -365,10 +373,15 @@ def _emit(cfg: RunConfig, name: str, summary: dict, csv_files: dict[str, str]) -
 
 # -- mode implementations ----------------------------------------------------
 
+# (output name, summary, CSV files by name, failed check or None); run()
+# writes the outputs and turns a failed check into exit code 1 under --assert.
+_ModeOutput = tuple[str, dict, dict[str, str], str | None]
+
 
 def _tree_spec(cfg: RunConfig):
     assert cfg.tree_file is not None
-    spec = parse_tree_spec(open(cfg.tree_file, encoding="utf-8").read())
+    with open(cfg.tree_file, encoding="utf-8") as handle:
+        spec = parse_tree_spec(handle.read())
     if spec.root_degree_one:
         print(
             "note: the root has skeleton degree one; it is not counted as a leaf"
@@ -382,17 +395,16 @@ def _statistic(cfg: RunConfig):
     return TreeStatistic(spec=_tree_spec(cfg))
 
 
-def _mode_sample(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
+def _mode_sample(cfg: RunConfig, threads: int) -> _ModeOutput:
     config = sample_config(cfg.params, cfg.seed)
     buffer = io.StringIO()
     config_to_csv(config, buffer)
     summary = _summary(cfg, estimates={"point_count": len(config)},
                        files={"points": "sample_points.csv"})
-    _emit(cfg, "sample", summary, {"sample_points.csv": buffer.getvalue()})
-    return 0
+    return "sample", summary, {"sample_points.csv": buffer.getvalue()}, None
 
 
-def _mode_counts(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
+def _mode_counts(cfg: RunConfig, threads: int) -> _ModeOutput:
     statistic = _statistic(cfg)
     plan = ExperimentPlan(cfg.params, statistic, cfg.r, cfg.seed)
     results = run_replicates(plan, threads=threads)
@@ -413,11 +425,10 @@ def _mode_counts(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
         std_errors=std_errors,
         files={"replicates": f"{name}_replicates.csv"},
     )
-    _emit(cfg, name, summary, {f"{name}_replicates.csv": replicates_csv(results, statistic.labels)})
-    return 0
+    return name, summary, {f"{name}_replicates.csv": replicates_csv(results, statistic.labels)}, None
 
 
-def _mode_clt(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
+def _mode_clt(cfg: RunConfig, threads: int) -> _ModeOutput:
     statistic = _statistic(cfg)
     label = statistic.labels[-1]
     notes: list[str] = []
@@ -461,14 +472,10 @@ def _mode_clt(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
         notes=notes,
     )
     summary["statistic_label"] = label
-    _emit(cfg, "clt", summary, csv_files)
-    if assert_mode and failed:
-        print(f"assertion failed: KS p-value <= {KS_ALPHA}")
-        return 1
-    return 0
+    return "clt", summary, csv_files, f"KS p-value <= {KS_ALPHA}" if failed else None
 
 
-def _mode_sigma(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
+def _mode_sigma(cfg: RunConfig, threads: int) -> _ModeOutput:
     k = cfg.k_list[0]
     l = cfg.k_list[1] if len(cfg.k_list) > 1 else k
     est = sigma_palm(cfg.params, k, l, mc_budget=cfg.r, seed=cfg.seed, threads=threads)
@@ -482,16 +489,13 @@ def _mode_sigma(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
         },
         std_errors={"sigma": est.std_error},
     )
-    _emit(cfg, "sigma", summary, {})
-    if assert_mode and not est.value > 3.0 * est.std_error:
-        print("assertion failed: sigma estimate not positive at 3 standard errors")
-        return 1
-    return 0
+    failure = None
+    if not est.value > 3.0 * est.std_error:
+        failure = "sigma estimate not positive at 3 standard errors"
+    return "sigma", summary, {}, failure
 
 
-def _mode_moments(
-    cfg: RunConfig, threads: int, assert_mode: bool, gamma_diag_eta: float | None = None
-) -> int:
+def _mode_moments(cfg: RunConfig, threads: int, gamma_diag_eta: float | None = None) -> _ModeOutput:
     if gamma_diag_eta is not None:
         diag = gamma_diagnostics(
             cfg.params, gamma_diag_eta, mc_budget=cfg.r, seed=cfg.seed,
@@ -508,8 +512,7 @@ def _mode_moments(
             },
             std_errors={"gamma1": diag.se1, "gamma2": diag.se2, "gamma3": diag.se3},
         )
-        _emit(cfg, "gamma_diagnostics", summary, {})
-        return 0
+        return "gamma_diagnostics", summary, {}, None
     u_grid = DEFAULT_U_GRID
     if cfg.k_list:
         profile = clique_diff_moment_profile(
@@ -537,14 +540,13 @@ def _mode_moments(
         },
         files={"moments": "moments.csv"},
     )
-    _emit(cfg, "moments", summary, {"moments.csv": "\n".join(rows) + "\n"})
-    if assert_mode and profile.slope > bound:
-        print(f"assertion failed: slope {profile.slope:.4f} above bound {bound:.4f}")
-        return 1
-    return 0
+    failure = None
+    if profile.slope > bound:
+        failure = f"slope {profile.slope:.4f} above bound {bound:.4f}"
+    return "moments", summary, {"moments.csv": "\n".join(rows) + "\n"}, failure
 
 
-def _mode_blocks(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
+def _mode_blocks(cfg: RunConfig, threads: int) -> _ModeOutput:
     spec = _tree_spec(cfg)
     reps = run_block_replicates(cfg.params, spec, cfg.r, cfg.seed, threads=threads)
     lags, covs, ses = lag_covariance_table(reps)
@@ -565,11 +567,10 @@ def _mode_blocks(cfg: RunConfig, threads: int, assert_mode: bool) -> int:
         },
         files={"decay": "blocks_decay.csv"},
     )
-    _emit(cfg, "blocks", summary, {"blocks_decay.csv": "\n".join(rows) + "\n"})
-    if assert_mode and any(c < -3.0 * s for c, s in zip(covs, ses)):
-        print("assertion failed: a lag covariance is below -3 SE")
-        return 1
-    return 0
+    failure = None
+    if any(c < -3.0 * s for c, s in zip(covs, ses)):
+        failure = "a lag covariance is below -3 SE"
+    return "blocks", summary, {"blocks_decay.csv": "\n".join(rows) + "\n"}, failure
 
 
 _MODE_RUNNERS = {
@@ -589,12 +590,22 @@ def run(
     assert_mode: bool = False,
     gamma_diag_eta: float | None = None,
 ) -> int:
-    """Execute the configured experiment; returns the process exit code."""
+    """Execute the configured experiment; returns the process exit code.
+
+    The summary's wall_time is the mode's computing time, before any output
+    is written.
+    """
     start = time.perf_counter()
     if cfg.mode == "moments":
-        code = _mode_moments(cfg, threads, assert_mode, gamma_diag_eta)
+        name, summary, csv_files, failure = _mode_moments(cfg, threads, gamma_diag_eta)
     else:
-        code = _MODE_RUNNERS[cfg.mode](cfg, threads, assert_mode)
+        name, summary, csv_files, failure = _MODE_RUNNERS[cfg.mode](cfg, threads)
+    summary["wall_time"] = time.perf_counter() - start
+    _emit(cfg, name, summary, csv_files)
+    code = 0
+    if assert_mode and failure is not None:
+        print(f"assertion failed: {failure}")
+        code = 1
     print(f"# time: {cfg.mode} {time.perf_counter() - start:.3f}s")
     return code
 

@@ -9,8 +9,6 @@ plain Python integers and therefore never wrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
@@ -26,48 +24,12 @@ from .model import (
 )
 
 __all__ = [
-    "CliqueQuery",
-    "CliqueCountResult",
-    "count_cliques",
     "count_cliques_upto",
     "count_cliques_centered",
-    "diff1_clique",
-    "diff2_clique",
     "diff1_clique_upto",
     "diff2_clique_upto",
-    "count_joint_cliques",
     "joint_clique_counts",
-    "d_max",
-    "run_clique_query",
 ]
-
-
-@dataclass(frozen=True)
-class CliqueQuery:
-    """Declarative clique-count request.
-
-    Without a center this asks for the total count; with a center, for the
-    count of cliques centered there; with a second point, for cliques
-    containing both points.
-    """
-
-    k: int
-    center: MarkedPoint | None = None
-    second_point: MarkedPoint | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ParameterError(f"clique size must be >= 1, got {self.k}")
-        if self.second_point is not None and self.center is None:
-            raise ParameterError("second_point requires a center")
-
-
-@dataclass(frozen=True)
-class CliqueCountResult:
-    """Total clique count plus the per-center decomposition."""
-
-    total: int
-    per_center: dict[int, int] | None = None
 
 
 def _check_k(k: int) -> None:
@@ -106,22 +68,6 @@ def _enumerate_chains(start: set[int], up_sets: dict[int, set[int]], length: int
     for v in start:
         for tail in _enumerate_chains(start & up_sets[v], up_sets, length - 1):
             yield (v,) + tail
-
-
-def count_cliques(config: PointConfig, k: int) -> CliqueCountResult:
-    """Number of k-subsets of points that are pairwise connected."""
-    _check_k(k)
-    size = len(config)
-    if k == 1:
-        return CliqueCountResult(total=size, per_center={i: 1 for i in range(size)})
-    up_sets, _ = neighborhood_adjacency(config)
-    per_center: dict[int, int] = {}
-    total = 0
-    for c in range(size):
-        cnt = _chain_counts(up_sets[c], up_sets, k - 1)[k - 2]
-        per_center[c] = cnt
-        total += cnt
-    return CliqueCountResult(total=total, per_center=per_center)
 
 
 def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
@@ -192,65 +138,17 @@ def count_cliques_centered(config: PointConfig, p: MarkedPoint, k: int) -> int:
     return _chain_counts(set(ups.tolist()), local, k - 1)[k - 2]  # type: ignore[arg-type]
 
 
-def diff1_clique(config: PointConfig, u: float, k: int) -> int:
-    """Add-one difference of the k-clique count for the extra point (0, u).
+def diff1_clique_upto(config: PointConfig, u: float, k_max: int) -> list[int]:
+    """Add-one differences of the k-clique counts for the extra point (0, u).
 
-    Equals the number of k-cliques through (0, u) in the augmented
-    configuration; counted directly from the point's neighborhood without a
-    full recount.
+    Entry k-1 is the number of k-cliques through (0, u) in the augmented
+    configuration, for every size 1..k_max from one neighborhood scan and
+    without a full recount.
     """
-    _check_k(k)
+    _check_k(k_max)
     p0 = MarkedPoint(0.0, u)
     if config.index_of(p0) >= 0:
         raise ParameterError("(0, u) already belongs to the configuration")
-    if k == 1:
-        return 1
-    nb = np.concatenate([up_neighbors(config, p0), down_neighbors(config, p0)])
-    if nb.size < k - 1:
-        return 0
-    local = _local_up_sets(config, nb)
-    return _chain_counts(set(nb.tolist()), local, k - 1)[k - 2]  # type: ignore[arg-type]
-
-
-def _pair_containment_count(config: PointConfig, a: MarkedPoint, b: MarkedPoint, k: int) -> int:
-    """k-cliques containing both external points a and b once added."""
-    params = config.params
-    if a.x == b.x and a.u == b.u:
-        raise ParameterError("the two added points must differ")
-    if k == 1:
-        return 0
-    d = torus_dist(a.x, b.x, params.torus_length)
-    lo, hi = min(a.u, b.u), max(a.u, b.u)
-    if d * lo**params.gamma * hi ** (1.0 - params.gamma) > params.beta:
-        return 0
-    if k == 2:
-        return 1
-    nb_a = set(np.concatenate([up_neighbors(config, a), down_neighbors(config, a)]).tolist())
-    nb_b = set(np.concatenate([up_neighbors(config, b), down_neighbors(config, b)]).tolist())
-    common = np.asarray(sorted(nb_a & nb_b), dtype=np.int64)
-    if common.size < k - 2:
-        return 0
-    local = _local_up_sets(config, common)
-    return _chain_counts(set(common.tolist()), local, k - 2)[k - 3]
-
-
-def diff2_clique(config: PointConfig, u: float, q: MarkedPoint, k: int) -> int:
-    """Second-order difference: k-cliques containing both (0, u) and q.
-
-    Equals the four-term count F(P+p+q) - F(P+p) - F(P+q) + F(P).
-    """
-    _check_k(k)
-    p0 = MarkedPoint(0.0, u)
-    q = MarkedPoint(wrap_position(q.x, config.params.torus_length), q.u)
-    if config.index_of(p0) >= 0 or config.index_of(q) >= 0:
-        raise ParameterError("added points must not belong to the configuration")
-    return _pair_containment_count(config, p0, q, k)
-
-
-def diff1_clique_upto(config: PointConfig, u: float, k_max: int) -> list[int]:
-    """diff1_clique for every size 1..k_max from one neighborhood scan."""
-    _check_k(k_max)
-    p0 = MarkedPoint(0.0, u)
     out = [0] * k_max
     out[0] = 1
     if k_max == 1:
@@ -264,11 +162,19 @@ def diff1_clique_upto(config: PointConfig, u: float, k_max: int) -> list[int]:
 
 
 def diff2_clique_upto(config: PointConfig, u: float, q: MarkedPoint, k_max: int) -> list[int]:
-    """diff2_clique for every size 1..k_max from one common-neighborhood scan."""
+    """Second-order differences: k-cliques containing both (0, u) and q.
+
+    Entry k-1 equals the four-term count F(P+p+q) - F(P+p) - F(P+q) + F(P),
+    for every size 1..k_max from one common-neighborhood scan.
+    """
     _check_k(k_max)
     params = config.params
     p0 = MarkedPoint(0.0, u)
     q = MarkedPoint(wrap_position(q.x, params.torus_length), q.u)
+    if config.index_of(p0) >= 0 or config.index_of(q) >= 0:
+        raise ParameterError("added points must not belong to the configuration")
+    if p0 == q:
+        raise ParameterError("the two added points must differ")
     out = [0] * k_max
     if k_max == 1:
         return out
@@ -343,51 +249,3 @@ def joint_clique_counts(
                 pairs += 1
                 unions.add(a | b)
     return pairs, len(unions)
-
-
-def count_joint_cliques(
-    config: PointConfig, p: MarkedPoint, q: MarkedPoint, k: int, l: int
-) -> int:
-    """Ordered pairs of intersecting cliques centered at p and q."""
-    return joint_clique_counts(config, p, q, k, l)[0]
-
-
-def d_max(config: PointConfig, u: float) -> int:
-    """Largest lower-neighborhood size among the higher-mark neighbors of (0, u).
-
-    Zero when (0, u) has no higher-mark neighbors.  Diagnostic for the
-    maximal local multiplicity entering the difference-moment bounds.
-    """
-    ups = up_neighbors(config, MarkedPoint(0.0, u))
-    best = 0
-    for i in ups.tolist():
-        best = max(best, int(down_neighbors(config, config.point(i)).size))
-    return best
-
-
-def run_clique_query(config: PointConfig, query: CliqueQuery) -> CliqueCountResult:
-    """Dispatch a :class:`CliqueQuery` to the matching counter."""
-    if query.center is None:
-        return count_cliques(config, query.k)
-    if query.second_point is None:
-        cfg, idx = _member_or_inserted(config, query.center)
-        cnt = count_cliques_centered(cfg, query.center, query.k)
-        return CliqueCountResult(total=cnt, per_center={idx: cnt})
-    # Containment query: k-cliques through both points.  Points already in the
-    # configuration are removed first so the pair counter sees them as added.
-    n = config.params.torus_length
-    a = MarkedPoint(wrap_position(query.center.x, n), query.center.u)
-    b = MarkedPoint(wrap_position(query.second_point.x, n), query.second_point.u)
-    base = _without_points(config, (a, b))
-    return CliqueCountResult(total=_pair_containment_count(base, a, b, query.k))
-
-
-def _without_points(config: PointConfig, points: tuple[MarkedPoint, ...]) -> PointConfig:
-    keep = np.ones(len(config), dtype=bool)
-    for p in points:
-        idx = config.index_of(p)
-        if idx >= 0:
-            keep[idx] = False
-    if keep.all():
-        return config
-    return PointConfig(config.params, config.positions[keep], config.marks[keep], config.seed)

@@ -19,7 +19,14 @@ from scipy import special, stats
 from ._parallel import parallel_map
 from .cliques import count_cliques_upto
 from .model import ModelParams, ParameterError, derive_seed, sample_config
-from .trees import BlockSums, DirectedTreeSpec, block_sums, count_trees, validate_tree
+from .trees import (
+    BlockSums,
+    DirectedTreeSpec,
+    _jackknife_se,
+    block_sums,
+    count_trees,
+    validate_tree,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -364,16 +371,7 @@ def covariance_matrix(plan: ExperimentPlan, threads: int = 1) -> CovarianceResul
         return np.cov(m.T, ddof=1) / n
 
     estimate = cov_of(matrix)
-    r = matrix.shape[0]
-    batches = min(20, r)
-    bounds = np.linspace(0, r, batches + 1, dtype=int)
-    leave_out = []
-    for i in range(batches):
-        keep = np.ones(r, dtype=bool)
-        keep[bounds[i] : bounds[i + 1]] = False
-        leave_out.append(cov_of(matrix[keep]))
-    stacked = np.stack(leave_out)
-    se = np.sqrt((batches - 1) / batches * np.sum((stacked - stacked.mean(axis=0)) ** 2, axis=0))
+    se = _jackknife_se(cov_of, matrix)
     eig = np.linalg.eigvalsh(estimate)
     if eig.min() < -1e-8 * max(np.trace(estimate), 1e-300):
         raise ArithmeticError("covariance estimate is not positive semi-definite")

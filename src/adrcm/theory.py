@@ -28,14 +28,13 @@ from .model import (
     derive_seed,
     sample_config,
 )
+from .trees import _jackknife_se, d_in
 
 __all__ = [
     "RegimeError",
     "MARK_FLOOR",
     "RateExponents",
     "rate_exponents",
-    "TheoryTargets",
-    "theory_targets",
     "lambda_up",
     "lambda_down",
     "c_plus",
@@ -130,28 +129,6 @@ def s_wedge(u: float, r: float, gamma: float) -> float:
     if r == 0.0:
         return 1.0
     return min(1.0, (u**gamma * r) ** (-1.0 / (1.0 - gamma)))
-
-
-@dataclass(frozen=True)
-class TheoryTargets:
-    """Bundle of closed-form targets for one (params, u) pair."""
-
-    lambda_up: float
-    lambda_down: float
-    c_plus: float
-    zeta: float
-    tau: float
-
-
-def theory_targets(params: ModelParams, u: float) -> TheoryTargets:
-    exps = rate_exponents(params.gamma)
-    return TheoryTargets(
-        lambda_up=lambda_up(u, params),
-        lambda_down=lambda_down(params),
-        c_plus=c_plus(params),
-        zeta=exps.zeta,
-        tau=exps.tau,
-    )
 
 
 # -- limiting covariance density -------------------------------------------
@@ -321,25 +298,16 @@ def sigma_direct_from_samples(
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 4:
         raise ParameterError("need two aligned sample vectors of length >= 4")
 
-    def stat(mask: np.ndarray) -> float:
-        a, b = xs[mask], ys[mask]
-        return float(np.cov(a, b, ddof=1)[0, 1] / torus_length)
+    def stat(pairs: np.ndarray) -> float:
+        return float(np.cov(pairs[:, 0], pairs[:, 1], ddof=1)[0, 1] / torus_length)
 
-    r = xs.size
-    batches = min(20, r)
-    bounds = np.linspace(0, r, batches + 1, dtype=int)
-    estimates = []
-    for i in range(batches):
-        keep = np.ones(r, dtype=bool)
-        keep[bounds[i] : bounds[i + 1]] = False
-        estimates.append(stat(keep))
-    est_arr = np.asarray(estimates)
-    se = float(np.sqrt((batches - 1) / batches * np.sum((est_arr - est_arr.mean()) ** 2)))
+    pairs = np.column_stack((xs, ys))
+    se = _jackknife_se(stat, pairs)
     return SigmaEstimate(
-        value=stat(np.ones(r, dtype=bool)),
+        value=stat(pairs),
         std_error=max(se, np.finfo(float).tiny),
         method="direct-covariance",
-        details={"replicates": r, "torus_length": torus_length},
+        details={"replicates": xs.size, "torus_length": torus_length},
     )
 
 
@@ -397,16 +365,12 @@ def log_slope(u_grid, values) -> float:
 
 def _clique_diff_sample(args) -> float:
     params, u, k, power, seed = args
-    from .cliques import diff1_clique
-
     config = sample_config(params, seed)
-    return float(diff1_clique(config, u, k)) ** power
+    return float(diff1_clique_upto(config, u, k)[k - 1]) ** power
 
 
 def _tree_root_sample(args) -> float:
     params, u, spec, power, seed = args
-    from .trees import d_in
-
     config = sample_config(params, seed)
     return float(d_in(config, MarkedPoint(0.0, u), spec)) ** power
 
@@ -497,23 +461,6 @@ def _diff2_moment_sample(args) -> np.ndarray:
     return np.asarray(counts, dtype=np.float64) ** power
 
 
-def _node_jackknife(values: np.ndarray, fn, batches: int = 10) -> tuple[float, float]:
-    """Estimate fn(mean over axis 0) with a batch jackknife SE."""
-    r = values.shape[0]
-    full = fn(values.mean(axis=0))
-    b = min(batches, r)
-    if b < 2:
-        return full, float("nan")
-    bounds = np.linspace(0, r, b + 1, dtype=int)
-    est = []
-    for i in range(b):
-        keep = np.ones(r, dtype=bool)
-        keep[bounds[i] : bounds[i + 1]] = False
-        est.append(fn(values[keep].mean(axis=0)))
-    est_arr = np.asarray(est)
-    return full, float(np.sqrt((b - 1) / b * np.sum((est_arr - est_arr.mean()) ** 2)))
-
-
 def gamma_diagnostics(
     params: ModelParams,
     eta: float,
@@ -568,11 +515,12 @@ def gamma_diagnostics(
     # Gamma_3: sum over k, l of the Hoelder-paired (eta+1) moments.
     a = 1.0 / (eta + 1.0)
 
-    def g3_node(means: np.ndarray) -> float:
-        pos = np.maximum(means, 0.0)
+    def g3_node(samples: np.ndarray) -> float:
+        pos = np.maximum(samples.mean(axis=0), 0.0)
         return float(sum(pos[k] ** a * pos[l] ** (1.0 - a) for k in range(k0) for l in range(k0)))
 
-    g3_vals, g3_ses = zip(*(_node_jackknife(v, g3_node) for v in diff1_g3))
+    g3_vals = [g3_node(v) for v in diff1_g3]
+    g3_ses = [_jackknife_se(g3_node, v, batches=10) for v in diff1_g3]
     gamma3 = float(np.mean(g3_vals))
     se3 = float(np.sqrt(np.nansum(np.asarray(g3_ses) ** 2)) / g3_grid.size)
 

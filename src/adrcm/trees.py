@@ -266,9 +266,16 @@ def d_in(config: PointConfig, p: MarkedPoint, spec: DirectedTreeSpec) -> int:
     return _count_embeddings(plan, up_of, down_of, root_index=member if member >= 0 else None)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def count_trees(config: PointConfig, spec: DirectedTreeSpec) -> int:
-    """Total injective homomorphism count, summed over all root images."""
-    return int(np.sum(_d_in_all(config, spec)))
+    """Total injective homomorphism count, summed over all root images.
+
+    The per-root counts are summed as Python integers, so the total never
+    wraps.
+    """
+    return sum(_d_in_all(config, spec).tolist())
 
 
 def _d_in_all(config: PointConfig, spec: DirectedTreeSpec) -> np.ndarray:
@@ -291,7 +298,7 @@ def _d_in_all(config: PointConfig, spec: DirectedTreeSpec) -> np.ndarray:
             return down_sets[_r if idx == -1 else idx]
 
         val = _count_embeddings(plan, up_of, down_of, root_index=root_idx)
-        if val > np.iinfo(np.int64).max:
+        if val > _INT64_MAX:
             raise OverflowError("embedding count exceeds int64; aborting")
         out[root_idx] = val
     return out
@@ -314,20 +321,24 @@ class BlockSums:
 
     @property
     def total(self) -> int:
-        return int(self.values.sum())
+        return sum(self.values.tolist())
 
 
 def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     """Embedding counts aggregated over the unit blocks [i-1, i).
 
     Block boundaries use the shifted coordinate x + n/2 in [0, n), so the
-    torus splits into exactly n unit intervals; requires integer n.
+    torus splits into exactly n unit intervals; requires integer n.  Raises
+    OverflowError when the total, and so possibly a block, exceeds int64.
     """
     n = config.params.torus_length
     blocks = int(round(n))
     if abs(n - blocks) > 1e-9 or blocks < 1:
         raise ParameterError(f"block sums need an integer torus length, got {n}")
     per_point = _d_in_all(config, spec)
+    # Counts are nonnegative, so no block can wrap once the total fits.
+    if sum(per_point.tolist()) > _INT64_MAX:
+        raise OverflowError("block sums exceed int64; aborting")
     values = np.zeros(blocks, dtype=np.int64)
     if len(config):
         shifted = config.positions + 0.5 * n
@@ -353,7 +364,15 @@ def _cyclic_lag_cov(centered: np.ndarray, lag: int) -> float:
     return float(np.sum(centered * rolled) / (n * (r - 1)))
 
 
-def _jackknife_se(values_fn: Callable[[np.ndarray], float], matrix: np.ndarray, batches: int = 20) -> float:
+def _jackknife_se(
+    values_fn: Callable[[np.ndarray], float | np.ndarray], matrix: np.ndarray, batches: int = 20
+) -> float | np.ndarray:
+    """Leave-one-batch-out jackknife standard error of values_fn over rows.
+
+    The rows of matrix are replicates, split into min(batches, rows)
+    contiguous batches.  values_fn may return a scalar, giving a float, or an
+    array, giving element-wise standard errors; NaN with fewer than 2 batches.
+    """
     r = matrix.shape[0]
     b = min(batches, r)
     if b < 2:
@@ -365,7 +384,8 @@ def _jackknife_se(values_fn: Callable[[np.ndarray], float], matrix: np.ndarray, 
         keep[bounds[i] : bounds[i + 1]] = False
         estimates.append(values_fn(matrix[keep]))
     est = np.asarray(estimates)
-    return float(np.sqrt((b - 1) / b * np.sum((est - est.mean()) ** 2)))
+    se = np.sqrt((b - 1) / b * np.sum((est - est.mean(axis=0)) ** 2, axis=0))
+    return float(se) if se.ndim == 0 else se
 
 
 def lag_covariance_table(

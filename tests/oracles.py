@@ -166,12 +166,3 @@ def count_trees_oracle(config: PointConfig, spec) -> int:
             config, (config.positions[i], config.marks[i]), spec, member_index=i
         )
     return total
-
-
-def d_max_oracle(config: PointConfig, u: float) -> int:
-    ups, _ = neighbors_oracle(config, MarkedPoint(0.0, u))
-    best = 0
-    for i in ups:
-        _, downs = neighbors_oracle(config, config.point(i), member_index=i)
-        best = max(best, len(downs))
-    return best

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from adrcm.cliques import count_cliques
+from adrcm.cliques import count_cliques_centered, count_cliques_upto
 from adrcm.harness import (
     CliqueStatistic,
     ExperimentPlan,
@@ -171,12 +171,15 @@ def test_criterion_1_clique_oracle_equivalence():
         if len(config) > 25:
             continue
         checked += 1
+        totals = count_cliques_upto(config, 4)
         for k in (2, 3, 4):
             total, per_center = cliques_oracle(config, k)
-            result = count_cliques(config, k)
-            assert result.total == total
-            assert result.per_center == per_center
-            assert result.total == sum(result.per_center.values())
+            centered = {
+                i: count_cliques_centered(config, config.point(i), k) for i in range(len(config))
+            }
+            assert totals[k - 1] == total
+            assert centered == per_center
+            assert totals[k - 1] == sum(centered.values())
     elapsed = time.perf_counter() - start
     record_criterion(
         "1 clique oracle equivalence",

@@ -124,6 +124,25 @@ def test_render_parse_round_trip(tmp_path):
         assert parse_config(render_config(cfg)) == cfg
 
 
+def test_comment_marks_inside_paths_are_kept(tmp_path):
+    tree = tmp_path / "a#b;c.tree"
+    tree.write_text(WEDGE_TEXT, encoding="utf-8")
+    out = tmp_path / "o#1;2"
+    body = (
+        "# leading comment\n; another\n"
+        "[model]\ngamma = 0.1   # weight exponent\nbeta = 1.0 ; range\nn = 8\n\n"
+        f"[experiment]\nmode = blocks\ntree_file = {tree}   # wedge\nr = 12\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+    cfg = parse_config(body)
+    assert cfg.tree_file == str(tree)
+    assert cfg.directory == str(out)
+    assert (cfg.gamma, cfg.beta) == (0.1, 1.0)
+    assert parse_config(render_config(cfg)) == cfg
+    assert main(["blocks", "--config", _write_config(tmp_path, body)]) == 0
+    assert (out / "blocks_summary.json").exists()
+
+
 # -- mode runs -----------------------------------------------------------------
 
 
@@ -179,6 +198,14 @@ def test_clt_assert_fails_on_discrete_counts(tmp_path):
     cfgp = _write_config(tmp_path, body)
     assert main(["clt", "--config", cfgp, "--assert"]) == 1
     assert main(["clt", "--config", cfgp]) == 0
+
+
+def test_summary_records_wall_time(tmp_path):
+    out = tmp_path / "o"
+    body = _minimal("cliques", "k_list = 1,2\nr = 5\nseed = 2\n", str(out))
+    assert main(["cliques", "--config", _write_config(tmp_path, body)]) == 0
+    summary = json.loads((out / "cliques_summary.json").read_text())
+    assert summary["wall_time"] > 0.0
 
 
 def test_json_deterministic_modulo_wall_time(tmp_path):

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from adrcm.cliques import (
-    CliqueQuery,
-    count_cliques,
     count_cliques_centered,
     count_cliques_upto,
-    count_joint_cliques,
-    d_max,
-    diff1_clique,
     diff1_clique_upto,
-    diff2_clique,
+    diff2_clique_upto,
     joint_clique_counts,
-    run_clique_query,
 )
 from adrcm.model import (
     MarkedPoint,
@@ -33,7 +27,6 @@ from oracles import (
     cliques_containing_oracle,
     cliques_oracle,
     config_from_points,
-    d_max_oracle,
     joint_cliques_oracle,
     random_config,
 )
@@ -45,11 +38,14 @@ def _param_grid(rng):
     return ModelParams(gamma, beta, float(rng.uniform(4.0, 20.0)))
 
 
+def _per_center(cfg, k):
+    return {i: count_cliques_centered(cfg, cfg.point(i), k) for i in range(len(cfg))}
+
+
 def test_count_cliques_k1_is_point_count():
     cfg = sample_config(ModelParams(0.3, 1.0, 50.0), 3)
-    res = count_cliques(cfg, 1)
-    assert res.total == len(cfg)
-    assert all(v == 1 for v in res.per_center.values())
+    assert count_cliques_upto(cfg, 1) == [len(cfg)]
+    assert all(v == 1 for v in _per_center(cfg, 1).values())
 
 
 def test_count_cliques_k2_is_edge_count():
@@ -57,7 +53,7 @@ def test_count_cliques_k2_is_edge_count():
     for _ in range(30):
         params = _param_grid(rng)
         cfg = random_config(params, rng, 25)
-        assert count_cliques(cfg, 2).total == cliques_oracle(cfg, 2)[0]
+        assert count_cliques_upto(cfg, 2)[1] == cliques_oracle(cfg, 2)[0]
 
 
 def test_count_cliques_matches_subset_enumeration():
@@ -65,11 +61,11 @@ def test_count_cliques_matches_subset_enumeration():
     for trial in range(60):
         params = _param_grid(rng)
         cfg = random_config(params, rng, 25)
+        totals = count_cliques_upto(cfg, 4)
         for k in (2, 3, 4):
             total, per_center = cliques_oracle(cfg, k)
-            res = count_cliques(cfg, k)
-            assert res.total == total
-            assert res.per_center == per_center
+            assert totals[k - 1] == total
+            assert _per_center(cfg, k) == per_center
 
 
 def test_center_decomposition_identity():
@@ -77,8 +73,7 @@ def test_center_decomposition_identity():
     for _ in range(30):
         params = _param_grid(rng)
         cfg = random_config(params, rng, 30)
-        res = count_cliques(cfg, 3)
-        assert res.total == sum(res.per_center.values())
+        assert count_cliques_upto(cfg, 3)[2] == sum(_per_center(cfg, 3).values())
 
 
 def test_count_cliques_upto_consistent():
@@ -87,15 +82,23 @@ def test_count_cliques_upto_consistent():
     cfg = random_config(params, rng, 30)
     totals = count_cliques_upto(cfg, 4)
     for k in (1, 2, 3, 4):
-        assert totals[k - 1] == count_cliques(cfg, k).total
+        assert count_cliques_upto(cfg, k) == totals[:k]
 
 
 def test_invalid_k_rejected():
     cfg = sample_config(ModelParams(0.3, 1.0, 10.0), 0)
-    with pytest.raises(ParameterError):
-        count_cliques(cfg, 0)
+    p, q = MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6)
     with pytest.raises(ParameterError):
         count_cliques_upto(cfg, -2)
+    with pytest.raises(ParameterError):
+        count_cliques_centered(cfg, p, 0)
+    with pytest.raises(ParameterError):
+        diff1_clique_upto(cfg, 0.5, 0)
+    with pytest.raises(ParameterError):
+        diff2_clique_upto(cfg, 0.5, q, 0)
+    both = add_point(add_point(cfg, p), q)
+    with pytest.raises(ParameterError):
+        joint_clique_counts(both, p, q, 0, 2)
 
 
 # -- centered counts -------------------------------------------------------
@@ -145,7 +148,7 @@ def test_centered_palm_translation_invariance():
 
 def test_diff1_empty_config_k1():
     cfg = config_from_points(ModelParams(0.3, 1.0, 10.0), [])
-    assert diff1_clique(cfg, 0.5, 1) == 1
+    assert diff1_clique_upto(cfg, 0.5, 1) == [1]
 
 
 def test_diff1_k2_is_degree():
@@ -160,7 +163,7 @@ def test_diff1_k2_is_degree():
         for j in range(len(aug))
         if j != idx and connects(aug.point(j), p, params)
     )
-    assert diff1_clique(cfg, 0.6, 2) == degree
+    assert diff1_clique_upto(cfg, 0.6, 2) == [1, degree]
 
 
 def test_diff1_matches_recount_difference():
@@ -172,9 +175,8 @@ def test_diff1_matches_recount_difference():
         if cfg.index_of(MarkedPoint(0.0, u)) >= 0:
             continue
         aug = add_point(cfg, MarkedPoint(0.0, u))
-        for k in (2, 3):
-            recount = count_cliques(aug, k).total - count_cliques(cfg, k).total
-            assert diff1_clique(cfg, u, k) == recount
+        recount = [a - b for a, b in zip(count_cliques_upto(aug, 3), count_cliques_upto(cfg, 3))]
+        assert diff1_clique_upto(cfg, u, 3) == recount
 
 
 def test_diff1_upto_matches_individual():
@@ -185,7 +187,7 @@ def test_diff1_upto_matches_individual():
         u = 1.0 - float(rng.random())
         vec = diff1_clique_upto(cfg, u, 4)
         for k in (1, 2, 3, 4):
-            assert vec[k - 1] == diff1_clique(cfg, u, k)
+            assert diff1_clique_upto(cfg, u, k) == vec[:k]
 
 
 def test_diff2_trivial_cases():
@@ -193,9 +195,25 @@ def test_diff2_trivial_cases():
     params = ModelParams(0.3, 1.0, 30.0)
     cfg = random_config(params, rng, 15)
     q_far = MarkedPoint(14.0, 0.999)
-    assert diff2_clique(cfg, 0.998, q_far, 1) == 0
+    assert diff2_clique_upto(cfg, 0.998, q_far, 1) == [0]
     # distance ~14 at marks near 1 cannot connect for beta = 1
-    assert diff2_clique(cfg, 0.998, q_far, 3) == 0
+    assert diff2_clique_upto(cfg, 0.998, q_far, 3) == [0, 0, 0]
+
+
+def test_diff_rejects_points_already_present():
+    params = ModelParams(0.3, 1.0, 10.0)
+    cfg = config_from_points(params, [(0.0, 0.5), (1.0, 0.6)])
+    with pytest.raises(ParameterError):
+        diff1_clique_upto(cfg, 0.5, 3)
+    with pytest.raises(ParameterError):
+        diff2_clique_upto(cfg, 0.5, MarkedPoint(2.0, 0.7), 3)
+    with pytest.raises(ParameterError):
+        diff2_clique_upto(cfg, 0.7, MarkedPoint(1.0, 0.6), 3)
+    # The same point added twice is not a pair, whatever its position's wrap.
+    with pytest.raises(ParameterError):
+        diff2_clique_upto(cfg, 0.7, MarkedPoint(0.0, 0.7), 3)
+    with pytest.raises(ParameterError):
+        diff2_clique_upto(cfg, 0.7, MarkedPoint(10.0, 0.7), 2)
 
 
 def test_diff2_matches_four_term_recount():
@@ -213,14 +231,9 @@ def test_diff2_matches_four_term_recount():
         with_p = add_point(cfg, p0)
         with_q = add_point(cfg, q)
         with_both = add_point(with_p, q)
-        for k in (2, 3):
-            four_term = (
-                count_cliques(with_both, k).total
-                - count_cliques(with_p, k).total
-                - count_cliques(with_q, k).total
-                + count_cliques(cfg, k).total
-            )
-            assert diff2_clique(cfg, u, q, k) == four_term
+        counts = [count_cliques_upto(c, 3) for c in (with_both, with_p, with_q, cfg)]
+        four_term = [a - b - c + d for a, b, c, d in zip(*counts)]
+        assert diff2_clique_upto(cfg, u, q, 3) == four_term
 
 
 def test_diff2_symmetric_under_exchange():
@@ -232,14 +245,14 @@ def test_diff2_symmetric_under_exchange():
         q = MarkedPoint(float(rng.uniform(-3, 3)), 1.0 - float(rng.random()))
         if q.x == 0.0 and q.u == u:
             continue
-        direct = diff2_clique(cfg, u, q, 3)
+        direct = diff2_clique_upto(cfg, u, q, 3)
         # translate so q sits at the origin; the old origin point moves to -q.x
         pts = [
             (wrap_position(x - q.x, params.torus_length), m)
             for x, m in zip(cfg.positions, cfg.marks)
         ]
         moved = config_from_points(params, pts)
-        mirrored = diff2_clique(
+        mirrored = diff2_clique_upto(
             moved, q.u, MarkedPoint(wrap_position(-q.x, params.torus_length), u), 3
         )
         assert direct == mirrored
@@ -253,7 +266,7 @@ def test_add_point_never_decreases_counts():
         u = 1.0 - float(rng.random())
         if cfg.index_of(MarkedPoint(0.0, u)) >= 0:
             continue
-        assert diff1_clique(cfg, u, 3) >= 0
+        assert min(diff1_clique_upto(cfg, u, 3)) >= 0
 
 
 # -- joint counts ----------------------------------------------------------------
@@ -265,7 +278,7 @@ def test_joint_singletons_disjoint():
     cfg = random_config(params, rng, 10)
     a = add_point(cfg, MarkedPoint(0.0, 0.5))
     b = add_point(a, MarkedPoint(1.0, 0.6))
-    assert count_joint_cliques(b, MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6), 1, 1) == 0
+    assert joint_clique_counts(b, MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6), 1, 1) == (0, 0)
 
 
 def test_joint_empty_config_no_edge():
@@ -273,7 +286,7 @@ def test_joint_empty_config_no_edge():
     cfg = config_from_points(params, [(0.0, 0.9), (19.0, 0.95)])
     p, q = cfg.point(0), cfg.point(1)
     assert not connects(p, q, params)
-    assert count_joint_cliques(cfg, p, q, 2, 2) == 0
+    assert joint_clique_counts(cfg, p, q, 2, 2) == (0, 0)
 
 
 def test_joint_matches_double_loop_oracle():
@@ -295,42 +308,10 @@ def test_joint_requires_membership():
     params = ModelParams(0.3, 1.0, 10.0)
     cfg = config_from_points(params, [(0.0, 0.5)])
     with pytest.raises(ParameterError):
-        count_joint_cliques(cfg, MarkedPoint(0.0, 0.5), MarkedPoint(2.0, 0.7), 2, 2)
+        joint_clique_counts(cfg, MarkedPoint(0.0, 0.5), MarkedPoint(2.0, 0.7), 2, 2)
 
 
-# -- d_max and query dispatch ------------------------------------------------------
-
-
-def test_d_max_matches_oracle():
-    rng = np.random.default_rng(30)
-    params = ModelParams(0.3, 1.0, 20.0)
-    for _ in range(60):
-        cfg = random_config(params, rng, 25)
-        u = 1.0 - float(rng.random())
-        assert d_max(cfg, u) == d_max_oracle(cfg, u)
-
-
-def test_d_max_empty_up_neighborhood():
-    params = ModelParams(0.5, 0.5, 40.0)
-    cfg = config_from_points(params, [(18.0, 0.99)])
-    assert d_max(cfg, 0.98) == 0
-
-
-def test_clique_query_validation_and_dispatch():
-    with pytest.raises(ParameterError):
-        CliqueQuery(0)
-    with pytest.raises(ParameterError):
-        CliqueQuery(2, second_point=MarkedPoint(0.0, 0.5))
-    params = ModelParams(0.3, 1.0, 15.0)
-    cfg = sample_config(params, 77)
-    total = run_clique_query(cfg, CliqueQuery(3))
-    assert total.total == count_cliques(cfg, 3).total
-    centered = run_clique_query(cfg, CliqueQuery(3, center=MarkedPoint(0.0, 0.3)))
-    assert centered.total == count_cliques_centered(cfg, MarkedPoint(0.0, 0.3), 3)
-    both = run_clique_query(
-        cfg, CliqueQuery(3, center=MarkedPoint(0.0, 0.3), second_point=MarkedPoint(0.5, 0.6))
-    )
-    assert both.total == diff2_clique(cfg, 0.3, MarkedPoint(0.5, 0.6), 3)
+# -- containment counts ---------------------------------------------------------
 
 
 def test_containment_counts_match_subset_oracle():
@@ -344,5 +325,6 @@ def test_containment_counts_match_subset_oracle():
             continue
         aug = add_point(cfg, p0)
         idx = aug.index_of(p0)
+        diffs = diff1_clique_upto(cfg, u, 3)
         for k in (2, 3):
-            assert diff1_clique(cfg, u, k) == cliques_containing_oracle(aug, (idx,), k)
+            assert diffs[k - 1] == cliques_containing_oracle(aug, (idx,), k)

@@ -24,7 +24,6 @@ from adrcm.theory import (
     s_wedge,
     sigma_direct_from_samples,
     sigma_palm,
-    theory_targets,
     tree_root_moment_profile,
 )
 from adrcm.trees import tree_wedge
@@ -130,6 +129,7 @@ def test_s_wedge_monotone_and_bounded():
 def test_rate_exponents_feasibility_accept():
     exps = rate_exponents(0.3, eta=1.2)
     assert exps.eta == 1.2  # 1.2 * max(0.6, 0.7) = 0.84 < 1
+    assert exps.zeta == pytest.approx(min(0.7, 0.4 / 0.3))
 
 
 def test_rate_exponents_feasibility_reject_with_interval():
@@ -156,14 +156,6 @@ def test_rate_exponents_continuous_and_in_range():
         taus.append(exps.tau)
     assert np.max(np.abs(np.diff(zetas))) < 0.2
     assert np.max(np.abs(np.diff(taus))) < 0.05
-
-
-def test_theory_targets_bundle():
-    params = ModelParams(0.3, 0.5, 100.0)
-    t = theory_targets(params, 0.1)
-    assert t.lambda_up == lambda_up(0.1, params)
-    assert t.lambda_down == lambda_down(params)
-    assert t.zeta == pytest.approx(min(0.7, 0.4 / 0.3))
 
 
 # -- sigma estimators ---------------------------------------------------------------

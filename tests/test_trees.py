@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adrcm.cliques import count_cliques
+from adrcm.cliques import count_cliques_upto
 from adrcm.model import MarkedPoint, ModelParams, ParameterError, add_point, sample_config
+import adrcm.trees as trees
 from adrcm.trees import (
     BlockSums,
     DirectedTreeSpec,
@@ -198,7 +199,7 @@ def test_count_trees_single_edge_equals_edge_count():
     params = ModelParams(0.3, 1.0, 30.0)
     for _ in range(15):
         cfg = random_config(params, rng, 30)
-        assert count_trees(cfg, tree_edge()) == count_cliques(cfg, 2).total
+        assert count_trees(cfg, tree_edge()) == count_cliques_upto(cfg, 2)[1]
 
 
 def test_wedge_counts_two_orderings_per_geometric_wedge():
@@ -282,6 +283,17 @@ def test_block_sums_requires_integer_length():
         block_sums(cfg, tree_wedge())
 
 
+def test_tree_totals_never_wrap(monkeypatch):
+    params = ModelParams(0.1, 1.0, 8.0)
+    cfg = config_from_points(params, [(0.0, 0.5), (1.5, 0.6)])
+    huge = np.array([2**62, 2**62], dtype=np.int64)
+    monkeypatch.setattr(trees, "_d_in_all", lambda config, spec: huge)
+    assert count_trees(cfg, tree_wedge()) == 2**63
+    with pytest.raises(OverflowError):
+        block_sums(cfg, tree_wedge())
+    assert BlockSums(values=huge, params=params).total == 2**63
+
+
 # -- covariance diagnostics -----------------------------------------------------------
 
 
@@ -325,3 +337,36 @@ def test_lag_covariance_table_shapes():
     lags, covs, ses = lag_covariance_table(reps)
     assert lags.tolist() == list(range(1, 9))
     assert covs.shape == ses.shape == (8,)
+
+
+# -- batch jackknife ---------------------------------------------------------------
+
+
+def test_jackknife_se_of_mean_is_batch_mean_spread():
+    rng = np.random.default_rng(7)
+    for r, b in ((200, 20), (60, 10), (30, 30)):
+        x = rng.gamma(2.0, 3.0, size=r)
+        batch_means = x.reshape(b, r // b).mean(axis=1)
+        expect = batch_means.std(ddof=1) / math.sqrt(b)
+        got = trees._jackknife_se(np.mean, x, batches=b)
+        assert isinstance(got, float)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_jackknife_se_needs_two_batches():
+    assert math.isnan(trees._jackknife_se(np.mean, np.ones(1)))
+    assert math.isnan(trees._jackknife_se(np.mean, np.arange(10.0), batches=1))
+
+
+def test_jackknife_se_is_elementwise_for_array_statistics():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(120, 3)) * np.array([1.0, 5.0, 0.1])
+    got = trees._jackknife_se(lambda m: m.mean(axis=0), x, batches=20)
+    assert got.shape == (3,)
+    for j in range(3):
+        expect = x[:, j].reshape(20, 6).mean(axis=1).std(ddof=1) / math.sqrt(20)
+        assert got[j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        assert got[j] == pytest.approx(trees._jackknife_se(np.mean, x[:, j], batches=20), rel=1e-12)
+    cov_se = trees._jackknife_se(lambda m: np.cov(m.T), x, batches=20)
+    assert cov_se.shape == (3, 3)
+    assert np.allclose(cov_se, cov_se.T, rtol=1e-12, atol=0.0)
