@@ -623,13 +623,14 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
     if kind == "qq":
         if mode != "clt":
             raise ParameterError(f"qq plot data needs a clt result, got mode {mode!r}")
-        keys = sorted(summary["files"])
-        if n is not None:
-            want = f"replicates_n{'%g' % n}"
-            if want not in summary["files"]:
+        if n is None:
+            # The largest torus by value; as strings, "1000" sorts before "250".
+            key = max(summary["files"], key=lambda k: float(k.removeprefix("replicates_n")))
+        else:
+            key = f"replicates_n{'%g' % n}"
+            if key not in summary["files"]:
                 raise ParameterError(f"no replicates recorded for n={n}")
-            keys = [want]
-        fname = summary["files"][keys[-1]]
+        fname = summary["files"][key]
         with open(os.path.join(results_dir, fname), encoding="utf-8") as handle:
             rows = [l.strip() for l in handle if l.strip() and not l.startswith("#")]
         col = len(rows[0].split(",")) - 1
@@ -729,7 +730,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         merged.update(updates)
         cfg = RunConfig(**merged)
         # Re-validate after overrides so flags cannot bypass the gate.
-        cfg = parse_config(render_config(cfg), override_regime=args.override_regime)
+        parsed = parse_config(render_config(cfg), override_regime=args.override_regime)
+        changed = [f.name for f in fields(cfg) if getattr(parsed, f.name) != getattr(cfg, f.name)]
+        if changed:
+            raise ConfigError(
+                [f"{name} {getattr(cfg, name)!r} does not survive the config text round trip"
+                 for name in changed]
+            )
+        cfg = parsed
     return cfg
 
 

@@ -1,10 +1,12 @@
 """Exact clique counting and first/second add-one difference counts.
 
 Every k-clique has a unique lowest-mark vertex, its *center*.  All counters
-here enumerate cliques through that decomposition: candidates are restricted
-to the center's higher-mark neighborhood and intersected recursively along
-mark-increasing chains, so each clique is visited exactly once.  Counts are
-plain Python integers and therefore never wrap.
+here list cliques level by level along the mark orientation of the graph's
+CSR edge list: a j-clique is a row of j vertices in increasing mark order,
+and it grows into (j+1)-cliques by the higher-mark neighbours of its last
+vertex that are adjacent to every earlier vertex, so each clique is listed
+exactly once, from its center (ordered listing after Chiba and Nishizeki).
+Counts are plain Python integers and therefore never wrap.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from .model import (
     MarkedPoint,
     ParameterError,
     PointConfig,
+    _csr_contains,
+    _csr_rows,
+    _local_adjacency,
     add_point,
+    connects,
     down_neighbors,
     neighborhood_adjacency,
-    torus_dist,
     up_neighbors,
     wrap_position,
 )
@@ -37,53 +42,47 @@ def _check_k(k: int) -> None:
         raise ParameterError(f"clique size must be >= 1, got {k}")
 
 
-def _chain_counts(start: set[int], up_sets: list[set[int]], max_len: int) -> list[int]:
-    """Counts of mark-increasing chains of length 1..max_len inside start.
+def _clique_levels(
+    graph: tuple[np.ndarray, np.ndarray], seeds: np.ndarray, k_max: int
+) -> list[np.ndarray]:
+    """Cliques whose lowest-mark vertex is a seed, one array per size 1..k_max.
 
-    A chain of length d rooted in a candidate set S corresponds to one
-    (d+1)-clique once S is a common neighborhood, because every step keeps
-    only joint neighbors.
+    Level j is a (count, j) array with one clique per row in mark order.  A
+    row extends by each entry of its last vertex's CSR row that is also an
+    entry of the CSR row of every earlier vertex.
     """
-    counts = [0] * max_len
-
-    def rec(cand: set[int], depth: int) -> None:
-        counts[depth] += len(cand)
-        if depth + 1 == max_len:
-            return
-        for v in cand:
-            nxt = cand & up_sets[v]
-            if nxt:
-                rec(nxt, depth + 1)
-
-    if max_len >= 1 and start:
-        rec(start, 0)
-    return counts
+    indptr, indices = graph
+    level = seeds[:, None]
+    levels = [level]
+    for _ in range(k_max - 1):
+        parent, cand = _csr_rows(indptr, indices, level[:, -1])
+        for col in range(level.shape[1] - 1):
+            ok = _csr_contains(indptr, indices, level[parent, col], cand)
+            parent, cand = parent[ok], cand[ok]
+        level = np.column_stack([level[parent], cand])
+        levels.append(level)
+    return levels
 
 
-def _enumerate_chains(start: set[int], up_sets: dict[int, set[int]], length: int):
-    """Yield every mark-increasing chain of the given length as a tuple."""
-    if length == 0:
-        yield ()
-        return
-    for v in start:
-        for tail in _enumerate_chains(start & up_sets[v], up_sets, length - 1):
-            yield (v,) + tail
+def _clique_counts(graph: tuple[np.ndarray, np.ndarray], k_max: int) -> list[int]:
+    """Clique counts of a whole CSR graph for sizes 1..k_max (none for 0)."""
+    seeds = np.arange(graph[0].size - 1)
+    return [len(level) for level in _clique_levels(graph, seeds, k_max)][:k_max]
+
+
+def _cone_counts(config: PointConfig, neighbourhood: np.ndarray, k_max: int) -> list[int]:
+    """Cliques of sizes 1..k_max through one vertex, from its neighbourhood.
+
+    A j-clique through the vertex is the vertex plus a (j-1)-clique of the
+    graph induced on its neighbourhood, given as a sorted index array.
+    """
+    return [1] + _clique_counts(_local_adjacency(config, neighbourhood), k_max - 1)
 
 
 def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
-    """Totals for every clique size 1..k_max in a single recursion pass."""
+    """Totals for every clique size 1..k_max in a single listing pass."""
     _check_k(k_max)
-    size = len(config)
-    totals = [0] * k_max
-    totals[0] = size
-    if k_max == 1:
-        return totals
-    up_sets, _ = neighborhood_adjacency(config)
-    for c in range(size):
-        counts = _chain_counts(up_sets[c], up_sets, k_max - 1)
-        for d in range(k_max - 1):
-            totals[d + 1] += counts[d]
-    return totals
+    return _clique_counts(neighborhood_adjacency(config), k_max)
 
 
 def _member_or_inserted(config: PointConfig, p: MarkedPoint) -> tuple[PointConfig, int]:
@@ -95,32 +94,6 @@ def _member_or_inserted(config: PointConfig, p: MarkedPoint) -> tuple[PointConfi
     return aug, aug.index_of(canon)
 
 
-def _local_up_sets(config: PointConfig, indices: np.ndarray) -> dict[int, set[int]]:
-    """Adjacency restricted to the given points, keyed by global index.
-
-    up-sets follow the global (mark, index) order so they agree with the
-    full-configuration adjacency.
-    """
-    params = config.params
-    idx = np.asarray(indices, dtype=np.int64)
-    xs = config.positions[idx]
-    us = config.marks[idx]
-    m = idx.size
-    up: dict[int, set[int]] = {int(i): set() for i in idx}
-    if m < 2:
-        return up
-    d = torus_dist(xs[:, None], xs[None, :], params.torus_length)
-    lo = np.minimum(us[:, None], us[None, :])
-    hi = np.maximum(us[:, None], us[None, :])
-    adj = d * lo**params.gamma * hi ** (1.0 - params.gamma) <= params.beta
-    order = us[:, None] < us[None, :]
-    order |= (us[:, None] == us[None, :]) & (idx[:, None] < idx[None, :])
-    pairs = np.nonzero(adj & order)
-    for a, b in zip(pairs[0].tolist(), pairs[1].tolist()):
-        up[int(idx[a])].add(int(idx[b]))
-    return up
-
-
 def count_cliques_centered(config: PointConfig, p: MarkedPoint, k: int) -> int:
     """Number of k-cliques whose lowest-mark vertex is p.
 
@@ -129,13 +102,12 @@ def count_cliques_centered(config: PointConfig, p: MarkedPoint, k: int) -> int:
     """
     _check_k(k)
     cfg, idx = _member_or_inserted(config, p)
-    if k == 1:
-        return 1
-    ups = up_neighbors(cfg, cfg.point(idx))
-    if ups.size < k - 1:
-        return 0
-    local = _local_up_sets(cfg, ups)
-    return _chain_counts(set(ups.tolist()), local, k - 1)[k - 2]  # type: ignore[arg-type]
+    return _cone_counts(cfg, up_neighbors(cfg, cfg.point(idx)), k)[k - 1]
+
+
+def _neighbourhood(config: PointConfig, p: MarkedPoint) -> np.ndarray:
+    """Sorted indices of the configuration points adjacent to p."""
+    return np.sort(np.concatenate([up_neighbors(config, p), down_neighbors(config, p)]))
 
 
 def diff1_clique_upto(config: PointConfig, u: float, k_max: int) -> list[int]:
@@ -149,16 +121,7 @@ def diff1_clique_upto(config: PointConfig, u: float, k_max: int) -> list[int]:
     p0 = MarkedPoint(0.0, u)
     if config.index_of(p0) >= 0:
         raise ParameterError("(0, u) already belongs to the configuration")
-    out = [0] * k_max
-    out[0] = 1
-    if k_max == 1:
-        return out
-    nb = np.concatenate([up_neighbors(config, p0), down_neighbors(config, p0)])
-    if nb.size:
-        local = _local_up_sets(config, nb)
-        chains = _chain_counts(set(nb.tolist()), local, k_max - 1)
-        out[1:] = chains
-    return out
+    return _cone_counts(config, _neighbourhood(config, p0), k_max)
 
 
 def diff2_clique_upto(config: PointConfig, u: float, q: MarkedPoint, k_max: int) -> list[int]:
@@ -175,45 +138,10 @@ def diff2_clique_upto(config: PointConfig, u: float, q: MarkedPoint, k_max: int)
         raise ParameterError("added points must not belong to the configuration")
     if p0 == q:
         raise ParameterError("the two added points must differ")
-    out = [0] * k_max
-    if k_max == 1:
-        return out
-    d = torus_dist(p0.x, q.x, params.torus_length)
-    lo, hi = min(p0.u, q.u), max(p0.u, q.u)
-    if d * lo**params.gamma * hi ** (1.0 - params.gamma) > params.beta:
-        return out
-    out[1] = 1
-    if k_max == 2:
-        return out
-    nb_a = set(np.concatenate([up_neighbors(config, p0), down_neighbors(config, p0)]).tolist())
-    nb_b = set(np.concatenate([up_neighbors(config, q), down_neighbors(config, q)]).tolist())
-    common = np.asarray(sorted(nb_a & nb_b), dtype=np.int64)
-    if common.size:
-        local = _local_up_sets(config, common)
-        chains = _chain_counts(set(common.tolist()), local, k_max - 2)
-        out[2:] = chains
-    return out
-
-
-def _centered_clique_masks(
-    cfg: PointConfig,
-    center_idx: int,
-    k: int,
-    bit_of: dict[int, int],
-    local_up: dict[int, set[int]],
-    ups: set[int],
-) -> list[int]:
-    """Cliques centered at a point as bitmasks over a local universe."""
-    if k == 1:
-        return [1 << bit_of[center_idx]]
-    masks = []
-    base = 1 << bit_of[center_idx]
-    for chain in _enumerate_chains(ups, local_up, k - 1):
-        m = base
-        for v in chain:
-            m |= 1 << bit_of[v]
-        masks.append(m)
-    return masks
+    if k_max == 1 or not connects(p0, q, params):
+        return [0] * k_max
+    common = np.intersect1d(_neighbourhood(config, p0), _neighbourhood(config, q))
+    return [0] + _cone_counts(config, common, k_max - 1)
 
 
 def joint_clique_counts(
@@ -234,18 +162,20 @@ def joint_clique_counts(
         raise ParameterError("both query points must belong to the configuration")
     if p_idx == q_idx:
         raise ParameterError("query points must differ")
-    ups_p = set(up_neighbors(config, p).tolist())
-    ups_q = set(up_neighbors(config, q).tolist())
-    universe = sorted({p_idx, q_idx} | ups_p | ups_q)
-    bit_of = {g: b for b, g in enumerate(universe)}
-    local_up = _local_up_sets(config, np.asarray(universe, dtype=np.int64))
-    masks_p = _centered_clique_masks(config, p_idx, k, bit_of, local_up, ups_p)
-    masks_q = _centered_clique_masks(config, q_idx, l, bit_of, local_up, ups_q)
-    pairs = 0
-    unions: set[int] = set()
-    for a in masks_p:
-        for b in masks_q:
-            if a & b:
-                pairs += 1
-                unions.add(a | b)
-    return pairs, len(unions)
+    ups_p = up_neighbors(config, p)
+    ups_q = up_neighbors(config, q)
+    if ups_p.size < k - 1 or ups_q.size < l - 1:
+        return 0, 0  # no clique at p or at q; most Palm samples stop here
+    universe = np.unique(np.concatenate([ups_p, ups_q, [p_idx, q_idx]]))
+    graph = _local_adjacency(config, universe)
+    at_p, at_q = np.searchsorted(universe, [p_idx, q_idx])
+    rows_p = _clique_levels(graph, np.array([at_p]), k)[k - 1]
+    rows_q = _clique_levels(graph, np.array([at_q]), l)[l - 1]
+    # One vertex-incidence row per clique; two cliques meet where these overlap.
+    inc_p = np.zeros((len(rows_p), universe.size), dtype=bool)
+    inc_q = np.zeros((len(rows_q), universe.size), dtype=bool)
+    inc_p[np.arange(len(rows_p))[:, None], rows_p] = True
+    inc_q[np.arange(len(rows_q))[:, None], rows_q] = True
+    meet_p, meet_q = np.nonzero(inc_p.astype(np.int64) @ inc_q.T.astype(np.int64))
+    unions = {row.tobytes() for row in inc_p[meet_p] | inc_q[meet_q]}
+    return int(meet_p.size), len(unions)

@@ -335,53 +335,94 @@ def add_point(config: PointConfig, p: MarkedPoint) -> PointConfig:
     return PointConfig(params, xs, us, config.seed)
 
 
-def neighborhood_adjacency(config: PointConfig) -> tuple[list[set[int]], list[set[int]]]:
-    """Full up/down adjacency of the configuration graph.
+def _up_csr(
+    xs: np.ndarray, us: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edge rule: mark-oriented adjacency from candidate pairs, as CSR.
 
-    Returns (up_sets, down_sets): up_sets[i] holds the indices of neighbors of
-    point i with higher mark, down_sets[i] those with lower mark.  Edges are
-    found from their lower-mark endpoint via one vectorized window query per
-    configuration, then filtered by the exact kernel.
+    A candidate (i, j) is kept when j ranks above i in the (mark, index)
+    order and the kernel connects them; candidates with j below i are
+    dropped, since each edge is found from its lower-mark end.  Returns
+    (indptr, indices): row i lists the higher-mark neighbours of point i,
+    sorted ascending.
+    """
+    keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
+    rows, cols = rows[keep], cols[keep]
+    d = torus_dist(xs[rows], xs[cols], params.torus_length)
+    ok = _kernel_ok(d, us[rows], us[cols], params)
+    rows, cols = rows[ok], cols[ok]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(xs.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=xs.size), out=indptr[1:])
+    return indptr, cols[order]
+
+
+def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Mark-oriented adjacency of the configuration graph as CSR.
+
+    Returns (indptr, indices): indices[indptr[i]:indptr[i + 1]] are the
+    neighbours of point i with higher mark, sorted ascending.  Candidates come
+    from one vectorized window query per configuration, taken from each
+    point with its maximal up-radius beta/u.
     """
     params = config.params
     xs, us = config.positions, config.marks
     n = params.torus_length
     size = xs.size
-    up_sets: list[set[int]] = [set() for _ in range(size)]
-    down_sets: list[set[int]] = [set() for _ in range(size)]
-    if size < 2:
-        return up_sets, down_sets
 
     radius = np.minimum(params.beta / us, 0.5 * n)
     capped = 2.0 * radius >= n
     ext = np.concatenate([xs - n, xs, xs + n])
     lo = np.searchsorted(ext, xs - radius, side="left")
     hi = np.searchsorted(ext, xs + radius, side="right")
-    # Capped windows cover the whole torus; enumerate those rows directly to
-    # avoid double-counting wrapped copies.
+    # A capped window covers the whole torus, so its row takes every point
+    # once rather than the wrapped copies.
     lo = np.where(capped, 0, lo)
-    hi = np.where(capped, 0, hi)
+    hi = np.where(capped, size, hi)
     counts = hi - lo
-    total = int(counts.sum())
     rows = np.repeat(np.arange(size), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = (starts + offsets) % size
-    for i in np.nonzero(capped)[0]:
-        rows = np.concatenate([rows, np.full(size, i)])
-        cols = np.concatenate([cols, np.arange(size)])
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = (np.repeat(lo, counts) + offsets) % size
+    return _up_csr(xs, us, rows, cols, params)
 
-    keep = us[cols] > us[rows]
-    tie = us[cols] == us[rows]
-    if np.any(tie):
-        keep |= tie & (cols > rows)
-    rows, cols = rows[keep], cols[keep]
-    d = torus_dist(xs[rows], xs[cols], n)
-    ok = _kernel_ok(d, us[rows], us[cols], params)
-    for i, j in zip(rows[ok].tolist(), cols[ok].tolist()):
-        up_sets[i].add(j)
-        down_sets[j].add(i)
-    return up_sets, down_sets
+
+def _local_adjacency(config: PointConfig, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mark-oriented CSR of the graph induced on a sorted index array.
+
+    Vertex a of the result is point indices[a]; every pair is a candidate,
+    which suits the few points of a Palm neighbourhood.
+    """
+    m = indices.size
+    rows = np.repeat(np.arange(m), m)
+    cols = np.tile(np.arange(m), m)
+    return _up_csr(config.positions[indices], config.marks[indices], rows, cols, config.params)
+
+
+def _csr_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry of the listed CSR rows: (position in rows, entry) arrays."""
+    start = indptr[rows]
+    deg = indptr[rows + 1] - start
+    owner = np.arange(rows.size).repeat(deg)
+    first = (start - deg.cumsum() + deg).repeat(deg)
+    return owner, indices[first + np.arange(owner.size)]
+
+
+def _csr_contains(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Element-wise test that values[i] is an entry of CSR row rows[i].
+
+    Values may be -1, which no row holds.  Each row is sorted, so the keys
+    (row << 32) + entry + 1 of all entries are sorted; a key's last
+    position at or below a query holds the query exactly when it is present.
+    """
+    if indices.size == 0 or values.size == 0:
+        return np.zeros(values.size, dtype=bool)
+    keys = (np.arange(indptr.size - 1) << 32).repeat(indptr[1:] - indptr[:-1]) + indices + 1
+    query = (rows << 32) + values + 1
+    return keys[keys.searchsorted(query, side="right") - 1] == query
 
 
 # -- CSV round trip ------------------------------------------------------

@@ -18,6 +18,8 @@ from .model import (
     ModelParams,
     ParameterError,
     PointConfig,
+    _csr_contains,
+    _csr_rows,
     down_neighbors,
     neighborhood_adjacency,
     up_neighbors,
@@ -203,67 +205,75 @@ def _assignment_plan(spec: DirectedTreeSpec) -> list[tuple[int, int, bool]]:
     return plan
 
 
-def _count_embeddings(
+def _rooted_counts(
     plan: list[tuple[int, int, bool]],
-    up_of: Callable[[int], set[int]],
-    down_of: Callable[[int], set[int]],
-    root_index: int | None = None,
-) -> int:
-    """Count injective embeddings with the root image preassigned to slot 0.
+    roots: np.ndarray,
+    rows: Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Count injective embeddings for each root image, level by level.
 
-    ``root_index`` blocks the root's own configuration index when the root is
-    a member, so no other vertex can reuse it.
+    A partial embedding is one entry of every column in ``emb``, the image
+    arrays of the slots assigned so far.  Each step of the plan extends every
+    partial embedding by the up (or down) neighbours of its parent slot's
+    image and drops repeated images; the last step is counted rather than
+    listed.  ``rows(images, up)`` returns (at, indptr, indices): the CSR row
+    at[i] lists the up (or down) neighbours of images[i], sorted ascending.
     """
+    out = np.zeros(roots.size, dtype=np.int64)
     if not plan:
-        return 1
-    images = [-2] * (len(plan) + 1)
-    images[0] = -1  # root sentinel; callers key the lookups on -1
-    used: set[int] = set() if root_index is None else {root_index}
-
-    def rec(step: int) -> int:
-        slot, parent_slot, parent_is_lower = plan[step]
-        cand = up_of(images[parent_slot]) if parent_is_lower else down_of(images[parent_slot])
+        out[:] = 1
+        return out
+    emb = [roots]
+    owner = np.arange(roots.size)
+    for step, (_, parent_slot, parent_is_lower) in enumerate(plan):
+        if owner.size == 0:
+            break
+        at, indptr, indices = rows(emb[parent_slot], parent_is_lower)
         if step + 1 == len(plan):
-            blocked = sum(1 for w in used if w in cand)
-            return len(cand) - blocked
-        total = 0
-        for w in cand:
-            if w in used:
-                continue
-            images[slot] = w
-            used.add(w)
-            total += rec(step + 1)
-            used.remove(w)
-        return total
-
-    return rec(0)
+            count = indptr[at + 1] - indptr[at]
+            for slot, images in enumerate(emb):
+                if slot != parent_slot:
+                    count -= _csr_contains(indptr, indices, at, images)
+            np.add.at(out, owner, count)
+            break
+        row, cand = _csr_rows(indptr, indices, at)
+        fresh = np.ones(cand.size, dtype=bool)
+        for images in emb:
+            fresh &= images[row] != cand
+        row = row[fresh]
+        emb = [images[row] for images in emb] + [cand[fresh]]
+        owner = owner[row]
+    return out
 
 
 def d_in(config: PointConfig, p: MarkedPoint, spec: DirectedTreeSpec) -> int:
     """Injective homomorphisms of the tree with the root mapped to p.
 
     p may be a member of the configuration or an external Palm point; other
-    vertices always map to configuration points.
+    vertices always map to configuration points.  Neighbour rows come from
+    one window query per distinct image reached.
     """
-    plan = _assignment_plan(spec)
     p = MarkedPoint(wrap_position(p.x, config.params.torus_length), p.u)
-    cache_up: dict[int, set[int]] = {}
-    cache_down: dict[int, set[int]] = {}
-
-    def up_of(idx: int) -> set[int]:
-        if idx not in cache_up:
-            point = p if idx == -1 else config.point(idx)
-            cache_up[idx] = set(up_neighbors(config, point).tolist())
-        return cache_up[idx]
-
-    def down_of(idx: int) -> set[int]:
-        if idx not in cache_down:
-            point = p if idx == -1 else config.point(idx)
-            cache_down[idx] = set(down_neighbors(config, point).tolist())
-        return cache_down[idx]
-
     member = config.index_of(p)
-    return _count_embeddings(plan, up_of, down_of, root_index=member if member >= 0 else None)
+    cache: dict[tuple[int, bool], np.ndarray] = {}
+
+    def rows(images: np.ndarray, up: bool):
+        # Palm trees reach few images, for which Python sets beat np.unique.
+        distinct = sorted(set(images.tolist()))
+        found = []
+        indptr = [0]
+        for idx in distinct:
+            if (idx, up) not in cache:
+                point = p if idx == -1 else config.point(idx)
+                cache[idx, up] = (up_neighbors if up else down_neighbors)(config, point)
+            found.append(cache[idx, up])
+            indptr.append(indptr[-1] + found[-1].size)
+        at = np.array(distinct).searchsorted(images)
+        return at, np.array(indptr), np.concatenate(found)
+
+    # An external root takes the image -1, which no other vertex can reuse.
+    root = np.array([member], dtype=np.int64)
+    return int(_rooted_counts(_assignment_plan(spec), root, rows)[0])
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -279,29 +289,23 @@ def count_trees(config: PointConfig, spec: DirectedTreeSpec) -> int:
 
 
 def _d_in_all(config: PointConfig, spec: DirectedTreeSpec) -> np.ndarray:
-    """Embedding count rooted at every configuration point."""
-    plan = _assignment_plan(spec)
+    """Embedding count rooted at every configuration point.
+
+    Up rows come from the CSR edge list and down rows from its transpose.
+    """
+    up_ptr, up_idx = neighborhood_adjacency(config)
     size = len(config)
-    out = np.zeros(size, dtype=np.int64)
-    if size == 0:
-        return out
-    if not plan:
-        out[:] = 1
-        return out
-    up_sets, down_sets = neighborhood_adjacency(config)
+    # Transpose: entry j of row i becomes entry i of row j; a stable sort
+    # keeps each row ascending.
+    order = np.argsort(up_idx, kind="stable")
+    down_idx = np.repeat(np.arange(size), np.diff(up_ptr))[order]
+    down_ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(up_idx, minlength=size), out=down_ptr[1:])
 
-    for root_idx in range(size):
-        def up_of(idx: int, _r: int = root_idx) -> set[int]:
-            return up_sets[_r if idx == -1 else idx]
+    def rows(images: np.ndarray, up: bool):
+        return (images, up_ptr, up_idx) if up else (images, down_ptr, down_idx)
 
-        def down_of(idx: int, _r: int = root_idx) -> set[int]:
-            return down_sets[_r if idx == -1 else idx]
-
-        val = _count_embeddings(plan, up_of, down_of, root_index=root_idx)
-        if val > _INT64_MAX:
-            raise OverflowError("embedding count exceeds int64; aborting")
-        out[root_idx] = val
-    return out
+    return _rooted_counts(_assignment_plan(spec), np.arange(size), rows)
 
 
 # -- block sums and covariance diagnostics --------------------------------

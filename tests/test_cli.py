@@ -143,6 +143,22 @@ def test_comment_marks_inside_paths_are_kept(tmp_path):
     assert (out / "blocks_summary.json").exists()
 
 
+@pytest.mark.parametrize("out", [" out", "out #1"])
+def test_out_override_that_changes_in_the_round_trip_is_rejected(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    cfgp = _write_config(tmp_path, _minimal(out="results"))
+    assert main(["sample", "--config", cfgp, "--out", out]) == 2
+    assert "directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_override_with_inner_hash_is_kept(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfgp = _write_config(tmp_path, _minimal(out="results"))
+    assert main(["sample", "--config", cfgp, "--out", "a#b"]) == 0
+    assert (tmp_path / "a#b" / "sample_summary.json").exists()
+
+
 # -- mode runs -----------------------------------------------------------------
 
 
@@ -300,6 +316,18 @@ def test_plotdata_qq_shape(tmp_path):
     quantiles = [float(l.split(",")[0]) for l in lines[1:]]
     assert len(quantiles) == 120
     assert all(a < b for a, b in zip(quantiles, quantiles[1:]))
+
+
+def test_plotdata_qq_defaults_to_the_largest_n(tmp_path):
+    files = {}
+    for n, rows in ((250, 3), (500, 4), (1000, 5)):
+        fname = f"clt_replicates_n{n}.csv"
+        lines = ["# schema_version=1", "seed,cliques_k1"] + [f"{i},{i * i}" for i in range(rows)]
+        (tmp_path / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files[f"replicates_n{n}"] = fname
+    summary = {"plan": {"mode": "clt"}, "files": files}
+    assert len(export_plotdata(summary, "qq", str(tmp_path)).splitlines()) == 1 + 5
+    assert len(export_plotdata(summary, "qq", str(tmp_path), n=500).splitlines()) == 1 + 4
 
 
 def test_plotdata_scaling_rows(tmp_path):

@@ -13,12 +13,14 @@ from adrcm.model import (
     ModelParams,
     ParameterError,
     PointConfig,
+    _local_adjacency,
     add_point,
     config_from_csv,
     config_to_csv,
     connects,
     derive_seed,
     down_neighbors,
+    neighborhood_adjacency,
     sample_config,
     torus_dist,
     up_neighbors,
@@ -226,6 +228,62 @@ def test_tied_marks_split_by_index():
     assert up_neighbors(cfg, p0).tolist() == [1]
     assert down_neighbors(cfg, p0).size == 0
     assert down_neighbors(cfg, p1).tolist() == [0]
+
+
+# -- CSR edge list -------------------------------------------------------------
+
+
+def _csr_as_lists(indptr, indices):
+    return [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(indptr.size - 1)]
+
+
+def _assert_edge_list_matches_oracle(cfg):
+    indptr, indices = neighborhood_adjacency(cfg)
+    assert indptr.size == len(cfg) + 1
+    # The oracle lists ascending indices, so equality also checks the order.
+    expected = [neighbors_oracle(cfg, cfg.point(i), member_index=i)[0] for i in range(len(cfg))]
+    assert _csr_as_lists(indptr, indices) == expected
+
+
+def test_edge_list_rows_match_brute_force():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        # n down to 1 caps every window (2 beta / u >= n); larger n caps the
+        # windows of small marks only.
+        params = ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0))
+        _assert_edge_list_matches_oracle(random_config(params, rng, 40))
+
+
+def test_edge_list_capped_windows_tied_marks_and_tiny_configs():
+    capped = ModelParams(0.3, 1.0, 2.0)
+    assert np.all(2.0 * capped.beta / np.linspace(0.01, 1.0, 50) >= capped.torus_length)
+    _assert_edge_list_matches_oracle(random_config(capped, np.random.default_rng(4), 20))
+    params = ModelParams(0.5, 2.0, 10.0)
+    tied = config_from_points(params, [(-1.0, 0.5), (1.0, 0.5), (0.0, 0.5), (3.0, 0.2), (4.5, 0.2)])
+    _assert_edge_list_matches_oracle(tied)
+    assert _csr_as_lists(*neighborhood_adjacency(tied))[0] == [1, 2]
+    for points in ([], [(0.0, 0.5)]):
+        cfg = config_from_points(params, points)
+        indptr, indices = neighborhood_adjacency(cfg)
+        assert indptr.tolist() == [0] * (len(points) + 1)
+        assert indices.size == 0
+
+
+def test_local_edge_list_matches_brute_force():
+    rng = np.random.default_rng(32)
+    for _ in range(150):
+        params = ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0))
+        cfg = random_config(params, rng, 30)
+        subset = np.flatnonzero(rng.random(len(cfg)) < 0.6)
+        rows = _csr_as_lists(*_local_adjacency(cfg, subset))
+        assert len(rows) == subset.size
+        for a, i in enumerate(subset.tolist()):
+            ups = neighbors_oracle(cfg, cfg.point(i), member_index=i)[0]
+            assert [int(subset[b]) for b in rows[a]] == [j for j in ups if j in set(subset.tolist())]
+    tied = config_from_points(ModelParams(0.5, 2.0, 10.0), [(-1.0, 0.5), (0.0, 0.5), (1.0, 0.5)])
+    assert _csr_as_lists(*_local_adjacency(tied, np.array([0, 2]))) == [[1], []]
+    assert _csr_as_lists(*_local_adjacency(tied, np.array([1]))) == [[]]
+    assert _csr_as_lists(*_local_adjacency(tied, np.array([], dtype=np.int64))) == []
 
 
 # -- add_point -----------------------------------------------------------------

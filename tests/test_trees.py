@@ -183,9 +183,16 @@ def test_d_in_member_root_matches_oracle():
             )
 
 
+# Root 1 with a down step 1 -> 2, a second down step 2 -> 3 from a non-root
+# image, and an up step 4 -> 1: whole-configuration counts read the down
+# rows (the transposed edge list) at two depths.
+DOWN_DOWN_SPEC = validate_tree(DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1))
+
+
 def test_count_trees_matches_oracle():
     rng = np.random.default_rng(15)
-    for spec in (tree_edge(), tree_wedge(), tree_path(3), tree_star(3)):
+    specs = (tree_edge(), tree_wedge(), tree_path(3), tree_star(3), MIXED_SPEC, DOWN_DOWN_SPEC)
+    for spec in specs:
         for _ in range(15):
             params = ModelParams(
                 float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.4, 1.2)), 8.0
