@@ -247,6 +247,8 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
         errors.append("mode cliques requires k_list")
     if mode in ("trees", "blocks") and tree_file is None:
         errors.append(f"mode {mode} requires tree_file")
+    if mode == "blocks" and n is not None and not n.is_integer():
+        errors.append(f"mode blocks requires an integer n (one block per unit length), got {n}")
     if mode in ("clt", "moments") and bool(k_list) == bool(tree_file):
         errors.append(f"mode {mode} requires exactly one of k_list or tree_file")
     if mode == "sigma" and len(k_list) not in (1, 2):

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special, stats
 
-from ._parallel import parallel_map
+from ._parallel import ReplicateFailure, parallel_map
 from .cliques import count_cliques_upto
 from .model import ModelParams, ParameterError, derive_seed, sample_config
 from .trees import (
@@ -58,18 +58,6 @@ SCHEMA_VERSION = "1"
 
 class DegenerateSampleError(ValueError):
     """The sample admits no meaningful standardization or test."""
-
-
-class ReplicateFailure(RuntimeError):
-    """A replicate computation failed; carries the failing seed."""
-
-    def __init__(self, seed: int, message: str):
-        super().__init__(seed, message)
-        self.seed = seed
-        self.message = message
-
-    def __str__(self) -> str:
-        return f"replicate with seed {self.seed} failed: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -129,17 +117,15 @@ class ReplicateResult:
     seed: int
 
 
-def _measure(params: ModelParams, statistic: Statistic, seed: int) -> ReplicateResult:
+def _measure(args: tuple[ModelParams, Statistic, int]) -> ReplicateResult:
+    params, statistic, seed = args
     start = time.perf_counter()
-    try:
-        config = sample_config(params, seed)
-        if isinstance(statistic, CliqueStatistic):
-            totals = count_cliques_upto(config, max(statistic.k_list))
-            values = np.asarray([totals[k - 1] for k in statistic.k_list], dtype=np.float64)
-        else:
-            values = np.asarray([count_trees(config, statistic.spec)], dtype=np.float64)
-    except Exception as exc:  # noqa: BLE001 - reported with the failing seed
-        raise ReplicateFailure(seed, repr(exc)) from exc
+    config = sample_config(params, seed)
+    if isinstance(statistic, CliqueStatistic):
+        totals = count_cliques_upto(config, max(statistic.k_list))
+        values = np.asarray([totals[k - 1] for k in statistic.k_list], dtype=np.float64)
+    else:
+        values = np.asarray([count_trees(config, statistic.spec)], dtype=np.float64)
     return ReplicateResult(
         values=values,
         point_count=len(config),
@@ -148,31 +134,13 @@ def _measure(params: ModelParams, statistic: Statistic, seed: int) -> ReplicateR
     )
 
 
-def _replicate_task(args: tuple[ModelParams, Statistic, int]) -> ReplicateResult:
-    params, statistic, seed = args
-    return _measure(params, statistic, seed)
-
-
-def run_replicates(
-    plan: ExperimentPlan,
-    threads: int = 1,
-    progress: Callable[[int, int], None] | None = None,
-) -> list[ReplicateResult]:
+def run_replicates(plan: ExperimentPlan, threads: int = 1) -> list[ReplicateResult]:
     """Sample and measure all replicates of the plan, in replicate order."""
     tasks = [
         (plan.params, plan.statistic, plan.replicate_seed(i))
         for i in range(plan.replicate_count)
     ]
-    if progress is None or threads > 1:
-        results = parallel_map(_replicate_task, tasks, threads)
-        if progress is not None:
-            progress(len(results), len(results))
-        return results
-    results = []
-    for i, task in enumerate(tasks):
-        results.append(_replicate_task(task))
-        progress(i + 1, len(tasks))
-    return results
+    return parallel_map(_measure, tasks, threads)
 
 
 def samples_matrix(results: Sequence[ReplicateResult]) -> np.ndarray:
@@ -182,10 +150,7 @@ def samples_matrix(results: Sequence[ReplicateResult]) -> np.ndarray:
 
 def _block_task(args) -> BlockSums:
     params, spec, seed = args
-    try:
-        return block_sums(sample_config(params, seed), spec)
-    except Exception as exc:  # noqa: BLE001
-        raise ReplicateFailure(seed, repr(exc)) from exc
+    return block_sums(sample_config(params, seed), spec)
 
 
 def run_block_replicates(

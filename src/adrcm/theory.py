@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -363,23 +364,35 @@ def log_slope(u_grid, values) -> float:
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
-def _clique_diff_sample(args) -> float:
-    params, u, k, power, seed = args
+def _diff_sample(args) -> np.ndarray:
+    """Add-one (q None) or add-two difference counts of sizes 1..k0, powered."""
+    params, u, q, k0, power, seed = args
     config = sample_config(params, seed)
-    return float(diff1_clique_upto(config, u, k)[k - 1]) ** power
+    if q is None:
+        counts = diff1_clique_upto(config, u, k0)
+    else:
+        counts = diff2_clique_upto(config, u, q, k0)
+    return np.asarray(counts, dtype=np.float64) ** power
 
 
-def _tree_root_sample(args) -> float:
-    params, u, spec, power, seed = args
-    config = sample_config(params, seed)
-    return float(d_in(config, MarkedPoint(0.0, u), spec)) ** power
+def _tree_root_sample(args) -> int:
+    params, u, spec, seed = args
+    return d_in(sample_config(params, seed), MarkedPoint(0.0, u), spec)
 
 
-def _profile(task_fn, tasks_per_u, u_grid, power, label, threads) -> MomentProfile:
+def _map_nodes(task_fn, tasks_per_node, threads) -> list[list]:
+    """Map the tasks of every node in one parallel_map call; results per node."""
+    out = iter(parallel_map(task_fn, [t for tasks in tasks_per_node for t in tasks], threads))
+    return [list(islice(out, len(tasks))) for tasks in tasks_per_node]
+
+
+def _profile(samples_per_u, u_grid, power, label) -> MomentProfile:
     means = np.empty(len(u_grid))
     ses = np.empty(len(u_grid))
-    for i, tasks in enumerate(tasks_per_u):
-        vals = np.asarray(parallel_map(task_fn, tasks, threads))
+    for i, samples in enumerate(samples_per_u):
+        # Python float powers (libm pow): numpy's vectorized pow may differ
+        # from it in the last bit at non-integer powers.
+        vals = np.asarray([float(x) ** power for x in samples])
         means[i] = vals.mean()
         ses[i] = vals.std(ddof=1) / math.sqrt(vals.size)
     return MomentProfile(
@@ -402,10 +415,11 @@ def clique_diff_moment_profile(
 ) -> MomentProfile:
     """E[(add-one clique difference)^power] at each mark of the grid."""
     tasks_per_u = [
-        [(params, float(u), k, power, derive_seed(seed, 7, gi, i)) for i in range(replicates)]
+        [(params, float(u), None, k, 1.0, derive_seed(seed, 7, gi, i)) for i in range(replicates)]
         for gi, u in enumerate(u_grid)
     ]
-    return _profile(_clique_diff_sample, tasks_per_u, u_grid, power, f"diff1_k{k}", threads)
+    samples = [[s[k - 1] for s in node] for node in _map_nodes(_diff_sample, tasks_per_u, threads)]
+    return _profile(samples, u_grid, power, f"diff1_k{k}")
 
 
 def tree_root_moment_profile(
@@ -419,10 +433,10 @@ def tree_root_moment_profile(
 ) -> MomentProfile:
     """E[(rooted embedding count)^power] at each mark of the grid."""
     tasks_per_u = [
-        [(params, float(u), spec, power, derive_seed(seed, 8, gi, i)) for i in range(replicates)]
+        [(params, float(u), spec, derive_seed(seed, 8, gi, i)) for i in range(replicates)]
         for gi, u in enumerate(u_grid)
     ]
-    return _profile(_tree_root_sample, tasks_per_u, u_grid, power, "tree_root", threads)
+    return _profile(_map_nodes(_tree_root_sample, tasks_per_u, threads), u_grid, power, "tree_root")
 
 
 # -- difference-moment diagnostics ------------------------------------------
@@ -445,20 +459,6 @@ class GammaDiagnostics:
 def _feasible_eta_interval(gamma: float) -> tuple[float, float]:
     limit = max(2.0 * gamma, 1.0 - gamma)
     return 1.0, 1.0 / limit
-
-
-def _diff1_moment_sample(args) -> np.ndarray:
-    params, u, k0, power, seed = args
-    config = sample_config(params, seed)
-    counts = diff1_clique_upto(config, u, k0)
-    return np.asarray(counts, dtype=np.float64) ** power
-
-
-def _diff2_moment_sample(args) -> np.ndarray:
-    params, u, y, v, k0, power, seed = args
-    config = sample_config(params, seed)
-    counts = diff2_clique_upto(config, u, MarkedPoint(y, v), k0)
-    return np.asarray(counts, dtype=np.float64) ** power
 
 
 def gamma_diagnostics(
@@ -496,21 +496,26 @@ def gamma_diagnostics(
     g3_grid = (np.arange(12) + 0.5) / 12.0
     r3 = max(32, mc_budget // (2 * g3_grid.size))
 
-    # First-difference moments for Gamma_3 (power eta+1) and the D_q factor of
-    # Gamma_1 (power 2 eta); shared samples per grid mark.
-    def diff1_moments(marks: np.ndarray, power: float, tag: int):
-        per_mark = []
-        for gi, u in enumerate(marks):
-            tasks = [
-                (params, float(u), k0, power, derive_seed(seed, tag, gi, i))
-                for i in range(r3 if tag == 3 else r_node)
-            ]
-            vals = np.stack(parallel_map(_diff1_moment_sample, tasks, threads))
-            per_mark.append(vals)
-        return per_mark
-
-    diff1_g3 = diff1_moments(g3_grid, eta + 1.0, 3)
-    diff1_g1 = diff1_moments(v_grid, 2.0 * eta, 4)
+    # One dispatch for every sample: first differences on the Gamma_3 marks
+    # (power eta+1) and on the v grid for the D_q factor of Gamma_1 (power
+    # 2 eta), then second differences on every (u, y, v) node (power 2 eta).
+    nodes = list(np.ndindex(g_u, y_grid_arr.size, g_v))
+    specs = (
+        [(u, None, eta + 1.0, r3, (3, gi)) for gi, u in enumerate(g3_grid)]
+        + [(v, None, 2.0 * eta, r_node, (4, gi)) for gi, v in enumerate(v_grid)]
+        + [
+            (u_grid[gi], MarkedPoint(float(y_grid_arr[yi]), float(v_grid[vi])), 2.0 * eta,
+             r_node, (5, gi, yi, vi))
+            for gi, yi, vi in nodes
+        ]
+    )
+    tasks = [
+        [(params, float(u), q, k0, power, derive_seed(seed, *key, i)) for i in range(reps)]
+        for u, q, power, reps, key in specs
+    ]
+    samples = [np.stack(s) for s in _map_nodes(_diff_sample, tasks, threads)]
+    diff1_g3 = samples[: g3_grid.size]
+    diff1_g1 = samples[g3_grid.size : g3_grid.size + g_v]
 
     # Gamma_3: sum over k, l of the Hoelder-paired (eta+1) moments.
     a = 1.0 / (eta + 1.0)
@@ -528,22 +533,21 @@ def gamma_diagnostics(
     b = 1.0 / (2.0 * eta)
     j_mean = np.zeros((g_u, y_grid_arr.size, g_v, k0))
     j_se = np.zeros_like(j_mean)
-    for gi, u in enumerate(u_grid):
-        for yi, y in enumerate(y_grid_arr):
-            for vi, v in enumerate(v_grid):
-                tasks = [
-                    (params, float(u), float(y), float(v), k0, 2.0 * eta,
-                     derive_seed(seed, 5, gi, yi, vi, i))
-                    for i in range(r_node)
-                ]
-                vals = np.stack(parallel_map(_diff2_moment_sample, tasks, threads))
-                j_mean[gi, yi, vi] = vals.mean(axis=0)
-                j_se[gi, yi, vi] = vals.std(ddof=1, axis=0) / math.sqrt(vals.shape[0])
+    for node, vals in zip(nodes, samples[g3_grid.size + g_v :]):
+        j_mean[node] = vals.mean(axis=0)
+        j_se[node] = vals.std(ddof=1, axis=0) / math.sqrt(vals.shape[0])
 
     k_mean = np.stack([v.mean(axis=0) for v in diff1_g1])  # (g_v, k0)
 
-    def inner_integrals(weight_of_k) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate over q = (y, v) for each u; returns value and SE per u."""
+    def integrate(f: np.ndarray) -> float:
+        """Twice the trapezoid rule over y of the midpoint rule over v."""
+        return 2.0 * float(np.trapezoid(f.mean(axis=1), y_grid_arr))
+
+    def inner(terms) -> tuple[np.ndarray, np.ndarray]:
+        """Integrate over q = (y, v) for each u; returns value and SE per u.
+
+        terms(gi, k, l) gives the (y, v) integrand and its SE term.
+        """
         vals = np.zeros(g_u)
         ses = np.zeros(g_u)
         for gi in range(g_u):
@@ -551,51 +555,27 @@ def gamma_diagnostics(
             var = 0.0
             for k in range(k0):
                 for l in range(k0):
-                    f = weight_of_k[:, k][None, :] * np.maximum(j_mean[gi, :, :, l], 0.0) ** b
-                    per_y = f.mean(axis=1)  # midpoint rule over v
-                    total += 2.0 * float(np.trapezoid(per_y, y_grid_arr))
-                    df = (
-                        b
-                        * np.maximum(j_mean[gi, :, :, l], 1e-300) ** (b - 1.0)
-                        * j_se[gi, :, :, l]
-                        * weight_of_k[:, k][None, :]
-                    )
-                    per_y_se = df.mean(axis=1)
-                    var += (2.0 * float(np.trapezoid(per_y_se, y_grid_arr))) ** 2
+                    f, df = terms(gi, k, l)
+                    total += integrate(f)
+                    var += integrate(df) ** 2
             vals[gi] = total
             ses[gi] = math.sqrt(var)
         return vals, ses
 
     k_weight = np.maximum(k_mean, 0.0) ** b  # E[(D_q C_k)^{2 eta}]^{1/(2 eta)}
-    inner1, inner1_se = inner_integrals(k_weight)
-
-    def inner2() -> tuple[np.ndarray, np.ndarray]:
-        vals = np.zeros(g_u)
-        ses = np.zeros(g_u)
-        for gi in range(g_u):
-            total = 0.0
-            var = 0.0
-            for k in range(k0):
-                for l in range(k0):
-                    f = (
-                        np.maximum(j_mean[gi, :, :, k], 0.0) ** b
-                        * np.maximum(j_mean[gi, :, :, l], 0.0) ** b
-                    )
-                    per_y = f.mean(axis=1)
-                    total += 2.0 * float(np.trapezoid(per_y, y_grid_arr))
-                    df = (
-                        2.0
-                        * b
-                        * np.maximum(j_mean[gi, :, :, k], 1e-300) ** (b - 1.0)
-                        * j_se[gi, :, :, k]
-                    )
-                    per_y_se = df.mean(axis=1)
-                    var += (2.0 * float(np.trapezoid(per_y_se, y_grid_arr))) ** 2
-            vals[gi] = total
-            ses[gi] = math.sqrt(var)
-        return vals, ses
-
-    inner2_vals, inner2_se = inner2()
+    inner_g1, se_g1 = inner(
+        lambda gi, k, l: (
+            k_weight[:, k][None, :] * np.maximum(j_mean[gi, :, :, l], 0.0) ** b,
+            b * np.maximum(j_mean[gi, :, :, l], 1e-300) ** (b - 1.0) * j_se[gi, :, :, l]
+            * k_weight[:, k][None, :],
+        )
+    )
+    inner_g2, se_g2 = inner(
+        lambda gi, k, l: (
+            np.maximum(j_mean[gi, :, :, k], 0.0) ** b * np.maximum(j_mean[gi, :, :, l], 0.0) ** b,
+            2.0 * b * np.maximum(j_mean[gi, :, :, k], 1e-300) ** (b - 1.0) * j_se[gi, :, :, k],
+        )
+    )
 
     def outer(vals: np.ndarray, ses: np.ndarray) -> tuple[float, float]:
         powered = vals**eta
@@ -603,8 +583,8 @@ def gamma_diagnostics(
         dse = eta * np.maximum(vals, 1e-300) ** (eta - 1.0) * ses
         return est, float(np.sqrt(np.sum(dse**2)) / vals.size)
 
-    gamma1, se1 = outer(inner1, inner1_se)
-    gamma2, se2 = outer(inner2_vals, inner2_se)
+    gamma1, se1 = outer(inner_g1, se_g1)
+    gamma2, se2 = outer(inner_g2, se_g2)
 
     return GammaDiagnostics(
         gamma1=gamma1,

@@ -369,6 +369,24 @@ def test_exit_code_missing_config():
     assert main(["sample"]) == 2
 
 
+def test_blocks_mode_rejects_non_integer_n(tmp_path, capsys):
+    tree = tmp_path / "wedge.tree"
+    tree.write_text(WEDGE_TEXT, encoding="utf-8")
+    body = (
+        "[model]\ngamma = 0.1\nbeta = 1.0\nn = {n}\n\n"
+        f"[experiment]\nmode = blocks\ntree_file = {tree}\nr = 12\n"
+        f"[output]\ndirectory = {tmp_path / 'o'}\n"
+    )
+    bad = _write_config(tmp_path, body.format(n="16.5"), "bad.cfg")
+    good = _write_config(tmp_path, body.format(n="16"), "good.cfg")
+    for argv in (["blocks", "--config", bad], ["blocks", "--config", good, "--n", "16.5"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: mode blocks requires an integer n" in err
+        assert "16.5" in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_plotdata_mismatch(tmp_path):
     out = _run_clt(tmp_path)
     assert (

@@ -84,13 +84,6 @@ def test_replicate_failure_identifies_seed():
     assert err.value.seed == plan.replicate_seed(0)
 
 
-def test_progress_hook_called():
-    calls = []
-    plan = _plan(r=5)
-    run_replicates(plan, progress=lambda done, total: calls.append((done, total)))
-    assert calls[-1] == (5, 5)
-
-
 def test_plan_validation():
     with pytest.raises(ParameterError):
         _plan(r=1)

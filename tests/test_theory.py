@@ -1,12 +1,15 @@
 """Closed-form targets against quadrature and high-precision oracles."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+from adrcm import theory
+from adrcm.harness import ReplicateFailure
 from adrcm.model import MarkedPoint, ModelParams, ParameterError, derive_seed, sample_config
 from adrcm.theory import (
     MARK_FLOOR,
@@ -265,3 +268,52 @@ def test_gamma_diagnostics_bounded_across_torus_lengths():
         totals.append(diag.gamma2 + diag.gamma3)
     assert all(t > 0.0 for t in totals)
     assert max(totals) < 2.0 * min(totals), totals
+
+
+# -- dispatch ---------------------------------------------------------------------
+
+
+def _count_pools(monkeypatch) -> list[int]:
+    started = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting(pool, *args, **kwargs):
+        started.append(1)
+        init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting)
+    return started
+
+
+def test_gamma_diagnostics_worker_independent_in_one_pool(monkeypatch):
+    params = ModelParams(0.3, 1.0, 16.0)
+    serial = gamma_diagnostics(params, eta=1.2, mc_budget=600, seed=4, k0=2)
+    started = _count_pools(monkeypatch)
+    parallel = gamma_diagnostics(params, eta=1.2, mc_budget=600, seed=4, k0=2, threads=2)
+    assert len(started) == 1
+    fields = ("gamma1", "gamma2", "gamma3", "se1", "se2", "se3")
+    assert [getattr(parallel, f) for f in fields] == [getattr(serial, f) for f in fields]
+    assert parallel.details == serial.details
+
+
+def test_moment_profile_worker_independent_in_one_pool(monkeypatch):
+    params = ModelParams(0.3, 1.0, 64.0)
+    serial = clique_diff_moment_profile(params, 3, (0.3, 0.1), replicates=40, power=1.37, seed=2)
+    started = _count_pools(monkeypatch)
+    parallel = clique_diff_moment_profile(
+        params, 3, (0.3, 0.1), replicates=40, power=1.37, seed=2, threads=2
+    )
+    assert len(started) == 1
+    assert parallel.moments.tolist() == serial.moments.tolist()
+    assert parallel.std_errors.tolist() == serial.std_errors.tolist()
+
+
+def test_palm_task_failure_names_its_seed(monkeypatch):
+    def broken(config, u, k_max):
+        raise RuntimeError("counter failed")
+
+    monkeypatch.setattr(theory, "diff1_clique_upto", broken)
+    with pytest.raises(ReplicateFailure) as err:
+        clique_diff_moment_profile(ModelParams(0.3, 1.0, 64.0), 3, (0.3, 0.1), replicates=4, seed=4)
+    assert err.value.seed == derive_seed(4, 7, 0, 0)
+    assert "counter failed" in str(err.value)
