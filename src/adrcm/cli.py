@@ -45,8 +45,10 @@ from .model import (
 )
 from .theory import (
     RegimeError,
+    _exact_law_check,
     clique_diff_moment_profile,
     gamma_diagnostics,
+    lambda_up,
     sigma_palm,
     tree_root_moment_profile,
 )
@@ -516,6 +518,7 @@ def _mode_moments(cfg: RunConfig, threads: int, gamma_diag_eta: float | None = N
         )
         return "gamma_diagnostics", summary, {}, None
     u_grid = DEFAULT_U_GRID
+    exact = None
     if cfg.k_list:
         profile = clique_diff_moment_profile(
             cfg.params, cfg.k_list[0], u_grid, replicates=cfg.r, power=2.0,
@@ -529,22 +532,32 @@ def _mode_moments(cfg: RunConfig, threads: int, gamma_diag_eta: float | None = N
             seed=cfg.seed, threads=threads,
         )
         bound = spec.leaf_count * cfg.gamma + 0.15
+        # A star (every edge into the root) with L leaves counts N(N-1)...(N-L+1)
+        # root embeddings, N ~ Poisson(lambda_up(u)) exactly when every
+        # up-radius beta/u fits in n/2; its first moment is lambda_up(u)^L.
+        star = spec.edges and all(j == spec.root for _, j in spec.edges)
+        if star and cfg.params.beta / min(u_grid) <= 0.5 * cfg.n:
+            law = [lambda_up(u, cfg.params) ** len(spec.edges) for u in u_grid]
+            exact = dict(_exact_law_check(profile, law), law=f"lambda_up(u)^{len(spec.edges)}")
     rows = ["u,moment,std_error"]
     for u, m, s in zip(profile.u_grid, profile.moments, profile.std_errors):
         rows.append("%.17g,%.17g,%.17g" % (u, m, s))
-    summary = _summary(
-        cfg,
-        estimates={
-            "slope": profile.slope,
-            "slope_bound": bound,
-            "power": profile.power,
-            "u_grid": list(profile.u_grid),
-        },
-        files={"moments": "moments.csv"},
-    )
+    estimates = {"slope": profile.slope, "power": profile.power, "u_grid": list(profile.u_grid)}
     failure = None
-    if profile.slope > bound:
-        failure = f"slope {profile.slope:.4f} above bound {bound:.4f}"
+    if exact is None:
+        estimates["slope_bound"] = bound
+        if profile.slope > bound:
+            failure = f"slope {profile.slope:.4f} above bound {bound:.4f}"
+    else:
+        estimates["exact_law"] = exact
+        if not exact["marks_ok"]:
+            failure = f"moments off the exact law {exact['law']}: max |z| {exact['max_abs_z']:.2f} above 3"
+        elif not exact["slope_ok"]:
+            failure = (
+                f"slope {profile.slope:.4f} differs from the exact law's grid slope "
+                f"{exact['exact_slope']:.4f} by more than 3 x {exact['slope_se']:.4f}"
+            )
+    summary = _summary(cfg, estimates=estimates, files={"moments": "moments.csv"})
     return "moments", summary, {"moments.csv": "\n".join(rows) + "\n"}, failure
 
 

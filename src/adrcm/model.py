@@ -95,7 +95,11 @@ def torus_dist(x, y, torus_length: float):
     n = torus_length
     if n <= 0.0:
         raise ParameterError(f"torus_length must be positive, got {n}")
-    d = np.abs(np.asarray(x) - np.asarray(y)) % n
+    d = np.abs(np.asarray(x) - np.asarray(y))
+    # The reduction is exact and slow; up to d = n it changes no result
+    # (d = n gives 0 either way), and canonical inputs never exceed n.
+    if (d > n).any():
+        d = d % n
     out = np.minimum(d, n - d)
     return float(out) if out.ndim == 0 else out
 
@@ -132,19 +136,20 @@ class PointConfig:
         us = np.asarray(us, dtype=np.float64)
         if xs.shape != us.shape or xs.ndim != 1:
             raise ParameterError("positions and marks must be 1-D arrays of equal length")
-        if xs.size and (np.any(us <= 0.0) or np.any(us > 1.0)):
+        if xs.size and ((us <= 0.0).any() or (us > 1.0).any()):
             raise ParameterError("marks must lie in (0, 1]")
         half = 0.5 * params.torus_length
-        if xs.size and (np.any(xs < -half) or np.any(xs >= half)):
+        if xs.size and ((xs < -half).any() or (xs >= half).any()):
             raise ParameterError("positions must be canonical, in [-n/2, n/2)")
-        if xs.size and np.any(np.diff(xs) < 0.0):
+        if (xs[1:] < xs[:-1]).any():
             raise ParameterError("positions must be sorted ascending")
         self.params = params
         self.seed = int(seed)
         self._xs = xs
         self._us = us
-        # Total order on marks with index tie-break.
-        self._mark_order = np.lexsort((np.arange(xs.size), us))
+        # Total order on marks with index tie-break (a stable sort keeps
+        # equal marks in index order).
+        self._mark_order = np.argsort(us, kind="stable")
         self._min_mark = float(us.min()) if us.size else 1.0
         self._xs.setflags(write=False)
         self._us.setflags(write=False)
@@ -177,8 +182,8 @@ class PointConfig:
 
     def index_of(self, p: MarkedPoint) -> int:
         """Index of an exactly matching point, or -1 if absent."""
-        lo = int(np.searchsorted(self._xs, p.x, side="left"))
-        hi = int(np.searchsorted(self._xs, p.x, side="right"))
+        lo = int(self._xs.searchsorted(p.x, side="left"))
+        hi = int(self._xs.searchsorted(p.x, side="right"))
         for i in range(lo, hi):
             if self._us[i] == p.u:
                 return i
@@ -201,14 +206,8 @@ class PointConfig:
         )
 
 
-def sample_config(params: ModelParams, seed: int) -> PointConfig:
-    """Sample a unit-intensity Poisson configuration on the marked torus.
-
-    The point count is Poisson(torus_length), positions are uniform in the
-    canonical range, marks are uniform in (0, 1].  All randomness flows from
-    the single 64-bit seed through a counter-based generator, so equal
-    (params, seed) reproduce the configuration bit for bit.
-    """
+def _draw(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random stream of a configuration: positions and marks in draw order."""
     rng = _rng(seed)
     n = params.torus_length
     count = int(rng.poisson(n))
@@ -217,12 +216,65 @@ def sample_config(params: ModelParams, seed: int) -> PointConfig:
     # Exact mark ties have probability zero but would break the direction of
     # an edge; redraw duplicates until all marks are distinct.
     while count > 1:
-        _, first = np.unique(us, return_index=True)
-        if first.size == count:
+        ranked = np.sort(us)
+        if not (ranked[1:] == ranked[:-1]).any():
             break
+        _, first = np.unique(us, return_index=True)
         dup = np.setdiff1d(np.arange(count), first)
         us[dup] = 1.0 - rng.random(dup.size)
+    return xs, us
+
+
+def sample_config(params: ModelParams, seed: int) -> PointConfig:
+    """Sample a unit-intensity Poisson configuration on the marked torus.
+
+    The point count is Poisson(torus_length), positions are uniform in the
+    canonical range, marks are uniform in (0, 1].  All randomness flows from
+    the single 64-bit seed through a counter-based generator, so equal
+    (params, seed) reproduce the configuration bit for bit.
+    """
+    xs, us = _draw(params, seed)
     order = np.argsort(xs, kind="stable")
+    return PointConfig(params, xs[order], us[order], seed)
+
+
+# Relative slack on beta in the Palm restriction: float rounding may keep a
+# point the exact kernel rejects, never drop one it accepts.
+_REACH_SLACK = 1e-9
+
+
+def _palm_config(
+    params: ModelParams, seed: int, anchors: list[MarkedPoint], hops: int
+) -> PointConfig:
+    """The points of sample_config(params, seed) within hops graph steps of the anchors.
+
+    The stream drawn is sample_config's, point for point; a point is kept
+    when the kernel connects it to an anchor or, for hops > 1, to a point
+    kept one step earlier.  A count that only sees points within hops steps
+    of the anchors (the anchors themselves may be absent) is the same on
+    this configuration as on the whole torus, and far cheaper to build.
+    """
+    xs, us = _draw(params, seed)
+    n, g = params.torus_length, params.gamma
+    reach = params.beta * (1.0 + _REACH_SLACK)
+    keep = np.zeros(xs.size, dtype=bool)
+    frontier = [(wrap_position(a.x, n), a.u) for a in anchors]
+    for _ in range(hops):
+        reached = []
+        for x, u in frontier:
+            d = torus_dist(xs, x, n)
+            # u_min^gamma * u_max^(1-gamma) >= u_min, so the kernel needs
+            # d * u_min <= beta; that cheap test leaves few points to check.
+            lo = np.minimum(us, u)
+            near = (d * lo <= reach).nonzero()[0]
+            hi = np.maximum(us[near], u)
+            near = near[d[near] * lo[near] ** g * hi ** (1.0 - g) <= reach]
+            new = near[~keep[near]]
+            keep[new] = True
+            reached += zip(xs[new].tolist(), us[new].tolist())
+        frontier = reached
+    kept = keep.nonzero()[0]
+    order = kept[np.argsort(xs[kept], kind="stable")]
     return PointConfig(params, xs[order], us[order], seed)
 
 
@@ -257,8 +309,8 @@ def _window_candidates(config: PointConfig, center: float, radius: float) -> np.
         i1 = int(np.searchsorted(xs, b, side="right"))
         if i1 > i0:
             idx.append(np.arange(i0, i1, dtype=np.int64))
-    if not idx:
-        return np.empty(0, dtype=np.int64)
+    if len(idx) < 2:
+        return idx[0] if idx else np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(idx))
 
 
@@ -329,9 +381,9 @@ def add_point(config: PointConfig, p: MarkedPoint) -> PointConfig:
     x = wrap_position(p.x, params.torus_length)
     if config.index_of(MarkedPoint(x, p.u)) >= 0:
         raise ParameterError(f"duplicate point ({x}, {p.u}); marks must be distinct")
-    pos = int(np.searchsorted(config.positions, x, side="right"))
-    xs = np.insert(config.positions, pos, x)
-    us = np.insert(config.marks, pos, p.u)
+    pos = int(config.positions.searchsorted(x, side="right"))
+    xs = np.concatenate((config.positions[:pos], [x], config.positions[pos:]))
+    us = np.concatenate((config.marks[:pos], [p.u], config.marks[pos:]))
     return PointConfig(params, xs, us, config.seed)
 
 

@@ -4,6 +4,12 @@ Neighborhood intensities and the pair-overlap kernel have exact expressions;
 the limiting covariance density and the difference-moment integrals are
 estimated by Palm sampling: a deterministic extra point is inserted into
 fresh configurations and local counts are averaged.
+
+Each Palm task draws the whole torus from its seed, exactly as
+``sample_config`` would, but counts on the neighbourhood of its anchors (the
+added points): only the drawn points within as many graph steps of them as
+the counted structure spans are kept, so every count equals its value on the
+whole torus.
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ from .model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
+    _palm_config,
     add_point,
     derive_seed,
-    sample_config,
+    down_neighbors,
+    up_neighbors,
 )
-from .trees import _jackknife_se, d_in
+from .trees import _assignment_plan, _jackknife_se, d_in
 
 __all__ = [
     "RegimeError",
@@ -158,25 +166,24 @@ def _window_half_width(params: ModelParams) -> float:
     return max(64.0, 8.0 * params.beta * MARK_FLOOR**-params.gamma)
 
 
-def _single_term_sample(args) -> float:
-    base, k, l, floor_width, seed = args
+def _single_term_sample(base, k, l, floor_width, seed) -> float:
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.uniform(MARK_FLOOR, 1.0)
     # Every member of a clique centered at (0, u) connects to it, hence lies
     # within beta/u; a torus of four times that radius reproduces the
-    # infinite-volume count exactly in law.
+    # infinite-volume count exactly in law.  The whole torus is drawn from
+    # the seed, but only the neighbours of (0, u) are kept for the count.
     torus = max(floor_width, 4.0 * base.beta / u)
     params = ModelParams(base.gamma, base.beta, torus)
-    config = sample_config(params, derive_seed(seed, 1))
     palm = MarkedPoint(0.0, u)
+    config = _palm_config(params, derive_seed(seed, 1), [palm], 1)
     aug = add_point(config, palm)
     ck = count_cliques_centered(aug, palm, k)
     cl = ck if l == k else count_cliques_centered(aug, palm, l)
     return float(ck * cl)
 
 
-def _joint_term_sample(args) -> tuple[float, float, float]:
-    base, k, l, half, floor_width, seed = args
+def _joint_term_sample(base, k, l, half, floor_width, seed) -> tuple[float, float, float]:
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.uniform(MARK_FLOOR, 1.0)
     v = rng.uniform(MARK_FLOOR, 1.0)
@@ -185,12 +192,20 @@ def _joint_term_sample(args) -> tuple[float, float, float]:
     reach = max(base.beta / u, abs(y) + base.beta / v)
     torus = max(floor_width, 4.0 * reach)
     params = ModelParams(base.gamma, base.beta, torus)
-    config = sample_config(params, derive_seed(seed, 1))
     palm = MarkedPoint(0.0, u)
     other = MarkedPoint(y, v)
+    config = _palm_config(params, derive_seed(seed, 1), [palm, other], 1)
     aug = add_point(add_point(config, palm), other)
     pairs, unions = joint_clique_counts(aug, palm, other, k, l)
     return float(pairs), float(unions), abs(y)
+
+
+def _sigma_sample(args):
+    """One Palm sample of either term; joint-term items carry the box half-width."""
+    base, k, l, half, floor_width, seed = args
+    if half is None:
+        return _single_term_sample(base, k, l, floor_width, seed)
+    return _joint_term_sample(base, k, l, half, floor_width, seed)
 
 
 def sigma_palm(
@@ -229,21 +244,19 @@ def sigma_palm(
     mass = 1.0 - MARK_FLOOR
 
     base = ModelParams(params.gamma, params.beta, params.torus_length)
-    tasks1 = [
-        (base, k, l, 2.0 * w, derive_seed(seed, 1, i)) for i in range(n_single)
-    ]
-    vals1 = np.asarray(parallel_map(_single_term_sample, tasks1, threads))
-    term1 = mass * float(vals1.mean())
-    se1 = mass * float(vals1.std(ddof=1) / math.sqrt(n_single))
-
     # The second point is drawn from a box twice as wide as L so that the
     # sensitivity of the truncated integral to 2L comes from the same stream.
     domain_half = 2.0 * big_l
-    tasks2 = [
-        (base, k, l, domain_half, 2.0 * w, derive_seed(seed, 2, i))
-        for i in range(n_joint)
+    tasks = [(base, k, l, None, 2.0 * w, derive_seed(seed, 1, i)) for i in range(n_single)]
+    tasks += [
+        (base, k, l, domain_half, 2.0 * w, derive_seed(seed, 2, i)) for i in range(n_joint)
     ]
-    out = parallel_map(_joint_term_sample, tasks2, threads)
+    samples = parallel_map(_sigma_sample, tasks, threads)
+    vals1 = np.asarray(samples[:n_single])
+    term1 = mass * float(vals1.mean())
+    se1 = mass * float(vals1.std(ddof=1) / math.sqrt(n_single))
+
+    out = samples[n_single:]
     pairs = np.asarray([o[0] for o in out])
     unions = np.asarray([o[1] for o in out])
     dist = np.asarray([o[2] for o in out])
@@ -317,10 +330,8 @@ def sigma_direct_from_samples(
 
 def _neighborhood_sample(args) -> tuple[int, int]:
     params, u, seed = args
-    from .model import down_neighbors, up_neighbors  # local to keep pickling light
-
-    config = sample_config(params, seed)
     palm = MarkedPoint(0.0, u)
+    config = _palm_config(params, seed, [palm], 1)
     return int(up_neighbors(config, palm).size), int(down_neighbors(config, palm).size)
 
 
@@ -354,6 +365,33 @@ class MomentProfile:
         return log_slope(self.u_grid, self.moments)
 
 
+def _exact_law_check(profile: MomentProfile, target) -> dict:
+    """Check a moment profile against its exact law, mark by mark and in slope.
+
+    Each grid moment must lie within 3 SE of its target, and the profile's
+    slope within 3 slope-SEs of the target's own grid slope.  The slope SE is
+    the delta-method SE of a slope linear in the log moments, which are
+    independent across grid marks.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    z = (profile.moments - target) / profile.std_errors
+    max_z = float(np.max(np.abs(z)))
+    exact_slope = log_slope(profile.u_grid, target)
+    xc = np.log(1.0 / np.asarray(profile.u_grid))
+    xc -= xc.mean()
+    weights = xc / np.dot(xc, xc)
+    slope_se = float(np.sqrt(np.sum((weights * profile.std_errors / profile.moments) ** 2)))
+    return {
+        "target": target.tolist(),
+        "z": z.tolist(),
+        "max_abs_z": max_z,
+        "exact_slope": exact_slope,
+        "slope_se": slope_se,
+        "marks_ok": max_z <= 3.0,
+        "slope_ok": abs(profile.slope - exact_slope) <= 3.0 * slope_se,
+    }
+
+
 def log_slope(u_grid, values) -> float:
     """Least-squares slope of log(values) against log(1/u)."""
     x = np.log(1.0 / np.asarray(u_grid, dtype=np.float64))
@@ -367,7 +405,9 @@ def log_slope(u_grid, values) -> float:
 def _diff_sample(args) -> np.ndarray:
     """Add-one (q None) or add-two difference counts of sizes 1..k0, powered."""
     params, u, q, k0, power, seed = args
-    config = sample_config(params, seed)
+    # q is an anchor too, so that a q drawn as a point is still refused.
+    anchors = [MarkedPoint(0.0, u)] + ([] if q is None else [q])
+    config = _palm_config(params, seed, anchors, 1)
     if q is None:
         counts = diff1_clique_upto(config, u, k0)
     else:
@@ -377,7 +417,13 @@ def _diff_sample(args) -> np.ndarray:
 
 def _tree_root_sample(args) -> int:
     params, u, spec, seed = args
-    return d_in(sample_config(params, seed), MarkedPoint(0.0, u), spec)
+    # Each tree vertex maps at most its depth below the root in graph steps
+    # from (0, u).
+    depth = [0]
+    for _, parent_slot, _ in _assignment_plan(spec):
+        depth.append(depth[parent_slot] + 1)
+    root = MarkedPoint(0.0, u)
+    return d_in(_palm_config(params, seed, [root], max(depth)), root, spec)
 
 
 def _map_nodes(task_fn, tasks_per_node, threads) -> list[list]:

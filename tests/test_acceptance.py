@@ -34,10 +34,10 @@ from adrcm.harness import (
 )
 from adrcm.model import MarkedPoint, ModelParams, derive_seed, sample_config
 from adrcm.theory import (
+    _exact_law_check,
     clique_diff_moment_profile,
     lambda_down,
     lambda_up,
-    log_slope,
     neighborhood_counts,
     sigma_direct_from_samples,
     sigma_palm,
@@ -433,17 +433,10 @@ def test_criterion_7_tree_root_slope():
     # profile is checked against the exact law, mark by mark and in slope.
     _, profile = moment_profiles(PRIMARY_THREADS)
     target = np.array([lambda_up(u, WEDGE_PROFILE_PARAMS) ** 2 for u in profile.u_grid])
-    z = (profile.moments - target) / profile.std_errors
-    max_z = float(np.max(np.abs(z)))
-    exact_slope = log_slope(profile.u_grid, target)
-    # Delta method: the slope is linear in the log moments, which are
-    # independent across grid marks.
-    xc = np.log(1.0 / np.asarray(profile.u_grid))
-    xc -= xc.mean()
-    weights = xc / np.dot(xc, xc)
-    slope_se = float(np.sqrt(np.sum((weights * profile.std_errors / profile.moments) ** 2)))
-    ok_marks = max_z <= 3.0
-    ok_slope = abs(profile.slope - exact_slope) <= 3.0 * slope_se
+    check = _exact_law_check(profile, target)
+    z = np.asarray(check["z"])
+    max_z, exact_slope, slope_se = check["max_abs_z"], check["exact_slope"], check["slope_se"]
+    ok_marks, ok_slope = check["marks_ok"], check["slope_ok"]
     record_criterion(
         "7b wedge root moments vs exact lambda_up^2", ok_marks and ok_slope,
         f"slope {profile.slope:.4f} vs exact-grid {exact_slope:.4f} "

@@ -1,9 +1,15 @@
 """CLI config parsing, mode execution, determinism, and plot exports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import adrcm.cli as cli
 from adrcm.cli import (
     ConfigError,
     RunConfig,
@@ -13,6 +19,8 @@ from adrcm.cli import (
     parse_config,
     render_config,
 )
+from adrcm.model import ModelParams
+from adrcm.theory import MomentProfile, lambda_up
 
 WEDGE_TEXT = "m=3\nroot=1\nedge=2->1\nedge=3->1\n"
 
@@ -285,6 +293,50 @@ def test_moments_mode_runs(tmp_path):
     assert "slope" in summary["estimates"]
 
 
+def _wedge_moments_config(tmp_path, tree=WEDGE_TEXT, r=300):
+    (tmp_path / "w.tree").write_text(tree, encoding="utf-8")
+    body = (
+        "[model]\ngamma = 0.1\nbeta = 1.0\nn = 256\n\n"
+        f"[experiment]\nmode = moments\ntree_file = {tmp_path / 'w.tree'}\nr = {r}\nseed = 4\n\n"
+        f"[output]\ndirectory = {tmp_path / 'o'}\n"
+    )
+    return _write_config(tmp_path, body)
+
+
+def test_moments_assert_checks_the_wedge_against_its_exact_law(tmp_path):
+    # Every up-radius beta/u <= 100 fits in n/2 = 128, so E[D_in(u)] =
+    # lambda_up(u)^2 exactly; the profile's slope (0.90) is far above the
+    # asymptotic leaves * gamma + 0.15 = 0.35, and a correct run must pass.
+    assert main(["moments", "--config", _wedge_moments_config(tmp_path), "--assert"]) == 0
+    estimates = json.loads((tmp_path / "o" / "moments_summary.json").read_text())["estimates"]
+    exact = estimates["exact_law"]
+    assert "slope_bound" not in estimates
+    assert exact["law"] == "lambda_up(u)^2"
+    params = ModelParams(0.1, 1.0, 256.0)
+    assert exact["target"] == [lambda_up(u, params) ** 2 for u in estimates["u_grid"]]
+    assert len(exact["z"]) == 6 and exact["max_abs_z"] <= 3.0
+    assert exact["marks_ok"] and exact["slope_ok"]
+
+
+def test_moments_assert_fails_a_biased_wedge_profile(tmp_path, monkeypatch, capsys):
+    def profile(params, spec, u_grid, replicates, power, seed, threads):
+        law = np.array([lambda_up(u, params) ** 2 for u in u_grid])
+        bias = np.array([1.0, 1.0, 1.0, 1.0, 1.05, 1.05])  # the two smallest marks
+        return MomentProfile(tuple(u_grid), law * bias, 0.01 * law, power, "tree_root")
+
+    monkeypatch.setattr(cli, "tree_root_moment_profile", profile)
+    assert main(["moments", "--config", _wedge_moments_config(tmp_path), "--assert"]) == 1
+    assert "exact law lambda_up(u)^2: max |z| 5.00 above 3" in capsys.readouterr().out
+
+
+def test_moments_mode_keeps_the_slope_bound_for_other_trees(tmp_path):
+    path3 = "m=3\nroot=1\nedge=2->1\nedge=3->2\n"
+    assert main(["moments", "--config", _wedge_moments_config(tmp_path, path3, r=20)]) == 0
+    estimates = json.loads((tmp_path / "o" / "moments_summary.json").read_text())["estimates"]
+    assert estimates["slope_bound"] == pytest.approx(0.25)
+    assert "exact_law" not in estimates
+
+
 def test_sigma_mode_runs(tmp_path):
     out = tmp_path / "o"
     body = _minimal("sigma", "k_list = 2\nr = 300\nseed = 6\n", str(out))
@@ -408,3 +460,15 @@ def test_rerun_from_rendered_config_reproduces(tmp_path):
     a = json.loads((out / "cliques_summary.json").read_text())["estimates"]
     b = json.loads((out2 / "cliques_summary.json").read_text())["estimates"]
     assert a == b
+
+
+def test_python_m_adrcm_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfgp = _write_config(tmp_path, _minimal(out=str(tmp_path / "o")))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "adrcm", "sample", "--config", cfgp],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "sample_summary.json").exists()

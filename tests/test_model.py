@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adrcm.model as model
 from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
     PointConfig,
     _local_adjacency,
+    _palm_config,
     add_point,
     config_from_csv,
     config_to_csv,
@@ -28,7 +30,7 @@ from adrcm.model import (
 )
 from adrcm.theory import lambda_down, lambda_up
 
-from oracles import config_from_points, neighbors_oracle, random_config
+from oracles import config_from_points, connected_oracle, neighbors_oracle, random_config
 
 
 # -- parameters and points -------------------------------------------------
@@ -150,6 +152,84 @@ def test_mark_order_permutation():
     order = cfg.mark_order
     assert sorted(order.tolist()) == list(range(len(cfg)))
     assert np.all(np.diff(cfg.marks[order]) > 0.0)
+
+
+class _TiedStream:
+    """A generator stand-in whose first mark draw holds two exact ties."""
+
+    def __init__(self, seed):
+        self.mark_draws = [[0.5, 0.25, 0.5, 0.75, 0.25], [0.875, 0.625]]
+
+    def poisson(self, lam):
+        return 5
+
+    def uniform(self, low, high, size):
+        return np.array([3.0, -1.0, 2.0, -4.0, 0.5])
+
+    def random(self, size):
+        draw = np.array(self.mark_draws.pop(0))
+        assert draw.size == size
+        return draw
+
+
+def test_mark_ties_are_redrawn_in_both_samplers(monkeypatch):
+    # Marks 1 - draw are 0.5, 0.75, 0.5, 0.25, 0.75: the later copies (draws
+    # 2 and 4) are redrawn as 1 - 0.875 and 1 - 0.625, in draw order.
+    monkeypatch.setattr(model, "_rng", _TiedStream)
+    params = ModelParams(0.5, 1.0, 10.0)
+    cfg = sample_config(params, 7)
+    assert cfg.positions.tolist() == [-4.0, -1.0, 0.5, 2.0, 3.0]
+    assert cfg.marks.tolist() == [0.25, 0.75, 0.375, 0.125, 0.5]
+    # From (0, 0.5) the kernel d * sqrt(u v) <= 1 reaches x = -1, 0.5 and 2;
+    # one step further (2, 0.125) reaches (3, 0.5) and, across the seam,
+    # (-4, 0.25).
+    near = _palm_config(params, 7, [MarkedPoint(0.0, 0.5)], 1)
+    assert near.positions.tolist() == [-1.0, 0.5, 2.0]
+    assert near.marks.tolist() == [0.75, 0.375, 0.125]
+    assert near.seed == 7 and near.params == params
+    assert _palm_config(params, 7, [MarkedPoint(0.0, 0.5)], 2) == cfg
+
+
+def _within_hops(cfg, anchors, hops):
+    """Indices of cfg within hops kernel steps of the anchors, by brute force."""
+    points = list(zip(cfg.positions.tolist(), cfg.marks.tolist()))
+    frontier = [(wrap_position(a.x, cfg.params.torus_length), a.u) for a in anchors]
+    kept = set()
+    for _ in range(hops):
+        fresh = {
+            i for i, q in enumerate(points)
+            if i not in kept and any(connected_oracle(a, q, cfg.params) for a in frontier)
+        }
+        kept |= fresh
+        frontier = [points[i] for i in fresh]
+    return sorted(kept)
+
+
+@pytest.mark.parametrize(
+    "gamma,beta,n,anchors,hops",
+    [
+        (0.3, 1.0, 200.0, [(0.0, 0.3)], 1),
+        (0.3, 1.0, 200.0, [(0.0, 0.02), (37.5, 0.6)], 1),
+        (0.3, 1.0, 64.0, [(0.0, 1e-5)], 1),  # up-window covers the torus
+        (0.1, 1.0, 64.0, [(0.0, 0.2)], 2),
+        (0.4, 1.0, 40.0, [(0.0, 0.5)], 3),
+        (0.3, 1.0, 50.0, [(25.0, 0.3), (-25.0 + 1e-9, 0.7)], 1),  # at the seam
+        (0.3, 0.5, 50.0, [(24.999999, 0.05)], 2),
+        (0.3, 1.0, 50.0, [(0.0, 0.3)], 0),
+        (0.3, 1.0, 50.0, [], 2),
+    ],
+)
+def test_palm_config_keeps_the_points_within_hops(gamma, beta, n, anchors, hops):
+    params = ModelParams(gamma, beta, n)
+    anchors = [MarkedPoint(x, u) for x, u in anchors]
+    for i in range(8):
+        seed = derive_seed(41, i)
+        full = sample_config(params, seed)
+        near = _palm_config(params, seed, anchors, hops)
+        expected = _within_hops(full, anchors, hops)
+        assert near.positions.tolist() == full.positions[expected].tolist()
+        assert near.marks.tolist() == full.marks[expected].tolist()
+        assert near.seed == seed and near.params == params
 
 
 # -- neighbor queries ----------------------------------------------------------

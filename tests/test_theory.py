@@ -29,7 +29,7 @@ from adrcm.theory import (
     sigma_palm,
     tree_root_moment_profile,
 )
-from adrcm.trees import tree_wedge
+from adrcm.trees import DirectedTreeSpec, tree_path, tree_wedge, validate_tree
 
 
 # -- neighborhood intensities -------------------------------------------------
@@ -306,6 +306,110 @@ def test_moment_profile_worker_independent_in_one_pool(monkeypatch):
     assert len(started) == 1
     assert parallel.moments.tolist() == serial.moments.tolist()
     assert parallel.std_errors.tolist() == serial.std_errors.tolist()
+
+
+def test_sigma_palm_worker_independent_in_one_pool(monkeypatch):
+    params = ModelParams(0.3, 1.0, 100.0)
+    serial = sigma_palm(params, 2, 3, mc_budget=80, seed=8)
+    started = _count_pools(monkeypatch)
+    parallel = sigma_palm(params, 2, 3, mc_budget=80, seed=8, threads=2)
+    assert len(started) == 1
+    assert (parallel.value, parallel.std_error, parallel.components) == (
+        serial.value, serial.std_error, serial.components
+    )
+    assert parallel.details == serial.details
+
+
+# -- Palm restriction: the same counts as on the whole torus -------------------------
+
+
+def _on_whole_torus(params, seed, anchors, hops):
+    return sample_config(params, seed)
+
+
+def _restricted_and_whole(monkeypatch, task, items):
+    restricted = [task(item) for item in items]
+    with monkeypatch.context() as m:
+        m.setattr(theory, "_palm_config", _on_whole_torus)
+        whole = [task(item) for item in items]
+    return restricted, whole
+
+
+def _smallest_mark_seeds(count: int) -> list[int]:
+    """Seeds whose single-term Palm mark is among the smallest of 4000."""
+    seeds = [derive_seed(52, i) for i in range(4000)]
+    marks = [np.random.Generator(np.random.Philox(key=s)).uniform(MARK_FLOOR, 1.0) for s in seeds]
+    return [seeds[i] for i in np.argsort(marks)[:count]]
+
+
+def test_sigma_terms_count_the_same_on_the_palm_neighbourhood(monkeypatch):
+    base = ModelParams(0.3, 1.0, 100.0)
+    seeds = [derive_seed(51, i) for i in range(120)]
+    items = [(base, 3, 3, None, 8.0, s) for s in seeds + _smallest_mark_seeds(4)]
+    items += [(base, 2, 3, None, 8.0, s) for s in seeds[:40]]
+    # Joint terms with the second point close by and far out (|y| up to 200).
+    items += [(base, 3, 3, half, 8.0, s) for half in (4.0, 200.0) for s in seeds]
+    items += [(base, 2, 3, 4.0, 8.0, s) for s in seeds[:40]]
+    items += [(base, 2, 2, 30.0, 8.0, derive_seed(51, i)) for i in range(400)]
+    restricted, whole = _restricted_and_whole(monkeypatch, theory._sigma_sample, items)
+    assert restricted == whole
+    counts = [out[0] if isinstance(out, tuple) else out for out in restricted]
+    assert sum(1 for c in counts if c > 0) > 100
+    assert any(isinstance(out, tuple) and out[0] > 0 and out[2] > 10.0 for out in restricted)
+
+
+def test_neighbourhood_and_diff_samples_count_the_same(monkeypatch):
+    items = [
+        (params, u, derive_seed(53, i))
+        for params in (ModelParams(0.3, 0.5, 1000.0), ModelParams(0.3, 1.0, 32.0))
+        for u in (MARK_FLOOR, 0.01, 0.1, 0.9)
+        for i in range(10)
+    ]
+    restricted, whole = _restricted_and_whole(monkeypatch, theory._neighborhood_sample, items)
+    assert restricted == whole
+
+    params = ModelParams(0.3, 1.0, 64.0)
+    qs = [
+        None,
+        MarkedPoint(0.5, 0.4),
+        MarkedPoint(31.999, 0.2),  # just below the seam
+        MarkedPoint(-32.0, 0.01),  # on the seam
+        MarkedPoint(32.0, 0.05),  # wraps onto the seam
+        MarkedPoint(20.0, 0.9),  # not adjacent to (0, u) for u >= 0.05
+    ]
+    items = [
+        (params, u, q, k0, power, derive_seed(54, i))
+        for u in (MARK_FLOOR, 0.05, 0.3)
+        for q in qs
+        for k0, power in ((3, 1.0), (4, 1.37))
+        for i in range(6)
+    ]
+    items += [(ModelParams(0.3, 1.0, 16.0), 0.0625, q, 3, 2.4, derive_seed(55, i))
+              for q in qs[:2] for i in range(20)]
+    restricted, whole = _restricted_and_whole(monkeypatch, theory._diff_sample, items)
+    assert all(a.tolist() == b.tolist() for a, b in zip(restricted, whole))
+    assert sum(1 for a in restricted if a[2:].any()) > 20
+
+
+def test_tree_root_samples_count_the_same(monkeypatch):
+    specs = [
+        tree_wedge(),
+        tree_path(3),
+        tree_path(4),
+        validate_tree(DirectedTreeSpec(3, ((2, 1), (1, 3)), 1)),  # one down step
+        validate_tree(DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1)),  # down, down
+        validate_tree(DirectedTreeSpec(4, ((1, 2), (3, 2), (4, 3)), 1)),  # depth 3
+    ]
+    items = [
+        (params, u, spec, derive_seed(56, i))
+        for params in (ModelParams(0.1, 1.0, 64.0), ModelParams(0.3, 1.0, 32.0))
+        for u in (MARK_FLOOR, 0.01, 0.3, 0.9)
+        for spec in specs
+        for i in range(5)
+    ]
+    restricted, whole = _restricted_and_whole(monkeypatch, theory._tree_root_sample, items)
+    assert restricted == whole
+    assert sum(1 for out in restricted if out > 0) > 100
 
 
 def test_palm_task_failure_names_its_seed(monkeypatch):
