@@ -22,7 +22,6 @@ from .trees import (
     TreeSpecError,
     block_sums,
     count_trees,
-    cox_grimmett,
     d_in,
     parse_tree_spec,
     tree_edge,
@@ -32,15 +31,11 @@ from .trees import (
     validate_tree,
 )
 from .theory import (
-    RateExponents,
     RegimeError,
     SigmaEstimate,
-    c_plus,
     gamma_diagnostics,
     lambda_down,
     lambda_up,
-    rate_exponents,
-    s_wedge,
     sigma_palm,
 )
 from .harness import (

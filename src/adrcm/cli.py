@@ -46,13 +46,14 @@ from .model import (
 from .theory import (
     RegimeError,
     _exact_law_check,
+    _regime_bound,
     clique_diff_moment_profile,
     gamma_diagnostics,
     lambda_up,
     sigma_palm,
     tree_root_moment_profile,
 )
-from .trees import TreeSpecError, cox_grimmett, lag_covariance_table, parse_tree_spec
+from .trees import TreeSpecError, lag_covariance_table, parse_tree_spec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config", "run", "main"]
 
@@ -251,6 +252,10 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
         errors.append(f"mode {mode} requires tree_file")
     if mode == "blocks" and n is not None and not n.is_integer():
         errors.append(f"mode blocks requires an integer n (one block per unit length), got {n}")
+    if mode == "blocks" and r is not None and r < 3:
+        errors.append(
+            f"mode blocks requires r >= 3 (every jackknife subsample needs 2 replicates), got {r}"
+        )
     if mode in ("clt", "moments") and bool(k_list) == bool(tree_file):
         errors.append(f"mode {mode} requires exactly one of k_list or tree_file")
     if mode == "sigma" and len(k_list) not in (1, 2):
@@ -259,12 +264,12 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
         errors.append("mode clt requires n_list")
 
     if mode == "clt" and gamma is not None and not override_regime:
-        if k_list and gamma >= 0.5:
+        if k_list and gamma >= _regime_bound():
             errors.append(
                 f"clt mode with clique counts requires gamma < 1/2 (got {gamma}); "
                 "pass --override-regime to explore anyway"
             )
-        if leaves is not None and gamma >= 1.0 / (2.0 * max(leaves, 1)):
+        if leaves is not None and gamma >= _regime_bound(leaves):
             errors.append(
                 f"clt mode with this tree requires gamma < 1/(2*{leaves}) "
                 f"(got {gamma}); pass --override-regime to explore anyway"
@@ -352,7 +357,7 @@ def _summary(cfg: RunConfig, **sections) -> dict:
         wall_time=0.0,  # set by run() once the mode has finished
         config_hash=config_hash(cfg),
     )
-    for key in ("files", "notes"):
+    for key in ("files", "notes", "timings"):
         if key in sections:
             doc[key] = sections[key]
     return doc
@@ -563,10 +568,12 @@ def _mode_moments(cfg: RunConfig, threads: int, gamma_diag_eta: float | None = N
 
 def _mode_blocks(cfg: RunConfig, threads: int) -> _ModeOutput:
     spec = _tree_spec(cfg)
+    start = time.perf_counter()
     reps = run_block_replicates(cfg.params, spec, cfg.r, cfg.seed, threads=threads)
-    lags, covs, ses = lag_covariance_table(reps)
-    cutoffs = [int(k) for k in range(1, min(11, len(lags) + 1))]
-    u_values = {str(k): cox_grimmett(reps, k) for k in cutoffs}
+    counted = time.perf_counter()
+    cutoffs = range(1, min(10, int(cfg.n) // 2) + 1)
+    lags, covs, ses, u_values = lag_covariance_table(reps, cutoffs)
+    timings = {"replicates": counted - start, "reductions": time.perf_counter() - counted}
     decay = [
         {"k": int(k), "covariance": float(c), "se": float(s)}
         for k, c, s in zip(lags, covs, ses)
@@ -578,9 +585,10 @@ def _mode_blocks(cfg: RunConfig, threads: int) -> _ModeOutput:
         cfg,
         estimates={
             "lag_covariance": decay,
-            "cox_grimmett": {k: {"value": v[0], "se": v[1]} for k, v in u_values.items()},
+            "cox_grimmett": {str(k): {"value": v, "se": se} for k, (v, se) in u_values.items()},
         },
         files={"decay": "blocks_decay.csv"},
+        timings=timings,
     )
     failure = None
     if any(c < -3.0 * s for c, s in zip(covs, ses)):

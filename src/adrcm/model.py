@@ -136,10 +136,11 @@ class PointConfig:
         us = np.asarray(us, dtype=np.float64)
         if xs.shape != us.shape or xs.ndim != 1:
             raise ParameterError("positions and marks must be 1-D arrays of equal length")
-        if xs.size and ((us <= 0.0).any() or (us > 1.0).any()):
+        # In-range conjunctions, so that NaN and +-inf fail too.
+        if not ((us > 0.0) & (us <= 1.0)).all():
             raise ParameterError("marks must lie in (0, 1]")
         half = 0.5 * params.torus_length
-        if xs.size and ((xs < -half).any() or (xs >= half).any()):
+        if not ((xs >= -half) & (xs < half)).all():
             raise ParameterError("positions must be canonical, in [-n/2, n/2)")
         if (xs[1:] < xs[:-1]).any():
             raise ParameterError("positions must be sorted ascending")

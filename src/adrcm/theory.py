@@ -42,12 +42,8 @@ from .trees import _assignment_plan, _jackknife_se, d_in
 __all__ = [
     "RegimeError",
     "MARK_FLOOR",
-    "RateExponents",
-    "rate_exponents",
     "lambda_up",
     "lambda_down",
-    "c_plus",
-    "s_wedge",
     "SigmaEstimate",
     "sigma_palm",
     "sigma_direct_from_samples",
@@ -71,41 +67,16 @@ class RegimeError(ParameterError):
     """The requested quantity is undefined in this parameter regime."""
 
 
-@dataclass(frozen=True)
-class RateExponents:
-    """Rate exponents controlling covariance convergence and moment bounds."""
-
-    gamma: float
-    zeta: float
-    tau: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        limit = max(2.0 * self.gamma, 1.0 - self.gamma)
-        if not (1.0 < self.eta < 2.0 and self.eta * limit < 1.0):
-            raise RegimeError(
-                f"eta={self.eta} infeasible; needs eta in (1, {min(2.0, 1.0 / limit)})"
-            )
-
-
-def rate_exponents(gamma: float, eta: float | None = None) -> RateExponents:
-    """Exponents zeta, tau and a feasible eta for the finite-variance regime."""
-    if not (0.0 < gamma < 0.5):
-        raise RegimeError(f"rate exponents need gamma in (0, 1/2), got {gamma}")
-    zeta = min(1.0 - gamma, (1.0 - 2.0 * gamma) / gamma)
-    tau = max(gamma, 1.0 - 2.0 * gamma)
-    limit = max(2.0 * gamma, 1.0 - gamma)
-    upper = min(2.0, 1.0 / limit)
-    if eta is None:
-        eta = 0.5 * (1.0 + upper)
-    return RateExponents(gamma=gamma, zeta=zeta, tau=tau, eta=eta)
+def _regime_bound(leaves: int | None = None) -> float:
+    """Supremum of the finite-variance gamma range: 1/2 for cliques, 1/(2 leaves) for trees."""
+    return 0.5 if leaves is None else 1.0 / (2.0 * max(leaves, 1))
 
 
 def lambda_up(u: float, params: ModelParams) -> float:
     """Mean number of higher-mark neighbors of a point with mark u.
 
     Exact infinite-volume value (2 beta / gamma) (u^-gamma - 1); the small-u
-    coefficient is :func:`c_plus`.
+    coefficient is c_+ = 2 beta / gamma.
     """
     if not (0.0 < u <= 1.0):
         raise ParameterError(f"mark must lie in (0, 1], got {u}")
@@ -113,31 +84,9 @@ def lambda_up(u: float, params: ModelParams) -> float:
     return (2.0 * params.beta / g) * (u**-g - 1.0)
 
 
-def c_plus(params: ModelParams) -> float:
-    """Leading coefficient of the higher-mark neighborhood intensity."""
-    return 2.0 * params.beta / params.gamma
-
-
 def lambda_down(params: ModelParams) -> float:
     """Mean number of lower-mark neighbors; independent of the mark."""
     return 2.0 * params.beta / (1.0 - params.gamma)
-
-
-def s_wedge(u: float, r: float, gamma: float) -> float:
-    """Overlap kernel min(1, (u^gamma r)^(-1/(1-gamma))) 1{r <= 2/u}.
-
-    Normalized to beta = 1.  Bounds the probability that points at distance r
-    share a higher-mark neighbor with a point of mark u.
-    """
-    if not (0.0 < u <= 1.0):
-        raise ParameterError(f"mark must lie in (0, 1], got {u}")
-    if r < 0.0:
-        raise ParameterError(f"distance must be nonnegative, got {r}")
-    if r > 2.0 / u:
-        return 0.0
-    if r == 0.0:
-        return 1.0
-    return min(1.0, (u**gamma * r) ** (-1.0 / (1.0 - gamma)))
 
 
 # -- limiting covariance density -------------------------------------------
@@ -226,7 +175,7 @@ def sigma_palm(
     enough to contain every point that can enter the counted structures, so
     the only systematic truncation left is the reported mark floor.
     """
-    if params.gamma >= 0.5:
+    if params.gamma >= _regime_bound():
         raise RegimeError(
             f"finite-variance regime needs gamma < 1/2, got {params.gamma}"
         )

@@ -40,7 +40,6 @@ __all__ = [
     "count_trees",
     "block_sums",
     "lag_covariance_table",
-    "cox_grimmett",
 ]
 
 
@@ -368,6 +367,25 @@ def _cyclic_lag_cov(centered: np.ndarray, lag: int) -> float:
     return float(np.sum(centered * rolled) / (n * (r - 1)))
 
 
+def _leave_one_batch_out(matrix: np.ndarray, batches: int = 20):
+    """The rows of matrix without each of min(batches, rows) contiguous batches."""
+    r = matrix.shape[0]
+    b = min(batches, r)
+    bounds = np.linspace(0, r, b + 1, dtype=int)
+    for i in range(b):
+        keep = np.ones(r, dtype=bool)
+        keep[bounds[i] : bounds[i + 1]] = False
+        yield matrix[keep]
+
+
+def _jackknife_spread(estimates) -> float | np.ndarray:
+    """Jackknife standard error from the leave-one-batch-out estimates."""
+    est = np.asarray(estimates)
+    b = est.shape[0]
+    se = np.sqrt((b - 1) / b * np.sum((est - est.mean(axis=0)) ** 2, axis=0))
+    return float(se) if se.ndim == 0 else se
+
+
 def _jackknife_se(
     values_fn: Callable[[np.ndarray], float | np.ndarray], matrix: np.ndarray, batches: int = 20
 ) -> float | np.ndarray:
@@ -377,61 +395,45 @@ def _jackknife_se(
     contiguous batches.  values_fn may return a scalar, giving a float, or an
     array, giving element-wise standard errors; NaN with fewer than 2 batches.
     """
-    r = matrix.shape[0]
-    b = min(batches, r)
-    if b < 2:
+    if min(batches, matrix.shape[0]) < 2:
         return float("nan")
-    bounds = np.linspace(0, r, b + 1, dtype=int)
-    estimates = []
-    for i in range(b):
-        keep = np.ones(r, dtype=bool)
-        keep[bounds[i] : bounds[i + 1]] = False
-        estimates.append(values_fn(matrix[keep]))
-    est = np.asarray(estimates)
-    se = np.sqrt((b - 1) / b * np.sum((est - est.mean(axis=0)) ** 2, axis=0))
-    return float(se) if se.ndim == 0 else se
+    return _jackknife_spread([values_fn(m) for m in _leave_one_batch_out(matrix, batches)])
 
 
 def lag_covariance_table(
-    replicates: Sequence[BlockSums], max_lag: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cyclically averaged block covariances: (lags, estimates, standard errors).
+    replicates: Sequence[BlockSums], cutoffs: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[float, float]]]:
+    """Block covariances and tail coefficients, each with a jackknife SE.
 
-    By stationarity on the torus every pair at a fixed circular lag has the
-    same covariance, so shifts are pooled before the across-replicate average.
+    Returns (lags, covariances, standard errors, {k: (u_n(k), se)}) for the
+    lags 1..n//2 and the given cutoffs k.  By stationarity on the torus every
+    pair at a fixed circular lag has the same covariance, so shifts are
+    pooled before the across-replicate average.  The Cox-Grimmett tail
+    coefficient u_n(k) = 2 * sum over j = k+1 .. ceil(n/2) of Cov(T_1, T_j)
+    is read off the same lag covariances; the cyclic structure reduces the
+    maximum over base blocks to base 1.  The full sample and each
+    leave-one-batch-out subsample are centred once.
     """
     matrix = _replicate_matrix(replicates)
     n = matrix.shape[1]
-    if max_lag is None:
-        max_lag = n // 2
-    lags = np.arange(1, max_lag + 1)
-
-    def cov_at(m: np.ndarray, lag: int) -> float:
-        centered = m - m.mean(axis=0, keepdims=True)
-        return _cyclic_lag_cov(centered, lag)
-
-    estimates = np.array([cov_at(matrix, int(l)) for l in lags])
-    ses = np.array(
-        [_jackknife_se(lambda mm, _l=int(l): cov_at(mm, _l), matrix) for l in lags]
-    )
-    return lags, estimates, ses
-
-
-def cox_grimmett(replicates: Sequence[BlockSums], k: int) -> tuple[float, float]:
-    """Tail covariance coefficient u_n(k) with a batch-jackknife standard error.
-
-    Estimates 2 * sum over j = k+1 .. ceil(n/2) of Cov(T_1, T_j);
-    the cyclic structure reduces the maximum over base blocks to base 1.
-    """
-    matrix = _replicate_matrix(replicates)
-    n = matrix.shape[1]
-    if not (1 <= k <= n):
-        raise ParameterError(f"lag cutoff must lie in 1..{n}, got {k}")
+    for k in cutoffs:
+        if not (1 <= k <= n):
+            raise ParameterError(f"lag cutoff must lie in 1..{n}, got {k}")
+    lags = np.arange(1, n // 2 + 1)
     half = (n + 1) // 2
-    lags = range(k, half)
 
-    def stat(m: np.ndarray) -> float:
+    def lag_covs(m: np.ndarray) -> list[float]:
         centered = m - m.mean(axis=0, keepdims=True)
-        return 2.0 * sum(_cyclic_lag_cov(centered, lag) for lag in lags)
+        return [_cyclic_lag_cov(centered, int(lag)) for lag in lags]
 
-    return stat(matrix), _jackknife_se(stat, matrix)
+    def tail(covs: list[float], k: int) -> float:
+        return 2.0 * sum(covs[k - 1 : half - 1])
+
+    full = lag_covs(matrix)
+    subsamples = [lag_covs(m) for m in _leave_one_batch_out(matrix)]
+    ses = np.array([_jackknife_spread(column) for column in zip(*subsamples)])
+    u_values = {
+        k: (tail(full, k), _jackknife_spread([tail(s, k) for s in subsamples]))
+        for k in cutoffs
+    }
+    return lags, np.array(full), ses, u_values

@@ -166,3 +166,58 @@ def count_trees_oracle(config: PointConfig, spec) -> int:
             config, (config.positions[i], config.marks[i]), spec, member_index=i
         )
     return total
+
+
+# -- block covariances -----------------------------------------------------------
+# The per-lag covariance table and per-cutoff tail coefficient as first
+# written: every lag, cutoff and jackknife subsample centres the replicate
+# matrix anew.  The one-pass lag_covariance_table must equal them bit for bit.
+
+
+def _cyclic_lag_cov_reference(centered: np.ndarray, lag: int) -> float:
+    r, n = centered.shape
+    rolled = np.roll(centered, -lag, axis=1)
+    return float(np.sum(centered * rolled) / (n * (r - 1)))
+
+
+def _jackknife_reference(stat, matrix: np.ndarray, batches: int = 20) -> float:
+    r = matrix.shape[0]
+    b = min(batches, r)
+    if b < 2:
+        return float("nan")
+    bounds = np.linspace(0, r, b + 1, dtype=int)
+    estimates = []
+    for i in range(b):
+        keep = np.ones(r, dtype=bool)
+        keep[bounds[i] : bounds[i + 1]] = False
+        estimates.append(stat(matrix[keep]))
+    est = np.asarray(estimates)
+    return float(np.sqrt((b - 1) / b * np.sum((est - est.mean(axis=0)) ** 2, axis=0)))
+
+
+def lag_covariance_oracle(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lags 1..n//2, covariances, jackknife SEs) of an r x n block matrix."""
+    matrix = np.asarray(blocks).astype(np.float64)
+    lags = np.arange(1, matrix.shape[1] // 2 + 1)
+
+    def cov_at(m: np.ndarray, lag: int) -> float:
+        centered = m - m.mean(axis=0, keepdims=True)
+        return _cyclic_lag_cov_reference(centered, lag)
+
+    covs = np.array([cov_at(matrix, int(l)) for l in lags])
+    ses = np.array(
+        [_jackknife_reference(lambda mm, _l=int(l): cov_at(mm, _l), matrix) for l in lags]
+    )
+    return lags, covs, ses
+
+
+def cox_grimmett_oracle(blocks, k: int) -> tuple[float, float]:
+    """u_n(k) = 2 * sum over lags k .. ceil(n/2) - 1 of the lag covariance, with its SE."""
+    matrix = np.asarray(blocks).astype(np.float64)
+    half = (matrix.shape[1] + 1) // 2
+
+    def stat(m: np.ndarray) -> float:
+        centered = m - m.mean(axis=0, keepdims=True)
+        return 2.0 * sum(_cyclic_lag_cov_reference(centered, lag) for lag in range(k, half))
+
+    return stat(matrix), _jackknife_reference(stat, matrix)

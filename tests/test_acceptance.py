@@ -44,7 +44,6 @@ from adrcm.theory import (
     tree_root_moment_profile,
 )
 from adrcm.trees import (
-    cox_grimmett,
     count_trees,
     d_in,
     lag_covariance_table,
@@ -140,9 +139,7 @@ def block_study(threads: int):
         ModelParams(0.1, 1.0, 64.0), tree_wedge(), 4000,
         master_seed=derive_seed(MASTER, 8), threads=threads,
     )
-    lags, covs, ses = lag_covariance_table(reps)
-    u_values = {k: cox_grimmett(reps, k) for k in (1, 10)}
-    return lags, covs, ses, u_values
+    return lag_covariance_table(reps, (1, 10))
 
 
 def _ks_with_se(samples: np.ndarray, seed: int, resamples: int = 200):

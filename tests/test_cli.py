@@ -284,6 +284,58 @@ def test_blocks_mode_and_decay_export(tmp_path):
     assert ks == sorted(ks)
 
 
+def _blocks_config(tmp_path, r=60):
+    tree = tmp_path / "wedge.tree"
+    tree.write_text(WEDGE_TEXT, encoding="utf-8")
+    body = (
+        "[model]\ngamma = 0.1\nbeta = 1.0\nn = 16\n\n"
+        f"[experiment]\nmode = blocks\ntree_file = {tree}\nr = {r}\nseed = 3\n"
+        f"[output]\ndirectory = {tmp_path / 'o'}\n"
+    )
+    return _write_config(tmp_path, body, f"blocks-{r}.cfg")
+
+
+def _strict_json(path):
+    """Parse JSON, refusing the non-standard NaN and Infinity literals."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_blocks_mode_rejects_fewer_than_three_replicates(tmp_path, capsys):
+    assert main(["blocks", "--config", _blocks_config(tmp_path, r=2)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: mode blocks requires r >= 3" in err
+    assert "got 2" in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+    # Three replicates leave two in every jackknife subsample: finite SEs.
+    assert main(["blocks", "--config", _blocks_config(tmp_path, r=3)]) == 0
+    summary = _strict_json(tmp_path / "o" / "blocks_summary.json")
+    ses = [d["se"] for d in summary["estimates"]["lag_covariance"]]
+    ses += [u["se"] for u in summary["estimates"]["cox_grimmett"].values()]
+    assert ses and all(np.isfinite(ses))
+
+
+def test_blocks_summary_records_stage_timings(tmp_path):
+    assert main(["blocks", "--config", _blocks_config(tmp_path)]) == 0
+    timings = _strict_json(tmp_path / "o" / "blocks_summary.json")["timings"]
+    assert set(timings) == {"replicates", "reductions"}
+    assert timings["replicates"] > 0.0 and timings["reductions"] > 0.0
+
+
+def test_blocks_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    cfgp = _blocks_config(tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        assert main(["blocks", "--config", cfgp, "--threads", threads]) == 0
+        summary = _strict_json(tmp_path / "o" / "blocks_summary.json")
+        del summary["wall_time"], summary["timings"]
+        outputs.append((summary, (tmp_path / "o" / "blocks_decay.csv").read_text()))
+    assert outputs[0] == outputs[1]
+
+
 def test_moments_mode_runs(tmp_path):
     out = tmp_path / "o"
     body = _minimal("moments", "k_list = 3\nr = 40\nseed = 6\n", str(out))

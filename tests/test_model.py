@@ -473,6 +473,14 @@ def test_csv_rejects_bad_header():
         config_from_csv(io.StringIO("a,b\n1,0.5\n"), params)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_positions_and_marks(bad):
+    params = ModelParams(0.3, 1.0, 10.0)
+    for rows in (f"{bad},0.5\n1.0,0.5\n", f"1.0,0.5\n2.0,{bad}\n"):
+        with pytest.raises(ParameterError):
+            config_from_csv(io.StringIO("x,u\n" + rows), params)
+
+
 def test_point_config_validation():
     params = ModelParams(0.3, 1.0, 10.0)
     with pytest.raises(ParameterError):

@@ -3,7 +3,6 @@
 import math
 from concurrent.futures import ProcessPoolExecutor
 
-import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -16,15 +15,12 @@ from adrcm.theory import (
     GammaDiagnostics,
     RegimeError,
     SigmaEstimate,
-    c_plus,
     clique_diff_moment_profile,
     gamma_diagnostics,
     lambda_down,
     lambda_up,
     log_slope,
     neighborhood_counts,
-    rate_exponents,
-    s_wedge,
     sigma_direct_from_samples,
     sigma_palm,
     tree_root_moment_profile,
@@ -83,82 +79,10 @@ def test_lambda_up_invalid_mark():
 
 def test_c_plus_coefficient():
     params = ModelParams(0.25, 0.5, 10.0)
-    assert c_plus(params) == pytest.approx(4.0)
+    c_plus = 2.0 * params.beta / params.gamma  # = 4
     # the asymptotic coefficient dominates at rate u^gamma as u -> 0
     u = 1e-9
-    assert lambda_up(u, params) == pytest.approx(
-        c_plus(params) * u**-0.25, rel=2.0 * u**0.25
-    )
-
-
-# -- overlap kernel -------------------------------------------------------------
-
-
-def test_s_wedge_support_cutoff():
-    assert s_wedge(0.5, 4.0001, 0.3) == 0.0
-
-
-def test_s_wedge_saturates_at_one():
-    assert s_wedge(0.5, 0.5, 0.3) == 1.0
-    assert s_wedge(0.9, 0.0, 0.3) == 1.0
-
-
-def test_s_wedge_high_precision_value():
-    got = s_wedge(0.01, 100.0, 0.25)
-    with mpmath.workdps(50):
-        expect = (mpmath.mpf("0.01") ** mpmath.mpf("0.25") * 100) ** (
-            -1 / (1 - mpmath.mpf("0.25"))
-        )
-    assert got == pytest.approx(float(expect), rel=1e-12)
-    assert got == pytest.approx(0.01, rel=1e-10)
-
-
-def test_s_wedge_monotone_and_bounded():
-    gamma = 0.3
-    us = np.linspace(0.01, 1.0, 25)
-    rs = np.linspace(0.0, 10.0, 40)
-    for u in us:
-        vals = [s_wedge(float(u), float(r), gamma) for r in rs]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-    for r in rs:
-        vals = [s_wedge(float(u), float(r), gamma) for u in us]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-# -- rate exponents ---------------------------------------------------------------
-
-
-def test_rate_exponents_feasibility_accept():
-    exps = rate_exponents(0.3, eta=1.2)
-    assert exps.eta == 1.2  # 1.2 * max(0.6, 0.7) = 0.84 < 1
-    assert exps.zeta == pytest.approx(min(0.7, 0.4 / 0.3))
-
-
-def test_rate_exponents_feasibility_reject_with_interval():
-    with pytest.raises(RegimeError) as err:
-        rate_exponents(0.45, eta=1.2)  # 1.2 * 0.9 = 1.08 >= 1
-    assert "1.111" in str(err.value)
-
-
-def test_rate_exponents_regime_gate():
-    with pytest.raises(RegimeError):
-        rate_exponents(0.5)
-
-
-def test_rate_exponents_continuous_and_in_range():
-    grid = np.linspace(0.01, 0.49, 97)
-    zetas = []
-    taus = []
-    for g in grid:
-        exps = rate_exponents(float(g))
-        assert exps.zeta > 0.0
-        assert 0.0 < exps.tau < 1.0
-        assert exps.eta * max(2.0 * g, 1.0 - g) < 1.0
-        zetas.append(exps.zeta)
-        taus.append(exps.tau)
-    assert np.max(np.abs(np.diff(zetas))) < 0.2
-    assert np.max(np.abs(np.diff(taus))) < 0.05
+    assert lambda_up(u, params) == pytest.approx(c_plus * u**-0.25, rel=2.0 * u**0.25)
 
 
 # -- sigma estimators ---------------------------------------------------------------

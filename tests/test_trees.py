@@ -16,7 +16,6 @@ from adrcm.trees import (
     TreeSpecError,
     block_sums,
     count_trees,
-    cox_grimmett,
     d_in,
     lag_covariance_table,
     parse_tree_spec,
@@ -28,7 +27,14 @@ from adrcm.trees import (
 )
 from adrcm.model import derive_seed, up_neighbors
 
-from oracles import config_from_points, count_trees_oracle, d_in_oracle, random_config
+from oracles import (
+    config_from_points,
+    count_trees_oracle,
+    cox_grimmett_oracle,
+    d_in_oracle,
+    lag_covariance_oracle,
+    random_config,
+)
 
 MIXED_SPEC = validate_tree(DirectedTreeSpec(3, ((2, 1), (1, 3)), 1))
 
@@ -314,7 +320,8 @@ def _block_replicates(params, reps, seed):
 def test_cox_grimmett_empty_tail_is_zero():
     params = ModelParams(0.2, 1.0, 8.0)
     reps = _block_replicates(params, 50, 41)
-    value, se = cox_grimmett(reps, math.ceil(8 / 2))
+    k = math.ceil(8 / 2)
+    value, se = lag_covariance_table(reps, [k])[3][k]
     assert value == 0.0
 
 
@@ -322,7 +329,7 @@ def test_cox_grimmett_requires_replicates():
     params = ModelParams(0.2, 1.0, 8.0)
     reps = _block_replicates(params, 1, 42)
     with pytest.raises(ParameterError):
-        cox_grimmett(reps, 1)
+        lag_covariance_table(reps, [1])
 
 
 def test_cox_grimmett_shuffled_blocks_near_zero():
@@ -334,16 +341,67 @@ def test_cox_grimmett_shuffled_blocks_near_zero():
     for col in range(matrix.shape[1]):
         shuffled[:, col] = matrix[rng.permutation(matrix.shape[0]), col]
     surrogate = [BlockSums(values=row, params=params) for row in shuffled]
-    value, se = cox_grimmett(surrogate, 1)
+    value, se = lag_covariance_table(surrogate, [1])[3][1]
     assert abs(value) <= 3.0 * se
 
 
 def test_lag_covariance_table_shapes():
     params = ModelParams(0.2, 1.0, 16.0)
     reps = _block_replicates(params, 60, 44)
-    lags, covs, ses = lag_covariance_table(reps)
+    lags, covs, ses, _ = lag_covariance_table(reps, [])
     assert lags.tolist() == list(range(1, 9))
     assert covs.shape == ses.shape == (8,)
+
+
+def _as_block_sums(matrix):
+    params = ModelParams(0.2, 1.0, float(matrix.shape[1]))
+    return [BlockSums(values=row, params=params) for row in matrix]
+
+
+def _same(a, b) -> bool:
+    """Exact equality in which NaN equals NaN."""
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 17, 64])
+def test_lag_covariance_table_matches_per_lag_reference(n):
+    rng = np.random.default_rng(1000 + n)
+    for r in (3, 19, 20, 21, 200):
+        matrix = rng.integers(0, 50, size=(r, n)) * rng.integers(1, 4, size=(r, 1))
+        cutoffs = range(1, n + 1)
+        lags, covs, ses, u_values = lag_covariance_table(_as_block_sums(matrix), cutoffs)
+        ref_lags, ref_covs, ref_ses = lag_covariance_oracle(matrix)
+        assert lags.tolist() == ref_lags.tolist()
+        assert covs.dtype == ses.dtype == np.float64
+        assert _same(covs, ref_covs) and _same(ses, ref_ses), (n, r)
+        assert list(u_values) == list(cutoffs)
+        for k in cutoffs:
+            assert _same(u_values[k], cox_grimmett_oracle(matrix, k)), (n, r, k)
+
+
+def test_lag_covariance_table_rejects_cutoffs_outside_one_to_n():
+    reps = _as_block_sums(np.arange(24).reshape(3, 8))
+    for bad in ([0], [9], [1, 9], [-1]):
+        with pytest.raises(ParameterError):
+            lag_covariance_table(reps, bad)
+
+
+@pytest.mark.parametrize("r", [3, 19, 20, 21, 200])
+def test_lag_covariance_table_centres_each_subsample_once(monkeypatch, r):
+    """One centring for the full sample and one per jackknife subsample."""
+    seen = []
+    original = trees._cyclic_lag_cov
+
+    def recording(centered, lag):
+        seen.append(centered)  # kept alive, so ids stay distinct
+        return original(centered, lag)
+
+    monkeypatch.setattr(trees, "_cyclic_lag_cov", recording)
+    matrix = np.random.default_rng(r).integers(0, 50, size=(r, 8))
+    lag_covariance_table(_as_block_sums(matrix), range(1, 9))
+    b = min(20, r)
+    assert len({id(c) for c in seen}) == b + 1
+    assert len(seen) == (b + 1) * 4
 
 
 # -- batch jackknife ---------------------------------------------------------------
