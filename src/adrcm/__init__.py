@@ -10,10 +10,8 @@ from .model import (
     config_to_csv,
     connects,
     derive_seed,
-    down_neighbors,
     sample_config,
     torus_dist,
-    up_neighbors,
 )
 from .cliques import count_cliques_centered, count_cliques_upto
 from .trees import (

@@ -262,6 +262,11 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
         errors.append("mode sigma requires k_list with one or two entries")
     if mode == "clt" and not n_list:
         errors.append("mode clt requires n_list")
+    # Each torus writes its results under its "%g" label, which must be unique.
+    labels = ["%g" % v for v in n_list]
+    for label in sorted({l for l in labels if labels.count(l) > 1}):
+        same = ", ".join(repr(v) for v, l in zip(n_list, labels) if l == label)
+        errors.append(f"n_list entries {same} share the output label n{label}")
 
     if mode == "clt" and gamma is not None and not override_regime:
         if k_list and gamma >= _regime_bound():
@@ -718,12 +723,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--gamma", type=float, help="override model gamma")
     common.add_argument("--beta", type=float, help="override model beta")
     common.add_argument("--n", type=float, help="override the torus length")
-    common.add_argument(
-        "--gamma-diag", type=float, default=None, metavar="ETA",
-        help="in moments mode, estimate the difference-moment integrals at this eta",
-    )
     for mode in MODES:
         sub.add_parser(mode, parents=[common], help=f"run the {mode} experiment")
+    sub.choices["moments"].add_argument(
+        "--gamma-diag", type=float, default=None, metavar="ETA",
+        help="estimate the difference-moment integrals at this eta",
+    )
     plot = sub.add_parser("plotdata", help="emit plot-ready CSV from results")
     plot.add_argument("--kind", required=True, choices=("qq", "scaling", "decay"))
     plot.add_argument("--results", required=True, help="path to a *_summary.json")
@@ -785,7 +790,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg,
             threads=args.threads,
             assert_mode=args.assert_mode,
-            gamma_diag_eta=args.gamma_diag,
+            gamma_diag_eta=getattr(args, "gamma_diag", None),
         )
     except ConfigError as exc:
         for err in exc.errors:

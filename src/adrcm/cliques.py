@@ -19,12 +19,10 @@ from .model import (
     PointConfig,
     _csr_contains,
     _csr_rows,
-    _local_adjacency,
-    add_point,
+    _transpose,
+    _with_point,
     connects,
-    down_neighbors,
     neighborhood_adjacency,
-    up_neighbors,
     wrap_position,
 )
 
@@ -64,34 +62,11 @@ def _clique_levels(
     return levels
 
 
-def _clique_counts(graph: tuple[np.ndarray, np.ndarray], k_max: int) -> list[int]:
-    """Clique counts of a whole CSR graph for sizes 1..k_max (none for 0)."""
-    seeds = np.arange(graph[0].size - 1)
-    return [len(level) for level in _clique_levels(graph, seeds, k_max)][:k_max]
-
-
-def _cone_counts(config: PointConfig, neighbourhood: np.ndarray, k_max: int) -> list[int]:
-    """Cliques of sizes 1..k_max through one vertex, from its neighbourhood.
-
-    A j-clique through the vertex is the vertex plus a (j-1)-clique of the
-    graph induced on its neighbourhood, given as a sorted index array.
-    """
-    return [1] + _clique_counts(_local_adjacency(config, neighbourhood), k_max - 1)
-
-
 def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
     """Totals for every clique size 1..k_max in a single listing pass."""
     _check_k(k_max)
-    return _clique_counts(neighborhood_adjacency(config), k_max)
-
-
-def _member_or_inserted(config: PointConfig, p: MarkedPoint) -> tuple[PointConfig, int]:
-    canon = MarkedPoint(wrap_position(p.x, config.params.torus_length), p.u)
-    idx = config.index_of(canon)
-    if idx >= 0:
-        return config, idx
-    aug = add_point(config, canon)
-    return aug, aug.index_of(canon)
+    levels = _clique_levels(neighborhood_adjacency(config), np.arange(len(config)), k_max)
+    return [len(level) for level in levels]
 
 
 def count_cliques_centered(config: PointConfig, p: MarkedPoint, k: int) -> int:
@@ -101,47 +76,61 @@ def count_cliques_centered(config: PointConfig, p: MarkedPoint, k: int) -> int:
     at a deterministic extra point.
     """
     _check_k(k)
-    cfg, idx = _member_or_inserted(config, p)
-    return _cone_counts(cfg, up_neighbors(cfg, cfg.point(idx)), k)[k - 1]
+    config, idx = _with_point(config, p)
+    return len(_clique_levels(neighborhood_adjacency(config), np.array([idx]), k)[k - 1])
 
 
-def _neighbourhood(config: PointConfig, p: MarkedPoint) -> np.ndarray:
-    """Sorted indices of the configuration points adjacent to p."""
-    return np.sort(np.concatenate([up_neighbors(config, p), down_neighbors(config, p)]))
+def _through(config: PointConfig, members: list[int], k_max: int) -> list[int]:
+    """Cliques of sizes 1..k_max that contain every listed point index.
+
+    The lowest-mark vertex of a clique through the first member is that
+    member or one of its lower-mark neighbours, so the listing starts there.
+    """
+    graph = neighborhood_adjacency(config)
+    down_ptr, down_idx = _transpose(*graph)
+    first = members[0]
+    seeds = np.concatenate(([first], down_idx[down_ptr[first] : down_ptr[first + 1]]))
+    counts = []
+    for level in _clique_levels(graph, seeds, k_max):
+        hit = np.ones(len(level), dtype=bool)
+        for m in members:
+            hit &= (level == m).any(axis=1)
+        counts.append(int(hit.sum()))
+    return counts
 
 
 def diff1_clique_upto(config: PointConfig, u: float, k_max: int) -> list[int]:
     """Add-one differences of the k-clique counts for the extra point (0, u).
 
     Entry k-1 is the number of k-cliques through (0, u) in the augmented
-    configuration, for every size 1..k_max from one neighborhood scan and
-    without a full recount.
+    configuration, for every size 1..k_max from one listing and without a
+    full recount.  (0, u) is inserted when absent; a configuration that
+    already holds it, as a Palm configuration holds its anchors, gives the
+    difference of removing it.
     """
     _check_k(k_max)
-    p0 = MarkedPoint(0.0, u)
-    if config.index_of(p0) >= 0:
-        raise ParameterError("(0, u) already belongs to the configuration")
-    return _cone_counts(config, _neighbourhood(config, p0), k_max)
+    config, idx = _with_point(config, MarkedPoint(0.0, u))
+    return _through(config, [idx], k_max)
 
 
 def diff2_clique_upto(config: PointConfig, u: float, q: MarkedPoint, k_max: int) -> list[int]:
     """Second-order differences: k-cliques containing both (0, u) and q.
 
     Entry k-1 equals the four-term count F(P+p+q) - F(P+p) - F(P+q) + F(P),
-    for every size 1..k_max from one common-neighborhood scan.
+    for every size 1..k_max from one listing.  Each added point is inserted
+    when absent, as in :func:`diff1_clique_upto`.
     """
     _check_k(k_max)
     params = config.params
     p0 = MarkedPoint(0.0, u)
     q = MarkedPoint(wrap_position(q.x, params.torus_length), q.u)
-    if config.index_of(p0) >= 0 or config.index_of(q) >= 0:
-        raise ParameterError("added points must not belong to the configuration")
     if p0 == q:
         raise ParameterError("the two added points must differ")
     if k_max == 1 or not connects(p0, q, params):
         return [0] * k_max
-    common = np.intersect1d(_neighbourhood(config, p0), _neighbourhood(config, q))
-    return [0] + _cone_counts(config, common, k_max - 1)
+    config, _ = _with_point(config, q)
+    config, idx = _with_point(config, p0)
+    return _through(config, [idx, config.index_of(q)], k_max)
 
 
 def joint_clique_counts(
@@ -162,18 +151,15 @@ def joint_clique_counts(
         raise ParameterError("both query points must belong to the configuration")
     if p_idx == q_idx:
         raise ParameterError("query points must differ")
-    ups_p = up_neighbors(config, p)
-    ups_q = up_neighbors(config, q)
-    if ups_p.size < k - 1 or ups_q.size < l - 1:
+    graph = neighborhood_adjacency(config)
+    up_degree = np.diff(graph[0])
+    if up_degree[p_idx] < k - 1 or up_degree[q_idx] < l - 1:
         return 0, 0  # no clique at p or at q; most Palm samples stop here
-    universe = np.unique(np.concatenate([ups_p, ups_q, [p_idx, q_idx]]))
-    graph = _local_adjacency(config, universe)
-    at_p, at_q = np.searchsorted(universe, [p_idx, q_idx])
-    rows_p = _clique_levels(graph, np.array([at_p]), k)[k - 1]
-    rows_q = _clique_levels(graph, np.array([at_q]), l)[l - 1]
+    rows_p = _clique_levels(graph, np.array([p_idx]), k)[k - 1]
+    rows_q = _clique_levels(graph, np.array([q_idx]), l)[l - 1]
     # One vertex-incidence row per clique; two cliques meet where these overlap.
-    inc_p = np.zeros((len(rows_p), universe.size), dtype=bool)
-    inc_q = np.zeros((len(rows_q), universe.size), dtype=bool)
+    inc_p = np.zeros((len(rows_p), len(config)), dtype=bool)
+    inc_q = np.zeros((len(rows_q), len(config)), dtype=bool)
     inc_p[np.arange(len(rows_p))[:, None], rows_p] = True
     inc_q[np.arange(len(rows_q))[:, None], rows_q] = True
     meet_p, meet_q = np.nonzero(inc_p.astype(np.int64) @ inc_q.T.astype(np.int64))

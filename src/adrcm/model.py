@@ -27,8 +27,6 @@ __all__ = [
     "torus_dist",
     "wrap_position",
     "connects",
-    "up_neighbors",
-    "down_neighbors",
     "add_point",
     "config_to_csv",
     "config_from_csv",
@@ -129,7 +127,7 @@ class PointConfig:
     mark order.
     """
 
-    __slots__ = ("params", "seed", "_xs", "_us", "_mark_order", "_min_mark")
+    __slots__ = ("params", "seed", "_xs", "_us", "_mark_order")
 
     def __init__(self, params: ModelParams, xs: np.ndarray, us: np.ndarray, seed: int):
         xs = np.asarray(xs, dtype=np.float64)
@@ -151,7 +149,6 @@ class PointConfig:
         # Total order on marks with index tie-break (a stable sort keeps
         # equal marks in index order).
         self._mark_order = np.argsort(us, kind="stable")
-        self._min_mark = float(us.min()) if us.size else 1.0
         self._xs.setflags(write=False)
         self._us.setflags(write=False)
         self._mark_order.setflags(write=False)
@@ -247,19 +244,21 @@ _REACH_SLACK = 1e-9
 def _palm_config(
     params: ModelParams, seed: int, anchors: list[MarkedPoint], hops: int
 ) -> PointConfig:
-    """The points of sample_config(params, seed) within hops graph steps of the anchors.
+    """The anchors and the points of sample_config(params, seed) within hops graph steps of them.
 
     The stream drawn is sample_config's, point for point; a point is kept
     when the kernel connects it to an anchor or, for hops > 1, to a point
     kept one step earlier.  A count that only sees points within hops steps
-    of the anchors (the anchors themselves may be absent) is the same on
-    this configuration as on the whole torus, and far cheaper to build.
+    of the anchors is the same on this configuration as on the whole torus
+    with the anchors inserted by add_point, and far cheaper to build.  Like
+    add_point, it raises ParameterError when a drawn point equals an anchor.
     """
     xs, us = _draw(params, seed)
     n, g = params.torus_length, params.gamma
     reach = params.beta * (1.0 + _REACH_SLACK)
     keep = np.zeros(xs.size, dtype=bool)
-    frontier = [(wrap_position(a.x, n), a.u) for a in anchors]
+    start = [(wrap_position(a.x, n), a.u) for a in anchors]
+    frontier = start
     for _ in range(hops):
         reached = []
         for x, u in frontier:
@@ -274,8 +273,14 @@ def _palm_config(
             keep[new] = True
             reached += zip(xs[new].tolist(), us[new].tolist())
         frontier = reached
-    kept = keep.nonzero()[0]
-    order = kept[np.argsort(xs[kept], kind="stable")]
+    xs, us = xs[keep], us[keep]
+    # Anchors follow the drawn points of equal position, as add_point
+    # places them.
+    for x, u in start:
+        if ((xs == x) & (us == u)).any():
+            raise ParameterError(f"duplicate point ({x}, {u}); marks must be distinct")
+        xs, us = np.append(xs, x), np.append(us, u)
+    order = np.argsort(xs, kind="stable")
     return PointConfig(params, xs[order], us[order], seed)
 
 
@@ -284,96 +289,6 @@ def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
     d = torus_dist(p.x, q.x, params.torus_length)
     u_min, u_max = (p.u, q.u) if p.u <= q.u else (q.u, p.u)
     return bool(d * u_min**params.gamma * u_max ** (1.0 - params.gamma) <= params.beta)
-
-
-def _window_candidates(config: PointConfig, center: float, radius: float) -> np.ndarray:
-    """Indices of points within toroidal distance <= radius of center."""
-    xs = config.positions
-    n = config.params.torus_length
-    if xs.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if 2.0 * radius >= n:
-        return np.arange(xs.size, dtype=np.int64)
-    lo, hi = center - radius, center + radius
-    half = 0.5 * n
-    pieces = []
-    if lo < -half:
-        pieces.append((lo + n, half))
-        lo = -half
-    if hi >= half:
-        pieces.append((-half, hi - n))
-        hi = half
-    pieces.append((lo, hi))
-    idx = []
-    for a, b in pieces:
-        i0 = int(np.searchsorted(xs, a, side="left"))
-        i1 = int(np.searchsorted(xs, b, side="right"))
-        if i1 > i0:
-            idx.append(np.arange(i0, i1, dtype=np.int64))
-    if len(idx) < 2:
-        return idx[0] if idx else np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(idx))
-
-
-def _kernel_ok(dist: np.ndarray, lo_marks: np.ndarray, hi_marks: np.ndarray, params: ModelParams) -> np.ndarray:
-    return dist * lo_marks**params.gamma * hi_marks ** (1.0 - params.gamma) <= params.beta
-
-
-def up_neighbors(config: PointConfig, p: MarkedPoint) -> np.ndarray:
-    """Indices of configuration points with higher mark connecting to p.
-
-    p may be external to the configuration (Palm usage).  The search queries
-    the position-sorted array with the maximal admissible radius beta/u and
-    filters by the exact kernel; ties in mark defer to the point index, with
-    external query points ranked below every member of equal mark.
-    """
-    params = config.params
-    x = wrap_position(p.x, params.torus_length)
-    radius = min(params.beta / p.u, 0.5 * params.torus_length)
-    cand = _window_candidates(config, x, radius)
-    if cand.size == 0:
-        return cand
-    us = config.marks[cand]
-    p_idx = config.index_of(MarkedPoint(x, p.u))
-    if p_idx >= 0:
-        higher = (us > p.u) | ((us == p.u) & (cand > p_idx))
-    else:
-        # External query points rank below members of equal mark.
-        higher = us >= p.u
-    cand = cand[higher]
-    if cand.size == 0:
-        return cand
-    d = torus_dist(config.positions[cand], x, params.torus_length)
-    ok = _kernel_ok(d, np.full(cand.size, p.u), config.marks[cand], params)
-    return cand[ok]
-
-
-def down_neighbors(config: PointConfig, p: MarkedPoint) -> np.ndarray:
-    """Indices of configuration points with lower mark that p connects to."""
-    params = config.params
-    if len(config) == 0:
-        return np.empty(0, dtype=np.int64)
-    x = wrap_position(p.x, params.torus_length)
-    # Radius bound from the smallest mark present in the configuration.
-    radius = min(
-        params.beta * config._min_mark ** (-params.gamma) * p.u ** (params.gamma - 1.0),
-        0.5 * params.torus_length,
-    )
-    cand = _window_candidates(config, x, radius)
-    if cand.size == 0:
-        return cand
-    us = config.marks[cand]
-    p_idx = config.index_of(MarkedPoint(x, p.u))
-    if p_idx >= 0:
-        lower = (us < p.u) | ((us == p.u) & (cand < p_idx))
-    else:
-        lower = us < p.u
-    cand = cand[lower]
-    if cand.size == 0:
-        return cand
-    d = torus_dist(config.positions[cand], x, params.torus_length)
-    ok = _kernel_ok(d, config.marks[cand], np.full(cand.size, p.u), params)
-    return cand[ok]
 
 
 def add_point(config: PointConfig, p: MarkedPoint) -> PointConfig:
@@ -388,67 +303,79 @@ def add_point(config: PointConfig, p: MarkedPoint) -> PointConfig:
     return PointConfig(params, xs, us, config.seed)
 
 
-def _up_csr(
-    xs: np.ndarray, us: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The edge rule: mark-oriented adjacency from candidate pairs, as CSR.
+def _with_point(config: PointConfig, p: MarkedPoint) -> tuple[PointConfig, int]:
+    """The configuration with p inserted unless present, and p's index in it."""
+    p = MarkedPoint(wrap_position(p.x, config.params.torus_length), p.u)
+    idx = config.index_of(p)
+    if idx < 0:
+        config = add_point(config, p)
+        idx = config.index_of(p)
+    return config, idx
 
-    A candidate (i, j) is kept when j ranks above i in the (mark, index)
-    order and the kernel connects them; candidates with j below i are
-    dropped, since each edge is found from its lower-mark end.  Returns
-    (indptr, indices): row i lists the higher-mark neighbours of point i,
-    sorted ascending.
-    """
-    keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
-    rows, cols = rows[keep], cols[keep]
-    d = torus_dist(xs[rows], xs[cols], params.torus_length)
-    ok = _kernel_ok(d, us[rows], us[cols], params)
-    rows, cols = rows[ok], cols[ok]
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(xs.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=xs.size), out=indptr[1:])
-    return indptr, cols[order]
+
+# Below this many points every pair is a candidate edge.  On unit-density
+# tori (gamma 0.3, beta 1) all pairs are faster than the window search up to
+# 40 points and slower from 44; a Palm neighbourhood, whose points all lie
+# near its anchors, rarely reaches the cut-off.
+_ALL_PAIRS_BELOW = 42
 
 
 def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]:
     """Mark-oriented adjacency of the configuration graph as CSR.
 
     Returns (indptr, indices): indices[indptr[i]:indptr[i + 1]] are the
-    neighbours of point i with higher mark, sorted ascending.  Candidates come
-    from one vectorized window query per configuration, taken from each
-    point with its maximal up-radius beta/u.
+    neighbours of point i with higher mark, sorted ascending.  Candidate
+    pairs are every pair of a small configuration, and otherwise come from
+    one vectorized window query per configuration, taken from each point
+    with its maximal up-radius beta/u.  A candidate (i, j) becomes an edge
+    when j ranks above i in the (mark, index) order and the kernel connects
+    them, so each edge is found from its lower-mark end.
     """
     params = config.params
     xs, us = config.positions, config.marks
     n = params.torus_length
     size = xs.size
 
-    radius = np.minimum(params.beta / us, 0.5 * n)
-    capped = 2.0 * radius >= n
-    ext = np.concatenate([xs - n, xs, xs + n])
-    lo = np.searchsorted(ext, xs - radius, side="left")
-    hi = np.searchsorted(ext, xs + radius, side="right")
-    # A capped window covers the whole torus, so its row takes every point
-    # once rather than the wrapped copies.
-    lo = np.where(capped, 0, lo)
-    hi = np.where(capped, size, hi)
-    counts = hi - lo
-    rows = np.repeat(np.arange(size), counts)
-    offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = (np.repeat(lo, counts) + offsets) % size
-    return _up_csr(xs, us, rows, cols, params)
+    if size < _ALL_PAIRS_BELOW:
+        rows, cols = np.divmod(np.arange(size * size), size)
+    else:
+        radius = np.minimum(params.beta / us, 0.5 * n)
+        capped = 2.0 * radius >= n
+        ext = np.concatenate([xs - n, xs, xs + n])
+        lo = np.searchsorted(ext, xs - radius, side="left")
+        hi = np.searchsorted(ext, xs + radius, side="right")
+        # A capped window covers the whole torus, so its row takes every
+        # point once rather than the wrapped copies.
+        lo = np.where(capped, 0, lo)
+        hi = np.where(capped, size, hi)
+        counts = hi - lo
+        rows = np.repeat(np.arange(size), counts)
+        offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = (np.repeat(lo, counts) + offsets) % size
+    keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
+    rows, cols = rows[keep], cols[keep]
+    d = torus_dist(xs[rows], xs[cols], n)
+    ok = d * us[rows] ** params.gamma * us[cols] ** (1.0 - params.gamma) <= params.beta
+    rows, cols = rows[ok], cols[ok]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return indptr, cols[order]
 
 
-def _local_adjacency(config: PointConfig, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mark-oriented CSR of the graph induced on a sorted index array.
+def _transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transposed CSR: entry j of row i becomes entry i of row j.
 
-    Vertex a of the result is point indices[a]; every pair is a candidate,
-    which suits the few points of a Palm neighbourhood.
+    Applied to the up edge list it gives the down rows, the lower-mark
+    neighbours of each point, sorted ascending (a stable sort keeps the
+    row order).
     """
-    m = indices.size
-    rows = np.repeat(np.arange(m), m)
-    cols = np.tile(np.arange(m), m)
-    return _up_csr(config.positions[indices], config.marks[indices], rows, cols, config.params)
+    size = indptr.size - 1
+    order = np.argsort(indices, kind="stable")
+    down_idx = np.repeat(np.arange(size), np.diff(indptr))[order]
+    down_ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=size), out=down_ptr[1:])
+    return down_ptr, down_idx
 
 
 def _csr_rows(
@@ -467,14 +394,14 @@ def _csr_contains(
 ) -> np.ndarray:
     """Element-wise test that values[i] is an entry of CSR row rows[i].
 
-    Values may be -1, which no row holds.  Each row is sorted, so the keys
-    (row << 32) + entry + 1 of all entries are sorted; a key's last
-    position at or below a query holds the query exactly when it is present.
+    Each row is sorted, so the keys (row << 32) + entry of all entries are
+    sorted; a key's last position at or below a query holds the query
+    exactly when it is present.
     """
     if indices.size == 0 or values.size == 0:
         return np.zeros(values.size, dtype=bool)
-    keys = (np.arange(indptr.size - 1) << 32).repeat(indptr[1:] - indptr[:-1]) + indices + 1
-    query = (rows << 32) + values + 1
+    keys = (np.arange(indptr.size - 1) << 32).repeat(indptr[1:] - indptr[:-1]) + indices
+    query = (rows << 32) + values
     return keys[keys.searchsorted(query, side="right") - 1] == query
 
 

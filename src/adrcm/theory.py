@@ -7,9 +7,9 @@ fresh configurations and local counts are averaged.
 
 Each Palm task draws the whole torus from its seed, exactly as
 ``sample_config`` would, but counts on the neighbourhood of its anchors (the
-added points): only the drawn points within as many graph steps of them as
-the counted structure spans are kept, so every count equals its value on the
-whole torus.
+added points): the anchors and the drawn points within as many graph steps
+of them as the counted structure spans are kept, so every count equals its
+value on the whole torus with the anchors inserted.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from .model import (
     ModelParams,
     ParameterError,
     _palm_config,
-    add_point,
     derive_seed,
-    down_neighbors,
-    up_neighbors,
+    neighborhood_adjacency,
 )
 from .trees import _assignment_plan, _jackknife_se, d_in
 
@@ -121,14 +119,13 @@ def _single_term_sample(base, k, l, floor_width, seed) -> float:
     # Every member of a clique centered at (0, u) connects to it, hence lies
     # within beta/u; a torus of four times that radius reproduces the
     # infinite-volume count exactly in law.  The whole torus is drawn from
-    # the seed, but only the neighbours of (0, u) are kept for the count.
+    # the seed, but only (0, u) and its neighbours are kept for the count.
     torus = max(floor_width, 4.0 * base.beta / u)
     params = ModelParams(base.gamma, base.beta, torus)
     palm = MarkedPoint(0.0, u)
     config = _palm_config(params, derive_seed(seed, 1), [palm], 1)
-    aug = add_point(config, palm)
-    ck = count_cliques_centered(aug, palm, k)
-    cl = ck if l == k else count_cliques_centered(aug, palm, l)
+    ck = count_cliques_centered(config, palm, k)
+    cl = ck if l == k else count_cliques_centered(config, palm, l)
     return float(ck * cl)
 
 
@@ -144,8 +141,7 @@ def _joint_term_sample(base, k, l, half, floor_width, seed) -> tuple[float, floa
     palm = MarkedPoint(0.0, u)
     other = MarkedPoint(y, v)
     config = _palm_config(params, derive_seed(seed, 1), [palm, other], 1)
-    aug = add_point(add_point(config, palm), other)
-    pairs, unions = joint_clique_counts(aug, palm, other, k, l)
+    pairs, unions = joint_clique_counts(config, palm, other, k, l)
     return float(pairs), float(unions), abs(y)
 
 
@@ -281,7 +277,9 @@ def _neighborhood_sample(args) -> tuple[int, int]:
     params, u, seed = args
     palm = MarkedPoint(0.0, u)
     config = _palm_config(params, seed, [palm], 1)
-    return int(up_neighbors(config, palm).size), int(down_neighbors(config, palm).size)
+    indptr, indices = neighborhood_adjacency(config)
+    idx = config.index_of(palm)
+    return int(indptr[idx + 1] - indptr[idx]), int(np.count_nonzero(indices == idx))
 
 
 def neighborhood_counts(
@@ -354,7 +352,8 @@ def log_slope(u_grid, values) -> float:
 def _diff_sample(args) -> np.ndarray:
     """Add-one (q None) or add-two difference counts of sizes 1..k0, powered."""
     params, u, q, k0, power, seed = args
-    # q is an anchor too, so that a q drawn as a point is still refused.
+    # q is an anchor too, so the configuration holds it and a q drawn as a
+    # point is refused.
     anchors = [MarkedPoint(0.0, u)] + ([] if q is None else [q])
     config = _palm_config(params, seed, anchors, 1)
     if q is None:

@@ -20,10 +20,9 @@ from .model import (
     PointConfig,
     _csr_contains,
     _csr_rows,
-    down_neighbors,
+    _transpose,
+    _with_point,
     neighborhood_adjacency,
-    up_neighbors,
-    wrap_position,
 )
 
 __all__ = [
@@ -204,38 +203,37 @@ def _assignment_plan(spec: DirectedTreeSpec) -> list[tuple[int, int, bool]]:
     return plan
 
 
-def _rooted_counts(
-    plan: list[tuple[int, int, bool]],
-    roots: np.ndarray,
-    rows: Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> np.ndarray:
+def _rooted(config: PointConfig, spec: DirectedTreeSpec, roots: np.ndarray) -> np.ndarray:
     """Count injective embeddings for each root image, level by level.
 
     A partial embedding is one entry of every column in ``emb``, the image
     arrays of the slots assigned so far.  Each step of the plan extends every
     partial embedding by the up (or down) neighbours of its parent slot's
     image and drops repeated images; the last step is counted rather than
-    listed.  ``rows(images, up)`` returns (at, indptr, indices): the CSR row
-    at[i] lists the up (or down) neighbours of images[i], sorted ascending.
+    listed.  Up rows come from the CSR edge list and down rows from its
+    transpose, built only when the plan has a down step.
     """
-    out = np.zeros(roots.size, dtype=np.int64)
+    plan = _assignment_plan(spec)
     if not plan:
-        out[:] = 1
-        return out
+        return np.ones(roots.size, dtype=np.int64)
+    up = neighborhood_adjacency(config)
+    down = _transpose(*up) if any(not lower for _, _, lower in plan) else None
+    out = np.zeros(roots.size, dtype=np.int64)
     emb = [roots]
     owner = np.arange(roots.size)
     for step, (_, parent_slot, parent_is_lower) in enumerate(plan):
         if owner.size == 0:
             break
-        at, indptr, indices = rows(emb[parent_slot], parent_is_lower)
+        indptr, indices = up if parent_is_lower else down
+        parents = emb[parent_slot]
         if step + 1 == len(plan):
-            count = indptr[at + 1] - indptr[at]
+            count = indptr[parents + 1] - indptr[parents]
             for slot, images in enumerate(emb):
                 if slot != parent_slot:
-                    count -= _csr_contains(indptr, indices, at, images)
+                    count -= _csr_contains(indptr, indices, parents, images)
             np.add.at(out, owner, count)
             break
-        row, cand = _csr_rows(indptr, indices, at)
+        row, cand = _csr_rows(indptr, indices, parents)
         fresh = np.ones(cand.size, dtype=bool)
         for images in emb:
             fresh &= images[row] != cand
@@ -248,31 +246,11 @@ def _rooted_counts(
 def d_in(config: PointConfig, p: MarkedPoint, spec: DirectedTreeSpec) -> int:
     """Injective homomorphisms of the tree with the root mapped to p.
 
-    p may be a member of the configuration or an external Palm point; other
-    vertices always map to configuration points.  Neighbour rows come from
-    one window query per distinct image reached.
+    p may be a member of the configuration or an external Palm point, which
+    is inserted first; the other tree vertices map to the other points.
     """
-    p = MarkedPoint(wrap_position(p.x, config.params.torus_length), p.u)
-    member = config.index_of(p)
-    cache: dict[tuple[int, bool], np.ndarray] = {}
-
-    def rows(images: np.ndarray, up: bool):
-        # Palm trees reach few images, for which Python sets beat np.unique.
-        distinct = sorted(set(images.tolist()))
-        found = []
-        indptr = [0]
-        for idx in distinct:
-            if (idx, up) not in cache:
-                point = p if idx == -1 else config.point(idx)
-                cache[idx, up] = (up_neighbors if up else down_neighbors)(config, point)
-            found.append(cache[idx, up])
-            indptr.append(indptr[-1] + found[-1].size)
-        at = np.array(distinct).searchsorted(images)
-        return at, np.array(indptr), np.concatenate(found)
-
-    # An external root takes the image -1, which no other vertex can reuse.
-    root = np.array([member], dtype=np.int64)
-    return int(_rooted_counts(_assignment_plan(spec), root, rows)[0])
+    config, idx = _with_point(config, p)
+    return int(_rooted(config, spec, np.array([idx]))[0])
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -284,27 +262,7 @@ def count_trees(config: PointConfig, spec: DirectedTreeSpec) -> int:
     The per-root counts are summed as Python integers, so the total never
     wraps.
     """
-    return sum(_d_in_all(config, spec).tolist())
-
-
-def _d_in_all(config: PointConfig, spec: DirectedTreeSpec) -> np.ndarray:
-    """Embedding count rooted at every configuration point.
-
-    Up rows come from the CSR edge list and down rows from its transpose.
-    """
-    up_ptr, up_idx = neighborhood_adjacency(config)
-    size = len(config)
-    # Transpose: entry j of row i becomes entry i of row j; a stable sort
-    # keeps each row ascending.
-    order = np.argsort(up_idx, kind="stable")
-    down_idx = np.repeat(np.arange(size), np.diff(up_ptr))[order]
-    down_ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(up_idx, minlength=size), out=down_ptr[1:])
-
-    def rows(images: np.ndarray, up: bool):
-        return (images, up_ptr, up_idx) if up else (images, down_ptr, down_idx)
-
-    return _rooted_counts(_assignment_plan(spec), np.arange(size), rows)
+    return sum(_rooted(config, spec, np.arange(len(config))).tolist())
 
 
 # -- block sums and covariance diagnostics --------------------------------
@@ -338,7 +296,7 @@ def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     blocks = int(round(n))
     if abs(n - blocks) > 1e-9 or blocks < 1:
         raise ParameterError(f"block sums need an integer torus length, got {n}")
-    per_point = _d_in_all(config, spec)
+    per_point = _rooted(config, spec, np.arange(len(config)))
     # Counts are nonnegative, so no block can wrap once the total fits.
     if sum(per_point.tolist()) > _INT64_MAX:
         raise OverflowError("block sums exceed int64; aborting")
@@ -351,8 +309,10 @@ def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
 
 
 def _replicate_matrix(replicates: Sequence[BlockSums]) -> np.ndarray:
-    if len(replicates) < 2:
-        raise ParameterError("need at least 2 replicates of block sums")
+    # Fewer than 3 leave a jackknife subsample of one row, whose covariance
+    # divides by zero.
+    if len(replicates) < 3:
+        raise ParameterError("need at least 3 replicates of block sums")
     width = replicates[0].values.size
     for rep in replicates:
         if rep.values.size != width:

@@ -1,8 +1,8 @@
 """Independent brute-force oracles: exhaustive enumeration, no shared code paths.
 
 Everything here works from first principles on explicit point lists, so the
-package's windowed queries, chain recursions and backtracking are checked
-against plain O(N^2) / O(N^k) scans.
+package's CSR edge list, level-wise clique listing and tree embeddings are
+checked against plain O(N^2) / O(N^k) scans.
 """
 
 from __future__ import annotations

@@ -473,6 +473,29 @@ def test_exit_code_missing_config():
     assert main(["sample"]) == 2
 
 
+def test_gamma_diag_is_a_moments_option_only(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfgp = _write_config(tmp_path, _minimal("clt", "k_list = 1\nr = 20\nn_list = 20\n", str(out)))
+    with pytest.raises(SystemExit) as err:
+        main(["clt", "--config", cfgp, "--gamma-diag", "1.2"])
+    assert err.value.code == 2
+    assert "--gamma-diag" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_list", ["16,16.0000001", "16,32,16"])
+def test_clt_rejects_n_list_entries_with_one_label(tmp_path, capsys, n_list):
+    # Each torus writes replicates_n<label>.csv and one summary row under its
+    # "%g" label, so two entries with one label would overwrite each other.
+    out = tmp_path / "o"
+    cfgp = _write_config(tmp_path, _minimal("clt", f"k_list = 1\nr = 20\nn_list = {n_list}\n", str(out)))
+    assert main(["clt", "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    entries = ", ".join(repr(float(v)) for v in n_list.split(",") if float(v) < 17)
+    assert f"config error: n_list entries {entries} share the output label n16" in err
+    assert not out.exists()
+
+
 def test_blocks_mode_rejects_non_integer_n(tmp_path, capsys):
     tree = tmp_path / "wedge.tree"
     tree.write_text(WEDGE_TEXT, encoding="utf-8")

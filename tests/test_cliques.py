@@ -18,7 +18,6 @@ from adrcm.model import (
     add_point,
     connects,
     sample_config,
-    up_neighbors,
     wrap_position,
 )
 
@@ -28,6 +27,7 @@ from oracles import (
     cliques_oracle,
     config_from_points,
     joint_cliques_oracle,
+    neighbors_oracle,
     random_config,
 )
 
@@ -111,7 +111,8 @@ def test_centered_k1_and_k2():
     p = MarkedPoint(0.0, 0.4)
     assert count_cliques_centered(cfg, p, 1) == 1
     aug = add_point(cfg, p)
-    assert count_cliques_centered(cfg, p, 2) == up_neighbors(aug, p).size
+    ups, _ = neighbors_oracle(aug, p, member_index=aug.index_of(p))
+    assert count_cliques_centered(cfg, p, 2) == len(ups)
 
 
 def test_centered_matches_oracle():
@@ -200,15 +201,26 @@ def test_diff2_trivial_cases():
     assert diff2_clique_upto(cfg, 0.998, q_far, 3) == [0, 0, 0]
 
 
-def test_diff_rejects_points_already_present():
+def test_diff_counts_points_already_present_as_members():
+    # A configuration that already holds an added point, as a Palm
+    # configuration holds its anchors, gives the counts of the configuration
+    # without it.
+    rng = np.random.default_rng(45)
+    for _ in range(100):
+        params = _param_grid(rng)
+        cfg = random_config(params, rng, 18)
+        u = 1.0 - float(rng.random())
+        q = MarkedPoint(float(rng.uniform(-2.0, 2.0)), 1.0 - float(rng.random()))
+        with_p = add_point(cfg, MarkedPoint(0.0, u))
+        assert diff1_clique_upto(with_p, u, 4) == diff1_clique_upto(cfg, u, 4)
+        expected = diff2_clique_upto(cfg, u, q, 4)
+        for held in (with_p, add_point(cfg, q), add_point(with_p, q)):
+            assert diff2_clique_upto(held, u, q, 4) == expected
+
+
+def test_diff2_rejects_equal_added_points():
     params = ModelParams(0.3, 1.0, 10.0)
     cfg = config_from_points(params, [(0.0, 0.5), (1.0, 0.6)])
-    with pytest.raises(ParameterError):
-        diff1_clique_upto(cfg, 0.5, 3)
-    with pytest.raises(ParameterError):
-        diff2_clique_upto(cfg, 0.5, MarkedPoint(2.0, 0.7), 3)
-    with pytest.raises(ParameterError):
-        diff2_clique_upto(cfg, 0.7, MarkedPoint(1.0, 0.6), 3)
     # The same point added twice is not a pair, whatever its position's wrap.
     with pytest.raises(ParameterError):
         diff2_clique_upto(cfg, 0.7, MarkedPoint(0.0, 0.7), 3)

@@ -1,4 +1,4 @@
-"""Core model tests: sampling laws, toroidal metric, kernel, neighbor queries."""
+"""Core model tests: sampling laws, toroidal metric, kernel, the CSR edge list."""
 
 import io
 import math
@@ -14,18 +14,17 @@ from adrcm.model import (
     ModelParams,
     ParameterError,
     PointConfig,
-    _local_adjacency,
     _palm_config,
+    _transpose,
+    _with_point,
     add_point,
     config_from_csv,
     config_to_csv,
     connects,
     derive_seed,
-    down_neighbors,
     neighborhood_adjacency,
     sample_config,
     torus_dist,
-    up_neighbors,
     wrap_position,
 )
 from adrcm.theory import lambda_down, lambda_up
@@ -182,12 +181,29 @@ def test_mark_ties_are_redrawn_in_both_samplers(monkeypatch):
     assert cfg.marks.tolist() == [0.25, 0.75, 0.375, 0.125, 0.5]
     # From (0, 0.5) the kernel d * sqrt(u v) <= 1 reaches x = -1, 0.5 and 2;
     # one step further (2, 0.125) reaches (3, 0.5) and, across the seam,
-    # (-4, 0.25).
-    near = _palm_config(params, 7, [MarkedPoint(0.0, 0.5)], 1)
-    assert near.positions.tolist() == [-1.0, 0.5, 2.0]
-    assert near.marks.tolist() == [0.75, 0.375, 0.125]
+    # (-4, 0.25).  The anchor itself is kept too.
+    anchor = MarkedPoint(0.0, 0.5)
+    near = _palm_config(params, 7, [anchor], 1)
+    assert near.positions.tolist() == [-1.0, 0.0, 0.5, 2.0]
+    assert near.marks.tolist() == [0.75, 0.5, 0.375, 0.125]
     assert near.seed == 7 and near.params == params
-    assert _palm_config(params, 7, [MarkedPoint(0.0, 0.5)], 2) == cfg
+    assert _palm_config(params, 7, [anchor], 2) == add_point(cfg, anchor)
+
+
+def test_palm_config_rejects_a_drawn_point_equal_to_an_anchor(monkeypatch):
+    params = ModelParams(0.5, 1.0, 10.0)
+    drawn = (np.array([3.0, -1.0, 2.0]), np.array([0.25, 0.75, 0.5]))
+    monkeypatch.setattr(model, "_draw", lambda params, seed: drawn)
+    with pytest.raises(ParameterError, match="duplicate point"):
+        _palm_config(params, 7, [MarkedPoint(2.0, 0.5)], 1)
+    # The anchor wraps onto the drawn point at -1, as add_point wraps it.
+    with pytest.raises(ParameterError, match="duplicate point"):
+        _palm_config(params, 7, [MarkedPoint(0.0, 0.3), MarkedPoint(9.0, 0.75)], 1)
+    # Two equal anchors are refused as well.
+    with pytest.raises(ParameterError, match="duplicate point"):
+        _palm_config(params, 7, [MarkedPoint(0.0, 0.3), MarkedPoint(0.0, 0.3)], 1)
+    near = _palm_config(params, 7, [MarkedPoint(2.0, 0.4)], 1)
+    assert (near.positions.tolist(), near.marks.tolist()) == ([2.0, 2.0, 3.0], [0.5, 0.4, 0.25])
 
 
 def _within_hops(cfg, anchors, hops):
@@ -227,35 +243,47 @@ def test_palm_config_keeps_the_points_within_hops(gamma, beta, n, anchors, hops)
         full = sample_config(params, seed)
         near = _palm_config(params, seed, anchors, hops)
         expected = _within_hops(full, anchors, hops)
-        assert near.positions.tolist() == full.positions[expected].tolist()
-        assert near.marks.tolist() == full.marks[expected].tolist()
+        kept = PointConfig(params, full.positions[expected], full.marks[expected], seed)
+        for a in anchors:
+            kept = add_point(kept, a)
+        assert near.positions.tolist() == kept.positions.tolist()
+        assert near.marks.tolist() == kept.marks.tolist()
         assert near.seed == seed and near.params == params
 
 
-# -- neighbor queries ----------------------------------------------------------
+# -- up and down rows of a point ------------------------------------------------
+
+
+def _up_down_rows(cfg, p):
+    """cfg with p inserted unless present, p's index there, and its up and down rows."""
+    aug, i = _with_point(cfg, p)
+    indptr, indices = neighborhood_adjacency(aug)
+    down_ptr, down_idx = _transpose(indptr, indices)
+    ups = indices[indptr[i] : indptr[i + 1]].tolist()
+    return aug, i, ups, down_idx[down_ptr[i] : down_ptr[i + 1]].tolist()
 
 
 def test_up_neighbors_empty_config():
     params = ModelParams(0.5, 1.0, 10.0)
     cfg = config_from_points(params, [])
-    assert up_neighbors(cfg, MarkedPoint(0.0, 0.5)).size == 0
-    assert down_neighbors(cfg, MarkedPoint(0.0, 0.5)).size == 0
+    aug, i, ups, downs = _up_down_rows(cfg, MarkedPoint(0.0, 0.5))
+    assert (len(aug), i, ups, downs) == (1, 0, [], [])
 
 
 def test_up_neighbors_single_point_example():
     params = ModelParams(0.5, 1.0, 50.0)
     cfg = config_from_points(params, [(1.0, 0.64)])
-    found = up_neighbors(cfg, MarkedPoint(0.0, 0.25))
-    assert found.tolist() == [0]
+    _, i, ups, downs = _up_down_rows(cfg, MarkedPoint(0.0, 0.25))
+    assert (i, ups, downs) == (0, [1], [])
 
 
 def test_down_neighbors_all_lower_mark():
     params = ModelParams(0.4, 1.2, 60.0)
     rng = np.random.default_rng(3)
     cfg = random_config(params, rng, 40)
-    p = MarkedPoint(0.0, 0.7)
-    for i in down_neighbors(cfg, p).tolist():
-        assert cfg.marks[i] < 0.7
+    aug, _, _, downs = _up_down_rows(cfg, MarkedPoint(0.0, 0.7))
+    for i in downs:
+        assert aug.marks[i] < 0.7
 
 
 def test_neighbor_queries_match_brute_force():
@@ -268,10 +296,8 @@ def test_neighbor_queries_match_brute_force():
         cfg = random_config(params, rng, 50)
         x = rng.uniform(-n / 2, n / 2)
         u = 1.0 - rng.random()
-        p = MarkedPoint(x, u)
-        ups, downs = neighbors_oracle(cfg, p)
-        assert sorted(up_neighbors(cfg, p).tolist()) == ups
-        assert sorted(down_neighbors(cfg, p).tolist()) == downs
+        aug, i, ups, downs = _up_down_rows(cfg, MarkedPoint(x, u))
+        assert (ups, downs) == neighbors_oracle(aug, aug.point(i), member_index=i)
 
 
 def test_neighbors_of_member_point_match_brute_force():
@@ -282,10 +308,9 @@ def test_neighbors_of_member_point_match_brute_force():
         if len(cfg) == 0:
             continue
         i = int(rng.integers(len(cfg)))
-        p = cfg.point(i)
-        ups, downs = neighbors_oracle(cfg, p, member_index=i)
-        assert sorted(up_neighbors(cfg, p).tolist()) == ups
-        assert sorted(down_neighbors(cfg, p).tolist()) == downs
+        aug, j, ups, downs = _up_down_rows(cfg, cfg.point(i))
+        assert aug is cfg and j == i
+        assert (ups, downs) == neighbors_oracle(cfg, cfg.point(i), member_index=i)
 
 
 def test_up_down_partition_neighbors():
@@ -294,20 +319,17 @@ def test_up_down_partition_neighbors():
     for _ in range(50):
         cfg = random_config(params, rng, 40)
         p = MarkedPoint(float(rng.uniform(-12.5, 12.5)), 1.0 - float(rng.random()))
-        ups = set(up_neighbors(cfg, p).tolist())
-        downs = set(down_neighbors(cfg, p).tolist())
-        assert not (ups & downs)
-        o_ups, o_downs = neighbors_oracle(cfg, p)
-        assert (ups | downs) == set(o_ups) | set(o_downs)
+        aug, i, ups, downs = _up_down_rows(cfg, p)
+        assert not (set(ups) & set(downs))
+        o_ups, o_downs = neighbors_oracle(aug, p, member_index=i)
+        assert set(ups) | set(downs) == set(o_ups) | set(o_downs)
 
 
 def test_tied_marks_split_by_index():
     params = ModelParams(0.5, 2.0, 10.0)
     cfg = config_from_points(params, [(-1.0, 0.5), (1.0, 0.5)])
-    p0, p1 = cfg.point(0), cfg.point(1)
-    assert up_neighbors(cfg, p0).tolist() == [1]
-    assert down_neighbors(cfg, p0).size == 0
-    assert down_neighbors(cfg, p1).tolist() == [0]
+    assert _up_down_rows(cfg, cfg.point(0))[2:] == ([1], [])
+    assert _up_down_rows(cfg, cfg.point(1))[2:] == ([], [0])
 
 
 # -- CSR edge list -------------------------------------------------------------
@@ -327,11 +349,17 @@ def _assert_edge_list_matches_oracle(cfg):
 
 def test_edge_list_rows_match_brute_force():
     rng = np.random.default_rng(31)
+    sizes = []
     for _ in range(150):
         # n down to 1 caps every window (2 beta / u >= n); larger n caps the
         # windows of small marks only.
         params = ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0))
-        _assert_edge_list_matches_oracle(random_config(params, rng, 40))
+        cfg = random_config(params, rng, 2 * model._ALL_PAIRS_BELOW)
+        _assert_edge_list_matches_oracle(cfg)
+        sizes.append(len(cfg))
+    # Both candidate generators, every pair and the windows, were checked.
+    below = sum(size < model._ALL_PAIRS_BELOW for size in sizes)
+    assert 30 <= below <= 120
 
 
 def test_edge_list_capped_windows_tied_marks_and_tiny_configs():
@@ -349,21 +377,24 @@ def test_edge_list_capped_windows_tied_marks_and_tiny_configs():
         assert indices.size == 0
 
 
-def test_local_edge_list_matches_brute_force():
+def test_local_edge_list_matches_brute_force(monkeypatch):
+    # Every configuration goes through both candidate generators: every pair
+    # (the former local edge list) and the windows.
     rng = np.random.default_rng(32)
-    for _ in range(150):
-        params = ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0))
-        cfg = random_config(params, rng, 30)
-        subset = np.flatnonzero(rng.random(len(cfg)) < 0.6)
-        rows = _csr_as_lists(*_local_adjacency(cfg, subset))
-        assert len(rows) == subset.size
-        for a, i in enumerate(subset.tolist()):
-            ups = neighbors_oracle(cfg, cfg.point(i), member_index=i)[0]
-            assert [int(subset[b]) for b in rows[a]] == [j for j in ups if j in set(subset.tolist())]
+    configs = [
+        random_config(
+            ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0)),
+            rng,
+            60,
+        )
+        for _ in range(100)
+    ]
     tied = config_from_points(ModelParams(0.5, 2.0, 10.0), [(-1.0, 0.5), (0.0, 0.5), (1.0, 0.5)])
-    assert _csr_as_lists(*_local_adjacency(tied, np.array([0, 2]))) == [[1], []]
-    assert _csr_as_lists(*_local_adjacency(tied, np.array([1]))) == [[]]
-    assert _csr_as_lists(*_local_adjacency(tied, np.array([], dtype=np.int64))) == []
+    for cut in (0, 10**9):
+        monkeypatch.setattr(model, "_ALL_PAIRS_BELOW", cut)
+        for cfg in configs:
+            _assert_edge_list_matches_oracle(cfg)
+        assert _csr_as_lists(*neighborhood_adjacency(tied)) == [[1, 2], [2], []]
 
 
 # -- add_point -----------------------------------------------------------------
@@ -391,13 +422,13 @@ def test_add_point_monotone_up_neighbors():
         if len(cfg) == 0:
             continue
         probe = cfg.point(int(rng.integers(len(cfg))))
-        before = up_neighbors(cfg, probe).size
+        before = len(_up_down_rows(cfg, probe)[2])
         extra = MarkedPoint(float(rng.uniform(-10, 10)), 1.0 - float(rng.random()))
         try:
             grown = add_point(cfg, extra)
         except ParameterError:
             continue
-        after = up_neighbors(grown, probe).size
+        after = len(_up_down_rows(grown, probe)[2])
         assert before <= after <= before + 1
 
 
@@ -413,7 +444,7 @@ def test_add_point_down_neighbors_match_oracle():
             continue
         idx = grown.index_of(MarkedPoint(wrap_position(extra.x, 15.0), extra.u))
         _, downs = neighbors_oracle(grown, grown.point(idx), member_index=idx)
-        assert sorted(down_neighbors(grown, grown.point(idx)).tolist()) == downs
+        assert _up_down_rows(grown, grown.point(idx))[3] == downs
 
 
 def test_config_arrays_immutable():
@@ -432,7 +463,7 @@ def test_palm_down_mean_matches_intensity():
     counts = np.empty(reps)
     for i in range(reps):
         cfg = sample_config(params, derive_seed(31, i))
-        counts[i] = down_neighbors(cfg, MarkedPoint(0.0, 0.37)).size
+        counts[i] = len(_up_down_rows(cfg, MarkedPoint(0.0, 0.37))[3])
     lam = lambda_down(params)
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - lam) <= 3.0 * se
@@ -445,7 +476,7 @@ def test_palm_up_mean_matches_intensity():
     counts = np.empty(reps)
     for i in range(reps):
         cfg = sample_config(params, derive_seed(37, i))
-        counts[i] = up_neighbors(cfg, MarkedPoint(0.0, u)).size
+        counts[i] = len(_up_down_rows(cfg, MarkedPoint(0.0, u))[2])
     lam = lambda_up(u, params)
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - lam) <= 3.0 * se

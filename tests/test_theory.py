@@ -9,7 +9,14 @@ from scipy import integrate
 
 from adrcm import theory
 from adrcm.harness import ReplicateFailure
-from adrcm.model import MarkedPoint, ModelParams, ParameterError, derive_seed, sample_config
+from adrcm.model import (
+    MarkedPoint,
+    ModelParams,
+    ParameterError,
+    add_point,
+    derive_seed,
+    sample_config,
+)
 from adrcm.theory import (
     MARK_FLOOR,
     GammaDiagnostics,
@@ -248,7 +255,10 @@ def test_sigma_palm_worker_independent_in_one_pool(monkeypatch):
 
 
 def _on_whole_torus(params, seed, anchors, hops):
-    return sample_config(params, seed)
+    config = sample_config(params, seed)
+    for anchor in anchors:
+        config = add_point(config, anchor)
+    return config
 
 
 def _restricted_and_whole(monkeypatch, task, items):

@@ -25,7 +25,7 @@ from adrcm.trees import (
     tree_wedge,
     validate_tree,
 )
-from adrcm.model import derive_seed, up_neighbors
+from adrcm.model import derive_seed
 
 from oracles import (
     config_from_points,
@@ -33,6 +33,7 @@ from oracles import (
     cox_grimmett_oracle,
     d_in_oracle,
     lag_covariance_oracle,
+    neighbors_oracle,
     random_config,
 )
 
@@ -145,7 +146,7 @@ def test_d_in_wedge_is_ordered_pairs():
     for _ in range(20):
         cfg = random_config(params, rng, 25)
         p = MarkedPoint(0.0, 0.3)
-        n_up = up_neighbors(cfg, p).size
+        n_up = len(neighbors_oracle(cfg, p)[0])
         assert d_in(cfg, p, tree_wedge()) == n_up * (n_up - 1)
 
 
@@ -154,7 +155,7 @@ def test_d_in_single_edge_is_up_degree():
     params = ModelParams(0.4, 0.8, 25.0)
     cfg = random_config(params, rng, 30)
     p = MarkedPoint(0.0, 0.5)
-    assert d_in(cfg, p, tree_edge()) == up_neighbors(cfg, p).size
+    assert d_in(cfg, p, tree_edge()) == len(neighbors_oracle(cfg, p)[0])
 
 
 @pytest.mark.parametrize(
@@ -237,7 +238,7 @@ def test_wedge_counts_two_orderings_per_geometric_wedge():
     cfg = config_from_points(params, pts)
     geometric = 0
     for i in range(len(cfg)):
-        ups = up_neighbors(cfg, cfg.point(i)).size
+        ups = len(neighbors_oracle(cfg, cfg.point(i), member_index=i)[0])
         geometric += ups * (ups - 1) // 2
     assert geometric == 7
     assert count_trees(cfg, tree_wedge()) == 14
@@ -300,7 +301,7 @@ def test_tree_totals_never_wrap(monkeypatch):
     params = ModelParams(0.1, 1.0, 8.0)
     cfg = config_from_points(params, [(0.0, 0.5), (1.5, 0.6)])
     huge = np.array([2**62, 2**62], dtype=np.int64)
-    monkeypatch.setattr(trees, "_d_in_all", lambda config, spec: huge)
+    monkeypatch.setattr(trees, "_rooted", lambda config, spec, roots: huge)
     assert count_trees(cfg, tree_wedge()) == 2**63
     with pytest.raises(OverflowError):
         block_sums(cfg, tree_wedge())
@@ -327,9 +328,11 @@ def test_cox_grimmett_empty_tail_is_zero():
 
 def test_cox_grimmett_requires_replicates():
     params = ModelParams(0.2, 1.0, 8.0)
-    reps = _block_replicates(params, 1, 42)
-    with pytest.raises(ParameterError):
-        lag_covariance_table(reps, [1])
+    # Two replicates would leave one row per jackknife subsample.
+    for count in (1, 2):
+        reps = _block_replicates(params, count, 42)
+        with pytest.raises(ParameterError):
+            lag_covariance_table(reps, [1])
 
 
 def test_cox_grimmett_shuffled_blocks_near_zero():
