@@ -41,7 +41,6 @@ from .harness import (
     ExperimentPlan,
     ReplicateResult,
     TreeStatistic,
-    covariance_matrix,
     ks_distance_normal,
     run_replicates,
     standardize,

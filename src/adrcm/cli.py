@@ -26,6 +26,8 @@ from .harness import (
     ExperimentPlan,
     MIN_TEST_SAMPLES,
     TreeStatistic,
+    _run_ladder,
+    _var_over_n,
     bootstrap_ci,
     ks_distance_normal,
     replicates_csv,
@@ -78,7 +80,7 @@ configuration grammar
 
         [experiment]
         mode = cliques       # sample|cliques|trees|clt|sigma|moments|blocks
-        k_list = 2,3         # clique sizes (cliques/clt/sigma/moments)
+        k_list = 2,3         # clique sizes (cliques/clt/sigma; one for moments)
         tree_file = w.tree   # directed tree spec (trees/clt/moments/blocks)
         r = 1000             # replicates, or the MC budget for sigma
         n_list = 250,500     # torus ladder for clt
@@ -234,6 +236,8 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
         errors.append(f"r must be >= 1, got {r}")
     if k_list and any(k < 1 for k in k_list):
         errors.append(f"k_list entries must be >= 1, got {k_list}")
+    if seed is not None and not 0 <= seed < 2**64:
+        errors.append(f"seed must lie in [0, 2^64), got {seed}")
 
     leaves: int | None = None
     if tree_file is not None:
@@ -260,6 +264,8 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
         errors.append(f"mode {mode} requires exactly one of k_list or tree_file")
     if mode == "sigma" and len(k_list) not in (1, 2):
         errors.append("mode sigma requires k_list with one or two entries")
+    if mode == "moments" and len(k_list) > 1:
+        errors.append(f"mode moments takes one clique size, got k_list {k_list}")
     if mode == "clt" and not n_list:
         errors.append("mode clt requires n_list")
     # Each torus writes its results under its "%g" label, which must be unique.
@@ -452,15 +458,11 @@ def _mode_clt(cfg: RunConfig, threads: int) -> _ModeOutput:
     files: dict = {}
     csv_files: dict[str, str] = {}
     failed = False
-    for n_index, n in enumerate(cfg.n_list):
-        params = ModelParams(cfg.gamma, cfg.beta, n)
-        plan = ExperimentPlan(
-            params, statistic, cfg.r, master_seed=derive_seed(cfg.seed, 1, n_index)
-        )
-        results = run_replicates(plan, threads=threads)
+    plan = ExperimentPlan(cfg.params, statistic, cfg.r, cfg.seed, cfg.n_list)
+    for n_index, (n, results) in enumerate(zip(cfg.n_list, _run_ladder(plan, threads))):
         samples = samples_matrix(results)[:, -1]
         key = "%g" % n
-        var_stat = lambda a, _n=n: float(np.var(a, ddof=1) / _n)
+        var_stat = _var_over_n(n)
         estimates["var_over_n"][key] = var_stat(samples)
         if cfg.r >= MIN_TEST_SAMPLES:
             lo, hi = bootstrap_ci(samples, var_stat, seed=derive_seed(cfg.seed, 2, n_index))
@@ -511,9 +513,11 @@ def _mode_sigma(cfg: RunConfig, threads: int) -> _ModeOutput:
 
 def _mode_moments(cfg: RunConfig, threads: int, gamma_diag_eta: float | None = None) -> _ModeOutput:
     if gamma_diag_eta is not None:
+        if not cfg.k_list:
+            raise ParameterError("--gamma-diag needs k_list: its diagnostics are for clique counts")
         diag = gamma_diagnostics(
             cfg.params, gamma_diag_eta, mc_budget=cfg.r, seed=cfg.seed,
-            k0=max(cfg.k_list) if cfg.k_list else 3, threads=threads,
+            k0=cfg.k_list[0], threads=threads,
         )
         summary = _summary(
             cfg,

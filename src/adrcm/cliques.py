@@ -69,15 +69,16 @@ def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
     return [len(level) for level in levels]
 
 
-def count_cliques_centered(config: PointConfig, p: MarkedPoint, k: int) -> int:
-    """Number of k-cliques whose lowest-mark vertex is p.
+def count_cliques_centered(config: PointConfig, p: MarkedPoint, k_max: int) -> list[int]:
+    """Cliques of every size 1..k_max whose lowest-mark vertex is p, from one listing.
 
     p is inserted first when absent, which is the Palm evaluation of a count
     at a deterministic extra point.
     """
-    _check_k(k)
+    _check_k(k_max)
     config, idx = _with_point(config, p)
-    return len(_clique_levels(neighborhood_adjacency(config), np.array([idx]), k)[k - 1])
+    levels = _clique_levels(neighborhood_adjacency(config), np.array([idx]), k_max)
+    return [len(level) for level in levels]
 
 
 def _through(config: PointConfig, members: list[int], k_max: int) -> list[int]:

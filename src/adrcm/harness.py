@@ -22,7 +22,6 @@ from .model import ModelParams, ParameterError, derive_seed, sample_config
 from .trees import (
     BlockSums,
     DirectedTreeSpec,
-    _jackknife_se,
     block_sums,
     count_trees,
     validate_tree,
@@ -47,8 +46,6 @@ __all__ = [
     "ScalingRow",
     "ScalingResult",
     "variance_scaling",
-    "CovarianceResult",
-    "covariance_matrix",
     "replicates_csv",
     "summary_document",
 ]
@@ -103,8 +100,10 @@ class ExperimentPlan:
         if self.replicate_count < 2:
             raise ParameterError("replicate_count must be >= 2")
 
-    def replicate_seed(self, index: int) -> int:
-        return derive_seed(self.master_seed, 0, index)
+
+def _replicate_seeds(master_seed: int, count: int) -> list[int]:
+    """Seeds of replicates 0..count-1 under one master seed; every replicate set uses them."""
+    return [derive_seed(master_seed, 0, i) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,27 @@ def _measure(args: tuple[ModelParams, Statistic, int]) -> ReplicateResult:
 def run_replicates(plan: ExperimentPlan, threads: int = 1) -> list[ReplicateResult]:
     """Sample and measure all replicates of the plan, in replicate order."""
     tasks = [
-        (plan.params, plan.statistic, plan.replicate_seed(i))
-        for i in range(plan.replicate_count)
+        (plan.params, plan.statistic, seed)
+        for seed in _replicate_seeds(plan.master_seed, plan.replicate_count)
     ]
     return parallel_map(_measure, tasks, threads)
+
+
+def _run_ladder(plan: ExperimentPlan, threads: int) -> list[list[ReplicateResult]]:
+    """Replicates at every torus length of plan.n_list, from one parallel_map call.
+
+    Length j replicates the plan on a torus of length n_list[j] under the
+    master seed derive_seed(master_seed, 1, j); the lists come back in
+    n_list order.
+    """
+    r = plan.replicate_count
+    tasks = [
+        (ModelParams(plan.params.gamma, plan.params.beta, n), plan.statistic, seed)
+        for j, n in enumerate(plan.n_list)
+        for seed in _replicate_seeds(derive_seed(plan.master_seed, 1, j), r)
+    ]
+    results = parallel_map(_measure, tasks, threads)
+    return [results[j * r : (j + 1) * r] for j in range(len(plan.n_list))]
 
 
 def samples_matrix(results: Sequence[ReplicateResult]) -> np.ndarray:
@@ -162,9 +178,7 @@ def run_block_replicates(
 ) -> list[BlockSums]:
     """Independent replicates of per-block embedding sums."""
     spec = validate_tree(spec) if spec.leaf_count is None else spec
-    tasks = [
-        (params, spec, derive_seed(master_seed, 0, i)) for i in range(replicate_count)
-    ]
+    tasks = [(params, spec, seed) for seed in _replicate_seeds(master_seed, replicate_count)]
     return parallel_map(_block_task, tasks, threads)
 
 
@@ -264,7 +278,7 @@ def bootstrap_ci(
     return float(lo), float(hi)
 
 
-# -- scaling and covariance studies ------------------------------------------
+# -- scaling study -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -283,6 +297,11 @@ class ScalingResult:
     labels: tuple[str, ...] = ()
 
 
+def _var_over_n(n: float) -> Callable[[np.ndarray], float]:
+    """The scaling statistic of a ladder column: sample variance over the torus length."""
+    return lambda a: float(np.var(a, ddof=1) / n)
+
+
 def variance_scaling(
     plan: ExperimentPlan, threads: int = 1, resamples: int = 1000
 ) -> ScalingResult:
@@ -294,53 +313,17 @@ def variance_scaling(
     labels = plan.statistic.labels
     rows: list[ScalingRow] = []
     samples: dict[float, np.ndarray] = {}
-    for n_index, n in enumerate(plan.n_list):
-        params = ModelParams(plan.params.gamma, plan.params.beta, n)
-        sub = ExperimentPlan(
-            params=params,
-            statistic=plan.statistic,
-            replicate_count=plan.replicate_count,
-            master_seed=derive_seed(plan.master_seed, 1, n_index),
-        )
-        matrix = samples_matrix(run_replicates(sub, threads=threads))
+    for n_index, (n, results) in enumerate(zip(plan.n_list, _run_ladder(plan, threads))):
+        matrix = samples_matrix(results)
         samples[n] = matrix
+        stat = _var_over_n(n)
         for j, label in enumerate(labels):
             col = matrix[:, j]
-            stat = lambda a, _n=n: float(np.var(a, ddof=1) / _n)
             lo, hi = bootstrap_ci(
                 col, stat, seed=derive_seed(plan.master_seed, 2, n_index, j), resamples=resamples
             )
             rows.append(ScalingRow(n, label, stat(col), lo, hi))
     return ScalingResult(rows=tuple(rows), samples=samples, labels=labels)
-
-
-@dataclass(frozen=True)
-class CovarianceResult:
-    matrix: np.ndarray
-    std_errors: np.ndarray
-    labels: tuple[str, ...]
-    samples: np.ndarray = field(repr=False)
-
-
-def covariance_matrix(plan: ExperimentPlan, threads: int = 1) -> CovarianceResult:
-    """Empirical covariance of the statistic vector divided by n, with SEs."""
-    labels = plan.statistic.labels
-    if len(labels) < 2:
-        raise ParameterError("covariance study needs at least two statistics")
-    if plan.replicate_count < 200:
-        raise ParameterError("covariance study needs at least 200 replicates")
-    matrix = samples_matrix(run_replicates(plan, threads=threads))
-    n = plan.params.torus_length
-
-    def cov_of(m: np.ndarray) -> np.ndarray:
-        return np.cov(m.T, ddof=1) / n
-
-    estimate = cov_of(matrix)
-    se = _jackknife_se(cov_of, matrix)
-    eig = np.linalg.eigvalsh(estimate)
-    if eig.min() < -1e-8 * max(np.trace(estimate), 1e-300):
-        raise ArithmeticError("covariance estimate is not positive semi-definite")
-    return CovarianceResult(matrix=estimate, std_errors=se, labels=labels, samples=matrix)
 
 
 # -- serialization -----------------------------------------------------------

@@ -13,7 +13,7 @@ Lower marks act as "older" nodes and collect heavy-tailed neighborhoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class PointConfig:
     mark order.
     """
 
-    __slots__ = ("params", "seed", "_xs", "_us", "_mark_order")
+    __slots__ = ("params", "seed", "_xs", "_us")
 
     def __init__(self, params: ModelParams, xs: np.ndarray, us: np.ndarray, seed: int):
         xs = np.asarray(xs, dtype=np.float64)
@@ -146,12 +146,8 @@ class PointConfig:
         self.seed = int(seed)
         self._xs = xs
         self._us = us
-        # Total order on marks with index tie-break (a stable sort keeps
-        # equal marks in index order).
-        self._mark_order = np.argsort(us, kind="stable")
         self._xs.setflags(write=False)
         self._us.setflags(write=False)
-        self._mark_order.setflags(write=False)
 
     # -- basic accessors -------------------------------------------------
 
@@ -163,20 +159,11 @@ class PointConfig:
     def marks(self) -> np.ndarray:
         return self._us
 
-    @property
-    def mark_order(self) -> np.ndarray:
-        """Permutation listing point indices by increasing mark."""
-        return self._mark_order
-
     def __len__(self) -> int:
         return int(self._xs.size)
 
     def point(self, index: int) -> MarkedPoint:
         return MarkedPoint(float(self._xs[index]), float(self._us[index]))
-
-    def points(self) -> Iterator[MarkedPoint]:
-        for i in range(len(self)):
-            yield self.point(i)
 
     def index_of(self, p: MarkedPoint) -> int:
         """Index of an exactly matching point, or -1 if absent."""

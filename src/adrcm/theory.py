@@ -124,9 +124,8 @@ def _single_term_sample(base, k, l, floor_width, seed) -> float:
     params = ModelParams(base.gamma, base.beta, torus)
     palm = MarkedPoint(0.0, u)
     config = _palm_config(params, derive_seed(seed, 1), [palm], 1)
-    ck = count_cliques_centered(config, palm, k)
-    cl = ck if l == k else count_cliques_centered(config, palm, l)
-    return float(ck * cl)
+    counts = count_cliques_centered(config, palm, max(k, l))
+    return float(counts[k - 1] * counts[l - 1])
 
 
 def _joint_term_sample(base, k, l, half, floor_width, seed) -> tuple[float, float, float]:

@@ -169,11 +169,12 @@ def test_criterion_1_clique_oracle_equivalence():
             continue
         checked += 1
         totals = count_cliques_upto(config, 4)
+        centered_upto = [
+            count_cliques_centered(config, config.point(i), 4) for i in range(len(config))
+        ]
         for k in (2, 3, 4):
             total, per_center = cliques_oracle(config, k)
-            centered = {
-                i: count_cliques_centered(config, config.point(i), k) for i in range(len(config))
-            }
+            centered = {i: counts[k - 1] for i, counts in enumerate(centered_upto)}
             assert totals[k - 1] == total
             assert centered == per_center
             assert totals[k - 1] == sum(centered.values())

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,35 @@ def test_clt_assert_fails_on_discrete_counts(tmp_path):
     cfgp = _write_config(tmp_path, body)
     assert main(["clt", "--config", cfgp, "--assert"]) == 1
     assert main(["clt", "--config", cfgp]) == 0
+
+
+def test_clt_runs_every_torus_length_in_one_pool(tmp_path, monkeypatch):
+    body = _minimal("clt", "k_list = 1,2,3\nr = 40\nn_list = 16,24,32\nseed = 5\n", "PLACEHOLDER")
+    started = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting(pool, *args, **kwargs):
+        started.append(threads)
+        init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        cfgp = _write_config(tmp_path, body.replace("PLACEHOLDER", str(out)), f"t{threads}.cfg")
+        assert main(["clt", "--config", cfgp, "--threads", threads]) == 0
+        summary = json.loads((out / "clt_summary.json").read_text())
+        del summary["wall_time"], summary["plan"]["directory"], summary["config_hash"]
+        csvs = []
+        for n in (16, 24, 32):
+            lines = (out / f"clt_replicates_n{n}.csv").read_text().splitlines()
+            # Drop the preamble's config hash and every row's wall_time.
+            rows = [line.split(",") for line in lines if not line.startswith("# config_hash")]
+            csvs.append([row[:3] + row[4:] for row in rows])
+        outputs.append((summary, csvs))
+    assert started == ["2"]
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0][0]["p_values"]["ks"]) == ["16", "24", "32"]
 
 
 def test_summary_records_wall_time(tmp_path):
@@ -481,6 +511,35 @@ def test_gamma_diag_is_a_moments_option_only(tmp_path, capsys):
     assert err.value.code == 2
     assert "--gamma-diag" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_seed_outside_64_bits_is_rejected(tmp_path, capsys, where):
+    out = tmp_path / "o"
+    seed = "-1" if where == "config" else "0"
+    cfgp = _write_config(tmp_path, _minimal("cliques", f"k_list = 2\nr = 5\nseed = {seed}\n", str(out)))
+    argv = ["cliques", "--config", cfgp] + (["--seed", "-1"] if where == "flag" else [])
+    assert main(argv) == 2
+    assert "config error: seed must lie in [0, 2^64), got -1" in capsys.readouterr().err
+    for bad in (-1, 2**64):
+        with pytest.raises(ConfigError):
+            parse_config(_minimal("sample", f"seed = {bad}\n"))
+    assert parse_config(_minimal("sample", f"seed = {2**64 - 1}\n")).seed == 2**64 - 1
+    assert not out.exists()
+
+
+def test_moments_rejects_more_than_one_clique_size(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfgp = _write_config(tmp_path, _minimal("moments", "k_list = 3,2\nr = 20\n", str(out)))
+    assert main(["moments", "--config", cfgp]) == 2
+    assert "config error: mode moments takes one clique size, got k_list (3, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gamma_diag_requires_a_clique_size(tmp_path, capsys):
+    assert main(["moments", "--config", _wedge_moments_config(tmp_path, r=20), "--gamma-diag", "1.05"]) == 2
+    assert "error: --gamma-diag needs k_list" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("n_list", ["16,16.0000001", "16,32,16"])

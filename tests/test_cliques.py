@@ -39,7 +39,7 @@ def _param_grid(rng):
 
 
 def _per_center(cfg, k):
-    return {i: count_cliques_centered(cfg, cfg.point(i), k) for i in range(len(cfg))}
+    return {i: count_cliques_centered(cfg, cfg.point(i), k)[k - 1] for i in range(len(cfg))}
 
 
 def test_count_cliques_k1_is_point_count():
@@ -109,10 +109,10 @@ def test_centered_k1_and_k2():
     params = ModelParams(0.3, 1.0, 20.0)
     cfg = random_config(params, rng, 25)
     p = MarkedPoint(0.0, 0.4)
-    assert count_cliques_centered(cfg, p, 1) == 1
+    assert count_cliques_centered(cfg, p, 1) == [1]
     aug = add_point(cfg, p)
     ups, _ = neighbors_oracle(aug, p, member_index=aug.index_of(p))
-    assert count_cliques_centered(cfg, p, 2) == len(ups)
+    assert count_cliques_centered(cfg, p, 2) == [1, len(ups)]
 
 
 def test_centered_matches_oracle():
@@ -123,9 +123,10 @@ def test_centered_matches_oracle():
         if len(cfg) == 0:
             continue
         i = int(rng.integers(len(cfg)))
+        counts = count_cliques_centered(cfg, cfg.point(i), 3)
+        assert count_cliques_centered(cfg, cfg.point(i), 2) == counts[:2]
         for k in (2, 3):
-            expect = len(centered_cliques_oracle(cfg, i, k))
-            assert count_cliques_centered(cfg, cfg.point(i), k) == expect
+            assert counts[k - 1] == len(centered_cliques_oracle(cfg, i, k))
 
 
 def test_centered_palm_translation_invariance():
@@ -133,7 +134,7 @@ def test_centered_palm_translation_invariance():
     params = ModelParams(0.3, 1.0, 16.0)
     cfg = random_config(params, rng, 25)
     u = 0.21
-    base = count_cliques_centered(cfg, MarkedPoint(0.0, u), 3)
+    base = count_cliques_centered(cfg, MarkedPoint(0.0, u), 3)[2]
     # translate every point by a constant and re-center the probe
     delta = 3.7
     pts = [
@@ -141,7 +142,7 @@ def test_centered_palm_translation_invariance():
         for x, m in zip(cfg.positions, cfg.marks)
     ]
     moved = config_from_points(params, pts)
-    assert count_cliques_centered(moved, MarkedPoint(wrap_position(delta, 16.0), u), 3) == base
+    assert count_cliques_centered(moved, MarkedPoint(wrap_position(delta, 16.0), u), 3)[2] == base
 
 
 # -- difference operators -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Replication engine and normality-diagnostic tests, with self-calibration."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from adrcm.harness import (
     SCHEMA_VERSION,
     TreeStatistic,
     bootstrap_ci,
-    covariance_matrix,
     ks_distance_normal,
     poisson_chi_square,
     replicates_csv,
@@ -26,7 +26,7 @@ from adrcm.harness import (
     variance_scaling,
     wasserstein1_distance_normal,
 )
-from adrcm.model import ModelParams, ParameterError
+from adrcm.model import ModelParams, ParameterError, derive_seed
 from adrcm.trees import DirectedTreeSpec, tree_wedge
 
 
@@ -81,7 +81,7 @@ def test_replicate_failure_identifies_seed():
     )
     with pytest.raises(ReplicateFailure) as err:
         run_replicates(plan)
-    assert err.value.seed == plan.replicate_seed(0)
+    assert err.value.seed == derive_seed(5, 0, 0)
 
 
 def test_plan_validation():
@@ -210,29 +210,33 @@ def test_variance_scaling_poisson_counts():
         assert row.var_over_n == pytest.approx(1.0, rel=0.35)
 
 
+def test_variance_scaling_runs_the_ladder_in_one_pool(monkeypatch):
+    plan = _plan(k_list=(1, 2), r=200, n_list=(20.0, 30.0, 40.0), seed=3)
+    serial = variance_scaling(plan, resamples=50)
+    started = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting(pool, *args, **kwargs):
+        started.append(1)
+        init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting)
+    parallel = variance_scaling(plan, threads=2, resamples=50)
+    assert len(started) == 1
+    assert parallel.rows == serial.rows
+    assert parallel.samples.keys() == serial.samples.keys()
+    for j, n in enumerate(plan.n_list):
+        assert np.array_equal(parallel.samples[n], serial.samples[n])
+        # Length j replicates the plan on its torus under the master seed (1, j).
+        sub = _plan(k_list=(1, 2), r=200, n=n, seed=derive_seed(3, 1, j))
+        assert np.array_equal(serial.samples[n], samples_matrix(run_replicates(sub)))
+
+
 def test_variance_scaling_requires_ladder_and_replicates():
     with pytest.raises(ParameterError):
         variance_scaling(_plan(r=250, n_list=()))
     with pytest.raises(ParameterError):
         variance_scaling(_plan(r=50, n_list=(50.0, 100.0)))
-
-
-def test_covariance_matrix_consistency():
-    plan = _plan(k_list=(1, 2, 3), r=220, n=80.0, seed=17)
-    result = covariance_matrix(plan)
-    assert np.array_equal(result.matrix, result.matrix.T)
-    # diagonal equals the per-column variance over n of the same samples
-    for j in range(3):
-        var = np.var(result.samples[:, j], ddof=1) / 80.0
-        assert result.matrix[j, j] == pytest.approx(var)
-    eig = np.linalg.eigvalsh(result.matrix)
-    assert eig.min() >= -1e-8 * np.trace(result.matrix)
-    assert np.all(result.std_errors > 0.0)
-
-
-def test_covariance_matrix_needs_two_statistics():
-    with pytest.raises(ParameterError):
-        covariance_matrix(_plan(k_list=(2,), r=220))
 
 
 # -- blocks and serialization ---------------------------------------------------------------

@@ -145,14 +145,6 @@ def test_sample_config_marks_in_range_and_distinct():
     assert np.all(np.diff(cfg.positions) >= 0.0)
 
 
-def test_mark_order_permutation():
-    params = ModelParams(0.3, 1.0, 100.0)
-    cfg = sample_config(params, 21)
-    order = cfg.mark_order
-    assert sorted(order.tolist()) == list(range(len(cfg)))
-    assert np.all(np.diff(cfg.marks[order]) > 0.0)
-
-
 class _TiedStream:
     """A generator stand-in whose first mark draw holds two exact ties."""
 
