@@ -35,7 +35,6 @@ from .harness import (
     run_replicates,
     samples_matrix,
     standardize,
-    summary_document,
     wasserstein1_distance_normal,
 )
 from .model import (
@@ -63,6 +62,10 @@ MODES = ("sample", "cliques", "trees", "clt", "sigma", "moments", "blocks")
 DEFAULT_U_GRID = (0.3, 0.2, 0.1, 0.05, 0.02, 0.01)
 KS_ALPHA = 0.01
 
+# The fewest replicates each mode can reduce: a standard error needs 2, every
+# blocks jackknife subsample 2 (so 3 in all), and sigma_palm a budget of 8.
+_MIN_R = {"cliques": 2, "trees": 2, "clt": 2, "moments": 2, "sigma": 8, "blocks": 3}
+
 _SECTION_KEYS = {
     "model": ("gamma", "beta", "n"),
     "experiment": ("mode", "k_list", "tree_file", "r", "n_list", "seed"),
@@ -79,10 +82,10 @@ configuration grammar
         n = 1000             # torus circumference
 
         [experiment]
-        mode = cliques       # sample|cliques|trees|clt|sigma|moments|blocks
+        mode = cliques       # optional: the subcommand sets it
         k_list = 2,3         # clique sizes (cliques/clt/sigma; one for moments)
         tree_file = w.tree   # directed tree spec (trees/clt/moments/blocks)
-        r = 1000             # replicates, or the MC budget for sigma
+        r = 1000             # replicates (>= 2; blocks >= 3), sigma's MC budget (>= 8)
         n_list = 250,500     # torus ladder for clt
         seed = 0             # 64-bit master seed
 
@@ -93,6 +96,10 @@ configuration grammar
     A '#' or ';' at the start of a line or after whitespace begins a
     comment; elsewhere, as in a path, it is kept.  Tree files
     use the line forms  m=<int>, root=<int>, edge=<i>-><j>.
+
+    The subcommand sets mode, and --seed, --out, --gamma, --beta and --n
+    replace the keys seed, directory, gamma, beta and n; the run is then
+    validated once, on the values it runs with.
 
 regimes
     clt mode asserts normality only where it is proved: gamma < 1/2 for
@@ -150,6 +157,12 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
     All problems are collected and reported together in a ConfigError, not
     just the first one.
     """
+    values, errors = _read_config(text)
+    return _validate(values, errors, override_regime)
+
+
+def _read_config(text: str) -> tuple[dict[str, str], list[str]]:
+    """The document's key/value texts, and its syntax errors."""
     errors: list[str] = []
     values: dict[str, str] = {}
     section: str | None = None
@@ -185,6 +198,11 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
             errors.append(f"line {line_no}: duplicate key {key!r}")
             continue
         values[key] = value
+    return values, errors
+
+
+def _validate(values: dict[str, str], errors: list[str], override_regime: bool) -> RunConfig:
+    """Convert and check the key/value texts; raise one ConfigError with every problem."""
 
     def take(key: str, conv, default=None, required=False):
         if key not in values:
@@ -256,10 +274,8 @@ def parse_config(text: str, override_regime: bool = False) -> RunConfig:
         errors.append(f"mode {mode} requires tree_file")
     if mode == "blocks" and n is not None and not n.is_integer():
         errors.append(f"mode blocks requires an integer n (one block per unit length), got {n}")
-    if mode == "blocks" and r is not None and r < 3:
-        errors.append(
-            f"mode blocks requires r >= 3 (every jackknife subsample needs 2 replicates), got {r}"
-        )
+    if mode in _MIN_R and r is not None and r < _MIN_R[mode]:
+        errors.append(f"mode {mode} requires r >= {_MIN_R[mode]}, got {r}")
     if mode in ("clt", "moments") and bool(k_list) == bool(tree_file):
         errors.append(f"mode {mode} requires exactly one of k_list or tree_file")
     if mode == "sigma" and len(k_list) not in (1, 2):
@@ -358,19 +374,16 @@ def _json_text(doc: dict) -> str:
 
 
 def _summary(cfg: RunConfig, **sections) -> dict:
-    doc = summary_document(
-        plan_fields={f.name: getattr(cfg, f.name) for f in fields(cfg)},
-        estimates=sections.get("estimates", {}),
-        std_errors=sections.get("std_errors", {}),
-        test_statistics=sections.get("test_statistics", {}),
-        p_values=sections.get("p_values", {}),
+    """Versioned JSON-ready summary; the four result tables default to empty."""
+    doc = {key: {} for key in ("estimates", "std_errors", "test_statistics", "p_values")}
+    doc.update(sections)
+    doc.update(
+        schema_version="1",
+        plan={f.name: getattr(cfg, f.name) for f in fields(cfg)},
         seeds={"master": cfg.seed},
         wall_time=0.0,  # set by run() once the mode has finished
         config_hash=config_hash(cfg),
     )
-    for key in ("files", "notes", "timings"):
-        if key in sections:
-            doc[key] = sections[key]
     return doc
 
 
@@ -745,32 +758,20 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if not args.config:
         raise ConfigError(["--config is required for this command"])
     with open(args.config, encoding="utf-8") as handle:
-        text = handle.read()
-    cfg = parse_config(text, override_regime=args.override_regime)
-    updates: dict = {}
-    if cfg.mode != args.command:
-        updates["mode"] = args.command
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["directory"] = args.out
-    for name in ("gamma", "beta", "n"):
-        if getattr(args, name) is not None:
-            updates[name] = getattr(args, name)
-    if updates:
-        merged = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-        merged.update(updates)
-        cfg = RunConfig(**merged)
-        # Re-validate after overrides so flags cannot bypass the gate.
-        parsed = parse_config(render_config(cfg), override_regime=args.override_regime)
-        changed = [f.name for f in fields(cfg) if getattr(parsed, f.name) != getattr(cfg, f.name)]
-        if changed:
-            raise ConfigError(
-                [f"{name} {getattr(cfg, name)!r} does not survive the config text round trip"
-                 for name in changed]
-            )
-        cfg = parsed
-    return cfg
+        values, errors = _read_config(handle.read())
+    # The subcommand and the flags replace the file's texts before the one
+    # validation, so every rule sees the values the run uses.
+    overrides = {
+        "mode": args.command, "seed": args.seed, "directory": args.out,
+        "gamma": args.gamma, "beta": args.beta, "n": args.n,
+    }
+    values.update((key, str(value)) for key, value in overrides.items() if value is not None)
+    # config_hash and re-runs render the directory on a config line, which
+    # must read it back unchanged.
+    out = args.out
+    if out is not None and _read_config(f"[output]\ndirectory = {out}") != ({"directory": out}, []):
+        errors.append(f"directory {out!r} cannot be written on a config line")
+    return _validate(values, errors, args.override_regime)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,7 +28,6 @@ from .trees import (
 )
 
 __all__ = [
-    "SCHEMA_VERSION",
     "DegenerateSampleError",
     "ReplicateFailure",
     "CliqueStatistic",
@@ -47,10 +46,7 @@ __all__ = [
     "ScalingResult",
     "variance_scaling",
     "replicates_csv",
-    "summary_document",
 ]
-
-SCHEMA_VERSION = "1"
 
 
 class DegenerateSampleError(ValueError):
@@ -266,15 +262,14 @@ def bootstrap_ci(
     stat_fn: Callable[[np.ndarray], float],
     seed: int,
     resamples: int = 1000,
-    alpha: float = 0.05,
 ) -> tuple[float, float]:
-    """Percentile bootstrap confidence interval with a derived seed."""
+    """Percentile bootstrap 95% confidence interval with a derived seed."""
     x = np.asarray(samples)
     rng = np.random.Generator(np.random.Philox(key=seed))
     values = np.empty(resamples)
     for b in range(resamples):
         values[b] = stat_fn(x[rng.integers(0, x.size, size=x.size)])
-    lo, hi = np.percentile(values, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
+    lo, hi = np.percentile(values, [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -336,27 +331,3 @@ def replicates_csv(results: Sequence[ReplicateResult], labels: Sequence[str]) ->
         stats_part = ",".join("%d" % v if float(v).is_integer() else "%.17g" % v for v in r.values)
         lines.append(f"{i},{r.seed},{r.point_count},%.6f,{stats_part}" % r.wall_time)
     return "\n".join(lines) + "\n"
-
-
-def summary_document(
-    plan_fields: dict,
-    estimates: dict,
-    std_errors: dict,
-    test_statistics: dict,
-    p_values: dict,
-    seeds: dict,
-    wall_time: float,
-    config_hash: str = "",
-) -> dict:
-    """Versioned JSON-ready summary with a stable field layout."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "plan": plan_fields,
-        "estimates": estimates,
-        "std_errors": std_errors,
-        "test_statistics": test_statistics,
-        "p_values": p_values,
-        "seeds": seeds,
-        "wall_time": wall_time,
-        "config_hash": config_hash,
-    }

@@ -157,7 +157,6 @@ def sigma_palm(
     k: int,
     l: int,
     mc_budget: int,
-    window_half_width: float | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> SigmaEstimate:
@@ -178,10 +177,7 @@ def sigma_palm(
         raise ParameterError("clique sizes must be >= 1")
     if mc_budget < 8:
         raise ParameterError("mc_budget too small")
-    w = _window_half_width(params)
-    big_l = float(window_half_width) if window_half_width is not None else w
-    if big_l <= 0.0:
-        raise ParameterError("window_half_width must be positive")
+    big_l = _window_half_width(params)
 
     n_single = max(2, mc_budget // 4)
     n_joint = max(2, mc_budget - n_single)
@@ -191,9 +187,9 @@ def sigma_palm(
     # The second point is drawn from a box twice as wide as L so that the
     # sensitivity of the truncated integral to 2L comes from the same stream.
     domain_half = 2.0 * big_l
-    tasks = [(base, k, l, None, 2.0 * w, derive_seed(seed, 1, i)) for i in range(n_single)]
+    tasks = [(base, k, l, None, 2.0 * big_l, derive_seed(seed, 1, i)) for i in range(n_single)]
     tasks += [
-        (base, k, l, domain_half, 2.0 * w, derive_seed(seed, 2, i)) for i in range(n_joint)
+        (base, k, l, domain_half, 2.0 * big_l, derive_seed(seed, 2, i)) for i in range(n_joint)
     ]
     samples = parallel_map(_sigma_sample, tasks, threads)
     vals1 = np.asarray(samples[:n_single])
@@ -233,7 +229,7 @@ def sigma_palm(
             "k": k,
             "l": l,
             "mark_floor": MARK_FLOOR,
-            "window_half_width": w,
+            "window_half_width": big_l,
             "L": big_l,
             "adaptive_window": "torus = max(2W, 4*reach(marks))",
             "samples": (n_single, n_joint),

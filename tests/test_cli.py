@@ -1,5 +1,6 @@
 """CLI config parsing, mode execution, determinism, and plot exports."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import adrcm.cli as cli
 from adrcm.cli import (
@@ -22,6 +25,10 @@ from adrcm.cli import (
 )
 from adrcm.model import ModelParams
 from adrcm.theory import MomentProfile, lambda_up
+
+# A mode that computes on degenerate input fails its test instead of
+# exiting 0 with NaN results.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 WEDGE_TEXT = "m=3\nroot=1\nedge=2->1\nedge=3->1\n"
 
@@ -133,6 +140,52 @@ def test_render_parse_round_trip(tmp_path):
         assert parse_config(render_config(cfg)) == cfg
 
 
+@pytest.fixture(scope="module")
+def tree_dir(tmp_path_factory):
+    """One-edge trees (one leaf) under names with comment marks and spaces."""
+    path = tmp_path_factory.mktemp("trees")
+    for name in _TREE_NAMES:
+        (path / name).write_text("m=2\nroot=1\nedge=2->1\n", encoding="utf-8")
+    return path
+
+
+_TREE_NAMES = ("e.tree", "a#b;c.tree", "a b.tree", "a #b.tree", "a ;b.tree", "a\tb.tree")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(cli.MODES),
+    gamma=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    beta=st.floats(0.0, 1e6, exclude_min=True),
+    n=st.integers(1, 10**6) | st.floats(0.0, 1e6, exclude_min=True),
+    k_list=st.lists(st.integers(1, 5), max_size=2),
+    tree=st.none() | st.sampled_from(_TREE_NAMES),
+    r=st.integers(1, 10**6),
+    n_list=st.lists(st.integers(1, 10**4) | st.floats(0.0, 1e4, exclude_min=True), max_size=3),
+    seed=st.integers(0, 2**64 - 1),
+    directory=st.text(alphabet="ab #;=\t", max_size=8),
+    formats=st.lists(st.sampled_from(("csv", "json")), min_size=1, max_size=2),
+    comment=st.sampled_from(("", "  # note", "\t;note")),
+)
+def test_render_parse_round_trip_for_every_accepted_config(
+    tree_dir, mode, gamma, beta, n, k_list, tree, r, n_list, seed, directory, formats, comment
+):
+    lines = ["[model]", f"gamma = {gamma}", f"beta = {beta}", f"n = {n}", "[experiment]"]
+    lines += [f"mode = {mode}", f"r = {r}", f"seed = {seed}"]
+    if k_list:
+        lines.append("k_list = " + ",".join(map(str, k_list)))
+    if tree is not None:
+        lines.append(f"tree_file = {tree_dir / tree}")
+    if n_list:
+        lines.append("n_list = " + ",".join(map(str, n_list)))
+    lines += ["[output]", f"directory = {directory}", "formats = " + ",".join(formats)]
+    try:
+        cfg = parse_config("\n".join(line + comment for line in lines))
+    except ConfigError:
+        assume(False)
+    assert parse_config(render_config(cfg)) == cfg
+
+
 def test_comment_marks_inside_paths_are_kept(tmp_path):
     tree = tmp_path / "a#b;c.tree"
     tree.write_text(WEDGE_TEXT, encoding="utf-8")
@@ -186,6 +239,22 @@ def test_sample_mode_row_count(tmp_path, capsys):
     assert "# master_seed=5" in text
     assert "# schema_version=1" in text
     assert "# config_hash=" in text
+
+
+def test_summary_document_schema(tmp_path):
+    out = tmp_path / "o"
+    cfgp = _write_config(tmp_path, _minimal(out=str(out)))
+    assert main(["sample", "--config", cfgp, "--seed", "5"]) == 0
+    doc = json.loads((out / "sample_summary.json").read_text())
+    assert set(doc) == {
+        "schema_version", "plan", "estimates", "std_errors", "test_statistics",
+        "p_values", "seeds", "wall_time", "config_hash", "files",
+    }
+    assert doc["schema_version"] == "1"
+    cfg = dataclasses.replace(parse_config(_minimal(out=str(out))), seed=5)
+    assert doc["plan"] == json.loads(json.dumps(cfg.__dict__))
+    assert doc["config_hash"] == config_hash(cfg)
+    assert doc["std_errors"] == doc["test_statistics"] == doc["p_values"] == {}
 
 
 def test_cliques_mode_outputs(tmp_path):
@@ -497,6 +566,64 @@ def test_plotdata_cli_to_stdout(tmp_path, capsys):
 def test_exit_code_usage_error(tmp_path):
     cfgp = _write_config(tmp_path, "[model]\ngamma = 2.0\nbeta = 1\nn = 10\n\n[experiment]\nmode = sample\n")
     assert main(["sample", "--config", cfgp]) == 2
+
+
+def _clt_text(gamma, out, mode="mode = clt"):
+    return (
+        f"[model]\ngamma = {gamma}\nbeta = 1.0\nn = 20\n\n"
+        f"[experiment]\n{mode}\nk_list = 1\nr = 20\nn_list = 20\nseed = 1\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "gamma, mode, argv",
+    [
+        (0.7, "mode = clt", ["clt", "--gamma", "0.3"]),
+        (0.7, "mode = clt", ["sample"]),
+        (0.3, "", ["sample"]),
+        (0.7, "", ["clt", "--gamma", "0.3"]),
+    ],
+    ids=["gamma-flag", "clt-file-as-sample", "no-mode-as-sample", "no-mode-gamma-flag"],
+)
+def test_the_subcommand_and_flags_are_validated_in_place_of_the_file(tmp_path, gamma, mode, argv):
+    out = tmp_path / "o"
+    cfgp = _write_config(tmp_path, _clt_text(gamma, out, mode))
+    assert main(argv[:1] + ["--config", cfgp] + argv[1:]) == 0
+    plan = json.loads((out / f"{argv[0]}_summary.json").read_text())["plan"]
+    assert plan["mode"] == argv[0]
+    assert plan["gamma"] == (0.3 if "--gamma" in argv else gamma)
+
+
+def test_gamma_flag_outside_the_regime_is_rejected(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfgp = _write_config(tmp_path, _clt_text(0.3, out))
+    assert main(["clt", "--config", cfgp, "--gamma", "0.6"]) == 2
+    assert "config error: clt mode with clique counts requires gamma < 1/2 (got 0.6)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, minimum",
+    [("cliques", 2), ("trees", 2), ("clt", 2), ("moments", 2), ("sigma", 8), ("blocks", 3)],
+)
+def test_each_mode_rejects_too_few_replicates(tmp_path, capsys, mode, minimum):
+    tree = tmp_path / "wedge.tree"
+    tree.write_text(WEDGE_TEXT, encoding="utf-8")
+    extra = {"trees": f"tree_file = {tree}", "blocks": f"tree_file = {tree}", "clt": "k_list = 1\nn_list = 20"}
+    out = tmp_path / "o"
+    for r in (minimum - 1, minimum):
+        body = _minimal(mode, f"{extra.get(mode, 'k_list = 2')}\nr = {r}\n", str(out))
+        body = body.replace("gamma = 0.3", "gamma = 0.1").replace("n = 50", "n = 20")
+        code = main([mode, "--config", _write_config(tmp_path, body)])
+        err = capsys.readouterr().err
+        if r < minimum:
+            assert code == 2
+            assert err == f"config error: mode {mode} requires r >= {minimum}, got {r}\n"
+            assert not out.exists()
+        else:
+            assert code == 0, err
+            assert out.exists()
 
 
 def test_exit_code_missing_config():

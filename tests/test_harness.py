@@ -12,7 +12,6 @@ from adrcm.harness import (
     DegenerateSampleError,
     ExperimentPlan,
     ReplicateFailure,
-    SCHEMA_VERSION,
     TreeStatistic,
     bootstrap_ci,
     ks_distance_normal,
@@ -22,7 +21,6 @@ from adrcm.harness import (
     run_replicates,
     samples_matrix,
     standardize,
-    summary_document,
     variance_scaling,
     wasserstein1_distance_normal,
 )
@@ -255,17 +253,3 @@ def test_replicates_csv_layout():
     lines = text.strip().splitlines()
     assert lines[0] == "replicate,seed,point_count,wall_time,cliques_k1,cliques_k2"
     assert len(lines) == 4
-
-
-def test_summary_document_schema():
-    doc = summary_document(
-        plan_fields={"mode": "cliques"},
-        estimates={"x": 1.0},
-        std_errors={},
-        test_statistics={},
-        p_values={},
-        seeds={"master": 1},
-        wall_time=0.1,
-    )
-    assert doc["schema_version"] == SCHEMA_VERSION
-    assert set(doc) >= {"plan", "estimates", "std_errors", "p_values", "seeds"}
