@@ -140,6 +140,9 @@ def test_render_parse_round_trip(tmp_path):
         assert parse_config(render_config(cfg)) == cfg
 
 
+_TREE_NAMES = ("e.tree", "a#b;c.tree", "a b.tree", "a #b.tree", "a ;b.tree", "a\tb.tree")
+
+
 @pytest.fixture(scope="module")
 def tree_dir(tmp_path_factory):
     """One-edge trees (one leaf) under names with comment marks and spaces."""
@@ -147,9 +150,6 @@ def tree_dir(tmp_path_factory):
     for name in _TREE_NAMES:
         (path / name).write_text("m=2\nroot=1\nedge=2->1\n", encoding="utf-8")
     return path
-
-
-_TREE_NAMES = ("e.tree", "a#b;c.tree", "a b.tree", "a #b.tree", "a ;b.tree", "a\tb.tree")
 
 
 @settings(max_examples=200, deadline=None)
