@@ -6,7 +6,6 @@ from .model import (
     ParameterError,
     PointConfig,
     add_point,
-    config_from_csv,
     config_to_csv,
     connects,
     derive_seed,
@@ -22,10 +21,6 @@ from .trees import (
     count_trees,
     d_in,
     parse_tree_spec,
-    tree_edge,
-    tree_path,
-    tree_star,
-    tree_wedge,
     validate_tree,
 )
 from .theory import (

@@ -24,24 +24,20 @@ from scipy import special
 from .harness import (
     CliqueStatistic,
     ExperimentPlan,
-    MIN_TEST_SAMPLES,
     TreeStatistic,
-    _run_ladder,
-    _var_over_n,
-    bootstrap_ci,
     ks_distance_normal,
     replicates_csv,
     run_block_replicates,
     run_replicates,
     samples_matrix,
     standardize,
+    variance_scaling,
     wasserstein1_distance_normal,
 )
 from .model import (
     ModelParams,
     ParameterError,
     config_to_csv,
-    derive_seed,
     sample_config,
 )
 from .theory import (
@@ -472,15 +468,14 @@ def _mode_clt(cfg: RunConfig, threads: int) -> _ModeOutput:
     csv_files: dict[str, str] = {}
     failed = False
     plan = ExperimentPlan(cfg.params, statistic, cfg.r, cfg.seed, cfg.n_list)
-    for n_index, (n, results) in enumerate(zip(cfg.n_list, _run_ladder(plan, threads))):
-        samples = samples_matrix(results)[:, -1]
-        key = "%g" % n
-        var_stat = _var_over_n(n)
-        estimates["var_over_n"][key] = var_stat(samples)
-        if cfg.r >= MIN_TEST_SAMPLES:
-            lo, hi = bootstrap_ci(samples, var_stat, seed=derive_seed(cfg.seed, 2, n_index))
-            estimates["ci_lo"][key], estimates["ci_hi"][key] = lo, hi
-            std = standardize(samples)
+    scaling = variance_scaling(plan, threads)
+    rows = [row for row in scaling.rows if row.label == label]
+    for row, results in zip(rows, scaling.replicates.values()):
+        key = "%g" % row.n
+        estimates["var_over_n"][key] = row.var_over_n
+        if row.ci_lo is not None:
+            estimates["ci_lo"][key], estimates["ci_hi"][key] = row.ci_lo, row.ci_hi
+            std = standardize(samples_matrix(results)[:, -1])
             ks_stat, ks_p = ks_distance_normal(std)
             test_statistics["ks"][key] = ks_stat
             test_statistics["w1"][key] = wasserstein1_distance_normal(std)
@@ -777,6 +772,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         if args.command == "plotdata":
             with open(args.results, encoding="utf-8") as handle:

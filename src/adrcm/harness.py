@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from ._parallel import ReplicateFailure, parallel_map
 from .cliques import count_cliques_upto
@@ -40,7 +40,6 @@ __all__ = [
     "standardize",
     "ks_distance_normal",
     "wasserstein1_distance_normal",
-    "poisson_chi_square",
     "bootstrap_ci",
     "ScalingRow",
     "ScalingResult",
@@ -232,43 +231,17 @@ def wasserstein1_distance_normal(samples: np.ndarray) -> float:
     return total
 
 
-def poisson_chi_square(counts: np.ndarray, mean: float) -> tuple[float, float]:
-    """Chi-square goodness of fit of integer counts to a Poisson law.
-
-    Cells with expected mass below 5 are pooled into the tail; the mean is
-    given, not estimated, so degrees of freedom are cells - 1.
-    """
-    c = np.asarray(counts)
-    if c.size < MIN_TEST_SAMPLES:
-        raise DegenerateSampleError("too few counts for a chi-square test")
-    top = int(c.max())
-    observed = np.bincount(c.astype(np.int64), minlength=top + 1).astype(np.float64)
-    expected = stats.poisson.pmf(np.arange(top + 1), mean) * c.size
-    # Everything above the observed maximum belongs to the last cell's tail.
-    expected[-1] += stats.poisson.sf(top, mean) * c.size
-    while expected.size > 1 and expected[-1] < 5.0:
-        expected[-2] += expected[-1]
-        observed[-2] += observed[-1]
-        expected, observed = expected[:-1], observed[:-1]
-    statistic = float(np.sum((observed - expected) ** 2 / expected))
-    dof = expected.size - 1
-    if dof < 1:
-        raise DegenerateSampleError("not enough occupied cells for a chi-square test")
-    return statistic, float(stats.chi2.sf(statistic, dof))
-
-
 def bootstrap_ci(
-    samples: np.ndarray,
-    stat_fn: Callable[[np.ndarray], float],
-    seed: int,
-    resamples: int = 1000,
+    samples: np.ndarray, stat_fn: Callable[[np.ndarray], np.ndarray], seed: int
 ) -> tuple[float, float]:
-    """Percentile bootstrap 95% confidence interval with a derived seed."""
+    """Percentile bootstrap 95% confidence interval with a derived seed.
+
+    The 1000 resamples are drawn in one call, one per row, and stat_fn
+    reduces that matrix along its last axis.
+    """
     x = np.asarray(samples)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    values = np.empty(resamples)
-    for b in range(resamples):
-        values[b] = stat_fn(x[rng.integers(0, x.size, size=x.size)])
+    values = stat_fn(x[rng.integers(0, x.size, size=(1000, x.size))])
     lo, hi = np.percentile(values, [2.5, 97.5])
     return float(lo), float(hi)
 
@@ -281,44 +254,41 @@ class ScalingRow:
     n: float
     label: str
     var_over_n: float
-    ci_lo: float
-    ci_hi: float
+    ci_lo: float | None
+    ci_hi: float | None
 
 
 @dataclass(frozen=True)
 class ScalingResult:
     rows: tuple[ScalingRow, ...]
-    samples: dict[float, np.ndarray] = field(repr=False)
-    labels: tuple[str, ...] = ()
+    replicates: dict[float, list[ReplicateResult]] = field(repr=False)
 
 
-def _var_over_n(n: float) -> Callable[[np.ndarray], float]:
-    """The scaling statistic of a ladder column: sample variance over the torus length."""
-    return lambda a: float(np.var(a, ddof=1) / n)
+def variance_scaling(plan: ExperimentPlan, threads: int = 1) -> ScalingResult:
+    """Per-size sample variance divided by n, with percentile bootstrap CIs.
 
-
-def variance_scaling(
-    plan: ExperimentPlan, threads: int = 1, resamples: int = 1000
-) -> ScalingResult:
-    """Per-size sample variance divided by n, with percentile bootstrap CIs."""
-    if len(plan.n_list) < 2:
-        raise ParameterError("variance scaling needs at least two torus lengths")
-    if plan.replicate_count < 200:
-        raise ParameterError("variance scaling needs at least 200 replicates")
-    labels = plan.statistic.labels
+    Rows run over n_list, then over the statistic's labels.  The CI of label
+    j at length index i uses the seed derive_seed(master_seed, 2, i, j); with
+    fewer than MIN_TEST_SAMPLES replicates a row has no CI.
+    """
+    if not plan.n_list:
+        raise ParameterError("variance scaling needs at least one torus length")
     rows: list[ScalingRow] = []
-    samples: dict[float, np.ndarray] = {}
-    for n_index, (n, results) in enumerate(zip(plan.n_list, _run_ladder(plan, threads))):
+    replicates = dict(zip(plan.n_list, _run_ladder(plan, threads)))
+    for n_index, (n, results) in enumerate(replicates.items()):
         matrix = samples_matrix(results)
-        samples[n] = matrix
-        stat = _var_over_n(n)
-        for j, label in enumerate(labels):
+
+        def var_over_n(a: np.ndarray) -> np.ndarray:
+            return np.var(a, axis=-1, ddof=1) / n
+
+        for j, label in enumerate(plan.statistic.labels):
             col = matrix[:, j]
-            lo, hi = bootstrap_ci(
-                col, stat, seed=derive_seed(plan.master_seed, 2, n_index, j), resamples=resamples
-            )
-            rows.append(ScalingRow(n, label, stat(col), lo, hi))
-    return ScalingResult(rows=tuple(rows), samples=samples, labels=labels)
+            lo = hi = None
+            if col.size >= MIN_TEST_SAMPLES:
+                seed = derive_seed(plan.master_seed, 2, n_index, j)
+                lo, hi = bootstrap_ci(col, var_over_n, seed)
+            rows.append(ScalingRow(n, label, float(var_over_n(col)), lo, hi))
+    return ScalingResult(rows=tuple(rows), replicates=replicates)
 
 
 # -- serialization -----------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "connects",
     "add_point",
     "config_to_csv",
-    "config_from_csv",
 ]
 
 # Decimal formatting used for every real number we persist (17 significant
@@ -392,7 +391,7 @@ def _csr_contains(
     return keys[keys.searchsorted(query, side="right") - 1] == query
 
 
-# -- CSV round trip ------------------------------------------------------
+# -- CSV export ------------------------------------------------------
 
 
 def config_to_csv(config: PointConfig, stream: TextIO) -> None:
@@ -402,35 +401,3 @@ def config_to_csv(config: PointConfig, stream: TextIO) -> None:
         stream.write(
             (REAL_FORMAT % config.positions[i]) + "," + (REAL_FORMAT % config.marks[i]) + "\n"
         )
-
-
-def config_from_csv(stream: TextIO, params: ModelParams, seed: int = 0) -> PointConfig:
-    """Read a configuration written by :func:`config_to_csv`.
-
-    Comment lines starting with '#' (metadata preambles) are skipped.
-    """
-    header = ""
-    while True:
-        header = stream.readline()
-        if not header:
-            raise ParameterError("empty configuration stream")
-        header = header.strip()
-        if header and not header.startswith("#"):
-            break
-    if header != "x,u":
-        raise ParameterError(f"expected header 'x,u', got {header!r}")
-    xs: list[float] = []
-    us: list[float] = []
-    for line_no, line in enumerate(stream, start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParameterError(f"line {line_no}: expected two comma-separated fields")
-        xs.append(float(parts[0]))
-        us.append(float(parts[1]))
-    xs_arr = np.asarray(xs, dtype=np.float64)
-    us_arr = np.asarray(us, dtype=np.float64)
-    order = np.argsort(xs_arr, kind="stable")
-    return PointConfig(params, xs_arr[order], us_arr[order], seed)

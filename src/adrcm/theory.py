@@ -44,7 +44,6 @@ __all__ = [
     "lambda_down",
     "SigmaEstimate",
     "sigma_palm",
-    "sigma_direct_from_samples",
     "GammaDiagnostics",
     "gamma_diagnostics",
     "neighborhood_counts",
@@ -92,21 +91,22 @@ def lambda_down(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class SigmaEstimate:
-    """Estimate of the per-unit-length limiting clique covariance."""
+    """Palm-formula estimate of the per-unit-length limiting clique covariance.
+
+    components holds the single-point and the joint term, which sum to value.
+    """
 
     value: float
     std_error: float
-    method: str  # "palm-formula" | "direct-covariance"
-    components: tuple[float, float] | None = None
+    components: tuple[float, float]
     details: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.std_error > 0.0:
             raise ParameterError("std_error must be positive")
-        if self.method == "palm-formula":
-            t1, t2 = self.components
-            if not math.isclose(t1 + t2, self.value, rel_tol=1e-12, abs_tol=1e-12):
-                raise ParameterError("palm components must sum to the value")
+        t1, t2 = self.components
+        if not math.isclose(t1 + t2, self.value, rel_tol=1e-12, abs_tol=1e-12):
+            raise ParameterError("palm components must sum to the value")
 
 
 def _window_half_width(params: ModelParams) -> float:
@@ -223,7 +223,6 @@ def sigma_palm(
     return SigmaEstimate(
         value=term1 + term2,
         std_error=std_error,
-        method="palm-formula",
         components=(term1, term2),
         details={
             "k": k,
@@ -237,31 +236,6 @@ def sigma_palm(
             "term2_distinct_unions": term2_unions,
             "joint_convention": "ordered-pairs",
         },
-    )
-
-
-def sigma_direct_from_samples(
-    samples_k: np.ndarray, samples_l: np.ndarray, torus_length: float
-) -> SigmaEstimate:
-    """Direct replicate-based estimate Cov(totals_k, totals_l) / n.
-
-    Standard error by leave-one-batch-out jackknife over replicates.
-    """
-    xs = np.asarray(samples_k, dtype=np.float64)
-    ys = np.asarray(samples_l, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 4:
-        raise ParameterError("need two aligned sample vectors of length >= 4")
-
-    def stat(pairs: np.ndarray) -> float:
-        return float(np.cov(pairs[:, 0], pairs[:, 1], ddof=1)[0, 1] / torus_length)
-
-    pairs = np.column_stack((xs, ys))
-    se = _jackknife_se(stat, pairs)
-    return SigmaEstimate(
-        value=stat(pairs),
-        std_error=max(se, np.finfo(float).tiny),
-        method="direct-covariance",
-        details={"replicates": xs.size, "torus_length": torus_length},
     )
 
 

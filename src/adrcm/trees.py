@@ -31,10 +31,6 @@ __all__ = [
     "BlockSums",
     "validate_tree",
     "parse_tree_spec",
-    "tree_edge",
-    "tree_wedge",
-    "tree_path",
-    "tree_star",
     "d_in",
     "count_trees",
     "block_sums",
@@ -150,28 +146,6 @@ def _parse_int(value: str, line_no: int) -> int:
         return int(value.strip())
     except ValueError:
         raise TreeSpecError(f"line {line_no}: {value!r} is not an integer") from None
-
-
-def tree_edge() -> DirectedTreeSpec:
-    """Single directed edge into the root."""
-    return validate_tree(DirectedTreeSpec(2, ((2, 1),), 1))
-
-
-def tree_wedge() -> DirectedTreeSpec:
-    """Two leaves pointing at a common lower-mark root."""
-    return validate_tree(DirectedTreeSpec(3, ((2, 1), (3, 1)), 1))
-
-
-def tree_path(vertex_count: int) -> DirectedTreeSpec:
-    """Directed chain m -> m-1 -> ... -> 1 rooted at 1."""
-    edges = tuple((v + 1, v) for v in range(1, vertex_count))
-    return validate_tree(DirectedTreeSpec(vertex_count, edges, 1))
-
-
-def tree_star(leaves: int) -> DirectedTreeSpec:
-    """Root 1 with the given number of direct higher-mark leaves."""
-    edges = tuple((v, 1) for v in range(2, leaves + 2))
-    return validate_tree(DirectedTreeSpec(leaves + 1, edges, 1))
 
 
 # -- embedding counts ----------------------------------------------------
@@ -323,8 +297,11 @@ def _replicate_matrix(replicates: Sequence[BlockSums]) -> np.ndarray:
 def _cyclic_lag_cov(centered: np.ndarray, lag: int) -> float:
     """Across-replicate covariance at a block lag, averaged over the circle."""
     r, n = centered.shape
-    rolled = np.roll(centered, -lag, axis=1)
-    return float(np.sum(centered * rolled) / (n * (r - 1)))
+    # One temporary per lag: with a second one of this size the allocator can
+    # return and re-fault their pages on every call, tripling the cost.
+    product = np.roll(centered, -lag, axis=1)
+    np.multiply(centered, product, out=product)
+    return float(np.sum(product) / (n * (r - 1)))
 
 
 def _leave_one_batch_out(matrix: np.ndarray, batches: int = 20):

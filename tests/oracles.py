@@ -2,16 +2,22 @@
 
 Everything here works from first principles on explicit point lists, so the
 package's CSR edge list, level-wise clique listing and tree embeddings are
-checked against plain O(N^2) / O(N^k) scans.
+checked against plain O(N^2) / O(N^k) scans.  The standard tree specs and
+the statistical references at the end (the direct covariance estimate, the
+Poisson chi-square test and the looped bootstrap) are used by the tests only.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
+from scipy import stats
 
-from adrcm.model import MarkedPoint, ModelParams, PointConfig
+from adrcm.harness import MIN_TEST_SAMPLES, DegenerateSampleError
+from adrcm.model import MarkedPoint, ModelParams, ParameterError, PointConfig
+from adrcm.trees import DirectedTreeSpec, validate_tree
 
 
 def config_from_points(params: ModelParams, points, seed: int = 0) -> PointConfig:
@@ -221,3 +227,92 @@ def cox_grimmett_oracle(blocks, k: int) -> tuple[float, float]:
         return 2.0 * sum(_cyclic_lag_cov_reference(centered, lag) for lag in range(k, half))
 
     return stat(matrix), _jackknife_reference(stat, matrix)
+
+
+# -- standard trees ---------------------------------------------------------------
+
+
+def tree_edge() -> DirectedTreeSpec:
+    """Single directed edge into the root."""
+    return validate_tree(DirectedTreeSpec(2, ((2, 1),), 1))
+
+
+def tree_wedge() -> DirectedTreeSpec:
+    """Two leaves pointing at a common lower-mark root."""
+    return validate_tree(DirectedTreeSpec(3, ((2, 1), (3, 1)), 1))
+
+
+def tree_path(vertex_count: int) -> DirectedTreeSpec:
+    """Directed chain m -> m-1 -> ... -> 1 rooted at 1."""
+    edges = tuple((v + 1, v) for v in range(1, vertex_count))
+    return validate_tree(DirectedTreeSpec(vertex_count, edges, 1))
+
+
+def tree_star(leaves: int) -> DirectedTreeSpec:
+    """Root 1 with the given number of direct higher-mark leaves."""
+    edges = tuple((v, 1) for v in range(2, leaves + 2))
+    return validate_tree(DirectedTreeSpec(leaves + 1, edges, 1))
+
+
+# -- statistical references ---------------------------------------------------------
+
+
+class DirectEstimate(NamedTuple):
+    value: float
+    std_error: float
+
+
+def sigma_direct_from_samples(
+    samples_k: np.ndarray, samples_l: np.ndarray, torus_length: float
+) -> DirectEstimate:
+    """Direct replicate-based estimate Cov(totals_k, totals_l) / n.
+
+    Standard error by leave-one-batch-out jackknife over replicates.
+    """
+    xs = np.asarray(samples_k, dtype=np.float64)
+    ys = np.asarray(samples_l, dtype=np.float64)
+    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 4:
+        raise ParameterError("need two aligned sample vectors of length >= 4")
+
+    def stat(pairs: np.ndarray) -> float:
+        return float(np.cov(pairs[:, 0], pairs[:, 1], ddof=1)[0, 1] / torus_length)
+
+    pairs = np.column_stack((xs, ys))
+    se = _jackknife_reference(stat, pairs)
+    return DirectEstimate(stat(pairs), max(se, np.finfo(float).tiny))
+
+
+def poisson_chi_square(counts: np.ndarray, mean: float) -> tuple[float, float]:
+    """Chi-square goodness of fit of integer counts to a Poisson law.
+
+    Cells with expected mass below 5 are pooled into the tail; the mean is
+    given, not estimated, so degrees of freedom are cells - 1.
+    """
+    c = np.asarray(counts)
+    if c.size < MIN_TEST_SAMPLES:
+        raise DegenerateSampleError("too few counts for a chi-square test")
+    top = int(c.max())
+    observed = np.bincount(c.astype(np.int64), minlength=top + 1).astype(np.float64)
+    expected = stats.poisson.pmf(np.arange(top + 1), mean) * c.size
+    # Everything above the observed maximum belongs to the last cell's tail.
+    expected[-1] += stats.poisson.sf(top, mean) * c.size
+    while expected.size > 1 and expected[-1] < 5.0:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    statistic = float(np.sum((observed - expected) ** 2 / expected))
+    dof = expected.size - 1
+    if dof < 1:
+        raise DegenerateSampleError("not enough occupied cells for a chi-square test")
+    return statistic, float(stats.chi2.sf(statistic, dof))
+
+
+def bootstrap_ci_looped(samples: np.ndarray, stat_fn, seed: int) -> tuple[float, float]:
+    """The percentile bootstrap as first written: one draw and one stat_fn call per resample."""
+    x = np.asarray(samples)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    values = np.empty(1000)
+    for b in range(1000):
+        values[b] = stat_fn(x[rng.integers(0, x.size, size=x.size)])
+    lo, hi = np.percentile(values, [2.5, 97.5])
+    return float(lo), float(hi)

@@ -27,8 +27,8 @@ from adrcm.harness import (
     ExperimentPlan,
     TreeStatistic,
     ks_distance_normal,
-    poisson_chi_square,
     run_block_replicates,
+    samples_matrix,
     standardize,
     variance_scaling,
 )
@@ -39,19 +39,10 @@ from adrcm.theory import (
     lambda_down,
     lambda_up,
     neighborhood_counts,
-    sigma_direct_from_samples,
     sigma_palm,
     tree_root_moment_profile,
 )
-from adrcm.trees import (
-    count_trees,
-    d_in,
-    lag_covariance_table,
-    tree_edge,
-    tree_path,
-    tree_star,
-    tree_wedge,
-)
+from adrcm.trees import count_trees, d_in, lag_covariance_table
 
 from conftest import record_criterion
 from oracles import (
@@ -59,6 +50,12 @@ from oracles import (
     config_from_points,
     count_trees_oracle,
     d_in_oracle,
+    poisson_chi_square,
+    sigma_direct_from_samples,
+    tree_edge,
+    tree_path,
+    tree_star,
+    tree_wedge,
 )
 
 MASTER = 20260810
@@ -316,7 +313,7 @@ def test_criterion_4_variance_linearity():
 
 
 def test_criterion_5_clique_normality():
-    samples = clique_ladder(PRIMARY_THREADS).samples[1000.0][:, 2]
+    samples = samples_matrix(clique_ladder(PRIMARY_THREADS).replicates[1000.0])[:, 2]
     stat, p, _ = _ks_with_se(samples, derive_seed(MASTER, 50))
     ok = p > 0.01
     record_criterion("5a clique KS normality", ok, f"KS={stat:.4f} p={p:.2g}")
@@ -328,7 +325,7 @@ def test_criterion_5_clique_normality():
 
 
 def test_criterion_5_tree_normality():
-    samples = tree_ladder(PRIMARY_THREADS).samples[512.0][:, 0]
+    samples = samples_matrix(tree_ladder(PRIMARY_THREADS).replicates[512.0])[:, 0]
     stat, p, _ = _ks_with_se(samples, derive_seed(MASTER, 51))
     ok = p > 0.01
     record_criterion("5b wedge KS normality", ok, f"KS={stat:.4f} p={p:.2g}")
@@ -342,7 +339,7 @@ def test_criterion_5_ks_trend():
     ladder = clique_ladder(PRIMARY_THREADS)
     stats = {}
     for i, n in enumerate((250.0, 500.0, 1000.0)):
-        samples = ladder.samples[n][:, 2]
+        samples = samples_matrix(ladder.replicates[n])[:, 2]
         stats[n] = _ks_with_se(samples, derive_seed(MASTER, 52, i))
     ok = True
     detail = []
@@ -361,7 +358,7 @@ def test_criterion_5_ks_trend():
 def test_criterion_6_covariance_consistency():
     start = time.perf_counter()
     sig = sigma_estimates(PRIMARY_THREADS)
-    ladder = clique_ladder(PRIMARY_THREADS).samples[1000.0]
+    ladder = samples_matrix(clique_ladder(PRIMARY_THREADS).replicates[1000.0])
     direct = sigma_direct_from_samples(ladder[:, 2], ladder[:, 2], 1000.0)
     palm33 = sig[(3, 3)]
     agree = abs(palm33.value - direct.value) <= 3.0 * math.hypot(
@@ -484,7 +481,7 @@ def test_block_pairwise_association_all_lags():
 
 
 def test_criterion_9_projection_normality():
-    matrix = clique_ladder(PRIMARY_THREADS).samples[1000.0]
+    matrix = samples_matrix(clique_ladder(PRIMARY_THREADS).replicates[1000.0])
     stds = np.column_stack([standardize(matrix[:, j]) for j in range(3)])
     failures = []
     for j, k in enumerate((1, 2, 3)):
@@ -521,11 +518,11 @@ def _digest(threads: int) -> list:
     prof_c, prof_t = moment_profiles(threads)
     lags, covs, ses, u_values = block_study(threads)
     parts: list = []
-    for n in sorted(cl.samples):
-        parts.append(cl.samples[n])
+    for n in sorted(cl.replicates):
+        parts.append(samples_matrix(cl.replicates[n]))
     parts += [np.asarray([(r.n, r.var_over_n, r.ci_lo, r.ci_hi) for r in cl.rows])]
-    for n in sorted(tr.samples):
-        parts.append(tr.samples[n])
+    for n in sorted(tr.replicates):
+        parts.append(samples_matrix(tr.replicates[n]))
     parts += [np.asarray([(r.n, r.var_over_n, r.ci_lo, r.ci_hi) for r in tr.rows])]
     parts += [ups, downs]
     for pair in sorted(sig):

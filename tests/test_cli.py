@@ -23,6 +23,7 @@ from adrcm.cli import (
     parse_config,
     render_config,
 )
+from adrcm.harness import MIN_TEST_SAMPLES, CliqueStatistic, ExperimentPlan, variance_scaling
 from adrcm.model import ModelParams
 from adrcm.theory import MomentProfile, lambda_up
 
@@ -279,6 +280,28 @@ def test_clt_mode_tiny_r_flags_insufficient(tmp_path):
     assert main(["clt", "--config", cfgp]) == 0
     summary = json.loads((out / "clt_summary.json").read_text())
     assert any("insufficient samples for KS" in note for note in summary["notes"])
+
+
+@pytest.mark.parametrize("r", [29, 30])
+def test_clt_reads_the_last_label_rows_of_variance_scaling(tmp_path, r):
+    out = tmp_path / "o"
+    body = _minimal("clt", f"k_list = 1,2\nr = {r}\nn_list = 20,40\nseed = 5\n", str(out))
+    assert main(["clt", "--config", _write_config(tmp_path, body)]) == 0
+    summary = json.loads((out / "clt_summary.json").read_text())
+    plan = ExperimentPlan(ModelParams(0.3, 1.0, 50.0), CliqueStatistic((1, 2)), r, 5, (20.0, 40.0))
+    rows = [row for row in variance_scaling(plan).rows if row.label == "cliques_k2"]
+    estimates = summary["estimates"]
+    assert estimates["var_over_n"] == {"%g" % row.n: row.var_over_n for row in rows}
+    if r < MIN_TEST_SAMPLES:
+        assert all(row.ci_lo is None and row.ci_hi is None for row in rows)
+        assert estimates["ci_lo"] == estimates["ci_hi"] == {}
+        assert summary["notes"] == [
+            f"insufficient samples for KS at n={n} (r={r})" for n in (20, 40)
+        ]
+    else:
+        assert estimates["ci_lo"] == {"%g" % row.n: row.ci_lo for row in rows}
+        assert estimates["ci_hi"] == {"%g" % row.n: row.ci_hi for row in rows}
+        assert summary["notes"] == []
 
 
 def test_clt_assert_fails_on_discrete_counts(tmp_path):
@@ -733,3 +756,14 @@ def test_python_m_adrcm_runs_from_a_checkout(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "o" / "sample_summary.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_rejected(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    cfgp = _write_config(tmp_path, _minimal("cliques", "k_list = 2\nr = 5\n", str(out)))
+    with pytest.raises(SystemExit) as err:
+        main(["cliques", "--config", cfgp, "--threads", threads])
+    assert err.value.code == 2
+    assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()

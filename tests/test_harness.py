@@ -11,11 +11,11 @@ from adrcm.harness import (
     CliqueStatistic,
     DegenerateSampleError,
     ExperimentPlan,
+    MIN_TEST_SAMPLES,
     ReplicateFailure,
     TreeStatistic,
     bootstrap_ci,
     ks_distance_normal,
-    poisson_chi_square,
     replicates_csv,
     run_block_replicates,
     run_replicates,
@@ -25,7 +25,11 @@ from adrcm.harness import (
     wasserstein1_distance_normal,
 )
 from adrcm.model import ModelParams, ParameterError, derive_seed
-from adrcm.trees import DirectedTreeSpec, tree_wedge
+from adrcm.trees import DirectedTreeSpec
+
+from oracles import bootstrap_ci_looped, poisson_chi_square, tree_wedge
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _plan(k_list=(1,), r=50, n=100.0, seed=7, gamma=0.3, beta=1.0, n_list=()):
@@ -190,18 +194,35 @@ def test_poisson_chi_square_rejects_overdispersed():
 # -- bootstrap and scaling -------------------------------------------------------------
 
 
+def _mean(a: np.ndarray) -> np.ndarray:
+    return np.mean(a, axis=-1)
+
+
 def test_bootstrap_ci_deterministic_and_covering():
     rng = np.random.default_rng(31)
     data = rng.normal(5.0, 2.0, size=400)
-    ci1 = bootstrap_ci(data, lambda a: float(np.mean(a)), seed=9)
-    ci2 = bootstrap_ci(data, lambda a: float(np.mean(a)), seed=9)
+    ci1 = bootstrap_ci(data, _mean, seed=9)
+    ci2 = bootstrap_ci(data, _mean, seed=9)
     assert ci1 == ci2
     assert ci1[0] < 5.0 < ci1[1]
 
 
+@pytest.mark.parametrize("size", [30, 31, 250, 251, 2000])
+def test_bootstrap_ci_equals_the_looped_bootstrap(size):
+    rng = np.random.default_rng(size)
+    # Heavy-tailed integers, like replicate counts.
+    data = np.floor(rng.pareto(1.5, size=size) * 100.0)
+    for vectorized, looped in (
+        (lambda a: np.var(a, axis=-1, ddof=1) / 250.0, lambda a: float(np.var(a, ddof=1) / 250.0)),
+        (_mean, lambda a: float(np.mean(a))),
+    ):
+        seed = derive_seed(11, size)
+        assert bootstrap_ci(data, vectorized, seed) == bootstrap_ci_looped(data, looped, seed)
+
+
 def test_variance_scaling_poisson_counts():
     plan = _plan(k_list=(1,), r=250, n_list=(50.0, 100.0), seed=13)
-    result = variance_scaling(plan, resamples=400)
+    result = variance_scaling(plan)
     assert len(result.rows) == 2
     for row in result.rows:
         assert row.ci_lo <= 1.0 <= row.ci_hi
@@ -210,7 +231,7 @@ def test_variance_scaling_poisson_counts():
 
 def test_variance_scaling_runs_the_ladder_in_one_pool(monkeypatch):
     plan = _plan(k_list=(1, 2), r=200, n_list=(20.0, 30.0, 40.0), seed=3)
-    serial = variance_scaling(plan, resamples=50)
+    serial = variance_scaling(plan)
     started = []
     init = ProcessPoolExecutor.__init__
 
@@ -219,22 +240,48 @@ def test_variance_scaling_runs_the_ladder_in_one_pool(monkeypatch):
         init(pool, *args, **kwargs)
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting)
-    parallel = variance_scaling(plan, threads=2, resamples=50)
+    parallel = variance_scaling(plan, threads=2)
     assert len(started) == 1
     assert parallel.rows == serial.rows
-    assert parallel.samples.keys() == serial.samples.keys()
+    assert list(serial.replicates) == list(plan.n_list)
     for j, n in enumerate(plan.n_list):
-        assert np.array_equal(parallel.samples[n], serial.samples[n])
+        assert np.array_equal(
+            samples_matrix(parallel.replicates[n]), samples_matrix(serial.replicates[n])
+        )
         # Length j replicates the plan on its torus under the master seed (1, j).
         sub = _plan(k_list=(1, 2), r=200, n=n, seed=derive_seed(3, 1, j))
-        assert np.array_equal(serial.samples[n], samples_matrix(run_replicates(sub)))
+        assert np.array_equal(
+            samples_matrix(serial.replicates[n]), samples_matrix(run_replicates(sub))
+        )
+
+
+def test_variance_scaling_rows_and_their_bootstrap_seeds():
+    plan = _plan(k_list=(1, 2), r=40, n_list=(30.0, 60.0), seed=5)
+    result = variance_scaling(plan)
+    assert [(row.n, row.label) for row in result.rows] == [
+        (n, label) for n in plan.n_list for label in ("cliques_k1", "cliques_k2")
+    ]
+    for row in result.rows:
+        i = plan.n_list.index(row.n)
+        j = ("cliques_k1", "cliques_k2").index(row.label)
+        col = samples_matrix(result.replicates[row.n])[:, j]
+        assert row.var_over_n == float(np.var(col, ddof=1) / row.n)
+        looped = bootstrap_ci_looped(
+            col, lambda a: float(np.var(a, ddof=1) / row.n), derive_seed(5, 2, i, j)
+        )
+        assert (row.ci_lo, row.ci_hi) == looped
 
 
 def test_variance_scaling_requires_ladder_and_replicates():
     with pytest.raises(ParameterError):
         variance_scaling(_plan(r=250, n_list=()))
-    with pytest.raises(ParameterError):
-        variance_scaling(_plan(r=50, n_list=(50.0, 100.0)))
+    # One length is a ladder; a CI needs MIN_TEST_SAMPLES replicates.
+    few = variance_scaling(_plan(r=MIN_TEST_SAMPLES - 1, n_list=(50.0,)))
+    assert len(few.rows) == 1
+    assert few.rows[0].ci_lo is None and few.rows[0].ci_hi is None
+    assert few.rows[0].var_over_n > 0.0
+    enough = variance_scaling(_plan(r=MIN_TEST_SAMPLES, n_list=(50.0,)))
+    assert enough.rows[0].ci_lo < enough.rows[0].var_over_n < enough.rows[0].ci_hi
 
 
 # -- blocks and serialization ---------------------------------------------------------------

@@ -18,7 +18,6 @@ from adrcm.model import (
     _transpose,
     _with_point,
     add_point,
-    config_from_csv,
     config_to_csv,
     connects,
     derive_seed,
@@ -474,7 +473,7 @@ def test_palm_up_mean_matches_intensity():
     assert abs(counts.mean() - lam) <= 3.0 * se
 
 
-# -- CSV round trip --------------------------------------------------------------
+# -- CSV export -------------------------------------------------------------------
 
 
 def test_csv_round_trip_exact():
@@ -482,26 +481,12 @@ def test_csv_round_trip_exact():
     cfg = sample_config(params, 123)
     buffer = io.StringIO()
     config_to_csv(cfg, buffer)
-    text = buffer.getvalue()
-    assert text.startswith("x,u\n")
-    assert len(text.strip().splitlines()) == len(cfg) + 1
-    back = config_from_csv(io.StringIO(text), params, seed=cfg.seed)
-    assert np.array_equal(back.positions, cfg.positions)
-    assert np.array_equal(back.marks, cfg.marks)
-
-
-def test_csv_rejects_bad_header():
-    params = ModelParams(0.3, 1.0, 10.0)
-    with pytest.raises(ParameterError):
-        config_from_csv(io.StringIO("a,b\n1,0.5\n"), params)
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_csv_rejects_non_finite_positions_and_marks(bad):
-    params = ModelParams(0.3, 1.0, 10.0)
-    for rows in (f"{bad},0.5\n1.0,0.5\n", f"1.0,0.5\n2.0,{bad}\n"):
-        with pytest.raises(ParameterError):
-            config_from_csv(io.StringIO("x,u\n" + rows), params)
+    header, *rows = buffer.getvalue().splitlines()
+    assert header == "x,u"
+    assert len(rows) == len(cfg)
+    back = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(back[:, 0], cfg.positions)
+    assert np.array_equal(back[:, 1], cfg.marks)
 
 
 def test_point_config_validation():
@@ -512,3 +497,8 @@ def test_point_config_validation():
         PointConfig(params, np.array([6.0]), np.array([0.5]), 0)
     with pytest.raises(ParameterError):
         PointConfig(params, np.array([1.0, 0.0]), np.array([0.5, 0.6]), 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="positions must be canonical"):
+            PointConfig(params, np.array([bad, 1.0]), np.array([0.5, 0.5]), 0)
+        with pytest.raises(ParameterError, match="marks must lie"):
+            PointConfig(params, np.array([1.0, 2.0]), np.array([0.5, bad]), 0)

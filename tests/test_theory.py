@@ -28,11 +28,14 @@ from adrcm.theory import (
     lambda_up,
     log_slope,
     neighborhood_counts,
-    sigma_direct_from_samples,
     sigma_palm,
     tree_root_moment_profile,
 )
-from adrcm.trees import DirectedTreeSpec, tree_path, tree_wedge, validate_tree
+from adrcm.trees import DirectedTreeSpec, validate_tree
+
+from oracles import sigma_direct_from_samples, tree_path, tree_wedge
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # -- neighborhood intensities -------------------------------------------------
@@ -101,7 +104,6 @@ def test_sigma_palm_singletons_near_one():
     # C_1(u) = 1 identically: only the mark floor separates the value from 1.
     assert est.components[1] == 0.0
     assert abs(est.value - 1.0) <= 3.0 * est.std_error + 2.0 * MARK_FLOOR
-    assert est.method == "palm-formula"
 
 
 def test_sigma_palm_regime_gate():
@@ -120,9 +122,9 @@ def test_sigma_palm_positive_small_budget():
 
 def test_sigma_estimate_validation():
     with pytest.raises(ParameterError):
-        SigmaEstimate(value=1.0, std_error=0.0, method="direct-covariance")
+        SigmaEstimate(value=1.0, std_error=0.0, components=(0.5, 0.5))
     with pytest.raises(ParameterError):
-        SigmaEstimate(value=1.0, std_error=0.1, method="palm-formula", components=(0.2, 0.2))
+        SigmaEstimate(value=1.0, std_error=0.1, components=(0.2, 0.2))
 
 
 def test_sigma_direct_poisson_counts():
@@ -133,7 +135,6 @@ def test_sigma_direct_poisson_counts():
         dtype=np.float64,
     )
     est = sigma_direct_from_samples(counts, counts, params.torus_length)
-    assert est.method == "direct-covariance"
     assert abs(est.value - 1.0) <= 4.0 * est.std_error
 
 

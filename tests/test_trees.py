@@ -19,10 +19,6 @@ from adrcm.trees import (
     d_in,
     lag_covariance_table,
     parse_tree_spec,
-    tree_edge,
-    tree_path,
-    tree_star,
-    tree_wedge,
     validate_tree,
 )
 from adrcm.model import derive_seed
@@ -35,6 +31,10 @@ from oracles import (
     lag_covariance_oracle,
     neighbors_oracle,
     random_config,
+    tree_edge,
+    tree_path,
+    tree_star,
+    tree_wedge,
 )
 
 MIXED_SPEC = validate_tree(DirectedTreeSpec(3, ((2, 1), (1, 3)), 1))
