@@ -497,8 +497,13 @@ def test_point_config_validation():
         PointConfig(params, np.array([6.0]), np.array([0.5]), 0)
     with pytest.raises(ParameterError):
         PointConfig(params, np.array([1.0, 0.0]), np.array([0.5, 0.6]), 0)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ParameterError, match="positions must be canonical"):
-            PointConfig(params, np.array([bad, 1.0]), np.array([0.5, 0.5]), 0)
-        with pytest.raises(ParameterError, match="marks must lie"):
-            PointConfig(params, np.array([1.0, 2.0]), np.array([0.5, bad]), 0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_point_config_rejects_non_finite_positions_and_marks(bad):
+    params = ModelParams(0.3, 1.0, 10.0)
+    value = float(bad)
+    with pytest.raises(ParameterError, match="positions must be canonical"):
+        PointConfig(params, np.array([value, 1.0]), np.array([0.5, 0.5]), 0)
+    with pytest.raises(ParameterError, match="marks must lie"):
+        PointConfig(params, np.array([1.0, 2.0]), np.array([0.5, value]), 0)
