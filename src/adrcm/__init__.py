@@ -5,7 +5,6 @@ from .model import (
     ModelParams,
     ParameterError,
     PointConfig,
-    add_point,
     config_to_csv,
     connects,
     derive_seed,

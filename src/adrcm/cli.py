@@ -11,6 +11,7 @@ import difflib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -242,10 +243,13 @@ def _validate(values: dict[str, str], errors: list[str], override_regime: bool) 
         errors.append(f"mode must be one of {', '.join(MODES)}; got {mode!r}" + _suggest(mode or "", MODES))
     if gamma is not None and not (0.0 < gamma < 1.0):
         errors.append(f"gamma must lie in (0, 1), got {gamma}")
-    if beta is not None and not beta > 0.0:
-        errors.append(f"beta must be positive, got {beta}")
-    if n is not None and not n > 0.0:
-        errors.append(f"n must be positive, got {n}")
+    # In-range conjunctions, so that NaN and inf fail too.
+    if beta is not None and not 0.0 < beta < math.inf:
+        errors.append(f"beta must be positive and finite, got {beta}")
+    if n is not None and not 0.0 < n < math.inf:
+        errors.append(f"n must be positive and finite, got {n}")
+    if any(not 0.0 < v < math.inf for v in n_list):
+        errors.append(f"n_list entries must be positive and finite, got {n_list}")
     if r is not None and r < 1:
         errors.append(f"r must be >= 1, got {r}")
     if k_list and any(k < 1 for k in k_list):

@@ -7,6 +7,10 @@ and it grows into (j+1)-cliques by the higher-mark neighbours of its last
 vertex that are adjacent to every earlier vertex, so each clique is listed
 exactly once, from its center (ordered listing after Chiba and Nishizeki).
 Counts are plain Python integers and therefore never wrap.
+
+Point-level counts take vertex indices of the configuration they are given.
+A Palm configuration holds its anchors, so a count at an extra point is a
+count at that anchor's index.
 """
 
 from __future__ import annotations
@@ -14,16 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (
-    MarkedPoint,
     ParameterError,
     PointConfig,
+    _check_index,
     _csr_contains,
     _csr_rows,
     _transpose,
-    _with_point,
     connects,
     neighborhood_adjacency,
-    wrap_position,
 )
 
 __all__ = [
@@ -69,16 +71,11 @@ def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
     return [len(level) for level in levels]
 
 
-def count_cliques_centered(config: PointConfig, p: MarkedPoint, k_max: int) -> list[int]:
-    """Cliques of every size 1..k_max whose lowest-mark vertex is p, from one listing.
-
-    p is inserted first when absent, which is the Palm evaluation of a count
-    at a deterministic extra point.
-    """
+def count_cliques_centered(config: PointConfig, i: int, k_max: int) -> list[int]:
+    """Cliques of every size 1..k_max whose lowest-mark vertex is vertex i, from one listing."""
     _check_k(k_max)
-    config, idx = _with_point(config, p)
-    levels = _clique_levels(neighborhood_adjacency(config), np.array([idx]), k_max)
-    return [len(level) for level in levels]
+    center = np.array([_check_index(config, i)])
+    return [len(level) for level in _clique_levels(neighborhood_adjacency(config), center, k_max)]
 
 
 def _through(config: PointConfig, members: list[int], k_max: int) -> list[int]:
@@ -100,69 +97,58 @@ def _through(config: PointConfig, members: list[int], k_max: int) -> list[int]:
     return counts
 
 
-def diff1_clique_upto(config: PointConfig, u: float, k_max: int) -> list[int]:
-    """Add-one differences of the k-clique counts for the extra point (0, u).
+def diff1_clique_upto(config: PointConfig, i: int, k_max: int) -> list[int]:
+    """Cliques of every size 1..k_max through vertex i, from one listing.
 
-    Entry k-1 is the number of k-cliques through (0, u) in the augmented
-    configuration, for every size 1..k_max from one listing and without a
-    full recount.  (0, u) is inserted when absent; a configuration that
-    already holds it, as a Palm configuration holds its anchors, gives the
-    difference of removing it.
+    Entry k-1 is the add-one difference of the k-clique count at vertex i:
+    the count with it less the count without it, found without a recount.
     """
     _check_k(k_max)
-    config, idx = _with_point(config, MarkedPoint(0.0, u))
-    return _through(config, [idx], k_max)
+    return _through(config, [_check_index(config, i)], k_max)
 
 
-def diff2_clique_upto(config: PointConfig, u: float, q: MarkedPoint, k_max: int) -> list[int]:
-    """Second-order differences: k-cliques containing both (0, u) and q.
+def diff2_clique_upto(config: PointConfig, i: int, j: int, k_max: int) -> list[int]:
+    """Cliques of every size 1..k_max through both vertices i and j, from one listing.
 
-    Entry k-1 equals the four-term count F(P+p+q) - F(P+p) - F(P+q) + F(P),
-    for every size 1..k_max from one listing.  Each added point is inserted
-    when absent, as in :func:`diff1_clique_upto`.
+    Entry k-1 equals the second-order difference F(P+x+y) - F(P+x) - F(P+y)
+    + F(P) of the k-clique count, with x and y vertices i and j and P the
+    configuration without them.
     """
     _check_k(k_max)
-    params = config.params
-    p0 = MarkedPoint(0.0, u)
-    q = MarkedPoint(wrap_position(q.x, params.torus_length), q.u)
-    if p0 == q:
-        raise ParameterError("the two added points must differ")
-    if k_max == 1 or not connects(p0, q, params):
+    i, j = _check_index(config, i), _check_index(config, j)
+    if i == j:
+        raise ParameterError(f"the two vertices must differ, got {i} twice")
+    if k_max == 1 or not connects(config.point(i), config.point(j), config.params):
         return [0] * k_max
-    config, _ = _with_point(config, q)
-    config, idx = _with_point(config, p0)
-    return _through(config, [idx, config.index_of(q)], k_max)
+    return _through(config, [i, j], k_max)
 
 
 def joint_clique_counts(
-    config: PointConfig, p: MarkedPoint, q: MarkedPoint, k: int, l: int
+    config: PointConfig, i: int, j: int, k: int, l: int
 ) -> tuple[int, int]:
-    """Intersecting (k-clique at p, l-clique at q) pairs, and distinct unions.
+    """Intersecting (k-clique at vertex i, l-clique at vertex j) pairs, and distinct unions.
 
     Returns ``(pairs, unions)`` where ``pairs`` counts ordered pairs (A, B)
-    with A a k-clique centered at p, B an l-clique centered at q and
+    with A a k-clique centered at i, B an l-clique centered at j and
     A and B sharing at least one point, while ``unions`` counts the distinct
     point sets A | B arising that way.
     """
     _check_k(k)
     _check_k(l)
-    p_idx = config.index_of(p)
-    q_idx = config.index_of(q)
-    if p_idx < 0 or q_idx < 0:
-        raise ParameterError("both query points must belong to the configuration")
-    if p_idx == q_idx:
-        raise ParameterError("query points must differ")
+    i, j = _check_index(config, i), _check_index(config, j)
+    if i == j:
+        raise ParameterError(f"the two vertices must differ, got {i} twice")
     graph = neighborhood_adjacency(config)
     up_degree = np.diff(graph[0])
-    if up_degree[p_idx] < k - 1 or up_degree[q_idx] < l - 1:
-        return 0, 0  # no clique at p or at q; most Palm samples stop here
-    rows_p = _clique_levels(graph, np.array([p_idx]), k)[k - 1]
-    rows_q = _clique_levels(graph, np.array([q_idx]), l)[l - 1]
+    if up_degree[i] < k - 1 or up_degree[j] < l - 1:
+        return 0, 0  # no clique at i or at j; most Palm samples stop here
+    rows_i = _clique_levels(graph, np.array([i]), k)[k - 1]
+    rows_j = _clique_levels(graph, np.array([j]), l)[l - 1]
     # One vertex-incidence row per clique; two cliques meet where these overlap.
-    inc_p = np.zeros((len(rows_p), len(config)), dtype=bool)
-    inc_q = np.zeros((len(rows_q), len(config)), dtype=bool)
-    inc_p[np.arange(len(rows_p))[:, None], rows_p] = True
-    inc_q[np.arange(len(rows_q))[:, None], rows_q] = True
-    meet_p, meet_q = np.nonzero(inc_p.astype(np.int64) @ inc_q.T.astype(np.int64))
-    unions = {row.tobytes() for row in inc_p[meet_p] | inc_q[meet_q]}
-    return int(meet_p.size), len(unions)
+    inc_i = np.zeros((len(rows_i), len(config)), dtype=bool)
+    inc_j = np.zeros((len(rows_j), len(config)), dtype=bool)
+    inc_i[np.arange(len(rows_i))[:, None], rows_i] = True
+    inc_j[np.arange(len(rows_j))[:, None], rows_j] = True
+    meet_i, meet_j = np.nonzero(inc_i.astype(np.int64) @ inc_j.T.astype(np.int64))
+    unions = {row.tobytes() for row in inc_i[meet_i] | inc_j[meet_j]}
+    return int(meet_i.size), len(unions)

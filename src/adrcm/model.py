@@ -12,6 +12,8 @@ Lower marks act as "older" nodes and collect heavy-tailed neighborhoods.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -27,7 +29,6 @@ __all__ = [
     "torus_dist",
     "wrap_position",
     "connects",
-    "add_point",
     "config_to_csv",
 ]
 
@@ -55,11 +56,11 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.beta > 0.0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
-        if not self.torus_length > 0.0:
+        if not 0.0 < self.beta < math.inf:
+            raise ParameterError(f"beta must be positive and finite, got {self.beta}")
+        if not 0.0 < self.torus_length < math.inf:
             raise ParameterError(
-                f"torus_length must be positive, got {self.torus_length}"
+                f"torus_length must be positive and finite, got {self.torus_length}"
             )
 
 
@@ -164,15 +165,6 @@ class PointConfig:
     def point(self, index: int) -> MarkedPoint:
         return MarkedPoint(float(self._xs[index]), float(self._us[index]))
 
-    def index_of(self, p: MarkedPoint) -> int:
-        """Index of an exactly matching point, or -1 if absent."""
-        lo = int(self._xs.searchsorted(p.x, side="left"))
-        hi = int(self._xs.searchsorted(p.x, side="right"))
-        for i in range(lo, hi):
-            if self._us[i] == p.u:
-                return i
-        return -1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointConfig):
             return NotImplemented
@@ -188,6 +180,17 @@ class PointConfig:
             f"PointConfig(n={self.params.torus_length}, points={len(self)}, "
             f"seed={self.seed})"
         )
+
+
+def _check_index(config: PointConfig, i: int) -> int:
+    """i as a vertex index of config; ParameterError outside 0..len(config)-1.
+
+    Without the check numpy would read -1 as the last point.
+    """
+    i = operator.index(i)
+    if not 0 <= i < len(config):
+        raise ParameterError(f"vertex index {i} outside 0..{len(config) - 1}")
+    return i
 
 
 def _draw(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,15 +232,16 @@ _REACH_SLACK = 1e-9
 
 def _palm_config(
     params: ModelParams, seed: int, anchors: list[MarkedPoint], hops: int
-) -> PointConfig:
+) -> tuple[PointConfig, list[int]]:
     """The anchors and the points of sample_config(params, seed) within hops graph steps of them.
 
-    The stream drawn is sample_config's, point for point; a point is kept
-    when the kernel connects it to an anchor or, for hops > 1, to a point
-    kept one step earlier.  A count that only sees points within hops steps
-    of the anchors is the same on this configuration as on the whole torus
-    with the anchors inserted by add_point, and far cheaper to build.  Like
-    add_point, it raises ParameterError when a drawn point equals an anchor.
+    Returns the configuration and the index of each anchor in it.  The
+    stream drawn is sample_config's, point for point; a point is kept when
+    the kernel connects it to an anchor or, for hops > 1, to a point kept one
+    step earlier.  A count that only sees points within hops steps of the
+    anchors is the same on this configuration as on the whole torus with the
+    anchors inserted, and far cheaper to build.  Raises ParameterError when
+    a drawn point or an earlier anchor equals an anchor.
     """
     xs, us = _draw(params, seed)
     n, g = params.torus_length, params.gamma
@@ -260,14 +264,16 @@ def _palm_config(
             reached += zip(xs[new].tolist(), us[new].tolist())
         frontier = reached
     xs, us = xs[keep], us[keep]
-    # Anchors follow the drawn points of equal position, as add_point
-    # places them.
+    # Appended last, the anchors follow the drawn points of equal position
+    # in the stable sort.
     for x, u in start:
         if ((xs == x) & (us == u)).any():
             raise ParameterError(f"duplicate point ({x}, {u}); marks must be distinct")
         xs, us = np.append(xs, x), np.append(us, u)
     order = np.argsort(xs, kind="stable")
-    return PointConfig(params, xs[order], us[order], seed)
+    # The inverse permutation maps each appended anchor to its sorted index.
+    anchor_indices = order.argsort()[order.size - len(start) :].tolist()
+    return PointConfig(params, xs[order], us[order], seed), anchor_indices
 
 
 def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
@@ -275,28 +281,6 @@ def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
     d = torus_dist(p.x, q.x, params.torus_length)
     u_min, u_max = (p.u, q.u) if p.u <= q.u else (q.u, p.u)
     return bool(d * u_min**params.gamma * u_max ** (1.0 - params.gamma) <= params.beta)
-
-
-def add_point(config: PointConfig, p: MarkedPoint) -> PointConfig:
-    """Return a new configuration with p inserted; the original is unchanged."""
-    params = config.params
-    x = wrap_position(p.x, params.torus_length)
-    if config.index_of(MarkedPoint(x, p.u)) >= 0:
-        raise ParameterError(f"duplicate point ({x}, {p.u}); marks must be distinct")
-    pos = int(config.positions.searchsorted(x, side="right"))
-    xs = np.concatenate((config.positions[:pos], [x], config.positions[pos:]))
-    us = np.concatenate((config.marks[:pos], [p.u], config.marks[pos:]))
-    return PointConfig(params, xs, us, config.seed)
-
-
-def _with_point(config: PointConfig, p: MarkedPoint) -> tuple[PointConfig, int]:
-    """The configuration with p inserted unless present, and p's index in it."""
-    p = MarkedPoint(wrap_position(p.x, config.params.torus_length), p.u)
-    idx = config.index_of(p)
-    if idx < 0:
-        config = add_point(config, p)
-        idx = config.index_of(p)
-    return config, idx
 
 
 # Below this many points every pair is a candidate edge.  On unit-density

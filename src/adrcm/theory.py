@@ -9,7 +9,8 @@ Each Palm task draws the whole torus from its seed, exactly as
 ``sample_config`` would, but counts on the neighbourhood of its anchors (the
 added points): the anchors and the drawn points within as many graph steps
 of them as the counted structure spans are kept, so every count equals its
-value on the whole torus with the anchors inserted.
+value on the whole torus with the anchors inserted.  Counts are taken at the
+anchors' vertex indices, which the restriction returns.
 """
 
 from __future__ import annotations
@@ -122,9 +123,8 @@ def _single_term_sample(base, k, l, floor_width, seed) -> float:
     # the seed, but only (0, u) and its neighbours are kept for the count.
     torus = max(floor_width, 4.0 * base.beta / u)
     params = ModelParams(base.gamma, base.beta, torus)
-    palm = MarkedPoint(0.0, u)
-    config = _palm_config(params, derive_seed(seed, 1), [palm], 1)
-    counts = count_cliques_centered(config, palm, max(k, l))
+    config, [i] = _palm_config(params, derive_seed(seed, 1), [MarkedPoint(0.0, u)], 1)
+    counts = count_cliques_centered(config, i, max(k, l))
     return float(counts[k - 1] * counts[l - 1])
 
 
@@ -137,10 +137,9 @@ def _joint_term_sample(base, k, l, half, floor_width, seed) -> tuple[float, floa
     reach = max(base.beta / u, abs(y) + base.beta / v)
     torus = max(floor_width, 4.0 * reach)
     params = ModelParams(base.gamma, base.beta, torus)
-    palm = MarkedPoint(0.0, u)
-    other = MarkedPoint(y, v)
-    config = _palm_config(params, derive_seed(seed, 1), [palm, other], 1)
-    pairs, unions = joint_clique_counts(config, palm, other, k, l)
+    anchors = [MarkedPoint(0.0, u), MarkedPoint(y, v)]
+    config, [i, j] = _palm_config(params, derive_seed(seed, 1), anchors, 1)
+    pairs, unions = joint_clique_counts(config, i, j, k, l)
     return float(pairs), float(unions), abs(y)
 
 
@@ -244,11 +243,9 @@ def sigma_palm(
 
 def _neighborhood_sample(args) -> tuple[int, int]:
     params, u, seed = args
-    palm = MarkedPoint(0.0, u)
-    config = _palm_config(params, seed, [palm], 1)
+    config, [i] = _palm_config(params, seed, [MarkedPoint(0.0, u)], 1)
     indptr, indices = neighborhood_adjacency(config)
-    idx = config.index_of(palm)
-    return int(indptr[idx + 1] - indptr[idx]), int(np.count_nonzero(indices == idx))
+    return int(indptr[i + 1] - indptr[i]), int(np.count_nonzero(indices == i))
 
 
 def neighborhood_counts(
@@ -274,7 +271,6 @@ class MomentProfile:
     moments: np.ndarray
     std_errors: np.ndarray
     power: float
-    label: str
 
     @property
     def slope(self) -> float:
@@ -322,13 +318,13 @@ def _diff_sample(args) -> np.ndarray:
     """Add-one (q None) or add-two difference counts of sizes 1..k0, powered."""
     params, u, q, k0, power, seed = args
     # q is an anchor too, so the configuration holds it and a q drawn as a
-    # point is refused.
+    # point, or equal to (0, u), is refused.
     anchors = [MarkedPoint(0.0, u)] + ([] if q is None else [q])
-    config = _palm_config(params, seed, anchors, 1)
+    config, indices = _palm_config(params, seed, anchors, 1)
     if q is None:
-        counts = diff1_clique_upto(config, u, k0)
+        counts = diff1_clique_upto(config, indices[0], k0)
     else:
-        counts = diff2_clique_upto(config, u, q, k0)
+        counts = diff2_clique_upto(config, *indices, k0)
     return np.asarray(counts, dtype=np.float64) ** power
 
 
@@ -339,8 +335,8 @@ def _tree_root_sample(args) -> int:
     depth = [0]
     for _, parent_slot, _ in _assignment_plan(spec):
         depth.append(depth[parent_slot] + 1)
-    root = MarkedPoint(0.0, u)
-    return d_in(_palm_config(params, seed, [root], max(depth)), root, spec)
+    config, [i] = _palm_config(params, seed, [MarkedPoint(0.0, u)], max(depth))
+    return d_in(config, i, spec)
 
 
 def _map_nodes(task_fn, tasks_per_node, threads) -> list[list]:
@@ -349,7 +345,7 @@ def _map_nodes(task_fn, tasks_per_node, threads) -> list[list]:
     return [list(islice(out, len(tasks))) for tasks in tasks_per_node]
 
 
-def _profile(samples_per_u, u_grid, power, label) -> MomentProfile:
+def _profile(samples_per_u, u_grid, power) -> MomentProfile:
     means = np.empty(len(u_grid))
     ses = np.empty(len(u_grid))
     for i, samples in enumerate(samples_per_u):
@@ -363,7 +359,6 @@ def _profile(samples_per_u, u_grid, power, label) -> MomentProfile:
         moments=means,
         std_errors=ses,
         power=power,
-        label=label,
     )
 
 
@@ -382,7 +377,7 @@ def clique_diff_moment_profile(
         for gi, u in enumerate(u_grid)
     ]
     samples = [[s[k - 1] for s in node] for node in _map_nodes(_diff_sample, tasks_per_u, threads)]
-    return _profile(samples, u_grid, power, f"diff1_k{k}")
+    return _profile(samples, u_grid, power)
 
 
 def tree_root_moment_profile(
@@ -399,7 +394,7 @@ def tree_root_moment_profile(
         [(params, float(u), spec, derive_seed(seed, 8, gi, i)) for i in range(replicates)]
         for gi, u in enumerate(u_grid)
     ]
-    return _profile(_map_nodes(_tree_root_sample, tasks_per_u, threads), u_grid, power, "tree_root")
+    return _profile(_map_nodes(_tree_root_sample, tasks_per_u, threads), u_grid, power)
 
 
 # -- difference-moment diagnostics ------------------------------------------

@@ -14,14 +14,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (
-    MarkedPoint,
     ModelParams,
     ParameterError,
     PointConfig,
+    _check_index,
     _csr_contains,
     _csr_rows,
     _transpose,
-    _with_point,
     neighborhood_adjacency,
 )
 
@@ -217,14 +216,12 @@ def _rooted(config: PointConfig, spec: DirectedTreeSpec, roots: np.ndarray) -> n
     return out
 
 
-def d_in(config: PointConfig, p: MarkedPoint, spec: DirectedTreeSpec) -> int:
-    """Injective homomorphisms of the tree with the root mapped to p.
+def d_in(config: PointConfig, i: int, spec: DirectedTreeSpec) -> int:
+    """Injective homomorphisms of the tree with the root mapped to vertex i.
 
-    p may be a member of the configuration or an external Palm point, which
-    is inserted first; the other tree vertices map to the other points.
+    The other tree vertices map to the other points.
     """
-    config, idx = _with_point(config, p)
-    return int(_rooted(config, spec, np.array([idx]))[0])
+    return int(_rooted(config, spec, np.array([_check_index(config, i)]))[0])
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)

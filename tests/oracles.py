@@ -2,9 +2,10 @@
 
 Everything here works from first principles on explicit point lists, so the
 package's CSR edge list, level-wise clique listing and tree embeddings are
-checked against plain O(N^2) / O(N^k) scans.  The standard tree specs and
-the statistical references at the end (the direct covariance estimate, the
-Poisson chi-square test and the looped bootstrap) are used by the tests only.
+checked against plain O(N^2) / O(N^k) scans.  Point insertion, the standard
+tree specs and the statistical references at the end (the direct covariance
+estimate, the Poisson chi-square test and the looped bootstrap) are used by
+the tests only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from adrcm.harness import MIN_TEST_SAMPLES, DegenerateSampleError
-from adrcm.model import MarkedPoint, ModelParams, ParameterError, PointConfig
+from adrcm.model import MarkedPoint, ModelParams, ParameterError, PointConfig, wrap_position
 from adrcm.trees import DirectedTreeSpec, validate_tree
 
 
@@ -25,6 +26,34 @@ def config_from_points(params: ModelParams, points, seed: int = 0) -> PointConfi
     us = np.asarray([p[1] for p in points], dtype=np.float64)
     order = np.argsort(xs, kind="stable")
     return PointConfig(params, xs[order], us[order], seed)
+
+
+def index_of(config: PointConfig, p: MarkedPoint) -> int:
+    """Index of the point equal to p, or -1 if absent."""
+    hits = np.flatnonzero((config.positions == p.x) & (config.marks == p.u))
+    return int(hits[0]) if hits.size else -1
+
+
+def add_point(config: PointConfig, p: MarkedPoint) -> tuple[PointConfig, int]:
+    """config with p inserted after the points of equal position, and p's index there.
+
+    The position wraps onto the torus first; a point already present is
+    refused, as marks must be distinct.
+    """
+    p = MarkedPoint(wrap_position(p.x, config.params.torus_length), p.u)
+    if index_of(config, p) >= 0:
+        raise ParameterError(f"duplicate point ({p.x}, {p.u}); marks must be distinct")
+    points = list(zip(config.positions.tolist(), config.marks.tolist())) + [(p.x, p.u)]
+    grown = config_from_points(config.params, points, config.seed)
+    return grown, index_of(grown, p)
+
+
+def add_points(config: PointConfig, points) -> tuple[PointConfig, list[int]]:
+    """config with the points inserted in order, and each one's index in the result."""
+    for p in points:
+        config, _ = add_point(config, p)
+    n = config.params.torus_length
+    return config, [index_of(config, MarkedPoint(wrap_position(p.x, n), p.u)) for p in points]
 
 
 def random_config(params: ModelParams, rng: np.random.Generator, max_points: int) -> PointConfig:

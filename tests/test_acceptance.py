@@ -46,6 +46,7 @@ from adrcm.trees import count_trees, d_in, lag_covariance_table
 
 from conftest import record_criterion
 from oracles import (
+    add_point,
     cliques_oracle,
     config_from_points,
     count_trees_oracle,
@@ -166,9 +167,7 @@ def test_criterion_1_clique_oracle_equivalence():
             continue
         checked += 1
         totals = count_cliques_upto(config, 4)
-        centered_upto = [
-            count_cliques_centered(config, config.point(i), 4) for i in range(len(config))
-        ]
+        centered_upto = [count_cliques_centered(config, i, 4) for i in range(len(config))]
         for k in (2, 3, 4):
             total, per_center = cliques_oracle(config, k)
             centered = {i: counts[k - 1] for i, counts in enumerate(centered_upto)}
@@ -221,11 +220,10 @@ def test_criterion_2_tree_oracle_equivalence():
             continue
         checked += 1
         u = 1.0 - float(rng.random())
+        augmented, root = add_point(config, MarkedPoint(0.0, u))
         for spec in specs.values():
             assert count_trees(config, spec) == count_trees_oracle(config, spec)
-            assert d_in(config, MarkedPoint(0.0, u), spec) == d_in_oracle(
-                config, (0.0, u), spec
-            )
+            assert d_in(augmented, root, spec) == d_in_oracle(config, (0.0, u), spec)
     # Hand-built wedge fixture: 7 geometric wedges, two orderings each.
     fixture = config_from_points(ModelParams(0.5, 1.0, 1000.0), FIGURE_FIXTURE)
     oracle_count = count_trees_oracle(fixture, specs["wedge"])

@@ -496,7 +496,7 @@ def test_moments_assert_fails_a_biased_wedge_profile(tmp_path, monkeypatch, caps
     def profile(params, spec, u_grid, replicates, power, seed, threads):
         law = np.array([lambda_up(u, params) ** 2 for u in u_grid])
         bias = np.array([1.0, 1.0, 1.0, 1.0, 1.05, 1.05])  # the two smallest marks
-        return MomentProfile(tuple(u_grid), law * bias, 0.01 * law, power, "tree_root")
+        return MomentProfile(tuple(u_grid), law * bias, 0.01 * law, power)
 
     monkeypatch.setattr(cli, "tree_root_moment_profile", profile)
     assert main(["moments", "--config", _wedge_moments_config(tmp_path), "--assert"]) == 1
@@ -702,6 +702,28 @@ def test_clt_rejects_n_list_entries_with_one_label(tmp_path, capsys, n_list):
     err = capsys.readouterr().err
     entries = ", ".join(repr(float(v)) for v in n_list.split(",") if float(v) < 17)
     assert f"config error: n_list entries {entries} share the output label n16" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, old, new, flags, message",
+    [
+        ("cliques", "n = 50", "n = inf", [], "n must be positive and finite, got inf"),
+        ("cliques", "", "", ["--n", "inf"], "n must be positive and finite, got inf"),
+        ("cliques", "beta = 1.0", "beta = inf", [], "beta must be positive and finite, got inf"),
+        ("clt", "n_list = 50", "n_list = inf", [], "n_list entries must be positive and finite, got (inf,)"),
+        ("clt", "n_list = 50", "n_list = 0,50", [], "n_list entries must be positive and finite, got (0.0, 50.0)"),
+        ("clt", "n_list = 50", "n_list = nan", [], "n_list entries must be positive and finite, got (nan,)"),
+    ],
+    ids=["n-inf", "n-flag-inf", "beta-inf", "n_list-inf", "n_list-zero", "n_list-nan"],
+)
+def test_lengths_must_be_positive_and_finite(tmp_path, capsys, mode, old, new, flags, message):
+    # An infinite torus once reached the sampler and exited 3; a zero one
+    # exited 2 with a message that named no config key.
+    out = tmp_path / "o"
+    body = _minimal(mode, "k_list = 2\nr = 5\nn_list = 50\n", str(out)).replace(old, new)
+    assert main([mode, "--config", _write_config(tmp_path, body)] + flags) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

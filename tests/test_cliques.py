@@ -14,22 +14,26 @@ from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
-    PointConfig,
-    add_point,
+    _palm_config,
     connects,
     sample_config,
     wrap_position,
 )
 
 from oracles import (
+    add_point,
+    add_points,
     centered_cliques_oracle,
     cliques_containing_oracle,
     cliques_oracle,
     config_from_points,
+    index_of,
     joint_cliques_oracle,
     neighbors_oracle,
     random_config,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _param_grid(rng):
@@ -39,7 +43,7 @@ def _param_grid(rng):
 
 
 def _per_center(cfg, k):
-    return {i: count_cliques_centered(cfg, cfg.point(i), k)[k - 1] for i in range(len(cfg))}
+    return {i: count_cliques_centered(cfg, i, k)[k - 1] for i in range(len(cfg))}
 
 
 def test_count_cliques_k1_is_point_count():
@@ -87,18 +91,52 @@ def test_count_cliques_upto_consistent():
 
 def test_invalid_k_rejected():
     cfg = sample_config(ModelParams(0.3, 1.0, 10.0), 0)
-    p, q = MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6)
+    both, (i, j) = add_points(cfg, [MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6)])
     with pytest.raises(ParameterError):
         count_cliques_upto(cfg, -2)
     with pytest.raises(ParameterError):
-        count_cliques_centered(cfg, p, 0)
+        count_cliques_centered(both, i, 0)
     with pytest.raises(ParameterError):
-        diff1_clique_upto(cfg, 0.5, 0)
+        diff1_clique_upto(both, i, 0)
     with pytest.raises(ParameterError):
-        diff2_clique_upto(cfg, 0.5, q, 0)
-    both = add_point(add_point(cfg, p), q)
+        diff2_clique_upto(both, i, j, 0)
     with pytest.raises(ParameterError):
-        joint_clique_counts(both, p, q, 0, 2)
+        joint_clique_counts(both, i, j, 0, 2)
+
+
+# -- vertex indices ----------------------------------------------------------------
+
+
+def _triangle():
+    """Three points, every pair connected: an unchecked index still counts something."""
+    cfg = config_from_points(ModelParams(0.3, 1.0, 10.0), [(0.0, 0.5), (0.5, 0.6), (1.0, 0.7)])
+    assert count_cliques_upto(cfg, 3) == [3, 3, 1]
+    return cfg
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_centered_rejects_an_index_outside_the_configuration(i):
+    with pytest.raises(ParameterError, match="outside 0..2"):
+        count_cliques_centered(_triangle(), i, 3)
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_diff1_rejects_an_index_outside_the_configuration(i):
+    with pytest.raises(ParameterError, match="outside 0..2"):
+        diff1_clique_upto(_triangle(), i, 3)
+
+
+@pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)])
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_diff2_rejects_indices_outside_the_configuration_or_equal(i, j, k_max):
+    with pytest.raises(ParameterError, match="outside 0..2|must differ"):
+        diff2_clique_upto(_triangle(), i, j, k_max)
+
+
+@pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)])
+def test_joint_rejects_indices_outside_the_configuration_or_equal(i, j):
+    with pytest.raises(ParameterError, match="outside 0..2|must differ"):
+        joint_clique_counts(_triangle(), i, j, 2, 2)
 
 
 # -- centered counts -------------------------------------------------------
@@ -108,11 +146,10 @@ def test_centered_k1_and_k2():
     rng = np.random.default_rng(31)
     params = ModelParams(0.3, 1.0, 20.0)
     cfg = random_config(params, rng, 25)
-    p = MarkedPoint(0.0, 0.4)
-    assert count_cliques_centered(cfg, p, 1) == [1]
-    aug = add_point(cfg, p)
-    ups, _ = neighbors_oracle(aug, p, member_index=aug.index_of(p))
-    assert count_cliques_centered(cfg, p, 2) == [1, len(ups)]
+    aug, i = add_point(cfg, MarkedPoint(0.0, 0.4))
+    assert count_cliques_centered(aug, i, 1) == [1]
+    ups, _ = neighbors_oracle(aug, aug.point(i), member_index=i)
+    assert count_cliques_centered(aug, i, 2) == [1, len(ups)]
 
 
 def test_centered_matches_oracle():
@@ -123,8 +160,8 @@ def test_centered_matches_oracle():
         if len(cfg) == 0:
             continue
         i = int(rng.integers(len(cfg)))
-        counts = count_cliques_centered(cfg, cfg.point(i), 3)
-        assert count_cliques_centered(cfg, cfg.point(i), 2) == counts[:2]
+        counts = count_cliques_centered(cfg, i, 3)
+        assert count_cliques_centered(cfg, i, 2) == counts[:2]
         for k in (2, 3):
             assert counts[k - 1] == len(centered_cliques_oracle(cfg, i, k))
 
@@ -134,23 +171,24 @@ def test_centered_palm_translation_invariance():
     params = ModelParams(0.3, 1.0, 16.0)
     cfg = random_config(params, rng, 25)
     u = 0.21
-    base = count_cliques_centered(cfg, MarkedPoint(0.0, u), 3)[2]
+    aug, i = add_point(cfg, MarkedPoint(0.0, u))
+    base = count_cliques_centered(aug, i, 3)[2]
     # translate every point by a constant and re-center the probe
     delta = 3.7
     pts = [
         (wrap_position(x + delta, params.torus_length), m)
         for x, m in zip(cfg.positions, cfg.marks)
     ]
-    moved = config_from_points(params, pts)
-    assert count_cliques_centered(moved, MarkedPoint(wrap_position(delta, 16.0), u), 3)[2] == base
+    moved, j = add_point(config_from_points(params, pts), MarkedPoint(delta, u))
+    assert count_cliques_centered(moved, j, 3)[2] == base
 
 
 # -- difference operators -----------------------------------------------------
 
 
 def test_diff1_empty_config_k1():
-    cfg = config_from_points(ModelParams(0.3, 1.0, 10.0), [])
-    assert diff1_clique_upto(cfg, 0.5, 1) == [1]
+    cfg, i = add_point(config_from_points(ModelParams(0.3, 1.0, 10.0), []), MarkedPoint(0.0, 0.5))
+    assert diff1_clique_upto(cfg, i, 1) == [1]
 
 
 def test_diff1_k2_is_degree():
@@ -158,14 +196,13 @@ def test_diff1_k2_is_degree():
     params = ModelParams(0.35, 1.0, 18.0)
     cfg = random_config(params, rng, 25)
     p = MarkedPoint(0.0, 0.6)
-    aug = add_point(cfg, p)
-    idx = aug.index_of(p)
+    aug, idx = add_point(cfg, p)
     degree = sum(
         1
         for j in range(len(aug))
         if j != idx and connects(aug.point(j), p, params)
     )
-    assert diff1_clique_upto(cfg, 0.6, 2) == [1, degree]
+    assert diff1_clique_upto(aug, idx, 2) == [1, degree]
 
 
 def test_diff1_matches_recount_difference():
@@ -174,11 +211,11 @@ def test_diff1_matches_recount_difference():
         params = _param_grid(rng)
         cfg = random_config(params, rng, 22)
         u = 1.0 - float(rng.random())
-        if cfg.index_of(MarkedPoint(0.0, u)) >= 0:
+        if index_of(cfg, MarkedPoint(0.0, u)) >= 0:
             continue
-        aug = add_point(cfg, MarkedPoint(0.0, u))
+        aug, i = add_point(cfg, MarkedPoint(0.0, u))
         recount = [a - b for a, b in zip(count_cliques_upto(aug, 3), count_cliques_upto(cfg, 3))]
-        assert diff1_clique_upto(cfg, u, 3) == recount
+        assert diff1_clique_upto(aug, i, 3) == recount
 
 
 def test_diff1_upto_matches_individual():
@@ -186,47 +223,57 @@ def test_diff1_upto_matches_individual():
     params = ModelParams(0.3, 1.0, 20.0)
     for _ in range(30):
         cfg = random_config(params, rng, 20)
-        u = 1.0 - float(rng.random())
-        vec = diff1_clique_upto(cfg, u, 4)
+        aug, i = add_point(cfg, MarkedPoint(0.0, 1.0 - float(rng.random())))
+        vec = diff1_clique_upto(aug, i, 4)
         for k in (1, 2, 3, 4):
-            assert diff1_clique_upto(cfg, u, k) == vec[:k]
+            assert diff1_clique_upto(aug, i, k) == vec[:k]
 
 
 def test_diff2_trivial_cases():
     rng = np.random.default_rng(3)
     params = ModelParams(0.3, 1.0, 30.0)
     cfg = random_config(params, rng, 15)
-    q_far = MarkedPoint(14.0, 0.999)
-    assert diff2_clique_upto(cfg, 0.998, q_far, 1) == [0]
+    both, (i, j) = add_points(cfg, [MarkedPoint(0.0, 0.998), MarkedPoint(14.0, 0.999)])
+    assert diff2_clique_upto(both, i, j, 1) == [0]
     # distance ~14 at marks near 1 cannot connect for beta = 1
-    assert diff2_clique_upto(cfg, 0.998, q_far, 3) == [0, 0, 0]
+    assert diff2_clique_upto(both, i, j, 3) == [0, 0, 0]
+
+
+def _without(cfg, *members):
+    """cfg less the given member indices."""
+    kept = [i for i in range(len(cfg)) if i not in members]
+    return config_from_points(cfg.params, list(zip(cfg.positions[kept], cfg.marks[kept])))
 
 
 def test_diff_counts_points_already_present_as_members():
-    # A configuration that already holds an added point, as a Palm
-    # configuration holds its anchors, gives the counts of the configuration
-    # without it.
+    # A configuration that already holds the added points, as a Palm
+    # configuration holds its anchors, gives at their indices the
+    # differences to the configuration without them.
     rng = np.random.default_rng(45)
     for _ in range(100):
         params = _param_grid(rng)
         cfg = random_config(params, rng, 18)
-        u = 1.0 - float(rng.random())
-        q = MarkedPoint(float(rng.uniform(-2.0, 2.0)), 1.0 - float(rng.random()))
-        with_p = add_point(cfg, MarkedPoint(0.0, u))
-        assert diff1_clique_upto(with_p, u, 4) == diff1_clique_upto(cfg, u, 4)
-        expected = diff2_clique_upto(cfg, u, q, 4)
-        for held in (with_p, add_point(cfg, q), add_point(with_p, q)):
-            assert diff2_clique_upto(held, u, q, 4) == expected
+        if len(cfg) < 2:
+            continue
+        i, j = (int(m) for m in rng.choice(len(cfg), size=2, replace=False))
+        full, no_i, no_j, neither = (
+            count_cliques_upto(c, 4)
+            for c in (cfg, _without(cfg, i), _without(cfg, j), _without(cfg, i, j))
+        )
+        assert diff1_clique_upto(cfg, i, 4) == [a - b for a, b in zip(full, no_i)]
+        four_term = [a - b - c + d for a, b, c, d in zip(full, no_j, no_i, neither)]
+        assert diff2_clique_upto(cfg, i, j, 4) == four_term
 
 
 def test_diff2_rejects_equal_added_points():
     params = ModelParams(0.3, 1.0, 10.0)
-    cfg = config_from_points(params, [(0.0, 0.5), (1.0, 0.6)])
+    cfg, i = add_point(config_from_points(params, [(0.0, 0.5), (1.0, 0.6)]), MarkedPoint(0.0, 0.7))
     # The same point added twice is not a pair, whatever its position's wrap.
-    with pytest.raises(ParameterError):
-        diff2_clique_upto(cfg, 0.7, MarkedPoint(0.0, 0.7), 3)
-    with pytest.raises(ParameterError):
-        diff2_clique_upto(cfg, 0.7, MarkedPoint(10.0, 0.7), 2)
+    for k_max in (2, 3):
+        with pytest.raises(ParameterError):
+            diff2_clique_upto(cfg, i, i, k_max)
+    with pytest.raises(ParameterError, match="duplicate point"):
+        _palm_config(params, 7, [MarkedPoint(0.0, 0.7), MarkedPoint(10.0, 0.7)], 1)
 
 
 def test_diff2_matches_four_term_recount():
@@ -239,14 +286,14 @@ def test_diff2_matches_four_term_recount():
         p0 = MarkedPoint(0.0, u)
         if u == q.u and q.x == 0.0:
             continue
-        if cfg.index_of(p0) >= 0 or cfg.index_of(MarkedPoint(wrap_position(q.x, params.torus_length), q.u)) >= 0:
+        if index_of(cfg, p0) >= 0 or index_of(cfg, MarkedPoint(wrap_position(q.x, params.torus_length), q.u)) >= 0:
             continue
-        with_p = add_point(cfg, p0)
-        with_q = add_point(cfg, q)
-        with_both = add_point(with_p, q)
+        with_p, _ = add_point(cfg, p0)
+        with_q, _ = add_point(cfg, q)
+        with_both, (i, j) = add_points(cfg, [p0, q])
         counts = [count_cliques_upto(c, 3) for c in (with_both, with_p, with_q, cfg)]
         four_term = [a - b - c + d for a, b, c, d in zip(*counts)]
-        assert diff2_clique_upto(cfg, u, q, 3) == four_term
+        assert diff2_clique_upto(with_both, i, j, 3) == four_term
 
 
 def test_diff2_symmetric_under_exchange():
@@ -258,17 +305,17 @@ def test_diff2_symmetric_under_exchange():
         q = MarkedPoint(float(rng.uniform(-3, 3)), 1.0 - float(rng.random()))
         if q.x == 0.0 and q.u == u:
             continue
-        direct = diff2_clique_upto(cfg, u, q, 3)
+        both, (i, j) = add_points(cfg, [MarkedPoint(0.0, u), q])
+        direct = diff2_clique_upto(both, i, j, 3)
         # translate so q sits at the origin; the old origin point moves to -q.x
         pts = [
             (wrap_position(x - q.x, params.torus_length), m)
             for x, m in zip(cfg.positions, cfg.marks)
         ]
-        moved = config_from_points(params, pts)
-        mirrored = diff2_clique_upto(
-            moved, q.u, MarkedPoint(wrap_position(-q.x, params.torus_length), u), 3
+        moved, (a, b) = add_points(
+            config_from_points(params, pts), [MarkedPoint(0.0, q.u), MarkedPoint(-q.x, u)]
         )
-        assert direct == mirrored
+        assert direct == diff2_clique_upto(moved, a, b, 3)
 
 
 def test_add_point_never_decreases_counts():
@@ -277,9 +324,10 @@ def test_add_point_never_decreases_counts():
     for _ in range(40):
         cfg = random_config(params, rng, 20)
         u = 1.0 - float(rng.random())
-        if cfg.index_of(MarkedPoint(0.0, u)) >= 0:
+        if index_of(cfg, MarkedPoint(0.0, u)) >= 0:
             continue
-        assert min(diff1_clique_upto(cfg, u, 3)) >= 0
+        aug, i = add_point(cfg, MarkedPoint(0.0, u))
+        assert min(diff1_clique_upto(aug, i, 3)) >= 0
 
 
 # -- joint counts ----------------------------------------------------------------
@@ -289,9 +337,8 @@ def test_joint_singletons_disjoint():
     rng = np.random.default_rng(10)
     params = ModelParams(0.3, 1.0, 12.0)
     cfg = random_config(params, rng, 10)
-    a = add_point(cfg, MarkedPoint(0.0, 0.5))
-    b = add_point(a, MarkedPoint(1.0, 0.6))
-    assert joint_clique_counts(b, MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6), 1, 1) == (0, 0)
+    both, (i, j) = add_points(cfg, [MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6)])
+    assert joint_clique_counts(both, i, j, 1, 1) == (0, 0)
 
 
 def test_joint_empty_config_no_edge():
@@ -299,7 +346,7 @@ def test_joint_empty_config_no_edge():
     cfg = config_from_points(params, [(0.0, 0.9), (19.0, 0.95)])
     p, q = cfg.point(0), cfg.point(1)
     assert not connects(p, q, params)
-    assert joint_clique_counts(cfg, p, q, 2, 2) == (0, 0)
+    assert joint_clique_counts(cfg, 0, 1, 2, 2) == (0, 0)
 
 
 def test_joint_matches_double_loop_oracle():
@@ -309,19 +356,19 @@ def test_joint_matches_double_loop_oracle():
         cfg = random_config(params, rng, 14)
         if len(cfg) < 2:
             continue
-        i, j = rng.choice(len(cfg), size=2, replace=False)
-        p, q = cfg.point(int(i)), cfg.point(int(j))
+        i, j = (int(m) for m in rng.choice(len(cfg), size=2, replace=False))
         for k, l in ((2, 2), (2, 3), (3, 3)):
-            expect = joint_cliques_oracle(cfg, int(i), int(j), k, l)
-            got = joint_clique_counts(cfg, p, q, k, l)
+            expect = joint_cliques_oracle(cfg, i, j, k, l)
+            got = joint_clique_counts(cfg, i, j, k, l)
             assert got == expect
 
 
 def test_joint_requires_membership():
     params = ModelParams(0.3, 1.0, 10.0)
     cfg = config_from_points(params, [(0.0, 0.5)])
+    # (2.0, 0.7) is not a member, so it has no index: 1 is past the end.
     with pytest.raises(ParameterError):
-        joint_clique_counts(cfg, MarkedPoint(0.0, 0.5), MarkedPoint(2.0, 0.7), 2, 2)
+        joint_clique_counts(cfg, 0, 1, 2, 2)
 
 
 # -- containment counts ---------------------------------------------------------
@@ -334,10 +381,9 @@ def test_containment_counts_match_subset_oracle():
         cfg = random_config(params, rng, 16)
         u = 1.0 - float(rng.random())
         p0 = MarkedPoint(0.0, u)
-        if cfg.index_of(p0) >= 0:
+        if index_of(cfg, p0) >= 0:
             continue
-        aug = add_point(cfg, p0)
-        idx = aug.index_of(p0)
-        diffs = diff1_clique_upto(cfg, u, 3)
+        aug, idx = add_point(cfg, p0)
+        diffs = diff1_clique_upto(aug, idx, 3)
         for k in (2, 3):
             assert diffs[k - 1] == cliques_containing_oracle(aug, (idx,), k)

@@ -16,8 +16,6 @@ from adrcm.model import (
     PointConfig,
     _palm_config,
     _transpose,
-    _with_point,
-    add_point,
     config_to_csv,
     connects,
     derive_seed,
@@ -28,7 +26,17 @@ from adrcm.model import (
 )
 from adrcm.theory import lambda_down, lambda_up
 
-from oracles import config_from_points, connected_oracle, neighbors_oracle, random_config
+from oracles import (
+    add_point,
+    add_points,
+    config_from_points,
+    connected_oracle,
+    index_of,
+    neighbors_oracle,
+    random_config,
+)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # -- parameters and points -------------------------------------------------
@@ -41,6 +49,20 @@ from oracles import config_from_points, connected_oracle, neighbors_oracle, rand
 def test_invalid_params_rejected(gamma, beta, n):
     with pytest.raises(ParameterError):
         ModelParams(gamma, beta, n)
+
+
+@pytest.mark.parametrize(
+    "beta,n,key",
+    [
+        (math.inf, 1.0, "beta"),
+        (math.nan, 1.0, "beta"),
+        (1.0, math.inf, "torus_length"),
+        (1.0, math.nan, "torus_length"),
+    ],
+)
+def test_non_finite_params_rejected(beta, n, key):
+    with pytest.raises(ParameterError, match=f"{key} must be positive and finite"):
+        ModelParams(0.3, beta, n)
 
 
 def test_invalid_mark_rejected():
@@ -174,11 +196,13 @@ def test_mark_ties_are_redrawn_in_both_samplers(monkeypatch):
     # one step further (2, 0.125) reaches (3, 0.5) and, across the seam,
     # (-4, 0.25).  The anchor itself is kept too.
     anchor = MarkedPoint(0.0, 0.5)
-    near = _palm_config(params, 7, [anchor], 1)
+    near, anchor_indices = _palm_config(params, 7, [anchor], 1)
     assert near.positions.tolist() == [-1.0, 0.0, 0.5, 2.0]
     assert near.marks.tolist() == [0.75, 0.5, 0.375, 0.125]
     assert near.seed == 7 and near.params == params
-    assert _palm_config(params, 7, [anchor], 2) == add_point(cfg, anchor)
+    assert anchor_indices == [1]
+    whole, i = add_point(cfg, anchor)
+    assert _palm_config(params, 7, [anchor], 2) == (whole, [i])
 
 
 def test_palm_config_rejects_a_drawn_point_equal_to_an_anchor(monkeypatch):
@@ -187,14 +211,16 @@ def test_palm_config_rejects_a_drawn_point_equal_to_an_anchor(monkeypatch):
     monkeypatch.setattr(model, "_draw", lambda params, seed: drawn)
     with pytest.raises(ParameterError, match="duplicate point"):
         _palm_config(params, 7, [MarkedPoint(2.0, 0.5)], 1)
-    # The anchor wraps onto the drawn point at -1, as add_point wraps it.
+    # The anchor wraps onto the drawn point at -1.
     with pytest.raises(ParameterError, match="duplicate point"):
         _palm_config(params, 7, [MarkedPoint(0.0, 0.3), MarkedPoint(9.0, 0.75)], 1)
     # Two equal anchors are refused as well.
     with pytest.raises(ParameterError, match="duplicate point"):
         _palm_config(params, 7, [MarkedPoint(0.0, 0.3), MarkedPoint(0.0, 0.3)], 1)
-    near = _palm_config(params, 7, [MarkedPoint(2.0, 0.4)], 1)
+    near, anchor_indices = _palm_config(params, 7, [MarkedPoint(2.0, 0.4)], 1)
+    # The anchor follows the drawn point of equal position.
     assert (near.positions.tolist(), near.marks.tolist()) == ([2.0, 2.0, 3.0], [0.5, 0.4, 0.25])
+    assert anchor_indices == [1]
 
 
 def _within_hops(cfg, anchors, hops):
@@ -232,49 +258,47 @@ def test_palm_config_keeps_the_points_within_hops(gamma, beta, n, anchors, hops)
     for i in range(8):
         seed = derive_seed(41, i)
         full = sample_config(params, seed)
-        near = _palm_config(params, seed, anchors, hops)
+        near, anchor_indices = _palm_config(params, seed, anchors, hops)
         expected = _within_hops(full, anchors, hops)
         kept = PointConfig(params, full.positions[expected], full.marks[expected], seed)
-        for a in anchors:
-            kept = add_point(kept, a)
+        kept, expected_indices = add_points(kept, anchors)
         assert near.positions.tolist() == kept.positions.tolist()
         assert near.marks.tolist() == kept.marks.tolist()
         assert near.seed == seed and near.params == params
+        assert anchor_indices == expected_indices
 
 
 # -- up and down rows of a point ------------------------------------------------
 
 
-def _up_down_rows(cfg, p):
-    """cfg with p inserted unless present, p's index there, and its up and down rows."""
-    aug, i = _with_point(cfg, p)
-    indptr, indices = neighborhood_adjacency(aug)
+def _up_down_rows(cfg, i):
+    """The up and down rows of vertex i, as lists."""
+    indptr, indices = neighborhood_adjacency(cfg)
     down_ptr, down_idx = _transpose(indptr, indices)
     ups = indices[indptr[i] : indptr[i + 1]].tolist()
-    return aug, i, ups, down_idx[down_ptr[i] : down_ptr[i + 1]].tolist()
+    return ups, down_idx[down_ptr[i] : down_ptr[i + 1]].tolist()
 
 
 def test_up_neighbors_empty_config():
     params = ModelParams(0.5, 1.0, 10.0)
-    cfg = config_from_points(params, [])
-    aug, i, ups, downs = _up_down_rows(cfg, MarkedPoint(0.0, 0.5))
-    assert (len(aug), i, ups, downs) == (1, 0, [], [])
+    aug, i = add_point(config_from_points(params, []), MarkedPoint(0.0, 0.5))
+    assert (len(aug), i, _up_down_rows(aug, i)) == (1, 0, ([], []))
 
 
 def test_up_neighbors_single_point_example():
     params = ModelParams(0.5, 1.0, 50.0)
     cfg = config_from_points(params, [(1.0, 0.64)])
-    _, i, ups, downs = _up_down_rows(cfg, MarkedPoint(0.0, 0.25))
-    assert (i, ups, downs) == (0, [1], [])
+    aug, i = add_point(cfg, MarkedPoint(0.0, 0.25))
+    assert (i, _up_down_rows(aug, i)) == (0, ([1], []))
 
 
 def test_down_neighbors_all_lower_mark():
     params = ModelParams(0.4, 1.2, 60.0)
     rng = np.random.default_rng(3)
     cfg = random_config(params, rng, 40)
-    aug, _, _, downs = _up_down_rows(cfg, MarkedPoint(0.0, 0.7))
-    for i in downs:
-        assert aug.marks[i] < 0.7
+    aug, i = add_point(cfg, MarkedPoint(0.0, 0.7))
+    for j in _up_down_rows(aug, i)[1]:
+        assert aug.marks[j] < 0.7
 
 
 def test_neighbor_queries_match_brute_force():
@@ -287,8 +311,8 @@ def test_neighbor_queries_match_brute_force():
         cfg = random_config(params, rng, 50)
         x = rng.uniform(-n / 2, n / 2)
         u = 1.0 - rng.random()
-        aug, i, ups, downs = _up_down_rows(cfg, MarkedPoint(x, u))
-        assert (ups, downs) == neighbors_oracle(aug, aug.point(i), member_index=i)
+        aug, i = add_point(cfg, MarkedPoint(x, u))
+        assert _up_down_rows(aug, i) == neighbors_oracle(aug, aug.point(i), member_index=i)
 
 
 def test_neighbors_of_member_point_match_brute_force():
@@ -299,9 +323,7 @@ def test_neighbors_of_member_point_match_brute_force():
         if len(cfg) == 0:
             continue
         i = int(rng.integers(len(cfg)))
-        aug, j, ups, downs = _up_down_rows(cfg, cfg.point(i))
-        assert aug is cfg and j == i
-        assert (ups, downs) == neighbors_oracle(cfg, cfg.point(i), member_index=i)
+        assert _up_down_rows(cfg, i) == neighbors_oracle(cfg, cfg.point(i), member_index=i)
 
 
 def test_up_down_partition_neighbors():
@@ -310,17 +332,18 @@ def test_up_down_partition_neighbors():
     for _ in range(50):
         cfg = random_config(params, rng, 40)
         p = MarkedPoint(float(rng.uniform(-12.5, 12.5)), 1.0 - float(rng.random()))
-        aug, i, ups, downs = _up_down_rows(cfg, p)
+        aug, i = add_point(cfg, p)
+        ups, downs = _up_down_rows(aug, i)
         assert not (set(ups) & set(downs))
-        o_ups, o_downs = neighbors_oracle(aug, p, member_index=i)
+        o_ups, o_downs = neighbors_oracle(aug, aug.point(i), member_index=i)
         assert set(ups) | set(downs) == set(o_ups) | set(o_downs)
 
 
 def test_tied_marks_split_by_index():
     params = ModelParams(0.5, 2.0, 10.0)
     cfg = config_from_points(params, [(-1.0, 0.5), (1.0, 0.5)])
-    assert _up_down_rows(cfg, cfg.point(0))[2:] == ([1], [])
-    assert _up_down_rows(cfg, cfg.point(1))[2:] == ([], [0])
+    assert _up_down_rows(cfg, 0) == ([1], [])
+    assert _up_down_rows(cfg, 1) == ([], [0])
 
 
 # -- CSR edge list -------------------------------------------------------------
@@ -388,14 +411,14 @@ def test_local_edge_list_matches_brute_force(monkeypatch):
         assert _csr_as_lists(*neighborhood_adjacency(tied)) == [[1, 2], [2], []]
 
 
-# -- add_point -----------------------------------------------------------------
+# -- add_point, the test oracle that inserts a point ------------------------------
 
 
 def test_add_point_to_empty():
     params = ModelParams(0.5, 1.0, 10.0)
     cfg = config_from_points(params, [])
-    grown = add_point(cfg, MarkedPoint(1.0, 0.5))
-    assert len(grown) == 1 and len(cfg) == 0
+    grown, i = add_point(cfg, MarkedPoint(1.0, 0.5))
+    assert len(grown) == 1 and len(cfg) == 0 and i == 0
 
 
 def test_add_point_duplicate_rejected():
@@ -412,14 +435,14 @@ def test_add_point_monotone_up_neighbors():
         cfg = random_config(params, rng, 25)
         if len(cfg) == 0:
             continue
-        probe = cfg.point(int(rng.integers(len(cfg))))
-        before = len(_up_down_rows(cfg, probe)[2])
+        probe = int(rng.integers(len(cfg)))
+        before = len(_up_down_rows(cfg, probe)[0])
         extra = MarkedPoint(float(rng.uniform(-10, 10)), 1.0 - float(rng.random()))
         try:
-            grown = add_point(cfg, extra)
+            grown, _ = add_point(cfg, extra)
         except ParameterError:
             continue
-        after = len(_up_down_rows(grown, probe)[2])
+        after = len(_up_down_rows(grown, index_of(grown, cfg.point(probe)))[0])
         assert before <= after <= before + 1
 
 
@@ -430,12 +453,11 @@ def test_add_point_down_neighbors_match_oracle():
         cfg = random_config(params, rng, 20)
         extra = MarkedPoint(float(rng.uniform(-7.5, 7.5)), 1.0 - float(rng.random()))
         try:
-            grown = add_point(cfg, extra)
+            grown, idx = add_point(cfg, extra)
         except ParameterError:
             continue
-        idx = grown.index_of(MarkedPoint(wrap_position(extra.x, 15.0), extra.u))
         _, downs = neighbors_oracle(grown, grown.point(idx), member_index=idx)
-        assert _up_down_rows(grown, grown.point(idx))[3] == downs
+        assert _up_down_rows(grown, idx)[1] == downs
 
 
 def test_config_arrays_immutable():
@@ -453,8 +475,8 @@ def test_palm_down_mean_matches_intensity():
     reps = 3000
     counts = np.empty(reps)
     for i in range(reps):
-        cfg = sample_config(params, derive_seed(31, i))
-        counts[i] = len(_up_down_rows(cfg, MarkedPoint(0.0, 0.37))[3])
+        aug, j = add_point(sample_config(params, derive_seed(31, i)), MarkedPoint(0.0, 0.37))
+        counts[i] = len(_up_down_rows(aug, j)[1])
     lam = lambda_down(params)
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - lam) <= 3.0 * se
@@ -466,8 +488,8 @@ def test_palm_up_mean_matches_intensity():
     reps = 3000
     counts = np.empty(reps)
     for i in range(reps):
-        cfg = sample_config(params, derive_seed(37, i))
-        counts[i] = len(_up_down_rows(cfg, MarkedPoint(0.0, u))[2])
+        aug, j = add_point(sample_config(params, derive_seed(37, i)), MarkedPoint(0.0, u))
+        counts[i] = len(_up_down_rows(aug, j)[0])
     lam = lambda_up(u, params)
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - lam) <= 3.0 * se

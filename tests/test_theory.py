@@ -13,7 +13,6 @@ from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
-    add_point,
     derive_seed,
     sample_config,
 )
@@ -33,7 +32,7 @@ from adrcm.theory import (
 )
 from adrcm.trees import DirectedTreeSpec, validate_tree
 
-from oracles import sigma_direct_from_samples, tree_path, tree_wedge
+from oracles import add_points, sigma_direct_from_samples, tree_path, tree_wedge
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -256,10 +255,7 @@ def test_sigma_palm_worker_independent_in_one_pool(monkeypatch):
 
 
 def _on_whole_torus(params, seed, anchors, hops):
-    config = sample_config(params, seed)
-    for anchor in anchors:
-        config = add_point(config, anchor)
-    return config
+    return add_points(sample_config(params, seed), anchors)
 
 
 def _restricted_and_whole(monkeypatch, task, items):
@@ -348,7 +344,7 @@ def test_tree_root_samples_count_the_same(monkeypatch):
 
 
 def test_palm_task_failure_names_its_seed(monkeypatch):
-    def broken(config, u, k_max):
+    def broken(config, i, k_max):
         raise RuntimeError("counter failed")
 
     monkeypatch.setattr(theory, "diff1_clique_upto", broken)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adrcm.cliques import count_cliques_upto
-from adrcm.model import MarkedPoint, ModelParams, ParameterError, add_point, sample_config
+from adrcm.model import MarkedPoint, ModelParams, ParameterError, sample_config
 import adrcm.trees as trees
 from adrcm.trees import (
     BlockSums,
@@ -24,6 +24,7 @@ from adrcm.trees import (
 from adrcm.model import derive_seed
 
 from oracles import (
+    add_point,
     config_from_points,
     count_trees_oracle,
     cox_grimmett_oracle,
@@ -38,6 +39,8 @@ from oracles import (
 )
 
 MIXED_SPEC = validate_tree(DirectedTreeSpec(3, ((2, 1), (1, 3)), 1))
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # -- validation ----------------------------------------------------------------
@@ -147,7 +150,8 @@ def test_d_in_wedge_is_ordered_pairs():
         cfg = random_config(params, rng, 25)
         p = MarkedPoint(0.0, 0.3)
         n_up = len(neighbors_oracle(cfg, p)[0])
-        assert d_in(cfg, p, tree_wedge()) == n_up * (n_up - 1)
+        aug, i = add_point(cfg, p)
+        assert d_in(aug, i, tree_wedge()) == n_up * (n_up - 1)
 
 
 def test_d_in_single_edge_is_up_degree():
@@ -155,7 +159,8 @@ def test_d_in_single_edge_is_up_degree():
     params = ModelParams(0.4, 0.8, 25.0)
     cfg = random_config(params, rng, 30)
     p = MarkedPoint(0.0, 0.5)
-    assert d_in(cfg, p, tree_edge()) == len(neighbors_oracle(cfg, p)[0])
+    aug, i = add_point(cfg, p)
+    assert d_in(aug, i, tree_edge()) == len(neighbors_oracle(cfg, p)[0])
 
 
 @pytest.mark.parametrize(
@@ -171,8 +176,8 @@ def test_d_in_matches_backtracking_oracle(spec):
         )
         cfg = random_config(params, rng, 12)
         u = 1.0 - float(rng.random())
-        p = MarkedPoint(0.0, u)
-        assert d_in(cfg, p, spec) == d_in_oracle(cfg, (0.0, u), spec)
+        aug, i = add_point(cfg, MarkedPoint(0.0, u))
+        assert d_in(aug, i, spec) == d_in_oracle(cfg, (0.0, u), spec)
 
 
 def test_d_in_member_root_matches_oracle():
@@ -185,9 +190,16 @@ def test_d_in_member_root_matches_oracle():
         i = int(rng.integers(len(cfg)))
         p = cfg.point(i)
         for spec in (tree_wedge(), tree_path(3), MIXED_SPEC):
-            assert d_in(cfg, p, spec) == d_in_oracle(
+            assert d_in(cfg, i, spec) == d_in_oracle(
                 cfg, (p.x, p.u), spec, member_index=i
             )
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_d_in_rejects_an_index_outside_the_configuration(i):
+    cfg = config_from_points(ModelParams(0.5, 1.0, 8.0), [(-0.5, 0.2), (-0.4, 0.6), (-0.3, 0.7)])
+    with pytest.raises(ParameterError, match="outside 0..2"):
+        d_in(cfg, i, tree_wedge())
 
 
 # Root 1 with a down step 1 -> 2, a second down step 2 -> 3 from a non-root
@@ -253,7 +265,7 @@ def test_homomorphism_monotone_under_add_point():
         before = count_trees(cfg, tree_wedge())
         extra = MarkedPoint(float(rng.uniform(-7, 7)), 1.0 - float(rng.random()))
         try:
-            grown = add_point(cfg, extra)
+            grown, _ = add_point(cfg, extra)
         except ParameterError:
             continue
         assert count_trees(grown, tree_wedge()) >= before
@@ -283,11 +295,8 @@ def test_block_sums_single_point_placement():
     # shifted coordinate x + 4 in [3, 4) -> block index 3
     cfg = config_from_points(params, [(-0.5, 0.2), (-0.4, 0.6), (-0.3, 0.7)])
     bs = block_sums(cfg, tree_wedge())
-    root = cfg.index_of(MarkedPoint(-0.5, 0.2))
     assert bs.values[3] == bs.total
-    assert bs.values[3] == d_in(cfg, cfg.point(root), tree_wedge()) + d_in(
-        cfg, cfg.point(cfg.index_of(MarkedPoint(-0.4, 0.6))), tree_wedge()
-    ) + d_in(cfg, cfg.point(cfg.index_of(MarkedPoint(-0.3, 0.7))), tree_wedge())
+    assert bs.values[3] == sum(d_in(cfg, i, tree_wedge()) for i in range(len(cfg)))
 
 
 def test_block_sums_requires_integer_length():
