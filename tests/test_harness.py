@@ -29,8 +29,6 @@ from adrcm.trees import DirectedTreeSpec
 
 from oracles import bootstrap_ci_looped, poisson_chi_square, tree_wedge
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _plan(k_list=(1,), r=50, n=100.0, seed=7, gamma=0.3, beta=1.0, n_list=()):
     return ExperimentPlan(

@@ -36,8 +36,6 @@ from oracles import (
     random_config,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # -- parameters and points -------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,8 +34,6 @@ from adrcm.theory import (
 from adrcm.trees import DirectedTreeSpec, validate_tree
 
 from oracles import add_points, sigma_direct_from_samples, tree_path, tree_wedge
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # -- neighborhood intensities -------------------------------------------------
@@ -216,39 +215,41 @@ def _count_pools(monkeypatch) -> list[int]:
     return started
 
 
-def test_gamma_diagnostics_worker_independent_in_one_pool(monkeypatch):
-    params = ModelParams(0.3, 1.0, 16.0)
-    serial = gamma_diagnostics(params, eta=1.2, mc_budget=600, seed=4, k0=2)
+# Each Palm estimator at small inputs, by the worker count it runs with.
+_PALM_ESTIMATORS = {
+    "sigma_palm": lambda threads: sigma_palm(
+        ModelParams(0.3, 1.0, 100.0), 2, 3, mc_budget=80, seed=8, threads=threads
+    ),
+    "clique_diff_moment_profile": lambda threads: clique_diff_moment_profile(
+        ModelParams(0.3, 1.0, 64.0), 3, (0.3, 0.1), replicates=40, power=1.37, seed=2,
+        threads=threads,
+    ),
+    "tree_root_moment_profile": lambda threads: tree_root_moment_profile(
+        ModelParams(0.1, 1.0, 64.0), tree_path(3), (0.3, 0.1), replicates=40, power=1.37,
+        seed=3, threads=threads,
+    ),
+    "neighborhood_counts": lambda threads: neighborhood_counts(
+        ModelParams(0.3, 1.0, 100.0), 0.05, 60, seed=4, threads=threads
+    ),
+    "gamma_diagnostics": lambda threads: gamma_diagnostics(
+        ModelParams(0.3, 1.0, 16.0), eta=1.2, mc_budget=600, seed=4, k0=2, threads=threads
+    ),
+}
+
+
+def _numbers(result):
+    """Every field of an estimator's result, with arrays as lists."""
+    fields = enumerate(result) if isinstance(result, tuple) else vars(result).items()
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in fields}
+
+
+@pytest.mark.parametrize("name", sorted(_PALM_ESTIMATORS))
+def test_palm_estimator_worker_independent_in_one_pool(monkeypatch, name):
+    serial = _numbers(_PALM_ESTIMATORS[name](1))
     started = _count_pools(monkeypatch)
-    parallel = gamma_diagnostics(params, eta=1.2, mc_budget=600, seed=4, k0=2, threads=2)
+    parallel = _numbers(_PALM_ESTIMATORS[name](2))
     assert len(started) == 1
-    fields = ("gamma1", "gamma2", "gamma3", "se1", "se2", "se3")
-    assert [getattr(parallel, f) for f in fields] == [getattr(serial, f) for f in fields]
-    assert parallel.details == serial.details
-
-
-def test_moment_profile_worker_independent_in_one_pool(monkeypatch):
-    params = ModelParams(0.3, 1.0, 64.0)
-    serial = clique_diff_moment_profile(params, 3, (0.3, 0.1), replicates=40, power=1.37, seed=2)
-    started = _count_pools(monkeypatch)
-    parallel = clique_diff_moment_profile(
-        params, 3, (0.3, 0.1), replicates=40, power=1.37, seed=2, threads=2
-    )
-    assert len(started) == 1
-    assert parallel.moments.tolist() == serial.moments.tolist()
-    assert parallel.std_errors.tolist() == serial.std_errors.tolist()
-
-
-def test_sigma_palm_worker_independent_in_one_pool(monkeypatch):
-    params = ModelParams(0.3, 1.0, 100.0)
-    serial = sigma_palm(params, 2, 3, mc_budget=80, seed=8)
-    started = _count_pools(monkeypatch)
-    parallel = sigma_palm(params, 2, 3, mc_budget=80, seed=8, threads=2)
-    assert len(started) == 1
-    assert (parallel.value, parallel.std_error, parallel.components) == (
-        serial.value, serial.std_error, serial.components
-    )
-    assert parallel.details == serial.details
+    assert parallel == serial
 
 
 # -- Palm restriction: the same counts as on the whole torus -------------------------
@@ -258,11 +259,11 @@ def _on_whole_torus(params, seed, anchors, hops):
     return add_points(sample_config(params, seed), anchors)
 
 
-def _restricted_and_whole(monkeypatch, task, items):
-    restricted = [task(item) for item in items]
+def _restricted_and_whole(monkeypatch, tasks):
+    restricted = [theory._palm_sample(task) for task in tasks]
     with monkeypatch.context() as m:
         m.setattr(theory, "_palm_config", _on_whole_torus)
-        whole = [task(item) for item in items]
+        whole = [theory._palm_sample(task) for task in tasks]
     return restricted, whole
 
 
@@ -282,21 +283,34 @@ def test_sigma_terms_count_the_same_on_the_palm_neighbourhood(monkeypatch):
     items += [(base, 3, 3, half, 8.0, s) for half in (4.0, 200.0) for s in seeds]
     items += [(base, 2, 3, 4.0, 8.0, s) for s in seeds[:40]]
     items += [(base, 2, 2, 30.0, 8.0, derive_seed(51, i)) for i in range(400)]
-    restricted, whole = _restricted_and_whole(monkeypatch, theory._sigma_sample, items)
+    tasks = [
+        theory._sigma_task(
+            base,
+            partial(theory._centered_product if half is None else theory.joint_clique_counts,
+                    k=k, l=l),
+            half, floor_width, s,
+        )
+        for base, k, l, half, floor_width, s in items
+    ]
+    restricted, whole = _restricted_and_whole(monkeypatch, tasks)
     assert restricted == whole
     counts = [out[0] if isinstance(out, tuple) else out for out in restricted]
     assert sum(1 for c in counts if c > 0) > 100
-    assert any(isinstance(out, tuple) and out[0] > 0 and out[2] > 10.0 for out in restricted)
+    # A joint count with the second point more than 10 from the first.
+    assert any(
+        isinstance(out, tuple) and out[0] > 0 and abs(anchors[1].x) > 10.0
+        for out, (_, _, anchors, _, _) in zip(restricted, tasks)
+    )
 
 
 def test_neighbourhood_and_diff_samples_count_the_same(monkeypatch):
-    items = [
-        (params, u, derive_seed(53, i))
+    tasks = [
+        (theory._up_down_degrees, params, [MarkedPoint(0.0, u)], 1, derive_seed(53, i))
         for params in (ModelParams(0.3, 0.5, 1000.0), ModelParams(0.3, 1.0, 32.0))
         for u in (MARK_FLOOR, 0.01, 0.1, 0.9)
         for i in range(10)
     ]
-    restricted, whole = _restricted_and_whole(monkeypatch, theory._neighborhood_sample, items)
+    restricted, whole = _restricted_and_whole(monkeypatch, tasks)
     assert restricted == whole
 
     params = ModelParams(0.3, 1.0, 64.0)
@@ -317,7 +331,16 @@ def test_neighbourhood_and_diff_samples_count_the_same(monkeypatch):
     ]
     items += [(ModelParams(0.3, 1.0, 16.0), 0.0625, q, 3, 2.4, derive_seed(55, i))
               for q in qs[:2] for i in range(20)]
-    restricted, whole = _restricted_and_whole(monkeypatch, theory._diff_sample, items)
+    # q is an anchor too; without one the task counts the add-one difference.
+    tasks = [
+        (partial(theory.diff1_clique_upto if q is None else theory.diff2_clique_upto, k_max=k0),
+         params, [MarkedPoint(0.0, u)] + ([] if q is None else [q]), 1, seed)
+        for params, u, q, k0, _, seed in items
+    ]
+    restricted, whole = (
+        [np.asarray(out, dtype=np.float64) ** item[4] for out, item in zip(outs, items)]
+        for outs in _restricted_and_whole(monkeypatch, tasks)
+    )
     assert all(a.tolist() == b.tolist() for a, b in zip(restricted, whole))
     assert sum(1 for a in restricted if a[2:].any()) > 20
 
@@ -331,24 +354,61 @@ def test_tree_root_samples_count_the_same(monkeypatch):
         validate_tree(DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1)),  # down, down
         validate_tree(DirectedTreeSpec(4, ((1, 2), (3, 2), (4, 3)), 1)),  # depth 3
     ]
-    items = [
-        (params, u, spec, derive_seed(56, i))
+    tasks = [
+        (partial(theory.d_in, spec=spec), params, [MarkedPoint(0.0, u)], theory._tree_depth(spec),
+         derive_seed(56, i))
         for params in (ModelParams(0.1, 1.0, 64.0), ModelParams(0.3, 1.0, 32.0))
         for u in (MARK_FLOOR, 0.01, 0.3, 0.9)
         for spec in specs
         for i in range(5)
     ]
-    restricted, whole = _restricted_and_whole(monkeypatch, theory._tree_root_sample, items)
+    restricted, whole = _restricted_and_whole(monkeypatch, tasks)
     assert restricted == whole
     assert sum(1 for out in restricted if out > 0) > 100
 
 
 def test_palm_task_failure_names_its_seed(monkeypatch):
-    def broken(config, i, k_max):
+    def broken(*args, **kwargs):
         raise RuntimeError("counter failed")
 
-    monkeypatch.setattr(theory, "diff1_clique_upto", broken)
-    with pytest.raises(ReplicateFailure) as err:
-        clique_diff_moment_profile(ModelParams(0.3, 1.0, 64.0), 3, (0.3, 0.1), replicates=4, seed=4)
-    assert err.value.seed == derive_seed(4, 7, 0, 0)
-    assert "counter failed" in str(err.value)
+    params = ModelParams(0.3, 1.0, 64.0)
+    # (counter that fails, estimator, seed of the first task's configuration)
+    cases = [
+        ("diff1_clique_upto",
+         lambda: clique_diff_moment_profile(params, 3, (0.3, 0.1), replicates=4, seed=4),
+         derive_seed(4, 7, 0, 0)),
+        ("count_cliques_centered",
+         lambda: sigma_palm(params, 3, 3, mc_budget=8, seed=4),
+         derive_seed(derive_seed(4, 1, 0), 1)),
+        ("d_in",
+         lambda: tree_root_moment_profile(params, tree_wedge(), (0.3, 0.1), replicates=4, seed=4),
+         derive_seed(4, 8, 0, 0)),
+    ]
+    for counter, estimate, seed in cases:
+        with monkeypatch.context() as m:
+            m.setattr(theory, counter, broken)
+            with pytest.raises(ReplicateFailure) as err:
+                estimate()
+        assert err.value.seed == seed, counter
+        assert "counter failed" in str(err.value)
+
+
+def test_palm_estimators_check_marks_before_any_task_runs(monkeypatch):
+    def no_dispatch(*args):
+        raise AssertionError("a task was dispatched")
+
+    monkeypatch.setattr(theory, "parallel_map", no_dispatch)
+    params = ModelParams(0.3, 1.0, 64.0)
+    with pytest.raises(ParameterError, match="mark must lie in"):
+        clique_diff_moment_profile(params, 3, (0.3, 1.5), 4)
+    with pytest.raises(ParameterError, match="mark must lie in"):
+        neighborhood_counts(params, 0.0, 3)
+
+
+@pytest.mark.parametrize("replicates", [0, 1])
+def test_moment_profiles_need_two_replicates(replicates):
+    params = ModelParams(0.1, 1.0, 64.0)
+    with pytest.raises(ParameterError, match="2 replicates or more"):
+        clique_diff_moment_profile(params, 3, (0.3, 0.1), replicates)
+    with pytest.raises(ParameterError, match="2 replicates or more"):
+        tree_root_moment_profile(params, tree_wedge(), (0.3, 0.1), replicates)

@@ -40,8 +40,6 @@ from oracles import (
 
 MIXED_SPEC = validate_tree(DirectedTreeSpec(3, ((2, 1), (1, 3)), 1))
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # -- validation ----------------------------------------------------------------
 
