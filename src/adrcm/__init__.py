@@ -20,7 +20,6 @@ from .trees import (
     count_trees,
     d_in,
     parse_tree_spec,
-    validate_tree,
 )
 from .theory import (
     RegimeError,

@@ -43,5 +43,6 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> 
     if threads <= 1 or len(items) <= 1:
         return [call(item) for item in items]
     chunk = max(1, len(items) // (8 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # A fork-based pool starts all its workers at the first submit.
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(call, items, chunksize=chunk))

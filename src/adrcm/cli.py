@@ -24,6 +24,7 @@ from scipy import special
 
 from .harness import (
     CliqueStatistic,
+    DegenerateSampleError,
     ExperimentPlan,
     TreeStatistic,
     ks_distance_normal,
@@ -263,8 +264,9 @@ def _validate(values: dict[str, str], errors: list[str], override_regime: bool) 
             errors.append(f"tree_file {tree_file!r} does not exist")
         else:
             try:
-                with open(tree_file, encoding="utf-8") as handle:
-                    leaves = parse_tree_spec(handle.read()).leaf_count
+                leaves = parse_tree_spec(_read_text(tree_file, "tree_file")).leaf_count
+            except ParameterError as exc:
+                errors.append(str(exc))
             except TreeSpecError as exc:
                 errors.append(f"tree_file {tree_file!r}: {exc}")
 
@@ -317,6 +319,16 @@ def _validate(values: dict[str, str], errors: list[str], override_regime: bool) 
         directory=directory,
         formats=formats,
     )
+
+
+def _read_text(path: str, name: str) -> str:
+    """The UTF-8 text of the input file given as name; raises ParameterError naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ParameterError(f"{name} {path!r} cannot be read: {reason}") from None
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -413,8 +425,7 @@ _ModeOutput = tuple[str, dict, dict[str, str], str | None]
 
 def _tree_spec(cfg: RunConfig):
     assert cfg.tree_file is not None
-    with open(cfg.tree_file, encoding="utf-8") as handle:
-        spec = parse_tree_spec(handle.read())
+    spec = parse_tree_spec(_read_text(cfg.tree_file, "tree_file"))
     if spec.root_degree_one:
         print(
             "note: the root has skeleton degree one; it is not counted as a leaf"
@@ -470,6 +481,7 @@ def _mode_clt(cfg: RunConfig, threads: int) -> _ModeOutput:
     p_values: dict = {"ks": {}}
     files: dict = {}
     csv_files: dict[str, str] = {}
+    failures: list[str] = []
     failed = False
     plan = ExperimentPlan(cfg.params, statistic, cfg.r, cfg.seed, cfg.n_list)
     scaling = variance_scaling(plan, threads)
@@ -479,13 +491,18 @@ def _mode_clt(cfg: RunConfig, threads: int) -> _ModeOutput:
         estimates["var_over_n"][key] = row.var_over_n
         if row.ci_lo is not None:
             estimates["ci_lo"][key], estimates["ci_hi"][key] = row.ci_lo, row.ci_hi
-            std = standardize(samples_matrix(results)[:, -1])
-            ks_stat, ks_p = ks_distance_normal(std)
-            test_statistics["ks"][key] = ks_stat
-            test_statistics["w1"][key] = wasserstein1_distance_normal(std)
-            p_values["ks"][key] = ks_p
-            if ks_p <= KS_ALPHA:
-                failed = True
+            try:
+                std = standardize(samples_matrix(results)[:, -1])
+            except DegenerateSampleError:
+                notes.append(f"zero-variance counts at n={key}: no KS or W1 test")
+                failures.append(f"zero-variance counts at n={key}")
+            else:
+                ks_stat, ks_p = ks_distance_normal(std)
+                test_statistics["ks"][key] = ks_stat
+                test_statistics["w1"][key] = wasserstein1_distance_normal(std)
+                p_values["ks"][key] = ks_p
+                if ks_p <= KS_ALPHA:
+                    failed = True
         else:
             notes.append(f"insufficient samples for KS at n={key} (r={cfg.r})")
         fname = f"clt_replicates_n{key}.csv"
@@ -500,7 +517,9 @@ def _mode_clt(cfg: RunConfig, threads: int) -> _ModeOutput:
         notes=notes,
     )
     summary["statistic_label"] = label
-    return "clt", summary, csv_files, f"KS p-value <= {KS_ALPHA}" if failed else None
+    if failed:
+        failures.append(f"KS p-value <= {KS_ALPHA}")
+    return "clt", summary, csv_files, "; ".join(failures) or None
 
 
 def _mode_sigma(cfg: RunConfig, threads: int) -> _ModeOutput:
@@ -523,26 +542,28 @@ def _mode_sigma(cfg: RunConfig, threads: int) -> _ModeOutput:
     return "sigma", summary, {}, failure
 
 
-def _mode_moments(cfg: RunConfig, threads: int, gamma_diag_eta: float | None = None) -> _ModeOutput:
-    if gamma_diag_eta is not None:
-        if not cfg.k_list:
-            raise ParameterError("--gamma-diag needs k_list: its diagnostics are for clique counts")
-        diag = gamma_diagnostics(
-            cfg.params, gamma_diag_eta, mc_budget=cfg.r, seed=cfg.seed,
-            k0=cfg.k_list[0], threads=threads,
-        )
-        summary = _summary(
-            cfg,
-            estimates={
-                "gamma1": diag.gamma1,
-                "gamma2": diag.gamma2,
-                "gamma3": diag.gamma3,
-                "eta": diag.eta,
-                "details": diag.details,
-            },
-            std_errors={"gamma1": diag.se1, "gamma2": diag.se2, "gamma3": diag.se3},
-        )
-        return "gamma_diagnostics", summary, {}, None
+def _mode_gamma_diag(cfg: RunConfig, threads: int, eta: float) -> _ModeOutput:
+    if not cfg.k_list:
+        raise ParameterError("--gamma-diag needs k_list: its diagnostics are for clique counts")
+    diag = gamma_diagnostics(
+        cfg.params, eta, mc_budget=cfg.r, seed=cfg.seed,
+        k0=cfg.k_list[0], threads=threads,
+    )
+    summary = _summary(
+        cfg,
+        estimates={
+            "gamma1": diag.gamma1,
+            "gamma2": diag.gamma2,
+            "gamma3": diag.gamma3,
+            "eta": diag.eta,
+            "details": diag.details,
+        },
+        std_errors={"gamma1": diag.se1, "gamma2": diag.se2, "gamma3": diag.se3},
+    )
+    return "gamma_diagnostics", summary, {}, None
+
+
+def _mode_moments(cfg: RunConfig, threads: int) -> _ModeOutput:
     u_grid = DEFAULT_U_GRID
     exact = None
     if cfg.k_list:
@@ -640,8 +661,8 @@ def run(
     is written.
     """
     start = time.perf_counter()
-    if cfg.mode == "moments":
-        name, summary, csv_files, failure = _mode_moments(cfg, threads, gamma_diag_eta)
+    if gamma_diag_eta is not None:
+        name, summary, csv_files, failure = _mode_gamma_diag(cfg, threads, gamma_diag_eta)
     else:
         name, summary, csv_files, failure = _MODE_RUNNERS[cfg.mode](cfg, threads)
     summary["wall_time"] = time.perf_counter() - start
@@ -675,11 +696,14 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
             if key not in summary["files"]:
                 raise ParameterError(f"no replicates recorded for n={n}")
         fname = summary["files"][key]
-        with open(os.path.join(results_dir, fname), encoding="utf-8") as handle:
-            rows = [l.strip() for l in handle if l.strip() and not l.startswith("#")]
+        text = _read_text(os.path.join(results_dir, fname), "replicate file")
+        rows = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
         col = len(rows[0].split(",")) - 1
         values = [float(line.split(",")[col]) for line in rows[1:]]
-        std = np.sort(standardize(np.asarray(values)))
+        try:
+            std = np.sort(standardize(np.asarray(values)))
+        except DegenerateSampleError as exc:
+            raise ParameterError(f"no qq plot data from {fname}: {exc}") from None
         m = std.size
         quantiles = special.ndtri((np.arange(1, m + 1) - 0.5) / m)
         rows = ["normal_quantile,sample_quantile"]
@@ -756,8 +780,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     if not args.config:
         raise ConfigError(["--config is required for this command"])
-    with open(args.config, encoding="utf-8") as handle:
-        values, errors = _read_config(handle.read())
+    values, errors = _read_config(_read_text(args.config, "--config"))
     # The subcommand and the flags replace the file's texts before the one
     # validation, so every rule sees the values the run uses.
     overrides = {
@@ -773,6 +796,18 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return _validate(values, errors, args.override_regime)
 
 
+def _load_summary(path: str, kind: str) -> dict:
+    """The result summary at path, with the table the plot kind reads."""
+    try:
+        summary = json.loads(_read_text(path, "--results"))
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"--results {path!r} is not JSON: {exc}") from None
+    table = "files" if kind == "qq" else "estimates"
+    if not isinstance(summary, dict) or not isinstance(summary.get(table), dict):
+        raise ParameterError(f"--results {path!r} is not a summary with a {table!r} table")
+    return summary
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -780,8 +815,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         if args.command == "plotdata":
-            with open(args.results, encoding="utf-8") as handle:
-                summary = json.load(handle)
+            summary = _load_summary(args.results, args.kind)
             text = export_plotdata(
                 summary, args.kind, os.path.dirname(args.results) or ".", n=args.n
             )
@@ -802,7 +836,7 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (ParameterError, TreeSpecError, RegimeError, FileNotFoundError) as exc:
+    except (ParameterError, TreeSpecError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostics

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,13 +19,12 @@ from scipy import special
 
 from ._parallel import ReplicateFailure, parallel_map
 from .cliques import count_cliques_upto
-from .model import ModelParams, ParameterError, derive_seed, sample_config
+from .model import ModelParams, ParameterError, PointConfig, derive_seed, sample_config
 from .trees import (
     BlockSums,
     DirectedTreeSpec,
     block_sums,
     count_trees,
-    validate_tree,
 )
 
 __all__ = [
@@ -66,6 +66,10 @@ class CliqueStatistic:
     def labels(self) -> tuple[str, ...]:
         return tuple(f"cliques_k{k}" for k in self.k_list)
 
+    def count(self, config: PointConfig) -> np.ndarray:
+        totals = count_cliques_upto(config, max(self.k_list))
+        return np.asarray([totals[k - 1] for k in self.k_list], dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class TreeStatistic:
@@ -77,8 +81,8 @@ class TreeStatistic:
     def labels(self) -> tuple[str, ...]:
         return ("tree_total",)
 
-
-Statistic = CliqueStatistic | TreeStatistic
+    def count(self, config: PointConfig) -> np.ndarray:
+        return np.asarray([count_trees(config, self.spec)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class ExperimentPlan:
     """Declarative Monte Carlo experiment over independent configurations."""
 
     params: ModelParams
-    statistic: Statistic
+    statistic: CliqueStatistic | TreeStatistic
     replicate_count: int
     master_seed: int
     n_list: tuple[float, ...] = ()
@@ -96,30 +100,21 @@ class ExperimentPlan:
             raise ParameterError("replicate_count must be >= 2")
 
 
-def _replicate_seeds(master_seed: int, count: int) -> list[int]:
-    """Seeds of replicates 0..count-1 under one master seed; every replicate set uses them."""
-    return [derive_seed(master_seed, 0, i) for i in range(count)]
-
-
 @dataclass(frozen=True)
 class ReplicateResult:
-    """Measured statistic vector for one sampled configuration."""
+    """What a count returned for one sampled configuration: a statistic vector, or BlockSums."""
 
-    values: np.ndarray
+    values: np.ndarray | BlockSums
     point_count: int
     wall_time: float
     seed: int
 
 
-def _measure(args: tuple[ModelParams, Statistic, int]) -> ReplicateResult:
-    params, statistic, seed = args
+def _replicate(task: tuple[Callable[[PointConfig], object], ModelParams, int]) -> ReplicateResult:
+    count, params, seed = task
     start = time.perf_counter()
     config = sample_config(params, seed)
-    if isinstance(statistic, CliqueStatistic):
-        totals = count_cliques_upto(config, max(statistic.k_list))
-        values = np.asarray([totals[k - 1] for k in statistic.k_list], dtype=np.float64)
-    else:
-        values = np.asarray([count_trees(config, statistic.spec)], dtype=np.float64)
+    values = count(config)
     return ReplicateResult(
         values=values,
         point_count=len(config),
@@ -128,40 +123,32 @@ def _measure(args: tuple[ModelParams, Statistic, int]) -> ReplicateResult:
     )
 
 
+def _map_replicates(
+    count: Callable, runs: Sequence[tuple[ModelParams, int]], r: int, threads: int
+) -> list[list[ReplicateResult]]:
+    """The r replicates of every (params, master seed) run, from one parallel_map call.
+
+    Replicate i of a run samples under derive_seed(master_seed, 0, i); the
+    lists come back in run order, each in replicate order.
+    """
+    tasks = [
+        (count, params, derive_seed(master_seed, 0, i))
+        for params, master_seed in runs
+        for i in range(r)
+    ]
+    results = parallel_map(_replicate, tasks, threads)
+    return [results[j * r : (j + 1) * r] for j in range(len(runs))]
+
+
 def run_replicates(plan: ExperimentPlan, threads: int = 1) -> list[ReplicateResult]:
     """Sample and measure all replicates of the plan, in replicate order."""
-    tasks = [
-        (plan.params, plan.statistic, seed)
-        for seed in _replicate_seeds(plan.master_seed, plan.replicate_count)
-    ]
-    return parallel_map(_measure, tasks, threads)
-
-
-def _run_ladder(plan: ExperimentPlan, threads: int) -> list[list[ReplicateResult]]:
-    """Replicates at every torus length of plan.n_list, from one parallel_map call.
-
-    Length j replicates the plan on a torus of length n_list[j] under the
-    master seed derive_seed(master_seed, 1, j); the lists come back in
-    n_list order.
-    """
-    r = plan.replicate_count
-    tasks = [
-        (ModelParams(plan.params.gamma, plan.params.beta, n), plan.statistic, seed)
-        for j, n in enumerate(plan.n_list)
-        for seed in _replicate_seeds(derive_seed(plan.master_seed, 1, j), r)
-    ]
-    results = parallel_map(_measure, tasks, threads)
-    return [results[j * r : (j + 1) * r] for j in range(len(plan.n_list))]
+    run = (plan.params, plan.master_seed)
+    return _map_replicates(plan.statistic.count, [run], plan.replicate_count, threads)[0]
 
 
 def samples_matrix(results: Sequence[ReplicateResult]) -> np.ndarray:
     """Replicate-by-statistic matrix of measured values."""
     return np.stack([r.values for r in results])
-
-
-def _block_task(args) -> BlockSums:
-    params, spec, seed = args
-    return block_sums(sample_config(params, seed), spec)
 
 
 def run_block_replicates(
@@ -172,9 +159,9 @@ def run_block_replicates(
     threads: int = 1,
 ) -> list[BlockSums]:
     """Independent replicates of per-block embedding sums."""
-    spec = validate_tree(spec) if spec.leaf_count is None else spec
-    tasks = [(params, spec, seed) for seed in _replicate_seeds(master_seed, replicate_count)]
-    return parallel_map(_block_task, tasks, threads)
+    count = partial(block_sums, spec=spec)
+    results = _map_replicates(count, [(params, master_seed)], replicate_count, threads)[0]
+    return [r.values for r in results]
 
 
 # -- one-sample normality diagnostics ---------------------------------------
@@ -267,14 +254,20 @@ class ScalingResult:
 def variance_scaling(plan: ExperimentPlan, threads: int = 1) -> ScalingResult:
     """Per-size sample variance divided by n, with percentile bootstrap CIs.
 
-    Rows run over n_list, then over the statistic's labels.  The CI of label
-    j at length index i uses the seed derive_seed(master_seed, 2, i, j); with
+    Rows run over n_list, then over the statistic's labels.  Length index i
+    replicates under the master seed derive_seed(master_seed, 1, i), and the
+    CI of its label j uses the seed derive_seed(master_seed, 2, i, j); with
     fewer than MIN_TEST_SAMPLES replicates a row has no CI.
     """
     if not plan.n_list:
         raise ParameterError("variance scaling needs at least one torus length")
+    runs = [
+        (ModelParams(plan.params.gamma, plan.params.beta, n), derive_seed(plan.master_seed, 1, i))
+        for i, n in enumerate(plan.n_list)
+    ]
+    ladder = _map_replicates(plan.statistic.count, runs, plan.replicate_count, threads)
     rows: list[ScalingRow] = []
-    replicates = dict(zip(plan.n_list, _run_ladder(plan, threads)))
+    replicates = dict(zip(plan.n_list, ladder))
     for n_index, (n, results) in enumerate(replicates.items()):
         matrix = samples_matrix(results)
 

@@ -8,7 +8,7 @@ induced copies: leaves may or may not be adjacent to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "TreeSpecError",
     "DirectedTreeSpec",
     "BlockSums",
-    "validate_tree",
     "parse_tree_spec",
     "d_in",
     "count_trees",
@@ -45,61 +44,56 @@ class TreeSpecError(ValueError):
 class DirectedTreeSpec:
     """Abstract rooted directed tree on vertices 1..vertex_count.
 
-    ``leaf_count`` is the number of degree-one vertices other than the root;
-    it is filled in by :func:`validate_tree`.  ``root_degree_one`` flags the
+    Construction checks the tree invariants.  ``leaf_count`` is the number of
+    degree-one vertices other than the root; ``root_degree_one`` flags the
     ambiguous case of a root that is itself a skeleton leaf.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     root: int
-    leaf_count: int | None = None
-    root_degree_one: bool = False
+    leaf_count: int = field(init=False)
+    root_degree_one: bool = field(init=False)
 
-
-def validate_tree(spec: DirectedTreeSpec) -> DirectedTreeSpec:
-    """Check the tree invariants and return the spec with leaf_count set."""
-    m = spec.vertex_count
-    if m < 1:
-        raise TreeSpecError(f"vertex_count must be >= 1, got {m}")
-    if not (1 <= spec.root <= m):
-        raise TreeSpecError(f"root {spec.root} outside 1..{m}")
-    if len(spec.edges) != m - 1:
-        raise TreeSpecError(
-            f"a tree on {m} vertices needs {m - 1} edges, got {len(spec.edges)}"
+    def __post_init__(self) -> None:
+        m = self.vertex_count
+        if m < 1:
+            raise TreeSpecError(f"vertex_count must be >= 1, got {m}")
+        if not (1 <= self.root <= m):
+            raise TreeSpecError(f"root {self.root} outside 1..{m}")
+        if len(self.edges) != m - 1:
+            raise TreeSpecError(
+                f"a tree on {m} vertices needs {m - 1} edges, got {len(self.edges)}"
+            )
+        seen: set[frozenset[int]] = set()
+        adjacency: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
+        for i, j in self.edges:
+            if not (1 <= i <= m and 1 <= j <= m):
+                raise TreeSpecError(f"edge {i}->{j} references a vertex outside 1..{m}")
+            if i == j:
+                raise TreeSpecError(f"self-loop {i}->{j}")
+            key = frozenset((i, j))
+            if key in seen:
+                raise TreeSpecError(f"multi-edge between {i} and {j}")
+            seen.add(key)
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        # Connectivity; with m-1 distinct edges this also rules out cycles.
+        reached = {self.root}
+        frontier = [self.root]
+        while frontier:
+            v = frontier.pop()
+            for w in adjacency[v]:
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+        if len(reached) != m:
+            raise TreeSpecError("tree skeleton is not connected")
+        leaves = sum(
+            1 for v in range(1, m + 1) if v != self.root and len(adjacency[v]) == 1
         )
-    seen: set[frozenset[int]] = set()
-    adjacency: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
-    for i, j in spec.edges:
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise TreeSpecError(f"edge {i}->{j} references a vertex outside 1..{m}")
-        if i == j:
-            raise TreeSpecError(f"self-loop {i}->{j}")
-        key = frozenset((i, j))
-        if key in seen:
-            raise TreeSpecError(f"multi-edge between {i} and {j}")
-        seen.add(key)
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    # Connectivity; with m-1 distinct edges this also rules out cycles.
-    reached = {spec.root}
-    frontier = [spec.root]
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    if len(reached) != m:
-        raise TreeSpecError("tree skeleton is not connected")
-    leaves = sum(
-        1 for v in range(1, m + 1) if v != spec.root and len(adjacency[v]) == 1
-    )
-    return replace(
-        spec,
-        leaf_count=leaves,
-        root_degree_one=(m >= 2 and len(adjacency[spec.root]) == 1),
-    )
+        object.__setattr__(self, "leaf_count", leaves)
+        object.__setattr__(self, "root_degree_one", m >= 2 and len(adjacency[self.root]) == 1)
 
 
 def parse_tree_spec(text: str) -> DirectedTreeSpec:
@@ -137,7 +131,7 @@ def parse_tree_spec(text: str) -> DirectedTreeSpec:
             raise TreeSpecError(f"line {line_no}: unknown key {key!r}")
     if m is None or root is None:
         raise TreeSpecError("tree file must define both m and root")
-    return validate_tree(DirectedTreeSpec(m, tuple(edges), root))
+    return DirectedTreeSpec(m, tuple(edges), root)
 
 
 def _parse_int(value: str, line_no: int) -> int:
@@ -156,7 +150,6 @@ def _assignment_plan(spec: DirectedTreeSpec) -> list[tuple[int, int, bool]]:
     ``parent_is_lower`` is true when the tree edge points child -> parent, so
     the child's image must come from the parent's higher-mark neighborhood.
     """
-    spec = validate_tree(spec) if spec.leaf_count is None else spec
     children: dict[int, list[int]] = {v: [] for v in range(1, spec.vertex_count + 1)}
     directed = set(spec.edges)
     for i, j in spec.edges:

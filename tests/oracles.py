@@ -18,7 +18,7 @@ from scipy import stats
 
 from adrcm.harness import MIN_TEST_SAMPLES, DegenerateSampleError
 from adrcm.model import MarkedPoint, ModelParams, ParameterError, PointConfig, wrap_position
-from adrcm.trees import DirectedTreeSpec, validate_tree
+from adrcm.trees import DirectedTreeSpec
 
 
 def config_from_points(params: ModelParams, points, seed: int = 0) -> PointConfig:
@@ -263,24 +263,24 @@ def cox_grimmett_oracle(blocks, k: int) -> tuple[float, float]:
 
 def tree_edge() -> DirectedTreeSpec:
     """Single directed edge into the root."""
-    return validate_tree(DirectedTreeSpec(2, ((2, 1),), 1))
+    return DirectedTreeSpec(2, ((2, 1),), 1)
 
 
 def tree_wedge() -> DirectedTreeSpec:
     """Two leaves pointing at a common lower-mark root."""
-    return validate_tree(DirectedTreeSpec(3, ((2, 1), (3, 1)), 1))
+    return DirectedTreeSpec(3, ((2, 1), (3, 1)), 1)
 
 
 def tree_path(vertex_count: int) -> DirectedTreeSpec:
     """Directed chain m -> m-1 -> ... -> 1 rooted at 1."""
     edges = tuple((v + 1, v) for v in range(1, vertex_count))
-    return validate_tree(DirectedTreeSpec(vertex_count, edges, 1))
+    return DirectedTreeSpec(vertex_count, edges, 1)
 
 
 def tree_star(leaves: int) -> DirectedTreeSpec:
     """Root 1 with the given number of direct higher-mark leaves."""
     edges = tuple((v, 1) for v in range(2, leaves + 2))
-    return validate_tree(DirectedTreeSpec(leaves + 1, edges, 1))
+    return DirectedTreeSpec(leaves + 1, edges, 1)
 
 
 # -- statistical references ---------------------------------------------------------

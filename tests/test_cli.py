@@ -748,6 +748,76 @@ def test_exit_code_plotdata_mismatch(tmp_path):
     )
 
 
+def test_clt_zero_variance_length_is_a_note_and_fails_assert(tmp_path, capsys):
+    # No 4-clique forms at beta 0.01, so every count is 0.
+    out = tmp_path / "o"
+    body = (
+        "[model]\ngamma = 0.3\nbeta = 0.01\nn = 20\n\n"
+        "[experiment]\nk_list = 4\nr = 40\nn_list = 10,20\nseed = 3\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+    cfgp = _write_config(tmp_path, body)
+    assert main(["clt", "--config", cfgp]) == 0
+    summary = json.loads((out / "clt_summary.json").read_text())
+    assert summary["notes"] == [f"zero-variance counts at n={n}: no KS or W1 test" for n in (10, 20)]
+    assert summary["test_statistics"] == {"ks": {}, "w1": {}}
+    assert summary["p_values"] == {"ks": {}}
+    capsys.readouterr()
+    assert main(["clt", "--config", cfgp, "--assert"]) == 1
+    assert (
+        "assertion failed: zero-variance counts at n=10; zero-variance counts at n=20"
+        in capsys.readouterr().out
+    )
+    results = str(out / "clt_summary.json")
+    assert main(["plotdata", "--kind", "qq", "--results", results]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no qq plot data from clt_replicates_n20.csv: zero-variance")
+
+
+def _unreadable_input(tmp_path, case):
+    """The argv of a run whose input file cannot be read or used, and that file."""
+    summary = tmp_path / "s.json"
+    if case == "config is a directory":
+        return ["sample", "--config", str(tmp_path)], str(tmp_path)
+    if case == "config is not UTF-8":
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_bytes(_minimal().encode("utf-8") + b"# \xff\n")
+        return ["sample", "--config", str(cfgp)], str(cfgp)
+    if case == "tree_file is a directory":
+        cfgp = _write_config(tmp_path, _minimal("trees", f"tree_file = {tmp_path}\nr = 5\n"))
+        return ["trees", "--config", cfgp], str(tmp_path)
+    if case == "results are not JSON":
+        summary.write_text("n,var_over_n\n", encoding="utf-8")
+    elif case == "results have no files table":
+        summary.write_text(json.dumps({"plan": {"mode": "clt"}}), encoding="utf-8")
+    elif case == "results have no estimates table":
+        summary.write_text(json.dumps({"plan": {"mode": "clt"}, "files": {}}), encoding="utf-8")
+        return ["plotdata", "--kind", "scaling", "--results", str(summary)], str(summary)
+    elif case == "results are a directory":
+        summary = tmp_path
+    return ["plotdata", "--kind", "qq", "--results", str(summary)], str(summary)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "config is a directory",
+        "config is not UTF-8",
+        "tree_file is a directory",
+        "results are not JSON",
+        "results have no files table",
+        "results have no estimates table",
+        "results are a directory",
+    ],
+)
+def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys, case):
+    argv, path = _unreadable_input(tmp_path, case)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "config error: ")) and repr(path) in err
+    assert "internal error" not in err
+
+
 def test_rerun_from_rendered_config_reproduces(tmp_path):
     out = tmp_path / "o"
     body = _minimal("cliques", "k_list = 2\nr = 15\nseed = 21\n", str(out))

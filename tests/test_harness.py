@@ -24,8 +24,10 @@ from adrcm.harness import (
     variance_scaling,
     wasserstein1_distance_normal,
 )
+import adrcm._parallel as _parallel
+import adrcm.harness as harness
+from adrcm._parallel import parallel_map
 from adrcm.model import ModelParams, ParameterError, derive_seed
-from adrcm.trees import DirectedTreeSpec
 
 from oracles import bootstrap_ci_looped, poisson_chi_square, tree_wedge
 
@@ -71,17 +73,77 @@ def test_run_replicates_wall_time_positive():
         assert rep.point_count >= 0
 
 
-def test_replicate_failure_identifies_seed():
-    bogus = DirectedTreeSpec(2, ((1, 2), (2, 1)), 1)  # invalid: caught in-worker
+def test_replicate_failure_identifies_seed(monkeypatch):
+    def failing(config, spec):
+        raise RuntimeError("count failed")
+
+    monkeypatch.setattr(harness, "count_trees", failing)
     plan = ExperimentPlan(
         params=ModelParams(0.3, 1.0, 10.0),
-        statistic=TreeStatistic(spec=bogus),
+        statistic=TreeStatistic(spec=tree_wedge()),
         replicate_count=3,
         master_seed=5,
     )
     with pytest.raises(ReplicateFailure) as err:
         run_replicates(plan)
     assert err.value.seed == derive_seed(5, 0, 0)
+
+
+def _replicate_rows(results):
+    return [(r.values.tolist(), r.point_count, r.seed) for r in results]
+
+
+def _replicates_run(threads):
+    return _replicate_rows(run_replicates(_plan(k_list=(1, 2, 3), r=6, n=40.0), threads))
+
+
+def _ladder_run(threads):
+    result = variance_scaling(_plan(k_list=(2,), r=5, n_list=(16.0, 24.0)), threads)
+    return result.rows, {n: _replicate_rows(reps) for n, reps in result.replicates.items()}
+
+
+def _blocks_run(threads):
+    reps = run_block_replicates(ModelParams(0.1, 1.0, 16.0), tree_wedge(), 4, 3, threads)
+    return [(b.values.tolist(), b.params) for b in reps]
+
+
+@pytest.mark.parametrize(
+    "runner", [_replicates_run, _ladder_run, _blocks_run], ids=lambda f: f.__name__.strip("_")
+)
+def test_whole_torus_runs_map_one_replicate_task(monkeypatch, runner):
+    mapped = []
+
+    def recording(fn, items, threads=1):
+        mapped.append(fn)
+        return parallel_map(fn, items, threads)
+
+    monkeypatch.setattr(harness, "parallel_map", recording)
+    serial, parallel = runner(1), runner(2)
+    assert mapped == [harness._replicate, harness._replicate]
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("threads, items, workers", [(3, 2, 2), (5, 1, None), (2, 4, 2)])
+def test_parallel_map_starts_no_more_workers_than_tasks(monkeypatch, threads, items, workers):
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingExecutor)
+    tasks = [(i, derive_seed(1, i)) for i in range(items)]
+    assert parallel_map(lambda task: task[0] * 2, tasks, threads) == [2 * i for i in range(items)]
+    assert started == ([] if workers is None else [workers])
 
 
 def test_plan_validation():

@@ -31,7 +31,7 @@ from adrcm.theory import (
     sigma_palm,
     tree_root_moment_profile,
 )
-from adrcm.trees import DirectedTreeSpec, validate_tree
+from adrcm.trees import DirectedTreeSpec
 
 from oracles import add_points, sigma_direct_from_samples, tree_path, tree_wedge
 
@@ -350,9 +350,9 @@ def test_tree_root_samples_count_the_same(monkeypatch):
         tree_wedge(),
         tree_path(3),
         tree_path(4),
-        validate_tree(DirectedTreeSpec(3, ((2, 1), (1, 3)), 1)),  # one down step
-        validate_tree(DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1)),  # down, down
-        validate_tree(DirectedTreeSpec(4, ((1, 2), (3, 2), (4, 3)), 1)),  # depth 3
+        DirectedTreeSpec(3, ((2, 1), (1, 3)), 1),  # one down step
+        DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1),  # down, down
+        DirectedTreeSpec(4, ((1, 2), (3, 2), (4, 3)), 1),  # depth 3
     ]
     tasks = [
         (partial(theory.d_in, spec=spec), params, [MarkedPoint(0.0, u)], theory._tree_depth(spec),

@@ -19,7 +19,6 @@ from adrcm.trees import (
     d_in,
     lag_covariance_table,
     parse_tree_spec,
-    validate_tree,
 )
 from adrcm.model import derive_seed
 
@@ -38,14 +37,14 @@ from oracles import (
     tree_wedge,
 )
 
-MIXED_SPEC = validate_tree(DirectedTreeSpec(3, ((2, 1), (1, 3)), 1))
+MIXED_SPEC = DirectedTreeSpec(3, ((2, 1), (1, 3)), 1)
 
 
 # -- validation ----------------------------------------------------------------
 
 
 def test_validate_single_edge():
-    spec = validate_tree(DirectedTreeSpec(2, ((2, 1),), 1))
+    spec = DirectedTreeSpec(2, ((2, 1),), 1)
     assert spec.leaf_count == 1
     assert spec.root_degree_one
 
@@ -57,28 +56,41 @@ def test_validate_wedge():
 
 
 def test_validate_cycle_rejected():
-    with pytest.raises(TreeSpecError):
-        validate_tree(DirectedTreeSpec(2, ((1, 2), (2, 1)), 1))
+    with pytest.raises(TreeSpecError, match="a tree on 2 vertices needs 1 edges, got 2"):
+        DirectedTreeSpec(2, ((1, 2), (2, 1)), 1)
 
 
 def test_validate_multi_edge_rejected():
-    with pytest.raises(TreeSpecError):
-        validate_tree(DirectedTreeSpec(3, ((2, 1), (1, 2)), 1))
+    with pytest.raises(TreeSpecError, match="multi-edge between 1 and 2"):
+        DirectedTreeSpec(3, ((2, 1), (1, 2)), 1)
 
 
 def test_validate_disconnected_rejected():
-    with pytest.raises(TreeSpecError):
-        validate_tree(DirectedTreeSpec(4, ((2, 1), (4, 3), (3, 4)), 1))
+    with pytest.raises(TreeSpecError, match="multi-edge between 3 and 4"):
+        DirectedTreeSpec(4, ((2, 1), (4, 3), (3, 4)), 1)
 
 
 def test_validate_root_out_of_range():
-    with pytest.raises(TreeSpecError):
-        validate_tree(DirectedTreeSpec(2, ((2, 1),), 5))
+    with pytest.raises(TreeSpecError, match="root 5 outside 1..2"):
+        DirectedTreeSpec(2, ((2, 1),), 5)
 
 
 def test_validate_edge_vertex_out_of_range():
-    with pytest.raises(TreeSpecError):
-        validate_tree(DirectedTreeSpec(2, ((3, 1),), 1))
+    with pytest.raises(TreeSpecError, match="edge 3->1 references a vertex outside 1..2"):
+        DirectedTreeSpec(2, ((3, 1),), 1)
+
+
+@pytest.mark.parametrize(
+    "m, edges, root, message",
+    [
+        (0, (), 1, "vertex_count must be >= 1, got 0"),
+        (2, ((1, 1),), 1, "self-loop 1->1"),
+        (4, ((2, 3), (3, 4), (4, 2)), 1, "tree skeleton is not connected"),
+    ],
+)
+def test_validate_remaining_invariants_rejected(m, edges, root, message):
+    with pytest.raises(TreeSpecError, match=message):
+        DirectedTreeSpec(m, edges, root)
 
 
 def test_leaf_counts_of_standard_trees():
@@ -100,7 +112,7 @@ def test_random_attachment_trees_validate(m, data):
         else:
             edges.append((parent, v))
     root = data.draw(st.integers(1, m))
-    spec = validate_tree(DirectedTreeSpec(m, tuple(edges), root))
+    spec = DirectedTreeSpec(m, tuple(edges), root)
     degree = {v: 0 for v in range(1, m + 1)}
     for i, j in edges:
         degree[i] += 1
@@ -203,7 +215,7 @@ def test_d_in_rejects_an_index_outside_the_configuration(i):
 # Root 1 with a down step 1 -> 2, a second down step 2 -> 3 from a non-root
 # image, and an up step 4 -> 1: whole-configuration counts read the down
 # rows (the transposed edge list) at two depths.
-DOWN_DOWN_SPEC = validate_tree(DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1))
+DOWN_DOWN_SPEC = DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1)
 
 
 def test_count_trees_matches_oracle():
