@@ -696,10 +696,18 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
             if key not in summary["files"]:
                 raise ParameterError(f"no replicates recorded for n={n}")
         fname = summary["files"][key]
-        text = _read_text(os.path.join(results_dir, fname), "replicate file")
+        path = os.path.join(results_dir, fname)
+        text = _read_text(path, "replicate file")
         rows = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+        if not rows or _is_number(rows[0].split(",")[-1]):
+            raise ParameterError(f"replicate file {path!r} has no header row")
         col = len(rows[0].split(",")) - 1
-        values = [float(line.split(",")[col]) for line in rows[1:]]
+        try:
+            values = [float(line.split(",")[col]) for line in rows[1:]]
+        except (IndexError, ValueError) as exc:
+            raise ParameterError(
+                f"replicate file {path!r} has a row without a count: {exc}"
+            ) from None
         try:
             std = np.sort(standardize(np.asarray(values)))
         except DegenerateSampleError as exc:
@@ -796,15 +804,34 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return _validate(values, errors, args.override_regime)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# The table each plot kind reads: its keys in the summary and its type.
+_PLOT_TABLES = {
+    "qq": (("files",), dict),
+    "scaling": (("estimates", "var_over_n"), dict),
+    "decay": (("estimates", "lag_covariance"), list),
+}
+
+
 def _load_summary(path: str, kind: str) -> dict:
     """The result summary at path, with the table the plot kind reads."""
     try:
         summary = json.loads(_read_text(path, "--results"))
     except json.JSONDecodeError as exc:
         raise ParameterError(f"--results {path!r} is not JSON: {exc}") from None
-    table = "files" if kind == "qq" else "estimates"
-    if not isinstance(summary, dict) or not isinstance(summary.get(table), dict):
-        raise ParameterError(f"--results {path!r} is not a summary with a {table!r} table")
+    keys, kind_of = _PLOT_TABLES[kind]
+    table = summary
+    for key in keys:
+        table = table.get(key) if isinstance(table, dict) else None
+    if not isinstance(summary, dict) or not isinstance(table, kind_of):
+        raise ParameterError(f"--results {path!r} is not a summary with a {keys[-1]!r} table")
     return summary
 
 

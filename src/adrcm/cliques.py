@@ -24,7 +24,6 @@ from .model import (
     _csr_contains,
     _csr_rows,
     _transpose,
-    connects,
     neighborhood_adjacency,
 )
 
@@ -71,29 +70,57 @@ def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
     return [len(level) for level in levels]
 
 
+def _owners(levels: list[np.ndarray], seeds: np.ndarray, owner: np.ndarray):
+    """The owner of each row of each level: the owner of its seed, its first vertex."""
+    lookup = np.zeros(seeds.max() + 1 if seeds.size else 0, dtype=np.int64)
+    lookup[seeds] = owner
+    return [lookup[level[:, 0]] for level in levels]
+
+
+def _centered(graph: tuple[np.ndarray, np.ndarray], centers: np.ndarray, k_max: int) -> np.ndarray:
+    """Cliques of every size 1..k_max whose lowest-mark vertex is each center, from one listing.
+
+    Row s of the (len(centers), k_max) result counts the cliques at centers[s].
+    """
+    levels = _clique_levels(graph, centers, k_max)
+    owners = _owners(levels, centers, np.arange(centers.size))
+    return np.column_stack([np.bincount(o, minlength=centers.size) for o in owners])
+
+
 def count_cliques_centered(config: PointConfig, i: int, k_max: int) -> list[int]:
     """Cliques of every size 1..k_max whose lowest-mark vertex is vertex i, from one listing."""
     _check_k(k_max)
     center = np.array([_check_index(config, i)])
-    return [len(level) for level in _clique_levels(neighborhood_adjacency(config), center, k_max)]
+    return _centered(neighborhood_adjacency(config), center, k_max)[0].tolist()
 
 
-def _through(config: PointConfig, members: list[int], k_max: int) -> list[int]:
-    """Cliques of sizes 1..k_max that contain every listed point index.
+def _through(graph: tuple[np.ndarray, np.ndarray], members: np.ndarray, k_max: int) -> np.ndarray:
+    """Cliques of sizes 1..k_max that contain every vertex of each row of members.
 
-    The lowest-mark vertex of a clique through the first member is that
-    member or one of its lower-mark neighbours, so the listing starts there.
+    Row s of the (len(members), k_max) result counts the cliques through all
+    of members[s], which are one or two vertices; two must differ.  The
+    lowest-mark vertex of a clique through a row's first member is that
+    member or one of its lower-mark neighbours, so the listing starts there,
+    and only for rows whose two members are adjacent.
     """
-    graph = neighborhood_adjacency(config)
-    down_ptr, down_idx = _transpose(*graph)
-    first = members[0]
-    seeds = np.concatenate(([first], down_idx[down_ptr[first] : down_ptr[first + 1]]))
-    counts = []
-    for level in _clique_levels(graph, seeds, k_max):
+    indptr, indices = graph
+    rows = np.arange(len(members))
+    if members.shape[1] == 2:
+        i, j = members[:, 0], members[:, 1]
+        rows = rows[
+            _csr_contains(indptr, indices, i, j) | _csr_contains(indptr, indices, j, i)
+        ]
+    first = members[rows, 0]
+    down_owner, down = _csr_rows(*_transpose(indptr, indices), first)
+    seeds = np.concatenate((first, down))
+    seed_owner = np.concatenate((rows, rows[down_owner]))
+    levels = _clique_levels(graph, seeds, k_max)
+    counts = np.zeros((len(members), k_max), dtype=np.int64)
+    for size, (level, owner) in enumerate(zip(levels, _owners(levels, seeds, seed_owner))):
         hit = np.ones(len(level), dtype=bool)
-        for m in members:
-            hit &= (level == m).any(axis=1)
-        counts.append(int(hit.sum()))
+        for m in members[owner].T:
+            hit &= (level == m[:, None]).any(axis=1)
+        counts[:, size] = np.bincount(owner[hit], minlength=len(members))
     return counts
 
 
@@ -104,7 +131,8 @@ def diff1_clique_upto(config: PointConfig, i: int, k_max: int) -> list[int]:
     the count with it less the count without it, found without a recount.
     """
     _check_k(k_max)
-    return _through(config, [_check_index(config, i)], k_max)
+    member = np.array([[_check_index(config, i)]])
+    return _through(neighborhood_adjacency(config), member, k_max)[0].tolist()
 
 
 def diff2_clique_upto(config: PointConfig, i: int, j: int, k_max: int) -> list[int]:
@@ -118,9 +146,43 @@ def diff2_clique_upto(config: PointConfig, i: int, j: int, k_max: int) -> list[i
     i, j = _check_index(config, i), _check_index(config, j)
     if i == j:
         raise ParameterError(f"the two vertices must differ, got {i} twice")
-    if k_max == 1 or not connects(config.point(i), config.point(j), config.params):
-        return [0] * k_max
-    return _through(config, [i, j], k_max)
+    return _through(neighborhood_adjacency(config), np.array([[i, j]]), k_max)[0].tolist()
+
+
+def _joint(graph: tuple[np.ndarray, np.ndarray], pairs: np.ndarray, k: int, l: int) -> np.ndarray:
+    """Intersecting (k-clique at i, l-clique at j) pairs and their distinct unions, per row (i, j).
+
+    Row s of the (len(pairs), 2) result is (pairs, unions) for the distinct
+    vertices pairs[s].  Two cliques meet where they share a vertex, so the
+    meeting pairs come from joining the two sides' vertex incidences.
+    """
+    out = np.zeros((len(pairs), 2), dtype=np.int64)
+    up_degree = np.diff(graph[0])
+    i, j = pairs[:, 0], pairs[:, 1]
+    # No clique at i or at j; most Palm samples stop here.
+    rows = np.flatnonzero((up_degree[i] >= k - 1) & (up_degree[j] >= l - 1))
+    if rows.size == 0:
+        return out
+    cliques_i = _clique_levels(graph, i[rows], k)[k - 1]
+    cliques_j = _clique_levels(graph, j[rows], l)[l - 1]
+    [owner] = _owners([cliques_i], i[rows], rows)
+    # Every (clique at i, clique at j) pair that shares a vertex, once per shared vertex.
+    by_vertex = np.argsort(cliques_j.ravel(), kind="stable")
+    vertex_j = cliques_j.ravel()[by_vertex]
+    lo = vertex_j.searchsorted(cliques_i.ravel(), side="left")
+    hi = vertex_j.searchsorted(cliques_i.ravel(), side="right")
+    hits = hi - lo
+    first = np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
+    a = np.repeat(np.arange(cliques_i.size) // k, hits)
+    b = by_vertex[first] // l
+    a, b = np.divmod(np.unique(a * len(cliques_j) + b), len(cliques_j))
+    out[:, 0] = np.bincount(owner[a], minlength=len(pairs))
+    # A union is its sorted vertex row, with a repeated vertex masked as -1.
+    union = np.sort(np.concatenate((cliques_i[a], cliques_j[b]), axis=1), axis=1)
+    union[:, 1:][union[:, 1:] == union[:, :-1]] = -1
+    union = np.unique(np.column_stack((owner[a], np.sort(union, axis=1))), axis=0)
+    out[:, 1] = np.bincount(union[:, 0], minlength=len(pairs))
+    return out
 
 
 def joint_clique_counts(
@@ -138,17 +200,5 @@ def joint_clique_counts(
     i, j = _check_index(config, i), _check_index(config, j)
     if i == j:
         raise ParameterError(f"the two vertices must differ, got {i} twice")
-    graph = neighborhood_adjacency(config)
-    up_degree = np.diff(graph[0])
-    if up_degree[i] < k - 1 or up_degree[j] < l - 1:
-        return 0, 0  # no clique at i or at j; most Palm samples stop here
-    rows_i = _clique_levels(graph, np.array([i]), k)[k - 1]
-    rows_j = _clique_levels(graph, np.array([j]), l)[l - 1]
-    # One vertex-incidence row per clique; two cliques meet where these overlap.
-    inc_i = np.zeros((len(rows_i), len(config)), dtype=bool)
-    inc_j = np.zeros((len(rows_j), len(config)), dtype=bool)
-    inc_i[np.arange(len(rows_i))[:, None], rows_i] = True
-    inc_j[np.arange(len(rows_j))[:, None], rows_j] = True
-    meet_i, meet_j = np.nonzero(inc_i.astype(np.int64) @ inc_j.T.astype(np.int64))
-    unions = {row.tobytes() for row in inc_i[meet_i] | inc_j[meet_j]}
-    return int(meet_i.size), len(unions)
+    pairs, unions = _joint(neighborhood_adjacency(config), np.array([[i, j]]), k, l)[0].tolist()
+    return pairs, unions

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -88,10 +88,10 @@ def wrap_position(x: float, torus_length: float) -> float:
     return (x + half) % torus_length - half
 
 
-def torus_dist(x, y, torus_length: float):
-    """Toroidal distance min_k |x - y + k*n|; accepts scalars or arrays."""
+def torus_dist(x, y, torus_length):
+    """Toroidal distance min_k |x - y + k*n|; accepts scalars or arrays, torus_length too."""
     n = torus_length
-    if n <= 0.0:
+    if not ((n > 0.0).all() if isinstance(n, np.ndarray) else n > 0.0):
         raise ParameterError(f"torus_length must be positive, got {n}")
     d = np.abs(np.asarray(x) - np.asarray(y))
     # The reduction is exact and slow; up to d = n it changes no result
@@ -230,24 +230,29 @@ def sample_config(params: ModelParams, seed: int) -> PointConfig:
 _REACH_SLACK = 1e-9
 
 
-def _palm_config(
-    params: ModelParams, seed: int, anchors: list[MarkedPoint], hops: int
-) -> tuple[PointConfig, list[int]]:
-    """The anchors and the points of sample_config(params, seed) within hops graph steps of them.
+class _Blocks(NamedTuple):
+    """Configurations side by side in one index space, one block each.
 
-    Returns the configuration and the index of each anchor in it.  The
-    stream drawn is sample_config's, point for point; a point is kept when
-    the kernel connects it to an anchor or, for hops > 1, to a point kept one
-    step earlier.  A count that only sees points within hops steps of the
-    anchors is the same on this configuration as on the whole torus with the
-    anchors inserted, and far cheaper to build.  Raises ParameterError when
-    a drawn point or an earlier anchor equals an anchor.
+    Block b holds the points bounds[b]:bounds[b + 1], sorted by position, on
+    the torus of length lengths[b]; every block shares gamma and beta.
+    anchors[b] are the vertex indices of block b's anchors.
     """
+
+    positions: np.ndarray
+    marks: np.ndarray
+    bounds: np.ndarray
+    lengths: np.ndarray
+    anchors: np.ndarray
+    gamma: float
+    beta: float
+
+
+def _kept(params: ModelParams, seed: int, start: list[tuple[float, float]], hops: int):
+    """The points of sample_config(params, seed) within hops graph steps of start, in draw order."""
     xs, us = _draw(params, seed)
     n, g = params.torus_length, params.gamma
     reach = params.beta * (1.0 + _REACH_SLACK)
     keep = np.zeros(xs.size, dtype=bool)
-    start = [(wrap_position(a.x, n), a.u) for a in anchors]
     frontier = start
     for _ in range(hops):
         reached = []
@@ -263,17 +268,80 @@ def _palm_config(
             keep[new] = True
             reached += zip(xs[new].tolist(), us[new].tolist())
         frontier = reached
-    xs, us = xs[keep], us[keep]
-    # Appended last, the anchors follow the drawn points of equal position
-    # in the stable sort.
-    for x, u in start:
-        if ((xs == x) & (us == u)).any():
-            raise ParameterError(f"duplicate point ({x}, {u}); marks must be distinct")
-        xs, us = np.append(xs, x), np.append(us, u)
-    order = np.argsort(xs, kind="stable")
-    # The inverse permutation maps each appended anchor to its sorted index.
-    anchor_indices = order.argsort()[order.size - len(start) :].tolist()
-    return PointConfig(params, xs[order], us[order], seed), anchor_indices
+    return xs[keep], us[keep]
+
+
+def _palm_blocks(samples, hops: int) -> _Blocks:
+    """One block per sample (params, anchors, seed): its anchors and the points near them.
+
+    A block holds the anchors and the points of sample_config(params, seed)
+    within hops graph steps of them.  The stream drawn is sample_config's,
+    point for point, one sample at a time; a point is kept when the kernel
+    connects it to an anchor or, for hops > 1, to a point kept one step
+    earlier.  A count that only sees points within hops steps of the anchors
+    is the same on a block as on the whole torus with the anchors inserted,
+    and far cheaper to build.  The samples share gamma, beta and their
+    number of anchors.  Raises ParameterError when a drawn point or an
+    earlier anchor equals an anchor.
+    """
+    params = samples[0][0]
+    width = len(samples[0][1])
+    xs, us, start = [], [], []
+    for p, anchors, seed in samples:
+        if (p.gamma, p.beta, len(anchors)) != (params.gamma, params.beta, width):
+            raise ParameterError("samples of one block set must share gamma, beta and anchor count")
+        points = [(wrap_position(a.x, p.torus_length), a.u) for a in anchors]
+        kept_x, kept_u = _kept(p, seed, points, hops)
+        xs.append(kept_x)
+        us.append(kept_u)
+        start += points
+    kept = np.array([x.size for x in xs])
+    # The anchors go last, block by block: the stable sort puts each after
+    # the drawn points of equal position in its block.
+    xs = np.concatenate(xs + [[x for x, _ in start]])
+    us = np.concatenate(us + [[u for _, u in start]])
+    block = np.concatenate(
+        (np.repeat(np.arange(kept.size), kept), np.repeat(np.arange(kept.size), width))
+    )
+    order = np.lexsort((xs, block))
+    # Equal points have equal positions, so only a tie in position can hide one.
+    xs_sorted, block_sorted = xs[order], block[order]
+    if ((xs_sorted[1:] == xs_sorted[:-1]) & (block_sorted[1:] == block_sorted[:-1])).any():
+        by_point = np.lexsort((us, xs, block))
+        x, u, b = xs[by_point], us[by_point], block[by_point]
+        same = (x[1:] == x[:-1]) & (u[1:] == u[:-1]) & (b[1:] == b[:-1])
+        if same.any():
+            # The later copy is an anchor; the first such, block by block, is refused.
+            first = by_point[1:][same].min()
+            raise ParameterError(
+                f"duplicate point ({xs[first]}, {us[first]}); marks must be distinct"
+            )
+    # The inverse permutation maps each anchor to its sorted index.
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    bounds = np.zeros(kept.size + 1, dtype=np.int64)
+    np.cumsum(kept + width, out=bounds[1:])
+    return _Blocks(
+        xs_sorted,
+        us[order],
+        bounds,
+        np.array([p.torus_length for p, _, _ in samples]),
+        inverse[order.size - len(start) :].reshape(kept.size, width),
+        params.gamma,
+        params.beta,
+    )
+
+
+def _palm_config(
+    params: ModelParams, seed: int, anchors: list[MarkedPoint], hops: int
+) -> tuple[PointConfig, list[int]]:
+    """The one block of the sample (params, anchors, seed) as a configuration.
+
+    Returns the configuration and the index of each anchor in it; see
+    _palm_blocks.
+    """
+    blocks = _palm_blocks([(params, anchors, seed)], hops)
+    return PointConfig(params, blocks.positions, blocks.marks, seed), blocks.anchors[0].tolist()
 
 
 def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
@@ -290,47 +358,108 @@ def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
 _ALL_PAIRS_BELOW = 42
 
 
-def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Mark-oriented adjacency of the configuration graph as CSR.
+def _window_pairs(
+    xs: np.ndarray, us: np.ndarray, n: float, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs from one window per point, taken with its maximal up-radius beta/u."""
+    size = xs.size
+    radius = np.minimum(beta / us, 0.5 * n)
+    capped = 2.0 * radius >= n
+    ext = np.concatenate([xs - n, xs, xs + n])
+    lo = np.searchsorted(ext, xs - radius, side="left")
+    hi = np.searchsorted(ext, xs + radius, side="right")
+    # A capped window covers the whole torus, so its row takes every
+    # point once rather than the wrapped copies.
+    lo = np.where(capped, 0, lo)
+    hi = np.where(capped, size, hi)
+    counts = hi - lo
+    rows = np.repeat(np.arange(size), counts)
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, (np.repeat(lo, counts) + offsets) % size
+
+
+def _candidate_pairs(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate edges (rows, cols) within each block.
+
+    A small block takes every pair; a larger one a vectorized window query.
+    """
+    bounds = blocks.bounds
+    sizes = bounds[1:] - bounds[:-1]
+    small = sizes < _ALL_PAIRS_BELOW
+    parts = []
+    if small.any():
+        m = sizes[small]
+        pairs = m * m
+        offset = np.repeat(bounds[:-1][small], pairs)
+        r, c = np.divmod(
+            np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs),
+            np.repeat(m, pairs),
+        )
+        parts.append((r + offset, c + offset))
+    # Python scalars: numpy scalars slow the many small operations of a query.
+    for b in np.flatnonzero(~small).tolist():
+        lo, hi = bounds[b : b + 2].tolist()
+        r, c = _window_pairs(
+            blocks.positions[lo:hi], blocks.marks[lo:hi], float(blocks.lengths[b]), blocks.beta
+        )
+        r += lo
+        c += lo
+        parts.append((r, c))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _block_adjacency(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Mark-oriented adjacency of every block as one block-diagonal CSR; see _edges.
+
+    Candidate pairs lie within one block, and each pair is tested on its
+    block's torus.
+    """
+    rows, cols = _candidate_pairs(blocks)
+    lengths = blocks.lengths
+    if (lengths == lengths[0]).all():
+        n = float(lengths[0])
+    else:
+        n = lengths[blocks.bounds.searchsorted(rows, side="right") - 1]
+    return _edges(blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
+
+
+def _edges(xs, us, rows, cols, n, gamma: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate pairs (rows, cols) that are edges, as a mark-oriented CSR.
 
     Returns (indptr, indices): indices[indptr[i]:indptr[i + 1]] are the
-    neighbours of point i with higher mark, sorted ascending.  Candidate
-    pairs are every pair of a small configuration, and otherwise come from
-    one vectorized window query per configuration, taken from each point
-    with its maximal up-radius beta/u.  A candidate (i, j) becomes an edge
-    when j ranks above i in the (mark, index) order and the kernel connects
-    them, so each edge is found from its lower-mark end.
+    neighbours of point i with higher mark, sorted ascending.  A candidate
+    (i, j) becomes an edge when j ranks above i in the (mark, index) order
+    and the kernel connects them on the torus of length n (one per pair, or
+    one for all), so each edge is found from its lower-mark end.
     """
-    params = config.params
-    xs, us = config.positions, config.marks
-    n = params.torus_length
-    size = xs.size
-
-    if size < _ALL_PAIRS_BELOW:
-        rows, cols = np.divmod(np.arange(size * size), size)
-    else:
-        radius = np.minimum(params.beta / us, 0.5 * n)
-        capped = 2.0 * radius >= n
-        ext = np.concatenate([xs - n, xs, xs + n])
-        lo = np.searchsorted(ext, xs - radius, side="left")
-        hi = np.searchsorted(ext, xs + radius, side="right")
-        # A capped window covers the whole torus, so its row takes every
-        # point once rather than the wrapped copies.
-        lo = np.where(capped, 0, lo)
-        hi = np.where(capped, size, hi)
-        counts = hi - lo
-        rows = np.repeat(np.arange(size), counts)
-        offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = (np.repeat(lo, counts) + offsets) % size
     keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
     rows, cols = rows[keep], cols[keep]
+    if isinstance(n, np.ndarray):
+        n = n[keep]
     d = torus_dist(xs[rows], xs[cols], n)
-    ok = d * us[rows] ** params.gamma * us[cols] ** (1.0 - params.gamma) <= params.beta
+    ok = d * us[rows] ** gamma * us[cols] ** (1.0 - gamma) <= beta
     rows, cols = rows[ok], cols[ok]
     order = np.lexsort((cols, rows))
+    size = xs.size
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
     return indptr, cols[order]
+
+
+def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Mark-oriented adjacency of the configuration graph as CSR; see _edges.
+
+    Candidate pairs are every pair of a small configuration, and otherwise
+    come from one vectorized window query.
+    """
+    p = config.params
+    xs, us = config.positions, config.marks
+    size = xs.size
+    if size < _ALL_PAIRS_BELOW:
+        rows, cols = np.divmod(np.arange(size * size), size)
+    else:
+        rows, cols = _window_pairs(xs, us, p.torus_length, p.beta)
+    return _edges(xs, us, rows, cols, p.torus_length, p.gamma, p.beta)
 
 
 def _transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,12 +5,17 @@ the limiting covariance density and the difference-moment integrals are
 estimated by Palm sampling: deterministic extra points, the anchors, are
 inserted into fresh configurations and local counts are averaged.
 
-Each Palm estimator draws every anchor first, then counts its tasks in one
-dispatch.  A Palm task is (count, params, anchors, hops, seed), and its seed
-is the seed of its configuration: the anchors and the points of
-sample_config(params, seed) within hops graph steps of them, on which every
-count equals its value on the whole torus with the anchors inserted.
-``count`` takes the configuration and the anchors' vertex indices.
+Each Palm estimator lists its samples as nodes and counts them in one
+dispatch.  A sample is (params, anchors, seed): its configuration is the
+anchors and the points of sample_config(params, seed) within a few graph
+steps of them, on which every count equals its value on the whole torus
+with the anchors inserted.  Consecutive samples with one count and hop range
+form a chunk task of at most _CHUNK samples, cut by sample index alone.  A
+chunk draws and restricts each sample on its own stream, one at a time, then
+lays the samples' configurations side by side as the blocks of one index
+space, builds one block-diagonal edge list and counts at every anchor with
+one kernel call; the counts come back one per sample.  The samples, their
+seeds included, are drawn inside the chunk, so the workers do that work.
 """
 
 from __future__ import annotations
@@ -23,21 +28,16 @@ from itertools import islice
 import numpy as np
 
 from ._parallel import parallel_map
-from .cliques import (
-    count_cliques_centered,
-    diff1_clique_upto,
-    diff2_clique_upto,
-    joint_clique_counts,
-)
+from .cliques import _centered, _joint, _through
 from .model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
-    _palm_config,
+    _block_adjacency,
+    _palm_blocks,
     derive_seed,
-    neighborhood_adjacency,
 )
-from .trees import _assignment_plan, _jackknife_se, d_in
+from .trees import _assignment_plan, _jackknife_se, _rooted
 
 __all__ = [
     "RegimeError",
@@ -115,19 +115,27 @@ def _window_half_width(params: ModelParams) -> float:
     return max(64.0, 8.0 * params.beta * MARK_FLOOR**-params.gamma)
 
 
-def _centered_product(config, i, k, l) -> float:
-    """Product of the k- and l-clique counts centered at vertex i."""
-    counts = count_cliques_centered(config, i, max(k, l))
-    return float(counts[k - 1] * counts[l - 1])
+def _centered_product(graph, blocks, k, l) -> list[float]:
+    """Product of the k- and l-clique counts centered at each block's anchor."""
+    counts = _centered(graph, blocks.anchors[:, 0], max(k, l)).tolist()
+    return [float(c[k - 1] * c[l - 1]) for c in counts]
 
 
-def _sigma_task(params, count, half, floor_width, seed) -> tuple:
-    """The Palm task of one sample of term one (half None) or two, its marks drawn from seed.
+def _joint_term(graph, blocks, k, l) -> list[tuple[int, int, float]]:
+    """(pairs, unions, |y|) per block: its joint clique counts and the second anchor's offset y."""
+    counts = _joint(graph, blocks.anchors, k, l).tolist()
+    offsets = blocks.positions[blocks.anchors[:, 1]].tolist()
+    return [(pairs, unions, abs(y)) for (pairs, unions), y in zip(counts, offsets)]
+
+
+def _sigma_sample(params, half, floor_width, seed, key, i) -> tuple:
+    """Sample i of term one (half None) or two, its marks drawn from the seed (seed, *key, i).
 
     The torus is at least floor_width and four times the reach of the counted
     cliques, which reproduces the infinite-volume count exactly in law.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    own = derive_seed(seed, *key, i)
+    rng = np.random.Generator(np.random.Philox(key=own))
     u = rng.uniform(MARK_FLOOR, 1.0)
     if half is None:
         # Every member of a clique centered at (0, u) connects to it.
@@ -138,7 +146,7 @@ def _sigma_task(params, count, half, floor_width, seed) -> tuple:
         anchors = [MarkedPoint(0.0, u), MarkedPoint(y, v)]
         reach = max(params.beta / u, abs(y) + params.beta / v)
     torus = max(floor_width, 4.0 * reach)
-    return count, ModelParams(params.gamma, params.beta, torus), anchors, 1, derive_seed(seed, 1)
+    return ModelParams(params.gamma, params.beta, torus), anchors, derive_seed(own, 1)
 
 
 def sigma_palm(
@@ -175,15 +183,17 @@ def sigma_palm(
     # The second point is drawn from a box twice as wide as L so that the
     # sensitivity of the truncated integral to 2L comes from the same stream.
     domain_half = 2.0 * big_l
-    single, joint = (
-        [_sigma_task(params, count, half, 2.0 * big_l, derive_seed(seed, term, i))
-         for i in range(size)]
-        for term, count, half, size in (
-            (1, partial(_centered_product, k=k, l=l), None, n_single),
-            (2, partial(joint_clique_counts, k=k, l=l), domain_half, n_joint),
-        )
+    products, out = _palm_map(
+        [
+            (partial(count, k=k, l=l), 1,
+             partial(_sigma_sample, params, half, 2.0 * big_l, seed, (term,)), size)
+            for term, count, half, size in (
+                (1, _centered_product, None, n_single),
+                (2, _joint_term, domain_half, n_joint),
+            )
+        ],
+        threads,
     )
-    products, out = _palm_map([single, joint], threads)
     vals1 = np.asarray(products)
     term1 = mass * float(vals1.mean())
     se1 = mass * float(vals1.std(ddof=1) / math.sqrt(n_single))
@@ -191,7 +201,7 @@ def sigma_palm(
     # float() first: a mean over int64 can differ in the last bit.
     pairs = np.asarray([float(o[0]) for o in out])
     unions = np.asarray([float(o[1]) for o in out])
-    dist = np.asarray([abs(task[2][1].x) for task in joint])
+    dist = np.asarray([o[2] for o in out])
     scale = mass * mass * 2.0 * domain_half
 
     def joint_estimate(values: np.ndarray, limit: float) -> tuple[float, float]:
@@ -231,39 +241,89 @@ def sigma_palm(
     )
 
 
-# -- Palm tasks, neighborhoods and difference moments ---------------------------
+# -- Palm chunks, neighborhoods and difference moments ---------------------------
+
+# Consecutive Palm samples with one count and hop range are counted together,
+# in chunks of at most this many.
+_CHUNK = 256
 
 
-def _palm_sample(task):
-    """Count one Palm task (count, params, anchors, hops, seed) at its anchors' indices."""
-    count, params, anchors, hops, seed = task
-    config, idx = _palm_config(params, seed, anchors, hops)
-    return count(config, *idx)
+def _palm_chunk(task):
+    """Count one chunk (count, hops, runs, seed) of Palm samples, one result per sample.
+
+    Each run (sampler, start, stop) stands for the samples sampler(i) =
+    (params, anchors, seed) for start <= i < stop.  Every sample is drawn
+    and restricted on its own stream; the chunk then builds one edge list
+    over all their blocks and counts at every anchor in one call of count,
+    which takes the edge list and the blocks.  The task's seed, which names
+    a failure, is its first sample's.
+    """
+    count, hops, runs, _ = task
+    blocks = _palm_blocks(
+        [sampler(i) for sampler, start, stop in runs for i in range(start, stop)], hops
+    )
+    return count(_block_adjacency(blocks), blocks)
 
 
-def _palm_tasks(count, params, anchors, hops, replicates, seed, *key) -> list[tuple]:
-    """Palm tasks counting at the same anchors; task i's configuration seed is (seed, *key, i)."""
-    return [(count, params, anchors, hops, derive_seed(seed, *key, i)) for i in range(replicates)]
+def _palm_node(count, params, anchors, hops, replicates, seed, *key) -> tuple:
+    """A node of samples at the same anchors; sample i's configuration seed is (seed, *key, i)."""
+    return count, hops, partial(_at_anchors, params, anchors, seed, key), replicates
 
 
-def _mark_tasks(count, params, u_grid, hops, replicates, seed, key) -> list[list[tuple]]:
-    """Palm tasks at (0, u) for each mark u of the grid; those at mark g take the key (key, g)."""
+def _at_anchors(params, anchors, seed, key, i) -> tuple:
+    """Sample i of a node at fixed anchors."""
+    return params, anchors, derive_seed(seed, *key, i)
+
+
+def _mark_nodes(count, params, u_grid, hops, replicates, seed, key) -> list[tuple]:
+    """Nodes at (0, u) for each mark u of the grid; the node at mark g takes the key (key, g)."""
     return [
-        _palm_tasks(count, params, [MarkedPoint(0.0, float(u))], hops, replicates, seed, key, g)
+        _palm_node(count, params, [MarkedPoint(0.0, float(u))], hops, replicates, seed, key, g)
         for g, u in enumerate(u_grid)
     ]
 
 
-def _palm_map(tasks_per_node, threads) -> list[list]:
-    """Count the Palm tasks of every node in one parallel_map call; results per node."""
-    out = iter(parallel_map(_palm_sample, [t for tasks in tasks_per_node for t in tasks], threads))
-    return [list(islice(out, len(tasks))) for tasks in tasks_per_node]
+def _palm_map(nodes, threads) -> list[list]:
+    """Count the samples of every node in one parallel_map call; results per node.
+
+    A node (count, hops, sampler, size) stands for the samples sampler(i),
+    i < size.  Consecutive samples of nodes with the same count object and
+    hops share chunks of at most _CHUNK, so the chunk boundaries depend on
+    the nodes alone, never on the worker count; the samples of one count
+    have one number of anchors.
+    """
+    chunks, fill = [], _CHUNK
+    for count, hops, sampler, size in nodes:
+        start = 0
+        while start < size:
+            if fill == _CHUNK or chunks[-1][0] is not count or chunks[-1][1] != hops:
+                chunks.append((count, hops, []))
+                fill = 0
+            stop = min(size, start + _CHUNK - fill)
+            chunks[-1][2].append((sampler, start, stop))
+            fill, start = fill + stop - start, stop
+    tasks = [(count, hops, runs, runs[0][0](runs[0][1])[2]) for count, hops, runs in chunks]
+    out = (r for chunk in parallel_map(_palm_chunk, tasks, threads) for r in chunk)
+    return [list(islice(out, size)) for *_, size in nodes]
 
 
-def _up_down_degrees(config, i) -> tuple[int, int]:
-    """Higher- and lower-mark neighbour counts of vertex i."""
-    indptr, indices = neighborhood_adjacency(config)
-    return int(indptr[i + 1] - indptr[i]), int(np.count_nonzero(indices == i))
+def _up_down_degrees(graph, blocks) -> list[tuple[int, int]]:
+    """Higher- and lower-mark neighbour counts of each block's anchor."""
+    indptr, indices = graph
+    anchor = blocks.anchors[:, 0]
+    up = np.diff(indptr)[anchor].tolist()
+    down = np.bincount(indices, minlength=indptr.size - 1)[anchor].tolist()
+    return list(zip(up, down))
+
+
+def _cliques_through(graph, blocks, k_max) -> list[list[int]]:
+    """Cliques of every size 1..k_max through all anchors of each block; see cliques._through."""
+    return _through(graph, blocks.anchors, k_max).tolist()
+
+
+def _tree_roots(graph, blocks, spec) -> list[int]:
+    """Embeddings of the tree with its root at each block's anchor."""
+    return _rooted(graph, spec, blocks.anchors[:, 0]).tolist()
 
 
 def neighborhood_counts(
@@ -274,8 +334,8 @@ def neighborhood_counts(
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Higher/lower-mark neighbor counts of (0, u) over fresh configurations."""
-    tasks = _palm_tasks(_up_down_degrees, params, [MarkedPoint(0.0, u)], 1, replicates, seed, 0)
-    [out] = _palm_map([tasks], threads)
+    node = _palm_node(_up_down_degrees, params, [MarkedPoint(0.0, u)], 1, replicates, seed, 0)
+    [out] = _palm_map([node], threads)
     ups = np.asarray([o[0] for o in out], dtype=np.int64)
     downs = np.asarray([o[1] for o in out], dtype=np.int64)
     return ups, downs
@@ -369,8 +429,8 @@ def clique_diff_moment_profile(
     threads: int = 1,
 ) -> MomentProfile:
     """E[(add-one clique difference)^power] at each mark of the grid."""
-    tasks = _mark_tasks(partial(diff1_clique_upto, k_max=k), params, u_grid, 1, replicates, seed, 7)
-    samples = [[s[k - 1] for s in node] for node in _palm_map(tasks, threads)]
+    nodes = _mark_nodes(partial(_cliques_through, k_max=k), params, u_grid, 1, replicates, seed, 7)
+    samples = [[s[k - 1] for s in node] for node in _palm_map(nodes, threads)]
     return _profile(samples, u_grid, power)
 
 
@@ -384,9 +444,9 @@ def tree_root_moment_profile(
     threads: int = 1,
 ) -> MomentProfile:
     """E[(rooted embedding count)^power] at each mark of the grid."""
-    count = partial(d_in, spec=spec)
-    tasks = _mark_tasks(count, params, u_grid, _tree_depth(spec), replicates, seed, 8)
-    return _profile(_palm_map(tasks, threads), u_grid, power)
+    count = partial(_tree_roots, spec=spec)
+    nodes = _mark_nodes(count, params, u_grid, _tree_depth(spec), replicates, seed, 8)
+    return _profile(_palm_map(nodes, threads), u_grid, power)
 
 
 # -- difference-moment diagnostics ------------------------------------------
@@ -451,14 +511,15 @@ def gamma_diagnostics(
     # 2 eta), then second differences on every (u, y, v) node (power 2 eta).
     # q = (y, v) is an anchor too, so a drawn point equal to it is refused.
     nodes = list(np.ndindex(g_u, y_grid_arr.size, g_v))
-    diff1, diff2 = partial(diff1_clique_upto, k_max=k0), partial(diff2_clique_upto, k_max=k0)
+    # Two count objects, so that no chunk mixes one- and two-anchor samples.
+    diff1, diff2 = partial(_cliques_through, k_max=k0), partial(_cliques_through, k_max=k0)
     tasks = (
-        _mark_tasks(diff1, params, g3_grid, 1, r3, seed, 3)
-        + _mark_tasks(diff1, params, v_grid, 1, r_node, seed, 4)
+        _mark_nodes(diff1, params, g3_grid, 1, r3, seed, 3)
+        + _mark_nodes(diff1, params, v_grid, 1, r_node, seed, 4)
         + [
-            _palm_tasks(diff2, params, [MarkedPoint(0.0, float(u_grid[gi])),
-                                        MarkedPoint(float(y_grid_arr[yi]), float(v_grid[vi]))],
-                        1, r_node, seed, 5, gi, yi, vi)
+            _palm_node(diff2, params, [MarkedPoint(0.0, float(u_grid[gi])),
+                                       MarkedPoint(float(y_grid_arr[yi]), float(v_grid[vi]))],
+                       1, r_node, seed, 5, gi, yi, vi)
             for gi, yi, vi in nodes
         ]
     )

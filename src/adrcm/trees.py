@@ -169,8 +169,10 @@ def _assignment_plan(spec: DirectedTreeSpec) -> list[tuple[int, int, bool]]:
     return plan
 
 
-def _rooted(config: PointConfig, spec: DirectedTreeSpec, roots: np.ndarray) -> np.ndarray:
-    """Count injective embeddings for each root image, level by level.
+def _rooted(
+    up: tuple[np.ndarray, np.ndarray], spec: DirectedTreeSpec, roots: np.ndarray
+) -> np.ndarray:
+    """Count injective embeddings for each root image, level by level, on the up edge list.
 
     A partial embedding is one entry of every column in ``emb``, the image
     arrays of the slots assigned so far.  Each step of the plan extends every
@@ -182,7 +184,6 @@ def _rooted(config: PointConfig, spec: DirectedTreeSpec, roots: np.ndarray) -> n
     plan = _assignment_plan(spec)
     if not plan:
         return np.ones(roots.size, dtype=np.int64)
-    up = neighborhood_adjacency(config)
     down = _transpose(*up) if any(not lower for _, _, lower in plan) else None
     out = np.zeros(roots.size, dtype=np.int64)
     emb = [roots]
@@ -214,7 +215,8 @@ def d_in(config: PointConfig, i: int, spec: DirectedTreeSpec) -> int:
 
     The other tree vertices map to the other points.
     """
-    return int(_rooted(config, spec, np.array([_check_index(config, i)]))[0])
+    root = np.array([_check_index(config, i)])
+    return int(_rooted(neighborhood_adjacency(config), spec, root)[0])
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -226,7 +228,7 @@ def count_trees(config: PointConfig, spec: DirectedTreeSpec) -> int:
     The per-root counts are summed as Python integers, so the total never
     wraps.
     """
-    return sum(_rooted(config, spec, np.arange(len(config))).tolist())
+    return sum(_rooted(neighborhood_adjacency(config), spec, np.arange(len(config))).tolist())
 
 
 # -- block sums and covariance diagnostics --------------------------------
@@ -260,7 +262,7 @@ def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     blocks = int(round(n))
     if abs(n - blocks) > 1e-9 or blocks < 1:
         raise ParameterError(f"block sums need an integer torus length, got {n}")
-    per_point = _rooted(config, spec, np.arange(len(config)))
+    per_point = _rooted(neighborhood_adjacency(config), spec, np.arange(len(config)))
     # Counts are nonnegative, so no block can wrap once the total fits.
     if sum(per_point.tolist()) > _INT64_MAX:
         raise OverflowError("block sums exceed int64; aborting")

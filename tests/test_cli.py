@@ -793,9 +793,31 @@ def _unreadable_input(tmp_path, case):
     elif case == "results have no estimates table":
         summary.write_text(json.dumps({"plan": {"mode": "clt"}, "files": {}}), encoding="utf-8")
         return ["plotdata", "--kind", "scaling", "--results", str(summary)], str(summary)
+    elif case == "results have no var_over_n table":
+        summary.write_text(
+            json.dumps({"plan": {"mode": "clt"}, "estimates": {"ci_lo": {}}}), encoding="utf-8"
+        )
+        return ["plotdata", "--kind", "scaling", "--results", str(summary)], str(summary)
     elif case == "results are a directory":
         summary = tmp_path
+    elif case in _MALFORMED_REPLICATES:
+        replicates = tmp_path / "clt_replicates_n20.csv"
+        replicates.write_text("\n".join(_MALFORMED_REPLICATES[case]) + "\n", encoding="utf-8")
+        summary.write_text(
+            json.dumps({"plan": {"mode": "clt"}, "files": {"replicates_n20": replicates.name}}),
+            encoding="utf-8",
+        )
+        return ["plotdata", "--kind", "qq", "--results", str(summary)], str(replicates)
     return ["plotdata", "--kind", "qq", "--results", str(summary)], str(summary)
+
+
+# Replicate files that plotdata can read but not use, by case.
+_MALFORMED_REPLICATES = {
+    "replicate file has no header row": ["# schema_version=1", "0,5", "1,7"],
+    "replicate file is empty": ["# schema_version=1"],
+    "replicate count is not a number": ["seed,cliques_k1", "0,5", "1,x"],
+    "replicate row lacks the count": ["seed,point_count,cliques_k1", "0,5,3", "1,7"],
+}
 
 
 @pytest.mark.parametrize(
@@ -807,7 +829,9 @@ def _unreadable_input(tmp_path, case):
         "results are not JSON",
         "results have no files table",
         "results have no estimates table",
+        "results have no var_over_n table",
         "results are a directory",
+        *_MALFORMED_REPLICATES,
     ],
 )
 def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys, case):

@@ -121,6 +121,33 @@ def test_torus_dist_properties(x, y, n):
     assert d == pytest.approx(torus_dist(y, x, n))
 
 
+def test_torus_dist_takes_an_array_of_torus_lengths():
+    rng = np.random.default_rng(17)
+    n = rng.uniform(0.5, 50.0, size=300)
+    # Some differences exceed their torus length (d > n), some are canonical.
+    x = rng.uniform(-2.5, 2.5, size=300) * n
+    y = rng.uniform(-0.5, 0.5, size=300) * n
+    d = np.abs(x - y)
+    assert (d > n).any() and (d < n).any()
+    expected = [torus_dist(float(a), float(b), float(m)) for a, b, m in zip(x, y, n)]
+    assert torus_dist(x, y, n).tolist() == expected
+    # Canonical inputs only: the reduction is skipped for every element.
+    inside = d <= n
+    assert torus_dist(x[inside], y[inside], n[inside]).tolist() == [
+        e for e, keep in zip(expected, inside) if keep
+    ]
+    # A scalar position broadcasts against the array of lengths.
+    assert torus_dist(x, 0.0, n).tolist() == [torus_dist(float(a), 0.0, float(m)) for a, m in zip(x, n)]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_torus_dist_rejects_a_non_positive_torus_length(bad):
+    with pytest.raises(ParameterError, match="torus_length must be positive"):
+        torus_dist(0.0, 1.0, bad)
+    with pytest.raises(ParameterError, match="torus_length must be positive"):
+        torus_dist(np.zeros(3), np.ones(3), np.array([5.0, bad, 5.0]))
+
+
 def test_wrap_position_canonical_range():
     n = 10.0
     for x in (-5.0, 5.0, 17.3, -123.4, 4.999999):

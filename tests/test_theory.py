@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from adrcm import theory
+from adrcm import model, theory
+from adrcm.cliques import diff1_clique_upto, diff2_clique_upto
 from adrcm.harness import ReplicateFailure
 from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
+    _palm_config,
     derive_seed,
     sample_config,
 )
@@ -31,7 +33,7 @@ from adrcm.theory import (
     sigma_palm,
     tree_root_moment_profile,
 )
-from adrcm.trees import DirectedTreeSpec
+from adrcm.trees import DirectedTreeSpec, d_in
 
 from oracles import add_points, sigma_direct_from_samples, tree_path, tree_wedge
 
@@ -215,21 +217,22 @@ def _count_pools(monkeypatch) -> list[int]:
     return started
 
 
-# Each Palm estimator at small inputs, by the worker count it runs with.
+# Each Palm estimator at small inputs, by the worker count it runs with.  Each
+# has more samples than one chunk holds: a single chunk runs without a pool.
 _PALM_ESTIMATORS = {
     "sigma_palm": lambda threads: sigma_palm(
         ModelParams(0.3, 1.0, 100.0), 2, 3, mc_budget=80, seed=8, threads=threads
     ),
     "clique_diff_moment_profile": lambda threads: clique_diff_moment_profile(
-        ModelParams(0.3, 1.0, 64.0), 3, (0.3, 0.1), replicates=40, power=1.37, seed=2,
+        ModelParams(0.3, 1.0, 64.0), 3, (0.3, 0.1), replicates=150, power=1.37, seed=2,
         threads=threads,
     ),
     "tree_root_moment_profile": lambda threads: tree_root_moment_profile(
-        ModelParams(0.1, 1.0, 64.0), tree_path(3), (0.3, 0.1), replicates=40, power=1.37,
+        ModelParams(0.1, 1.0, 64.0), tree_path(3), (0.3, 0.1), replicates=150, power=1.37,
         seed=3, threads=threads,
     ),
     "neighborhood_counts": lambda threads: neighborhood_counts(
-        ModelParams(0.3, 1.0, 100.0), 0.05, 60, seed=4, threads=threads
+        ModelParams(0.3, 1.0, 100.0), 0.05, 300, seed=4, threads=threads
     ),
     "gamma_diagnostics": lambda threads: gamma_diagnostics(
         ModelParams(0.3, 1.0, 16.0), eta=1.2, mc_budget=600, seed=4, k0=2, threads=threads
@@ -255,62 +258,74 @@ def test_palm_estimator_worker_independent_in_one_pool(monkeypatch, name):
 # -- Palm restriction: the same counts as on the whole torus -------------------------
 
 
-def _on_whole_torus(params, seed, anchors, hops):
-    return add_points(sample_config(params, seed), anchors)
+def _whole_torus_blocks(samples, hops):
+    """Each sample's whole torus with its anchors inserted, as the blocks of one chunk."""
+    configs = [add_points(sample_config(params, seed), anchors) for params, anchors, seed in samples]
+    bounds = np.concatenate(([0], np.cumsum([len(config) for config, _ in configs])))
+    return model._Blocks(
+        np.concatenate([config.positions for config, _ in configs]),
+        np.concatenate([config.marks for config, _ in configs]),
+        bounds,
+        np.array([config.params.torus_length for config, _ in configs]),
+        np.array([idx for _, idx in configs]).reshape(len(samples), -1) + bounds[:-1, None],
+        samples[0][0].gamma,
+        samples[0][0].beta,
+    )
 
 
-def _restricted_and_whole(monkeypatch, tasks):
-    restricted = [theory._palm_sample(task) for task in tasks]
+def _restricted_and_whole(monkeypatch, nodes):
+    """Every node's results through the chunk task, and with each block the whole torus."""
+    restricted = [r for results in theory._palm_map(nodes, 1) for r in results]
     with monkeypatch.context() as m:
-        m.setattr(theory, "_palm_config", _on_whole_torus)
-        whole = [theory._palm_sample(task) for task in tasks]
+        m.setattr(theory, "_palm_blocks", _whole_torus_blocks)
+        whole = [r for results in theory._palm_map(nodes, 1) for r in results]
     return restricted, whole
 
 
-def _smallest_mark_seeds(count: int) -> list[int]:
-    """Seeds whose single-term Palm mark is among the smallest of 4000."""
+def _smallest_marks(count: int) -> list[int]:
+    """Sample indices whose single-term Palm mark under seed 52 is among the smallest of 4000."""
     seeds = [derive_seed(52, i) for i in range(4000)]
     marks = [np.random.Generator(np.random.Philox(key=s)).uniform(MARK_FLOOR, 1.0) for s in seeds]
-    return [seeds[i] for i in np.argsort(marks)[:count]]
+    return np.argsort(marks)[:count].tolist()
 
 
 def test_sigma_terms_count_the_same_on_the_palm_neighbourhood(monkeypatch):
     base = ModelParams(0.3, 1.0, 100.0)
-    seeds = [derive_seed(51, i) for i in range(120)]
-    items = [(base, 3, 3, None, 8.0, s) for s in seeds + _smallest_mark_seeds(4)]
-    items += [(base, 2, 3, None, 8.0, s) for s in seeds[:40]]
-    # Joint terms with the second point close by and far out (|y| up to 200).
-    items += [(base, 3, 3, half, 8.0, s) for half in (4.0, 200.0) for s in seeds]
-    items += [(base, 2, 3, 4.0, 8.0, s) for s in seeds[:40]]
-    items += [(base, 2, 2, 30.0, 8.0, derive_seed(51, i)) for i in range(400)]
-    tasks = [
-        theory._sigma_task(
-            base,
-            partial(theory._centered_product if half is None else theory.joint_clique_counts,
-                    k=k, l=l),
-            half, floor_width, s,
-        )
-        for base, k, l, half, floor_width, s in items
+    single = partial(theory._sigma_sample, base, None, 8.0)
+    smallest = _smallest_marks(4)
+    product33 = partial(theory._centered_product, k=3, l=3)
+    joint33 = partial(theory._joint_term, k=3, l=3)
+    nodes = [
+        (product33, 1, partial(single, 51, ()), 120),
+        (product33, 1, lambda i: single(52, (), smallest[i]), 4),
+        (partial(theory._centered_product, k=2, l=3), 1, partial(single, 51, ()), 40),
+        # Joint terms with the second point close by and far out (|y| up to 200).
+        (joint33, 1, partial(theory._sigma_sample, base, 4.0, 8.0, 51, ()), 120),
+        (joint33, 1, partial(theory._sigma_sample, base, 200.0, 8.0, 51, ()), 120),
+        (partial(theory._joint_term, k=2, l=3), 1,
+         partial(theory._sigma_sample, base, 4.0, 8.0, 51, ()), 40),
+        (partial(theory._joint_term, k=2, l=2), 1,
+         partial(theory._sigma_sample, base, 30.0, 8.0, 51, ()), 400),
     ]
-    restricted, whole = _restricted_and_whole(monkeypatch, tasks)
+    restricted, whole = _restricted_and_whole(monkeypatch, nodes)
     assert restricted == whole
     counts = [out[0] if isinstance(out, tuple) else out for out in restricted]
     assert sum(1 for c in counts if c > 0) > 100
     # A joint count with the second point more than 10 from the first.
-    assert any(
-        isinstance(out, tuple) and out[0] > 0 and abs(anchors[1].x) > 10.0
-        for out, (_, _, anchors, _, _) in zip(restricted, tasks)
-    )
+    assert any(isinstance(out, tuple) and out[0] > 0 and out[2] > 10.0 for out in restricted)
 
 
 def test_neighbourhood_and_diff_samples_count_the_same(monkeypatch):
-    tasks = [
-        (theory._up_down_degrees, params, [MarkedPoint(0.0, u)], 1, derive_seed(53, i))
-        for params in (ModelParams(0.3, 0.5, 1000.0), ModelParams(0.3, 1.0, 32.0))
+    # A chunk shares one gamma and beta, so each params takes its own count object.
+    nodes = [
+        (count, 1, partial(theory._at_anchors, params, [MarkedPoint(0.0, u)], 53, ()), 10)
+        for params, count in (
+            (ModelParams(0.3, 0.5, 1000.0), partial(theory._up_down_degrees)),
+            (ModelParams(0.3, 1.0, 32.0), partial(theory._up_down_degrees)),
+        )
         for u in (MARK_FLOOR, 0.01, 0.1, 0.9)
-        for i in range(10)
     ]
-    restricted, whole = _restricted_and_whole(monkeypatch, tasks)
+    restricted, whole = _restricted_and_whole(monkeypatch, nodes)
     assert restricted == whole
 
     params = ModelParams(0.3, 1.0, 64.0)
@@ -322,24 +337,31 @@ def test_neighbourhood_and_diff_samples_count_the_same(monkeypatch):
         MarkedPoint(32.0, 0.05),  # wraps onto the seam
         MarkedPoint(20.0, 0.9),  # not adjacent to (0, u) for u >= 0.05
     ]
+    # One count per torus, clique size and anchor count: a chunk holds one
+    # anchor count, gamma and beta.
+    through = {
+        (n, k0, q is None): partial(theory._cliques_through, k_max=k0)
+        for n in (16.0, 64.0) for k0 in (3, 4) for q in qs[:2]
+    }
     items = [
-        (params, u, q, k0, power, derive_seed(54, i))
-        for u in (MARK_FLOOR, 0.05, 0.3)
-        for q in qs
+        (params, u, q, k0, power, 54, 6)
         for k0, power in ((3, 1.0), (4, 1.37))
-        for i in range(6)
+        for q in qs
+        for u in (MARK_FLOOR, 0.05, 0.3)
     ]
-    items += [(ModelParams(0.3, 1.0, 16.0), 0.0625, q, 3, 2.4, derive_seed(55, i))
-              for q in qs[:2] for i in range(20)]
+    items += [(ModelParams(0.3, 1.0, 16.0), 0.0625, q, 3, 2.4, 55, 20) for q in qs[:2]]
     # q is an anchor too; without one the task counts the add-one difference.
-    tasks = [
-        (partial(theory.diff1_clique_upto if q is None else theory.diff2_clique_upto, k_max=k0),
-         params, [MarkedPoint(0.0, u)] + ([] if q is None else [q]), 1, seed)
-        for params, u, q, k0, _, seed in items
+    nodes = [
+        (through[params.torus_length, k0, q is None], 1,
+         partial(theory._at_anchors, params, [MarkedPoint(0.0, u)] + ([] if q is None else [q]),
+                 seed, ()),
+         size)
+        for params, u, q, k0, _, seed, size in items
     ]
+    powers = [power for *_, power, _, size in items for _ in range(size)]
     restricted, whole = (
-        [np.asarray(out, dtype=np.float64) ** item[4] for out, item in zip(outs, items)]
-        for outs in _restricted_and_whole(monkeypatch, tasks)
+        [np.asarray(out, dtype=np.float64) ** power for out, power in zip(outs, powers)]
+        for outs in _restricted_and_whole(monkeypatch, nodes)
     )
     assert all(a.tolist() == b.tolist() for a, b in zip(restricted, whole))
     assert sum(1 for a in restricted if a[2:].any()) > 20
@@ -354,15 +376,16 @@ def test_tree_root_samples_count_the_same(monkeypatch):
         DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1),  # down, down
         DirectedTreeSpec(4, ((1, 2), (3, 2), (4, 3)), 1),  # depth 3
     ]
-    tasks = [
-        (partial(theory.d_in, spec=spec), params, [MarkedPoint(0.0, u)], theory._tree_depth(spec),
-         derive_seed(56, i))
-        for params in (ModelParams(0.1, 1.0, 64.0), ModelParams(0.3, 1.0, 32.0))
-        for u in (MARK_FLOOR, 0.01, 0.3, 0.9)
+    # A chunk shares one gamma, so each (spec, params) takes its own count object.
+    nodes = [
+        (count, theory._tree_depth(spec),
+         partial(theory._at_anchors, params, [MarkedPoint(0.0, u)], 56, ()), 5)
         for spec in specs
-        for i in range(5)
+        for params in (ModelParams(0.1, 1.0, 64.0), ModelParams(0.3, 1.0, 32.0))
+        for count in [partial(theory._tree_roots, spec=spec)]
+        for u in (MARK_FLOOR, 0.01, 0.3, 0.9)
     ]
-    restricted, whole = _restricted_and_whole(monkeypatch, tasks)
+    restricted, whole = _restricted_and_whole(monkeypatch, nodes)
     assert restricted == whole
     assert sum(1 for out in restricted if out > 0) > 100
 
@@ -372,15 +395,15 @@ def test_palm_task_failure_names_its_seed(monkeypatch):
         raise RuntimeError("counter failed")
 
     params = ModelParams(0.3, 1.0, 64.0)
-    # (counter that fails, estimator, seed of the first task's configuration)
+    # (kernel that fails, estimator, seed of the first sample's configuration)
     cases = [
-        ("diff1_clique_upto",
+        ("_through",
          lambda: clique_diff_moment_profile(params, 3, (0.3, 0.1), replicates=4, seed=4),
          derive_seed(4, 7, 0, 0)),
-        ("count_cliques_centered",
+        ("_centered",
          lambda: sigma_palm(params, 3, 3, mc_budget=8, seed=4),
          derive_seed(derive_seed(4, 1, 0), 1)),
-        ("d_in",
+        ("_rooted",
          lambda: tree_root_moment_profile(params, tree_wedge(), (0.3, 0.1), replicates=4, seed=4),
          derive_seed(4, 8, 0, 0)),
     ]
@@ -391,6 +414,88 @@ def test_palm_task_failure_names_its_seed(monkeypatch):
                 estimate()
         assert err.value.seed == seed, counter
         assert "counter failed" in str(err.value)
+
+
+# -- Palm chunks: boundaries by sample index ----------------------------------------
+
+
+def _chunk_sizes(monkeypatch) -> list[list[int]]:
+    """Record the sample count of every chunk task handed to parallel_map, per call."""
+    seen = []
+    dispatch = theory.parallel_map
+
+    def recording(fn, items, threads=1):
+        seen.append([sum(stop - start for _, start, stop in item[2]) for item in items])
+        return dispatch(fn, items, threads)
+
+    monkeypatch.setattr(theory, "parallel_map", recording)
+    return seen
+
+
+def _one_block(params, seed, anchors, hops) -> tuple:
+    """The sample's configuration and its anchors' indices, as arguments of a counter."""
+    config, idx = _palm_config(params, seed, anchors, hops)
+    return (config, *idx)
+
+
+def _split(total: int) -> list[int]:
+    return [theory._CHUNK] * (total // theory._CHUNK) + [total % theory._CHUNK] * (total % theory._CHUNK > 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 513])
+def test_palm_chunks_count_each_sample_as_its_own_configuration(monkeypatch, size, threads):
+    params = ModelParams(0.3, 1.0, 64.0)
+    anchors = [MarkedPoint(0.0, 0.02)]
+    seen = _chunk_sizes(monkeypatch)
+    diff = partial(theory._cliques_through, k_max=3)
+    roots = partial(theory._tree_roots, spec=tree_path(3))
+    # A second node of the same count continues the first one's last chunk.
+    nodes = [
+        (diff, 1, partial(theory._at_anchors, params, anchors, 61, ()), size),
+        (diff, 1, partial(theory._at_anchors, params, anchors, 62, ()), 3),
+        (roots, 2, partial(theory._at_anchors, params, anchors, 63, ()), size),
+    ]
+    first, second, third = theory._palm_map(nodes, threads)
+    assert seen == [_split(size + 3) + _split(size)]
+    for seed, out in ((61, first), (62, second)):
+        assert out == [
+            diff1_clique_upto(*_one_block(params, derive_seed(seed, i), anchors, 1), 3)
+            for i in range(len(out))
+        ]
+    assert third == [
+        d_in(*_one_block(params, derive_seed(63, i), anchors, 2), tree_path(3))
+        for i in range(size)
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gamma_diagnostics_chunks_count_each_sample_as_its_own_configuration(monkeypatch, threads):
+    params = ModelParams(0.3, 1.0, 16.0)
+    seen = _chunk_sizes(monkeypatch)
+    calls = []
+    palm_map = theory._palm_map
+
+    def recording(nodes, threads):
+        calls.append((nodes, palm_map(nodes, threads)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(theory, "_palm_map", recording)
+    gamma_diagnostics(params, eta=1.2, mc_budget=600, seed=4, k0=2, threads=threads)
+    [(nodes, results)] = calls
+    one = [size for count, _, sampler, size in nodes if len(sampler(0)[1]) == 1]
+    two = [size for count, _, sampler, size in nodes if len(sampler(0)[1]) == 2]
+    assert len(one) + len(two) == len(nodes) and one and two
+    assert seen == [_split(sum(one)) + _split(sum(two))]
+    checked = 0
+    for (_, _, sampler, size), out in zip(nodes, results):
+        for i in range(size):
+            p, anchors, seed = sampler(i)
+            args = _one_block(p, seed, anchors, 1)
+            expected = diff1_clique_upto(*args, 2) if len(args) == 2 else diff2_clique_upto(*args, 2)
+            assert out[i] == expected
+            checked += 1
+    assert checked == sum(one) + sum(two)
 
 
 def test_palm_estimators_check_marks_before_any_task_runs(monkeypatch):
