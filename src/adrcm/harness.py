@@ -19,7 +19,9 @@ from scipy import special
 
 from ._parallel import ReplicateFailure, parallel_map
 from .cliques import count_cliques_upto
-from .model import ModelParams, ParameterError, PointConfig, derive_seed, sample_config
+from .model import (
+    ModelParams, ParameterError, PointConfig, _derive_seeds, derive_seed, sample_config,
+)
 from .trees import (
     BlockSums,
     DirectedTreeSpec,
@@ -128,13 +130,14 @@ def _map_replicates(
 ) -> list[list[ReplicateResult]]:
     """The r replicates of every (params, master seed) run, from one parallel_map call.
 
-    Replicate i of a run samples under derive_seed(master_seed, 0, i); the
-    lists come back in run order, each in replicate order.
+    Replicate i of a run samples under derive_seed(master_seed, 0, i), and a
+    run derives its r seeds in one call; the lists come back in run order,
+    each in replicate order.
     """
     tasks = [
-        (count, params, derive_seed(master_seed, 0, i))
+        (count, params, seed)
         for params, master_seed in runs
-        for i in range(r)
+        for seed in _derive_seeds(master_seed, (0,), np.arange(r)).tolist()
     ]
     results = parallel_map(_replicate, tasks, threads)
     return [results[j * r : (j + 1) * r] for j in range(len(runs))]

@@ -102,6 +102,13 @@ def torus_dist(x, y, torus_length):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_seed_path(values) -> None:
+    """ParameterError naming the first negative element; numpy's error names none."""
+    for value in values:
+        if value < 0:
+            raise ParameterError(f"seeds and seed path elements must be >= 0, got {value}")
+
+
 def derive_seed(master_seed: int, *path: int) -> int:
     """Derive a child seed from a master seed and an integer derivation path.
 
@@ -109,13 +116,139 @@ def derive_seed(master_seed: int, *path: int) -> int:
     order-insensitive with respect to scheduling: replicate i always receives
     the same seed no matter which worker draws it.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
+    path = tuple(int(p) for p in path)
+    _check_seed_path((int(master_seed),) + path)
+    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=path)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# SeedSequence's constants (numpy/random/bit_generator.pyx), for _derive_seeds.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int) -> list[int]:
+    """An integer as SeedSequence reads it: 32-bit words, least significant first."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _wrap(value):
+    """A value mod 2^32: Python ints need it, uint32 arrays wrap by themselves."""
+    return value & _MASK32 if isinstance(value, int) else value
+
+
+def _mix(entropy: list) -> np.ndarray:
+    """SeedSequence(...).generate_state(1, uint64) for each row of the entropy words.
+
+    entropy holds the words of the assembled entropy in order, each a Python
+    int shared by every row or a uint32 array with one value per row; every
+    row is mixed exactly as numpy mixes one seed.  Until the first array
+    word, the pool stays in Python ints and is mixed once for all rows.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = _wrap(value * const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _wrap(_wrap(x * _MIX_MULT_L) - _wrap(y * _MIX_MULT_R))
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for word in pool[:2]:
+        word = word ^ const
+        const = const * _MULT_B & _MASK32
+        word = _wrap(word * const)
+        state.append(np.asarray(word ^ (word >> 16), dtype=np.uint64))
+    return state[0] | (state[1] << np.uint64(32))
+
+
+def _derive_seeds(master, prefix, indices) -> np.ndarray:
+    """derive_seed(master, *prefix, i) for each i of indices, as a uint64 array.
+
+    master is an int, or a uint64 array that broadcasts against indices (each
+    element the master of its own seed); indices are integers below 2^64.
+    The result equals derive_seed element by element: it is SeedSequence's
+    mixing, done on whole columns of entropy words at once.
+    """
+    prefix = [int(p) for p in prefix]
+    indices = np.asarray(indices)
+    if isinstance(master, np.ndarray):
+        if master.size and master.dtype.kind == "i":
+            _check_seed_path([master.min()])
+        master, indices = np.broadcast_arrays(master.astype(np.uint64), indices)
+        # Padded to the pool size, an entropy below 2^64 is always [low, high, 0, 0].
+        run = [master & _MASK32, master >> np.uint64(32), 0, 0]
+    else:
+        _check_seed_path([int(master)])
+        run = _words(int(master))
+        run += [0] * (_POOL_SIZE - len(run))
+    _check_seed_path(prefix)
+    if indices.size and indices.dtype.kind == "i":
+        _check_seed_path([indices.min()])
+    shape = indices.shape
+    indices = indices.astype(np.uint64).ravel()
+    spawn = [word for p in prefix for word in _words(p)]
+    low, high = indices & _MASK32, indices >> np.uint64(32)
+    out = np.empty(indices.size, dtype=np.uint64)
+    # An index takes one word below 2^32 and two from there on.
+    for rows, tail in ((high == 0, [low]), (high != 0, [low, high])):
+        if rows.any():
+            out[rows] = _mix([
+                word if isinstance(word, int) else word.ravel()[rows].astype(np.uint32)
+                for word in run + spawn + tail
+            ])
+    return out.reshape(shape)
+
+
+# The process's one generator; _rng resets it to a seed's stream.  A process
+# pool forks, so every worker holds its own copy.  A seed of 0 spares the OS
+# entropy that an unseeded Philox would read at import.
+_GENERATOR = np.random.Generator(np.random.Philox(0))
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
 def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based, so per-seed streams never overlap.
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    """The stream of Generator(Philox(key=seed)), on the process's one generator.
+
+    Philox is counter-based, so per-seed streams never overlap.  Resetting the
+    key, counter and buffer gives the draws a new generator would give, without
+    building one.  A caller finishes its draws before the next call, which
+    resets the same generator.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 1 << 128:
+        raise ParameterError(f"seed must lie in [0, 2^128), got {seed}")
+    key = np.array([seed & (1 << 64) - 1, seed >> 64], dtype=np.uint64)
+    _GENERATOR.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _GENERATOR
 
 
 class PointConfig:
@@ -381,21 +514,23 @@ def _window_pairs(
 def _candidate_pairs(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     """Candidate edges (rows, cols) within each block.
 
-    A small block takes every pair; a larger one a vectorized window query.
+    A small block takes each pair once, its row the lower (mark, index) end
+    as in _edges; a larger one a vectorized window query.
     """
     bounds = blocks.bounds
     sizes = bounds[1:] - bounds[:-1]
     small = sizes < _ALL_PAIRS_BELOW
     parts = []
     if small.any():
-        m = sizes[small]
-        pairs = m * m
-        offset = np.repeat(bounds[:-1][small], pairs)
-        r, c = np.divmod(
-            np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs),
-            np.repeat(m, pairs),
-        )
-        parts.append((r + offset, c + offset))
+        m, ends = sizes[small], bounds[1:][small]
+        # Every point of a small block, and how many points follow it there.
+        points = np.repeat(ends - m, m) + np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        later = np.repeat(ends, m) - points - 1
+        r = np.repeat(points, later)
+        c = r + 1 + np.arange(later.sum()) - np.repeat(np.cumsum(later) - later, later)
+        # r < c, so an equal mark leaves r the lower end.
+        flip = blocks.marks[c] < blocks.marks[r]
+        parts.append((np.where(flip, c, r), np.where(flip, r, c)))
     # Python scalars: numpy scalars slow the many small operations of a query.
     for b in np.flatnonzero(~small).tolist():
         lo, hi = bounds[b : b + 2].tolist()

@@ -11,11 +11,15 @@ anchors and the points of sample_config(params, seed) within a few graph
 steps of them, on which every count equals its value on the whole torus
 with the anchors inserted.  Consecutive samples with one count and hop range
 form a chunk task of at most _CHUNK samples, cut by sample index alone.  A
-chunk draws and restricts each sample on its own stream, one at a time, then
-lays the samples' configurations side by side as the blocks of one index
-space, builds one block-diagonal edge list and counts at every anchor with
-one kernel call; the counts come back one per sample.  The samples, their
-seeds included, are drawn inside the chunk, so the workers do that work.
+node's sampler gives a run of consecutive samples at once, sampler(start,
+stop), and derives the seeds of the run in one vectorized call.  A chunk
+takes its samples run by run, draws and restricts each on its own stream,
+then lays the samples' configurations side by side as the blocks of one
+index space, builds one block-diagonal edge list and counts at every anchor
+with one kernel call; the counts come back one per sample.  The samples,
+their seeds included, are drawn inside the chunk, so the workers do that
+work.  Every stream is drawn from the process's one generator, reset to the
+stream's seed (model._rng), so a sample's draws end before the next begin.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from .model import (
     ModelParams,
     ParameterError,
     _block_adjacency,
+    _derive_seeds,
     _palm_blocks,
-    derive_seed,
+    _rng,
 )
 from .trees import _assignment_plan, _jackknife_se, _rooted
 
@@ -128,25 +133,30 @@ def _joint_term(graph, blocks, k, l) -> list[tuple[int, int, float]]:
     return [(pairs, unions, abs(y)) for (pairs, unions), y in zip(counts, offsets)]
 
 
-def _sigma_sample(params, half, floor_width, seed, key, i) -> tuple:
-    """Sample i of term one (half None) or two, its marks drawn from the seed (seed, *key, i).
+def _sigma_samples(params, half, floor_width, seed, key, start, stop) -> list[tuple]:
+    """Samples start..stop-1 of term one (half None) or two.
 
-    The torus is at least floor_width and four times the reach of the counted
-    cliques, which reproduces the infinite-volume count exactly in law.
+    Sample i draws its marks from the seed (seed, *key, i), and its
+    configuration seed is that seed's child 1; each run derives both in one
+    call.  The torus is at least floor_width and four times the reach of the
+    counted cliques, which reproduces the infinite-volume count exactly in law.
     """
-    own = derive_seed(seed, *key, i)
-    rng = np.random.Generator(np.random.Philox(key=own))
-    u = rng.uniform(MARK_FLOOR, 1.0)
-    if half is None:
-        # Every member of a clique centered at (0, u) connects to it.
-        anchors, reach = [MarkedPoint(0.0, u)], params.beta / u
-    else:
-        v = rng.uniform(MARK_FLOOR, 1.0)
-        y = rng.uniform(-half, half)
-        anchors = [MarkedPoint(0.0, u), MarkedPoint(y, v)]
-        reach = max(params.beta / u, abs(y) + params.beta / v)
-    torus = max(floor_width, 4.0 * reach)
-    return ModelParams(params.gamma, params.beta, torus), anchors, derive_seed(own, 1)
+    own = _derive_seeds(seed, key, np.arange(start, stop))
+    samples = []
+    for mark_seed, config_seed in zip(own.tolist(), _derive_seeds(own, (), 1).tolist()):
+        rng = _rng(mark_seed)
+        u = rng.uniform(MARK_FLOOR, 1.0)
+        if half is None:
+            # Every member of a clique centered at (0, u) connects to it.
+            anchors, reach = [MarkedPoint(0.0, u)], params.beta / u
+        else:
+            v = rng.uniform(MARK_FLOOR, 1.0)
+            y = rng.uniform(-half, half)
+            anchors = [MarkedPoint(0.0, u), MarkedPoint(y, v)]
+            reach = max(params.beta / u, abs(y) + params.beta / v)
+        torus = max(floor_width, 4.0 * reach)
+        samples.append((ModelParams(params.gamma, params.beta, torus), anchors, config_seed))
+    return samples
 
 
 def sigma_palm(
@@ -186,7 +196,7 @@ def sigma_palm(
     products, out = _palm_map(
         [
             (partial(count, k=k, l=l), 1,
-             partial(_sigma_sample, params, half, 2.0 * big_l, seed, (term,)), size)
+             partial(_sigma_samples, params, half, 2.0 * big_l, seed, (term,)), size)
             for term, count, half, size in (
                 (1, _centered_product, None, n_single),
                 (2, _joint_term, domain_half, n_joint),
@@ -251,17 +261,15 @@ _CHUNK = 256
 def _palm_chunk(task):
     """Count one chunk (count, hops, runs, seed) of Palm samples, one result per sample.
 
-    Each run (sampler, start, stop) stands for the samples sampler(i) =
-    (params, anchors, seed) for start <= i < stop.  Every sample is drawn
-    and restricted on its own stream; the chunk then builds one edge list
-    over all their blocks and counts at every anchor in one call of count,
-    which takes the edge list and the blocks.  The task's seed, which names
-    a failure, is its first sample's.
+    Each run (sampler, start, stop) stands for the samples sampler(start,
+    stop), a list of (params, anchors, seed).  Every sample is drawn and
+    restricted on its own stream; the chunk then builds one edge list over
+    all their blocks and counts at every anchor in one call of count, which
+    takes the edge list and the blocks.  The task's seed, which names a
+    failure, is its first sample's.
     """
     count, hops, runs, _ = task
-    blocks = _palm_blocks(
-        [sampler(i) for sampler, start, stop in runs for i in range(start, stop)], hops
-    )
+    blocks = _palm_blocks([s for sampler, start, stop in runs for s in sampler(start, stop)], hops)
     return count(_block_adjacency(blocks), blocks)
 
 
@@ -270,9 +278,9 @@ def _palm_node(count, params, anchors, hops, replicates, seed, *key) -> tuple:
     return count, hops, partial(_at_anchors, params, anchors, seed, key), replicates
 
 
-def _at_anchors(params, anchors, seed, key, i) -> tuple:
-    """Sample i of a node at fixed anchors."""
-    return params, anchors, derive_seed(seed, *key, i)
+def _at_anchors(params, anchors, seed, key, start, stop) -> list[tuple]:
+    """Samples start..stop-1 of a node at fixed anchors, their seeds derived in one call."""
+    return [(params, anchors, s) for s in _derive_seeds(seed, key, np.arange(start, stop)).tolist()]
 
 
 def _mark_nodes(count, params, u_grid, hops, replicates, seed, key) -> list[tuple]:
@@ -286,11 +294,12 @@ def _mark_nodes(count, params, u_grid, hops, replicates, seed, key) -> list[tupl
 def _palm_map(nodes, threads) -> list[list]:
     """Count the samples of every node in one parallel_map call; results per node.
 
-    A node (count, hops, sampler, size) stands for the samples sampler(i),
-    i < size.  Consecutive samples of nodes with the same count object and
-    hops share chunks of at most _CHUNK, so the chunk boundaries depend on
-    the nodes alone, never on the worker count; the samples of one count
-    have one number of anchors.
+    A node (count, hops, sampler, size) stands for the samples
+    sampler(0, size), which chunks take as runs sampler(start, stop).
+    Consecutive samples of nodes with the same count object and hops share
+    chunks of at most _CHUNK, so the chunk boundaries depend on the nodes
+    alone, never on the worker count; the samples of one count have one
+    number of anchors.
     """
     chunks, fill = [], _CHUNK
     for count, hops, sampler, size in nodes:
@@ -302,7 +311,12 @@ def _palm_map(nodes, threads) -> list[list]:
             stop = min(size, start + _CHUNK - fill)
             chunks[-1][2].append((sampler, start, stop))
             fill, start = fill + stop - start, stop
-    tasks = [(count, hops, runs, runs[0][0](runs[0][1])[2]) for count, hops, runs in chunks]
+    # A chunk's seed is its first sample's, from a one-sample run: at fixed
+    # anchors that derives one seed, in sigma_palm it also draws three marks.
+    tasks = [
+        (count, hops, runs, runs[0][0](runs[0][1], runs[0][1] + 1)[0][2])
+        for count, hops, runs in chunks
+    ]
     out = (r for chunk in parallel_map(_palm_chunk, tasks, threads) for r in chunk)
     return [list(islice(out, size)) for *_, size in nodes]
 

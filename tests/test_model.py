@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import adrcm
 import adrcm.model as model
+import adrcm.theory as theory
 from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
     PointConfig,
+    _derive_seeds,
     _palm_config,
     _transpose,
     config_to_csv,
@@ -26,7 +28,7 @@ from adrcm.model import (
     torus_dist,
     wrap_position,
 )
-from adrcm.theory import lambda_down, lambda_up
+from adrcm.theory import lambda_down, lambda_up, neighborhood_counts, sigma_palm
 
 from oracles import (
     add_point,
@@ -460,6 +462,128 @@ def test_local_edge_list_matches_brute_force(monkeypatch):
         for cfg in configs:
             _assert_edge_list_matches_oracle(cfg)
         assert _csr_as_lists(*neighborhood_adjacency(tied)) == [[1, 2], [2], []]
+
+
+def _blocks_of(rng, sizes, lengths, tie_every=0):
+    """Random blocks of the given sizes and torus lengths.
+
+    With tie_every > 0, every tie_every-th mark of a block equals its first.
+    """
+    xs, us = [], []
+    for size, n in zip(sizes, lengths):
+        xs.append(np.sort(rng.uniform(-0.5 * n, 0.5 * n, size)))
+        u = 1.0 - rng.random(size)
+        if tie_every and size > 1:
+            u[::tie_every] = u[0]
+        us.append(u)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    return model._Blocks(
+        np.concatenate(xs), np.concatenate(us), bounds, np.array(lengths, dtype=np.float64),
+        np.zeros((len(sizes), 0), dtype=np.int64), 0.3, 1.0,
+    )
+
+
+def _every_ordered_pair_adjacency(blocks):
+    """The edge list from every ordered pair of each block, self-pairs included."""
+    rows, cols = [], []
+    for lo, hi in zip(blocks.bounds[:-1].tolist(), blocks.bounds[1:].tolist()):
+        r, c = np.divmod(np.arange((hi - lo) ** 2), max(hi - lo, 1))
+        rows.append(r + lo)
+        cols.append(c + lo)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    lengths = blocks.lengths
+    n = float(lengths[0]) if (lengths == lengths[0]).all() else (
+        lengths[blocks.bounds.searchsorted(rows, side="right") - 1]
+    )
+    return model._edges(blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
+
+
+@pytest.mark.parametrize("tie_every", [0, 1, 3])
+@pytest.mark.parametrize("one_length", [True, False])
+def test_small_blocks_list_each_pair_once_with_the_same_edge_list(tie_every, one_length):
+    rng = np.random.default_rng(90 + tie_every)
+    last = model._ALL_PAIRS_BELOW - 1
+    sizes = [0, 1, 2, last, 0, last] + rng.integers(0, model._ALL_PAIRS_BELOW, 40).tolist()
+    lengths = [6.0] * len(sizes) if one_length else rng.uniform(2.0, 40.0, len(sizes)).tolist()
+    blocks = _blocks_of(rng, sizes, lengths, tie_every)
+    rows, cols = model._candidate_pairs(blocks)
+    assert rows.size == sum(m * (m - 1) // 2 for m in sizes)
+    # Each row is the lower (mark, index) end of its pair.
+    marks = blocks.marks
+    assert ((marks[rows] < marks[cols]) | ((marks[rows] == marks[cols]) & (rows < cols))).all()
+    indptr, indices = model._block_adjacency(blocks)
+    expected = _every_ordered_pair_adjacency(blocks)
+    assert indptr.tolist() == expected[0].tolist()
+    assert indices.tolist() == expected[1].tolist()
+    assert indices.size > 100
+
+
+def test_an_empty_block_set_has_no_candidate_pairs():
+    blocks = _blocks_of(np.random.default_rng(0), [0, 0], [4.0, 4.0])
+    rows, cols = model._candidate_pairs(blocks)
+    assert rows.size == cols.size == 0
+    assert model._block_adjacency(blocks)[0].tolist() == [0]
+
+
+# -- seeds -----------------------------------------------------------------------
+
+
+def _no_dispatch(*args):
+    raise AssertionError("a task was dispatched")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: derive_seed(-3),
+        lambda: derive_seed(5, 0, -3),
+        lambda: _derive_seeds(-3, (), [0]),
+        lambda: _derive_seeds(5, (1, -3), [0]),
+        lambda: _derive_seeds(5, (), np.array([0, -3])),
+        lambda: sigma_palm(ModelParams(0.3, 1.0, 64.0), 2, 2, mc_budget=8, seed=-3),
+        lambda: neighborhood_counts(ModelParams(0.3, 1.0, 64.0), 0.5, 4, seed=-3),
+    ],
+    ids=["derive_seed-master", "derive_seed-path", "_derive_seeds-master",
+         "_derive_seeds-prefix", "_derive_seeds-index", "sigma_palm", "neighborhood_counts"],
+)
+def test_a_negative_seed_raises_a_parameter_error_naming_it(monkeypatch, call):
+    monkeypatch.setattr(theory, "parallel_map", _no_dispatch)
+    with pytest.raises(ParameterError, match="got -3$"):
+        call()
+
+
+@given(
+    master=st.integers(0, 2**130),
+    prefix=st.lists(st.integers(0, 2**70), max_size=3),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_derive_seeds_equal_derive_seed_element_by_element(master, prefix, indices):
+    # Also a guard: a numpy that changed SeedSequence would fail here.
+    seeds = _derive_seeds(master, prefix, np.array(indices, dtype=np.uint64))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(master, *prefix, i) for i in indices]
+
+
+@pytest.mark.parametrize("master", [0, 2**32 - 1, 2**63 + 1, 2**64 + 5, 2**128 + 7])
+@pytest.mark.parametrize("prefix", [(), (0,), (2**40,), (3, 0, 2**40)])
+def test_derive_seeds_named_shapes(master, prefix):
+    indices = [0, 1, 2**32 - 1, 2**32, 2**40, 2**64 - 1]
+    seeds = _derive_seeds(master, prefix, np.array(indices, dtype=np.uint64))
+    assert seeds.tolist() == [derive_seed(master, *prefix, i) for i in indices]
+    # A range of int64 indices, as the Palm runs pass them.
+    assert _derive_seeds(master, prefix, np.arange(300)).tolist() == [
+        derive_seed(master, *prefix, i) for i in range(300)
+    ]
+
+
+def test_derive_seeds_take_a_uint64_master_array():
+    masters = np.array([0, 1, 2**32 - 1, 2**32, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+    assert _derive_seeds(masters, (), 1).tolist() == [derive_seed(m, 1) for m in masters.tolist()]
+    assert _derive_seeds(masters, (7, 2**40), np.arange(6)).tolist() == [
+        derive_seed(m, 7, 2**40, i) for i, m in enumerate(masters.tolist())
+    ]
+    assert _derive_seeds(masters[:0], (), 1).shape == (0,)
 
 
 # -- add_point, the test oracle that inserts a point ------------------------------

@@ -1,5 +1,7 @@
 """Closed-form targets against quadrature and high-precision oracles."""
 
+import hashlib
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -291,21 +293,22 @@ def _smallest_marks(count: int) -> list[int]:
 
 def test_sigma_terms_count_the_same_on_the_palm_neighbourhood(monkeypatch):
     base = ModelParams(0.3, 1.0, 100.0)
-    single = partial(theory._sigma_sample, base, None, 8.0)
+    single = partial(theory._sigma_samples, base, None, 8.0)
     smallest = _smallest_marks(4)
     product33 = partial(theory._centered_product, k=3, l=3)
     joint33 = partial(theory._joint_term, k=3, l=3)
     nodes = [
         (product33, 1, partial(single, 51, ()), 120),
-        (product33, 1, lambda i: single(52, (), smallest[i]), 4),
+        (product33, 1,
+         lambda start, stop: [single(52, (), i, i + 1)[0] for i in smallest[start:stop]], 4),
         (partial(theory._centered_product, k=2, l=3), 1, partial(single, 51, ()), 40),
         # Joint terms with the second point close by and far out (|y| up to 200).
-        (joint33, 1, partial(theory._sigma_sample, base, 4.0, 8.0, 51, ()), 120),
-        (joint33, 1, partial(theory._sigma_sample, base, 200.0, 8.0, 51, ()), 120),
+        (joint33, 1, partial(theory._sigma_samples, base, 4.0, 8.0, 51, ()), 120),
+        (joint33, 1, partial(theory._sigma_samples, base, 200.0, 8.0, 51, ()), 120),
         (partial(theory._joint_term, k=2, l=3), 1,
-         partial(theory._sigma_sample, base, 4.0, 8.0, 51, ()), 40),
+         partial(theory._sigma_samples, base, 4.0, 8.0, 51, ()), 40),
         (partial(theory._joint_term, k=2, l=2), 1,
-         partial(theory._sigma_sample, base, 30.0, 8.0, 51, ()), 400),
+         partial(theory._sigma_samples, base, 30.0, 8.0, 51, ()), 400),
     ]
     restricted, whole = _restricted_and_whole(monkeypatch, nodes)
     assert restricted == whole
@@ -416,6 +419,75 @@ def test_palm_task_failure_names_its_seed(monkeypatch):
         assert "counter failed" in str(err.value)
 
 
+# -- random streams: one reset generator, seeds derived per run -----------------------
+
+
+def _fresh(seed):
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def test_the_reset_generator_draws_what_a_fresh_generator_draws(monkeypatch):
+    seeds = [derive_seed(71, i) for i in range(20000)]
+    params = ModelParams(0.3, 1.0, 3.0)
+    base = ModelParams(0.3, 1.0, 100.0)
+
+    def draws():
+        configs = [model._draw(params, s) for s in seeds]
+        runs = [theory._sigma_samples(base, half, 8.0, 72, (t,), 0, 20000)
+                for t, half in ((1, None), (2, 30.0))]
+        marks = [[(a.x, a.u) for _, anchors, _ in run for a in anchors] for run in runs]
+        return configs, marks
+
+    reset_configs, reset_marks = draws()
+    with monkeypatch.context() as m:
+        m.setattr(model, "_rng", _fresh)
+        m.setattr(theory, "_rng", _fresh)
+        fresh_configs, fresh_marks = draws()
+    assert all(
+        a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+        for a, b in zip(reset_configs, fresh_configs)
+    )
+    assert sum(len(c[0]) for c in reset_configs) > 50000
+    # (0, u) for term one; (0, u) and (y, v) for term two.
+    assert reset_marks == fresh_marks
+    assert [len(m) for m in reset_marks] == [20000, 40000]
+
+
+def test_a_draw_between_two_samples_of_a_run_changes_neither():
+    base = ModelParams(0.3, 1.0, 100.0)
+    params = ModelParams(0.3, 1.0, 64.0)
+    run = partial(theory._sigma_samples, base, 30.0, 8.0, 73, (2,))
+    both, alone = run(0, 2), sample_config(params, 74)
+    first = run(0, 1)
+    between = sample_config(params, 74)
+    second = run(1, 2)
+    assert first + second == both
+    assert between == alone
+
+
+def _stream_digest() -> str:
+    """sha256 of a sampled torus, a sigma_palm estimate, neighbour counts and a wedge profile."""
+    config = sample_config(ModelParams(0.3, 1.0, 64.0), 2024)
+    sigma = sigma_palm(ModelParams(0.3, 1.0, 1000.0), 3, 3, mc_budget=40, seed=7)
+    ups, downs = neighborhood_counts(ModelParams(0.3, 0.5, 1000.0), 0.1, 50, seed=8)
+    wedge = tree_root_moment_profile(
+        ModelParams(0.1, 1.0, 256.0), tree_wedge(), (0.3, 0.03), 20, seed=9
+    )
+    text = json.dumps([
+        config.positions.tolist(), config.marks.tolist(),
+        [sigma.value, sigma.std_error, *sigma.components],
+        ups.tolist(), downs.tolist(),
+        wedge.moments.tolist(), wedge.std_errors.tolist(),
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_the_random_streams_are_pinned():
+    # Every Palm and replicate number rests on these streams, so this digest
+    # changes only with a deliberate change of the streams, listed in CHANGES.md.
+    assert _stream_digest() == "7956b80935b1ac354c852899dd4ca7de2dfacbd9512de3b756c1bd85a9d9a627"
+
+
 # -- Palm chunks: boundaries by sample index ----------------------------------------
 
 
@@ -483,14 +555,13 @@ def test_gamma_diagnostics_chunks_count_each_sample_as_its_own_configuration(mon
     monkeypatch.setattr(theory, "_palm_map", recording)
     gamma_diagnostics(params, eta=1.2, mc_budget=600, seed=4, k0=2, threads=threads)
     [(nodes, results)] = calls
-    one = [size for count, _, sampler, size in nodes if len(sampler(0)[1]) == 1]
-    two = [size for count, _, sampler, size in nodes if len(sampler(0)[1]) == 2]
+    one = [size for count, _, sampler, size in nodes if len(sampler(0, 1)[0][1]) == 1]
+    two = [size for count, _, sampler, size in nodes if len(sampler(0, 1)[0][1]) == 2]
     assert len(one) + len(two) == len(nodes) and one and two
     assert seen == [_split(sum(one)) + _split(sum(two))]
     checked = 0
     for (_, _, sampler, size), out in zip(nodes, results):
-        for i in range(size):
-            p, anchors, seed = sampler(i)
+        for i, (p, anchors, seed) in enumerate(sampler(0, size)):
             args = _one_block(p, seed, anchors, 1)
             expected = diff1_clique_upto(*args, 2) if len(args) == 2 else diff2_clique_upto(*args, 2)
             assert out[i] == expected
