@@ -6,7 +6,6 @@ from .model import (
     ParameterError,
     PointConfig,
     config_to_csv,
-    connects,
     derive_seed,
     sample_config,
     torus_dist,

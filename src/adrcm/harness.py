@@ -18,16 +18,12 @@ import numpy as np
 from scipy import special
 
 from ._parallel import ReplicateFailure, parallel_map
-from .cliques import count_cliques_upto
+from .cliques import _clique_totals
 from .model import (
-    ModelParams, ParameterError, PointConfig, _derive_seeds, derive_seed, sample_config,
+    ModelParams, ParameterError, _block_adjacency, _Blocks, _derive_seeds, _torus_blocks,
+    derive_seed,
 )
-from .trees import (
-    BlockSums,
-    DirectedTreeSpec,
-    block_sums,
-    count_trees,
-)
+from .trees import BlockSums, DirectedTreeSpec, _block_sums, _tree_totals
 
 __all__ = [
     "DegenerateSampleError",
@@ -68,9 +64,10 @@ class CliqueStatistic:
     def labels(self) -> tuple[str, ...]:
         return tuple(f"cliques_k{k}" for k in self.k_list)
 
-    def count(self, config: PointConfig) -> np.ndarray:
-        totals = count_cliques_upto(config, max(self.k_list))
-        return np.asarray([totals[k - 1] for k in self.k_list], dtype=np.float64)
+    def count(self, graph, blocks: _Blocks) -> list[np.ndarray]:
+        """The statistic vector of each block, from the block-diagonal edge list graph."""
+        totals = _clique_totals(graph, blocks.bounds, max(self.k_list))
+        return list(totals[:, [k - 1 for k in self.k_list]].astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,10 @@ class TreeStatistic:
     def labels(self) -> tuple[str, ...]:
         return ("tree_total",)
 
-    def count(self, config: PointConfig) -> np.ndarray:
-        return np.asarray([count_trees(config, self.spec)], dtype=np.float64)
+    def count(self, graph, blocks: _Blocks) -> list[np.ndarray]:
+        """The statistic vector of each block, from the block-diagonal edge list graph."""
+        totals = _tree_totals(graph, self.spec, blocks.bounds)
+        return [np.asarray([t], dtype=np.float64) for t in totals]
 
 
 @dataclass(frozen=True)
@@ -104,25 +103,50 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class ReplicateResult:
-    """What a count returned for one sampled configuration: a statistic vector, or BlockSums."""
+    """What a count returned for one sampled configuration: a statistic vector, or BlockSums.
+
+    edges and max_up_degree describe the configuration's graph: its edge
+    count and its largest number of higher-mark neighbours.  wall_time is
+    the time of the replicate's chunk divided by its number of replicates.
+    """
 
     values: np.ndarray | BlockSums
     point_count: int
+    edges: int
+    max_up_degree: int
     wall_time: float
     seed: int
 
 
-def _replicate(task: tuple[Callable[[PointConfig], object], ModelParams, int]) -> ReplicateResult:
-    count, params, seed = task
+# Consecutive replicates of one run are counted together, in chunks of about
+# this many points: max(1, _CHUNK_POINTS // ceil(n)) tori of length n.
+_CHUNK_POINTS = 4096
+
+
+def _replicate(task: tuple[Callable, ModelParams, list[int], int]) -> list[ReplicateResult]:
+    """Count one chunk (count, params, seeds, seed) of whole-torus replicates, one result per seed.
+
+    Every torus is sampled as sample_config(params, seed) would sample it;
+    the chunk lays them side by side as blocks, builds one block-diagonal
+    edge list and calls count(graph, blocks) once for the values of every
+    block.  The task's seed, which names a failure, is its first replicate's.
+    """
+    count, params, seeds, _ = task
     start = time.perf_counter()
-    config = sample_config(params, seed)
-    values = count(config)
-    return ReplicateResult(
-        values=values,
-        point_count=len(config),
-        wall_time=time.perf_counter() - start,
-        seed=seed,
-    )
+    blocks = _torus_blocks(params, seeds)
+    graph = _block_adjacency(blocks)
+    values = count(graph, blocks)
+    indptr, sizes = graph[0], np.diff(blocks.bounds)
+    top = np.zeros(sizes.size, dtype=np.int64)
+    np.maximum.at(top, np.repeat(np.arange(sizes.size), sizes), np.diff(indptr))
+    edges = np.diff(indptr[blocks.bounds])
+    wall_time = (time.perf_counter() - start) / len(seeds)
+    return [
+        ReplicateResult(
+            values=v, point_count=m, edges=e, max_up_degree=d, wall_time=wall_time, seed=s
+        )
+        for v, m, e, d, s in zip(values, sizes.tolist(), edges.tolist(), top.tolist(), seeds)
+    ]
 
 
 def _map_replicates(
@@ -131,15 +155,17 @@ def _map_replicates(
     """The r replicates of every (params, master seed) run, from one parallel_map call.
 
     Replicate i of a run samples under derive_seed(master_seed, 0, i), and a
-    run derives its r seeds in one call; the lists come back in run order,
-    each in replicate order.
+    run derives its r seeds in one call.  Each run is cut into chunks of
+    consecutive replicates by index alone, so the results never depend on
+    the worker count; the lists come back in run order, each in replicate
+    order.
     """
-    tasks = [
-        (count, params, seed)
-        for params, master_seed in runs
-        for seed in _derive_seeds(master_seed, (0,), np.arange(r)).tolist()
-    ]
-    results = parallel_map(_replicate, tasks, threads)
+    tasks = []
+    for params, master_seed in runs:
+        seeds = _derive_seeds(master_seed, (0,), np.arange(r)).tolist()
+        size = max(1, _CHUNK_POINTS // math.ceil(params.torus_length))
+        tasks += [(count, params, seeds[i : i + size], seeds[i]) for i in range(0, r, size)]
+    results = [rep for chunk in parallel_map(_replicate, tasks, threads) for rep in chunk]
     return [results[j * r : (j + 1) * r] for j in range(len(runs))]
 
 
@@ -162,7 +188,7 @@ def run_block_replicates(
     threads: int = 1,
 ) -> list[BlockSums]:
     """Independent replicates of per-block embedding sums."""
-    count = partial(block_sums, spec=spec)
+    count = partial(_block_sums, spec=spec)
     results = _map_replicates(count, [(params, master_seed)], replicate_count, threads)[0]
     return [r.values for r in results]
 
@@ -291,9 +317,15 @@ def variance_scaling(plan: ExperimentPlan, threads: int = 1) -> ScalingResult:
 
 
 def replicates_csv(results: Sequence[ReplicateResult], labels: Sequence[str]) -> str:
-    """One CSV row per replicate: seed, point count, wall time, statistics."""
-    lines = ["replicate,seed,point_count,wall_time," + ",".join(labels)]
+    """One CSV row per replicate: seed, point count, edges, largest up-degree, wall time, statistics.
+
+    The statistics come last, so the last column is the last label's.
+    """
+    lines = ["replicate,seed,point_count,edges,max_up_degree,wall_time," + ",".join(labels)]
     for i, r in enumerate(results):
         stats_part = ",".join("%d" % v if float(v).is_integer() else "%.17g" % v for v in r.values)
-        lines.append(f"{i},{r.seed},{r.point_count},%.6f,{stats_part}" % r.wall_time)
+        lines.append(
+            f"{i},{r.seed},{r.point_count},{r.edges},{r.max_up_degree},%.6f,{stats_part}"
+            % r.wall_time
+        )
     return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ __all__ = [
     "sample_config",
     "torus_dist",
     "wrap_position",
-    "connects",
     "config_to_csv",
 ]
 
@@ -345,19 +344,6 @@ def _draw(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, us
 
 
-def sample_config(params: ModelParams, seed: int) -> PointConfig:
-    """Sample a unit-intensity Poisson configuration on the marked torus.
-
-    The point count is Poisson(torus_length), positions are uniform in the
-    canonical range, marks are uniform in (0, 1].  All randomness flows from
-    the single 64-bit seed through a counter-based generator, so equal
-    (params, seed) reproduce the configuration bit for bit.
-    """
-    xs, us = _draw(params, seed)
-    order = np.argsort(xs, kind="stable")
-    return PointConfig(params, xs[order], us[order], seed)
-
-
 # Relative slack on beta in the Palm restriction: float rounding may keep a
 # point the exact kernel rejects, never drop one it accepts.
 _REACH_SLACK = 1e-9
@@ -378,6 +364,42 @@ class _Blocks(NamedTuple):
     anchors: np.ndarray
     gamma: float
     beta: float
+
+
+def _torus_blocks(params: ModelParams, seeds) -> _Blocks:
+    """sample_config(params, seed) for each seed, as the blocks of one index space, with no anchors.
+
+    Each configuration is drawn on its own stream and sorted by position
+    with a stable sort.  Raises ParameterError, as PointConfig does, when a
+    drawn position rounds onto n/2.
+    """
+    xs, us = [], []
+    for seed in seeds:
+        x, u = _draw(params, seed)
+        order = np.argsort(x, kind="stable")
+        xs.append(x[order])
+        us.append(u[order])
+    positions = np.concatenate(xs)
+    if (positions >= 0.5 * params.torus_length).any():
+        raise ParameterError("positions must be canonical, in [-n/2, n/2)")
+    bounds = np.zeros(len(xs) + 1, dtype=np.int64)
+    np.cumsum([x.size for x in xs], out=bounds[1:])
+    return _Blocks(
+        positions, np.concatenate(us), bounds, np.full(len(xs), float(params.torus_length)),
+        np.zeros((len(xs), 0), dtype=np.int64), params.gamma, params.beta,
+    )
+
+
+def sample_config(params: ModelParams, seed: int) -> PointConfig:
+    """Sample a unit-intensity Poisson configuration on the marked torus.
+
+    The point count is Poisson(torus_length), positions are uniform in the
+    canonical range, marks are uniform in (0, 1].  All randomness flows from
+    the single 64-bit seed through a counter-based generator, so equal
+    (params, seed) reproduce the configuration bit for bit.
+    """
+    blocks = _torus_blocks(params, [seed])
+    return PointConfig(params, blocks.positions, blocks.marks, seed)
 
 
 def _kept(params: ModelParams, seed: int, start: list[tuple[float, float]], hops: int):
@@ -477,13 +499,6 @@ def _palm_config(
     return PointConfig(params, blocks.positions, blocks.marks, seed), blocks.anchors[0].tolist()
 
 
-def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
-    """Hard-kernel adjacency: dist * u_min^gamma * u_max^(1-gamma) <= beta."""
-    d = torus_dist(p.x, q.x, params.torus_length)
-    u_min, u_max = (p.u, q.u) if p.u <= q.u else (q.u, p.u)
-    return bool(d * u_min**params.gamma * u_max ** (1.0 - params.gamma) <= params.beta)
-
-
 # Below this many points every pair is a candidate edge.  On unit-density
 # tori (gamma 0.3, beta 1) all pairs are faster than the window search up to
 # 40 points and slower from 44; a Palm neighbourhood, whose points all lie
@@ -491,31 +506,51 @@ def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
 _ALL_PAIRS_BELOW = 42
 
 
-def _window_pairs(
-    xs: np.ndarray, us: np.ndarray, n: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs from one window per point, taken with its maximal up-radius beta/u."""
-    size = xs.size
-    radius = np.minimum(beta / us, 0.5 * n)
-    capped = 2.0 * radius >= n
-    ext = np.concatenate([xs - n, xs, xs + n])
-    lo = np.searchsorted(ext, xs - radius, side="left")
-    hi = np.searchsorted(ext, xs + radius, side="right")
-    # A capped window covers the whole torus, so its row takes every
-    # point once rather than the wrapped copies.
-    lo = np.where(capped, 0, lo)
-    hi = np.where(capped, size, hi)
+def _window_pairs(blocks: _Blocks, large: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs of the blocks flagged in large, from one window query over all of them.
+
+    Each point takes a window of its maximal up-radius beta/u on its block's
+    torus.  Every block lists its positions three times (shifted by -n, 0
+    and +n) and is moved by its own offset, so the blocks lie apart on one
+    sorted axis and one search finds every window.  Adding an offset rounds,
+    but it is monotone, so a window can only widen, by at most one spacing of
+    the largest key at each end; a window within four such spacings of its
+    torus could then take a point twice, so it counts as capped and takes
+    every point of its block once.
+    """
+    bounds = blocks.bounds
+    m = (bounds[1:] - bounds[:-1])[large]
+    n = blocks.lengths[large]
+    before = np.cumsum(m) - m
+    local = np.arange(m.sum()) - np.repeat(before, m)
+    points = np.repeat(bounds[:-1][large], m) + local
+    x, u = blocks.positions[points], blocks.marks[points]
+    # Block b spans [4 (n_0 + ... + n_(b-1)), 4 (n_0 + ... + n_b)), its copies centred.
+    shift = np.cumsum(4.0 * n) - 2.0 * n
+    n_p, shift_p, m_p = np.repeat(n, m), np.repeat(shift, m), np.repeat(m, m)
+    lowest = 3 * np.repeat(before, m) + local
+    keys = np.empty(3 * points.size)
+    ids = np.empty(3 * points.size, dtype=np.int64)
+    for copy, ext in enumerate((x - n_p, x, x + n_p)):
+        keys[lowest + copy * m_p] = ext + shift_p
+        ids[lowest + copy * m_p] = points
+    radius = np.minimum(blocks.beta / u, 0.5 * n_p)
+    lo = keys.searchsorted((x - radius) + shift_p, side="left")
+    hi = keys.searchsorted((x + radius) + shift_p, side="right")
+    slack = 4.0 * np.spacing(4.0 * n.sum())
+    capped = 2.0 * radius >= n_p - slack
+    lo = np.where(capped, lowest - local + m_p, lo)
+    hi = np.where(capped, lo + m_p, hi)
     counts = hi - lo
-    rows = np.repeat(np.arange(size), counts)
-    offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return rows, (np.repeat(lo, counts) + offsets) % size
+    rows = np.repeat(points, counts)
+    return rows, ids[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(rows.size)]
 
 
 def _candidate_pairs(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate edges (rows, cols) within each block.
+    """Candidate edges (rows, cols) within each block, each ordered pair at most once.
 
     A small block takes each pair once, its row the lower (mark, index) end
-    as in _edges; a larger one a vectorized window query.
+    as in _edges; the larger ones share one vectorized window query.
     """
     bounds = blocks.bounds
     sizes = bounds[1:] - bounds[:-1]
@@ -531,15 +566,8 @@ def _candidate_pairs(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
         # r < c, so an equal mark leaves r the lower end.
         flip = blocks.marks[c] < blocks.marks[r]
         parts.append((np.where(flip, c, r), np.where(flip, r, c)))
-    # Python scalars: numpy scalars slow the many small operations of a query.
-    for b in np.flatnonzero(~small).tolist():
-        lo, hi = bounds[b : b + 2].tolist()
-        r, c = _window_pairs(
-            blocks.positions[lo:hi], blocks.marks[lo:hi], float(blocks.lengths[b]), blocks.beta
-        )
-        r += lo
-        c += lo
-        parts.append((r, c))
+    if not small.all():
+        parts.append(_window_pairs(blocks, ~small))
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -565,36 +593,40 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float) -> tuple[np.ndarray
     neighbours of point i with higher mark, sorted ascending.  A candidate
     (i, j) becomes an edge when j ranks above i in the (mark, index) order
     and the kernel connects them on the torus of length n (one per pair, or
-    one for all), so each edge is found from its lower-mark end.
+    one for all), so each edge is found from its lower-mark end.  Each
+    ordered pair may be a candidate at most once.
     """
     keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
     rows, cols = rows[keep], cols[keep]
     if isinstance(n, np.ndarray):
         n = n[keep]
     d = torus_dist(xs[rows], xs[cols], n)
-    ok = d * us[rows] ** gamma * us[cols] ** (1.0 - gamma) <= beta
-    rows, cols = rows[ok], cols[ok]
-    order = np.lexsort((cols, rows))
+    ok = d * (us**gamma)[rows] * (us ** (1.0 - gamma))[cols] <= beta
+    rows = rows[ok]
     size = xs.size
+    # One int64 key per edge sorts the rows, and the columns within each row.
+    key = rows * size + cols[ok]
+    key.sort()
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    return indptr, cols[order]
+    return indptr, key % max(size, 1)
+
+
+def _config_blocks(config: PointConfig) -> _Blocks:
+    """The configuration as the one block of a block set, with no anchors."""
+    p = config.params
+    return _Blocks(
+        config.positions, config.marks, np.array([0, len(config)]),
+        np.array([float(p.torus_length)]), np.zeros((1, 0), dtype=np.int64), p.gamma, p.beta,
+    )
 
 
 def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]:
     """Mark-oriented adjacency of the configuration graph as CSR; see _edges.
 
-    Candidate pairs are every pair of a small configuration, and otherwise
-    come from one vectorized window query.
+    The configuration is the one-block case of _block_adjacency.
     """
-    p = config.params
-    xs, us = config.positions, config.marks
-    size = xs.size
-    if size < _ALL_PAIRS_BELOW:
-        rows, cols = np.divmod(np.arange(size * size), size)
-    else:
-        rows, cols = _window_pairs(xs, us, p.torus_length, p.beta)
-    return _edges(xs, us, rows, cols, p.torus_length, p.gamma, p.beta)
+    return _block_adjacency(_config_blocks(config))
 
 
 def _transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,9 @@ from .model import (
     ModelParams,
     ParameterError,
     PointConfig,
+    _Blocks,
     _check_index,
+    _config_blocks,
     _csr_contains,
     _csr_rows,
     _transpose,
@@ -222,13 +224,24 @@ def d_in(config: PointConfig, i: int, spec: DirectedTreeSpec) -> int:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _block_totals(values: np.ndarray, bounds: np.ndarray) -> list[int]:
+    """The sum of values over each block bounds[b]:bounds[b + 1], in Python ints that never wrap."""
+    flat = values.tolist()
+    return [sum(flat[lo:hi]) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def _tree_totals(graph, spec: DirectedTreeSpec, bounds: np.ndarray) -> list[int]:
+    """Total injective homomorphism count of the tree in each block bounds[b]:bounds[b + 1]."""
+    return _block_totals(_rooted(graph, spec, np.arange(bounds[-1])), bounds)
+
+
 def count_trees(config: PointConfig, spec: DirectedTreeSpec) -> int:
     """Total injective homomorphism count, summed over all root images.
 
     The per-root counts are summed as Python integers, so the total never
     wraps.
     """
-    return sum(_rooted(neighborhood_adjacency(config), spec, np.arange(len(config))).tolist())
+    return _tree_totals(neighborhood_adjacency(config), spec, np.array([0, len(config)]))[0]
 
 
 # -- block sums and covariance diagnostics --------------------------------
@@ -251,6 +264,31 @@ class BlockSums:
         return sum(self.values.tolist())
 
 
+def _block_sums(graph, blocks: _Blocks, spec: DirectedTreeSpec) -> list[BlockSums]:
+    """The block sums of every block of a block set, from one count; see block_sums."""
+    widths = []
+    for n in blocks.lengths.tolist():
+        width = int(round(n))
+        if abs(n - width) > 1e-9 or width < 1:
+            raise ParameterError(f"block sums need an integer torus length, got {n}")
+        widths.append(width)
+    bounds = blocks.bounds
+    per_point = _rooted(graph, spec, np.arange(bounds[-1]))
+    # Counts are nonnegative, so no interval can wrap once its block's total fits.
+    if max(_block_totals(per_point, bounds), default=0) > _INT64_MAX:
+        raise OverflowError("block sums exceed int64; aborting")
+    widths = np.array(widths)
+    starts = np.cumsum(widths) - widths
+    block = np.repeat(np.arange(widths.size), bounds[1:] - bounds[:-1])
+    unit = np.floor(blocks.positions + 0.5 * blocks.lengths[block]).astype(np.int64)
+    values = np.zeros(widths.sum(), dtype=np.int64)
+    np.add.at(values, starts[block] + np.minimum(unit, widths[block] - 1), per_point)
+    return [
+        BlockSums(values[start : start + width], ModelParams(blocks.gamma, blocks.beta, n))
+        for start, width, n in zip(starts.tolist(), widths.tolist(), blocks.lengths.tolist())
+    ]
+
+
 def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     """Embedding counts aggregated over the unit blocks [i-1, i).
 
@@ -258,20 +296,8 @@ def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     torus splits into exactly n unit intervals; requires integer n.  Raises
     OverflowError when the total, and so possibly a block, exceeds int64.
     """
-    n = config.params.torus_length
-    blocks = int(round(n))
-    if abs(n - blocks) > 1e-9 or blocks < 1:
-        raise ParameterError(f"block sums need an integer torus length, got {n}")
-    per_point = _rooted(neighborhood_adjacency(config), spec, np.arange(len(config)))
-    # Counts are nonnegative, so no block can wrap once the total fits.
-    if sum(per_point.tolist()) > _INT64_MAX:
-        raise OverflowError("block sums exceed int64; aborting")
-    values = np.zeros(blocks, dtype=np.int64)
-    if len(config):
-        shifted = config.positions + 0.5 * n
-        idx = np.minimum(np.floor(shifted).astype(np.int64), blocks - 1)
-        np.add.at(values, idx, per_point)
-    return BlockSums(values=values, params=config.params)
+    [sums] = _block_sums(neighborhood_adjacency(config), _config_blocks(config), spec)
+    return BlockSums(values=sums.values, params=config.params)
 
 
 def _replicate_matrix(replicates: Sequence[BlockSums]) -> np.ndarray:

@@ -17,7 +17,9 @@ import numpy as np
 from scipy import stats
 
 from adrcm.harness import MIN_TEST_SAMPLES, DegenerateSampleError
-from adrcm.model import MarkedPoint, ModelParams, ParameterError, PointConfig, wrap_position
+from adrcm.model import (
+    MarkedPoint, ModelParams, ParameterError, PointConfig, torus_dist, wrap_position,
+)
 from adrcm.trees import DirectedTreeSpec
 
 
@@ -62,6 +64,13 @@ def random_config(params: ModelParams, rng: np.random.Generator, max_points: int
     xs = rng.uniform(-half, half, size=count)
     us = 1.0 - rng.random(count)
     return config_from_points(params, list(zip(xs, us)), seed=0)
+
+
+def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
+    """Hard-kernel adjacency: dist * u_min^gamma * u_max^(1-gamma) <= beta."""
+    d = torus_dist(p.x, q.x, params.torus_length)
+    u_min, u_max = (p.u, q.u) if p.u <= q.u else (q.u, p.u)
+    return bool(d * u_min**params.gamma * u_max ** (1.0 - params.gamma) <= params.beta)
 
 
 def dist_oracle(x: float, y: float, n: float) -> float:

@@ -24,7 +24,7 @@ from adrcm.cli import (
     render_config,
 )
 from adrcm.harness import MIN_TEST_SAMPLES, CliqueStatistic, ExperimentPlan, variance_scaling
-from adrcm.model import ModelParams
+from adrcm.model import ModelParams, neighborhood_adjacency, sample_config
 from adrcm.theory import MomentProfile, lambda_up
 
 WEDGE_TEXT = "m=3\nroot=1\nedge=2->1\nedge=3->1\n"
@@ -335,11 +335,37 @@ def test_clt_runs_every_torus_length_in_one_pool(tmp_path, monkeypatch):
             lines = (out / f"clt_replicates_n{n}.csv").read_text().splitlines()
             # Drop the preamble's config hash and every row's wall_time.
             rows = [line.split(",") for line in lines if not line.startswith("# config_hash")]
-            csvs.append([row[:3] + row[4:] for row in rows])
+            wall = next(row for row in rows if row[0] == "replicate").index("wall_time")
+            csvs.append([row[:wall] + row[wall + 1 :] for row in rows])
         outputs.append((summary, csvs))
     assert started == ["2"]
     assert outputs[0] == outputs[1]
     assert sorted(outputs[0][0]["p_values"]["ks"]) == ["16", "24", "32"]
+
+
+@pytest.mark.parametrize(
+    "mode, extra",
+    [("cliques", "k_list = 1,3"), ("clt", "k_list = 2\nn_list = 50,60")],
+    ids=["cliques", "clt"],
+)
+def test_replicate_csv_records_each_graph_size(tmp_path, mode, extra):
+    out = tmp_path / "o"
+    body = _minimal(mode, f"{extra}\nr = 70\nseed = 4\n", str(out))
+    assert main([mode, "--config", _write_config(tmp_path, body)]) == 0
+    name = "cliques_replicates.csv" if mode == "cliques" else "clt_replicates_n60.csv"
+    lines = [l for l in (out / name).read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    assert header[2:6] == ["point_count", "edges", "max_up_degree", "wall_time"]
+    assert header[-1].startswith("cliques_k")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 70
+    params = ModelParams(0.3, 1.0, 50.0 if mode == "cliques" else 60.0)
+    for row in rows:
+        indptr, indices = neighborhood_adjacency(sample_config(params, int(row["seed"])))
+        assert int(row["point_count"]) == indptr.size - 1
+        assert int(row["edges"]) == indices.size
+        assert int(row["max_up_degree"]) == np.diff(indptr).max(initial=0)
+    assert max(int(row["max_up_degree"]) for row in rows) > 0
 
 
 def test_summary_records_wall_time(tmp_path):

@@ -15,7 +15,6 @@ from adrcm.model import (
     ModelParams,
     ParameterError,
     _palm_config,
-    connects,
     sample_config,
     wrap_position,
 )
@@ -27,6 +26,7 @@ from oracles import (
     cliques_containing_oracle,
     cliques_oracle,
     config_from_points,
+    connects,
     index_of,
     joint_cliques_oracle,
     neighbors_oracle,

@@ -27,7 +27,11 @@ from adrcm.harness import (
 import adrcm._parallel as _parallel
 import adrcm.harness as harness
 from adrcm._parallel import parallel_map
-from adrcm.model import ModelParams, ParameterError, derive_seed
+from adrcm.cliques import count_cliques_upto
+from adrcm.model import (
+    ModelParams, ParameterError, derive_seed, neighborhood_adjacency, sample_config,
+)
+from adrcm.trees import block_sums, count_trees
 
 from oracles import bootstrap_ci_looped, poisson_chi_square, tree_wedge
 
@@ -74,10 +78,10 @@ def test_run_replicates_wall_time_positive():
 
 
 def test_replicate_failure_identifies_seed(monkeypatch):
-    def failing(config, spec):
+    def failing(graph, spec, bounds):
         raise RuntimeError("count failed")
 
-    monkeypatch.setattr(harness, "count_trees", failing)
+    monkeypatch.setattr(harness, "_tree_totals", failing)
     plan = ExperimentPlan(
         params=ModelParams(0.3, 1.0, 10.0),
         statistic=TreeStatistic(spec=tree_wedge()),
@@ -121,6 +125,93 @@ def test_whole_torus_runs_map_one_replicate_task(monkeypatch, runner):
     serial, parallel = runner(1), runner(2)
     assert mapped == [harness._replicate, harness._replicate]
     assert serial == parallel
+
+
+def _recording_chunks(monkeypatch):
+    """The seeds of every chunk drawn in this process, in call order."""
+    chunks = []
+    draw = harness._torus_blocks
+
+    def recording(params, seeds):
+        chunks.append(list(seeds))
+        return draw(params, seeds)
+
+    monkeypatch.setattr(harness, "_torus_blocks", recording)
+    return chunks
+
+
+def test_chunks_count_each_torus_as_sample_config_and_the_point_level_counters_do(monkeypatch):
+    # 64 tori of n = 64 per chunk, so 130 replicates cut into 64 + 64 + 2.
+    chunks = _recording_chunks(monkeypatch)
+    params = ModelParams(0.2, 1.0, 64.0)
+    seeds = [derive_seed(9, 0, i) for i in range(130)]
+    cliques = run_replicates(ExperimentPlan(params, CliqueStatistic((1, 2, 3)), 130, 9))
+    trees = run_replicates(ExperimentPlan(params, TreeStatistic(tree_wedge()), 130, 9))
+    sums = run_block_replicates(params, tree_wedge(), 130, 9)
+    assert [len(c) for c in chunks] == [64, 64, 2] * 3
+    assert sum(chunks[:3], []) == seeds
+    for i, seed in enumerate(seeds):
+        config = sample_config(params, seed)
+        indptr, indices = neighborhood_adjacency(config)
+        for rep in (cliques[i], trees[i]):
+            assert (rep.seed, rep.point_count) == (seed, len(config))
+            assert (rep.edges, rep.max_up_degree) == (indices.size, np.diff(indptr).max(initial=0))
+        assert cliques[i].values.tolist() == count_cliques_upto(config, 3)
+        assert trees[i].values.tolist() == [count_trees(config, tree_wedge())]
+        expected = block_sums(config, tree_wedge())
+        assert sums[i].values.tolist() == expected.values.tolist()
+        assert sums[i].params == expected.params
+    assert sum(rep.values[2] for rep in cliques) > 0
+
+
+def test_a_chunk_of_mostly_empty_tori_counts_them_as_empty():
+    params = ModelParams(0.3, 1.0, 0.7)
+    results = run_replicates(ExperimentPlan(params, CliqueStatistic((1, 2)), 40, 1))
+    sums = run_block_replicates(ModelParams(0.3, 1.0, 1.0), tree_wedge(), 40, 1)
+    for rep in results:
+        config = sample_config(params, rep.seed)
+        indptr, indices = neighborhood_adjacency(config)
+        assert rep.values.tolist() == count_cliques_upto(config, 2)
+        assert (rep.point_count, rep.edges) == (len(config), indices.size)
+        assert rep.max_up_degree == np.diff(indptr).max(initial=0)
+    assert sum(rep.point_count == 0 for rep in results) >= 10
+    assert sum(rep.edges > 0 for rep in results) >= 5
+    assert all(b.values.size == 1 for b in sums)
+
+
+def _chunked_run(threads):
+    plan = ExperimentPlan(ModelParams(0.3, 1.0, 16.0), CliqueStatistic((2, 3)), 22, 4)
+    results = run_replicates(plan, threads)
+    reps = run_block_replicates(ModelParams(0.1, 1.0, 16.0), tree_wedge(), 22, 4, threads)
+    return (
+        [(r.values.tolist(), r.point_count, r.edges, r.max_up_degree, r.seed) for r in results],
+        [b.values.tolist() for b in reps],
+    )
+
+
+def test_chunked_results_do_not_depend_on_the_worker_count(monkeypatch):
+    # Four tori per chunk: 22 replicates make six chunks, the last of two.
+    monkeypatch.setattr(harness, "_CHUNK_POINTS", 64)
+    one = _chunked_run(1)
+    assert _chunked_run(2) == one
+    assert _chunked_run(3) == one
+
+
+def test_a_failing_chunk_names_its_first_seed(monkeypatch):
+    # Four tori per chunk; replicate 5 lies in the second chunk, which starts at 4.
+    monkeypatch.setattr(harness, "_CHUNK_POINTS", 40)
+    draw = harness._torus_blocks
+
+    def failing(params, seeds):
+        if derive_seed(5, 0, 5) in seeds:
+            raise RuntimeError("draw failed")
+        return draw(params, seeds)
+
+    monkeypatch.setattr(harness, "_torus_blocks", failing)
+    plan = ExperimentPlan(ModelParams(0.3, 1.0, 10.0), CliqueStatistic((2,)), 12, 5)
+    with pytest.raises(ReplicateFailure) as err:
+        run_replicates(plan)
+    assert err.value.seed == derive_seed(5, 0, 4)
 
 
 @pytest.mark.parametrize("threads, items, workers", [(3, 2, 2), (5, 1, None), (2, 4, 2)])
@@ -358,5 +449,7 @@ def test_replicates_csv_layout():
     plan = _plan(k_list=(1, 2), r=3)
     text = replicates_csv(run_replicates(plan), CliqueStatistic((1, 2)).labels)
     lines = text.strip().splitlines()
-    assert lines[0] == "replicate,seed,point_count,wall_time,cliques_k1,cliques_k2"
+    assert lines[0] == (
+        "replicate,seed,point_count,edges,max_up_degree,wall_time,cliques_k1,cliques_k2"
+    )
     assert len(lines) == 4

@@ -21,7 +21,6 @@ from adrcm.model import (
     _palm_config,
     _transpose,
     config_to_csv,
-    connects,
     derive_seed,
     neighborhood_adjacency,
     sample_config,
@@ -35,6 +34,7 @@ from oracles import (
     add_points,
     config_from_points,
     connected_oracle,
+    connects,
     index_of,
     neighbors_oracle,
     random_config,
@@ -52,7 +52,7 @@ def test_the_package_exports_its_public_names():
     }
     assert public == {
         "MarkedPoint", "ModelParams", "ParameterError", "PointConfig", "config_to_csv",
-        "connects", "derive_seed", "sample_config", "torus_dist",
+        "derive_seed", "sample_config", "torus_dist",
         "count_cliques_centered", "count_cliques_upto",
         "BlockSums", "DirectedTreeSpec", "TreeSpecError", "block_sums", "count_trees",
         "d_in", "parse_tree_spec",
@@ -62,7 +62,7 @@ def test_the_package_exports_its_public_names():
         "ks_distance_normal", "run_replicates", "standardize", "variance_scaling",
         "wasserstein1_distance_normal",
     }
-    assert len(public) == 33
+    assert len(public) == 32
 
 
 # -- parameters and points -------------------------------------------------
@@ -523,6 +523,100 @@ def test_an_empty_block_set_has_no_candidate_pairs():
     rows, cols = model._candidate_pairs(blocks)
     assert rows.size == cols.size == 0
     assert model._block_adjacency(blocks)[0].tolist() == [0]
+
+
+def _antipodal_block(n, beta, rng):
+    """64 points on an exact grid, each antipodal to another, with 2 beta / u within rounding of n.
+
+    A window that rounding widens past its radius n/2 would reach the
+    antipodal point through both of its copies.
+    """
+    xs = -0.5 * n + np.arange(64) * (n / 64)
+    us = 2.0 * beta / n * (1.0 + np.arange(-32, 32) * np.finfo(float).eps)
+    return xs, rng.permutation(np.minimum(us, 1.0))
+
+
+def _window_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "tiny tori":
+        sizes = [42, 50, 60, 45, 80]
+        return _blocks_of(rng, sizes, rng.uniform(1.0, 8.0, len(sizes)).tolist())
+    if name == "empty and cut-off sizes":
+        last = model._ALL_PAIRS_BELOW
+        sizes = [0, last - 1, last, last + 1, 0, last, 1, last + 1, 0]
+        return _blocks_of(rng, sizes, [30.0] * len(sizes), tie_every=4)
+    if name == "mixed lengths":
+        sizes = rng.integers(0, 150, 30).tolist() + [60]
+        return _blocks_of(rng, sizes, rng.uniform(1.0, 300.0, 30).tolist() + [1e5])
+    # Windows within rounding of their torus, after a block 1e4 times longer,
+    # whose length makes the offset keys of the short block round coarsely.
+    blocks = _blocks_of(rng, [50, 64], [25000.0, 2.5])
+    xs, us = _antipodal_block(2.5, blocks.beta, rng)
+    return blocks._replace(
+        positions=np.concatenate([blocks.positions[:50], xs]),
+        marks=np.concatenate([blocks.marks[:50], us]),
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["tiny tori", "empty and cut-off sizes", "mixed lengths", "windows near the cap"]
+)
+def test_one_window_query_gives_every_block_its_own_edge_list(case):
+    blocks = _window_case(case)
+    rows, cols = model._candidate_pairs(blocks)
+    size = blocks.positions.size
+    assert np.unique(rows * size + cols).size == rows.size
+    indptr, indices = model._block_adjacency(blocks)
+    expected = _every_ordered_pair_adjacency(blocks)
+    assert indptr.tolist() == expected[0].tolist()
+    assert indices.tolist() == expected[1].tolist()
+    # Block by block, the same rows as each block's own configuration.
+    for b, (lo, hi) in enumerate(zip(blocks.bounds[:-1].tolist(), blocks.bounds[1:].tolist())):
+        params = ModelParams(blocks.gamma, blocks.beta, float(blocks.lengths[b]))
+        config = PointConfig(params, blocks.positions[lo:hi], blocks.marks[lo:hi], 0)
+        own = [[j + lo for j in row] for row in _csr_as_lists(*neighborhood_adjacency(config))]
+        assert _csr_as_lists(indptr, indices)[lo:hi] == own
+    assert indices.size > 100
+
+
+def _lexsort_edges(xs, us, rows, cols, n, gamma, beta):
+    """The edge list as built before the one-key sort: powers per candidate, one lexsort."""
+    keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
+    rows, cols = rows[keep], cols[keep]
+    if isinstance(n, np.ndarray):
+        n = n[keep]
+    d = torus_dist(xs[rows], xs[cols], n)
+    ok = d * us[rows] ** gamma * us[cols] ** (1.0 - gamma) <= beta
+    rows, cols = rows[ok], cols[ok]
+    indptr = np.zeros(xs.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=xs.size), out=indptr[1:])
+    return indptr, cols[np.lexsort((cols, rows))]
+
+
+def _block_sets(source, trial, rng):
+    if source == "tori":
+        params = ModelParams(rng.uniform(0.05, 0.5), rng.uniform(0.3, 2.0), rng.uniform(2.0, 400.0))
+        return [model._torus_blocks(params, [trial, trial + 100])]
+    # A wedge-root chunk at one anchor, and a joint sigma chunk on tori of many lengths.
+    params = ModelParams(0.3, 1.0, 256.0)
+    return [
+        model._palm_blocks(theory._at_anchors(params, [MarkedPoint(0.0, 0.01)], trial, (), 0, 100), 2),
+        model._palm_blocks(theory._sigma_samples(params, 100.0, 64.0, trial, (2,), 0, 100), 1),
+    ]
+
+
+@pytest.mark.parametrize("source", ["tori", "palm chunks"])
+def test_the_one_key_sort_gives_the_lexsort_edge_list(source):
+    rng = np.random.default_rng(41)
+    for blocks in (b for trial in range(6) for b in _block_sets(source, trial, rng)):
+        rows, cols = model._candidate_pairs(blocks)
+        n = blocks.lengths[blocks.bounds.searchsorted(rows, side="right") - 1]
+        args = (blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
+        indptr, indices = model._edges(*args)
+        expected = _lexsort_edges(*args)
+        assert indptr.tolist() == expected[0].tolist()
+        assert indices.tolist() == expected[1].tolist()
+        assert indices.size > 0
 
 
 # -- seeds -----------------------------------------------------------------------
