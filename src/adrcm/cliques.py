@@ -63,23 +63,11 @@ def _clique_levels(
     return levels
 
 
-def _clique_totals(graph: tuple[np.ndarray, np.ndarray], bounds: np.ndarray, k_max: int) -> np.ndarray:
-    """Cliques of every size 1..k_max in each block bounds[b]:bounds[b + 1], from one listing.
-
-    Row b of the (blocks, k_max) result counts the cliques of block b, each
-    found from its lowest-mark vertex.
-    """
-    blocks = bounds.size - 1
-    block = np.repeat(np.arange(blocks), bounds[1:] - bounds[:-1])
-    levels = _clique_levels(graph, np.arange(bounds[-1]), k_max)
-    return np.column_stack([np.bincount(block[level[:, 0]], minlength=blocks) for level in levels])
-
-
 def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
     """Totals for every clique size 1..k_max in a single listing pass."""
     _check_k(k_max)
-    bounds = np.array([0, len(config)])
-    return _clique_totals(neighborhood_adjacency(config), bounds, k_max)[0].tolist()
+    levels = _clique_levels(neighborhood_adjacency(config), np.arange(len(config)), k_max)
+    return [len(level) for level in levels]
 
 
 def _owners(levels: list[np.ndarray], seeds: np.ndarray, owner: np.ndarray):

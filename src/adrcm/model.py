@@ -259,7 +259,7 @@ class PointConfig:
     mark order.
     """
 
-    __slots__ = ("params", "seed", "_xs", "_us")
+    __slots__ = ("params", "seed", "_xs", "_us", "_graph")
 
     def __init__(self, params: ModelParams, xs: np.ndarray, us: np.ndarray, seed: int):
         xs = np.asarray(xs, dtype=np.float64)
@@ -280,6 +280,7 @@ class PointConfig:
         self._us = us
         self._xs.setflags(write=False)
         self._us.setflags(write=False)
+        self._graph = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -366,30 +367,6 @@ class _Blocks(NamedTuple):
     beta: float
 
 
-def _torus_blocks(params: ModelParams, seeds) -> _Blocks:
-    """sample_config(params, seed) for each seed, as the blocks of one index space, with no anchors.
-
-    Each configuration is drawn on its own stream and sorted by position
-    with a stable sort.  Raises ParameterError, as PointConfig does, when a
-    drawn position rounds onto n/2.
-    """
-    xs, us = [], []
-    for seed in seeds:
-        x, u = _draw(params, seed)
-        order = np.argsort(x, kind="stable")
-        xs.append(x[order])
-        us.append(u[order])
-    positions = np.concatenate(xs)
-    if (positions >= 0.5 * params.torus_length).any():
-        raise ParameterError("positions must be canonical, in [-n/2, n/2)")
-    bounds = np.zeros(len(xs) + 1, dtype=np.int64)
-    np.cumsum([x.size for x in xs], out=bounds[1:])
-    return _Blocks(
-        positions, np.concatenate(us), bounds, np.full(len(xs), float(params.torus_length)),
-        np.zeros((len(xs), 0), dtype=np.int64), params.gamma, params.beta,
-    )
-
-
 def sample_config(params: ModelParams, seed: int) -> PointConfig:
     """Sample a unit-intensity Poisson configuration on the marked torus.
 
@@ -398,8 +375,9 @@ def sample_config(params: ModelParams, seed: int) -> PointConfig:
     the single 64-bit seed through a counter-based generator, so equal
     (params, seed) reproduce the configuration bit for bit.
     """
-    blocks = _torus_blocks(params, [seed])
-    return PointConfig(params, blocks.positions, blocks.marks, seed)
+    xs, us = _draw(params, seed)
+    order = np.argsort(xs, kind="stable")
+    return PointConfig(params, xs[order], us[order], seed)
 
 
 def _kept(params: ModelParams, seed: int, start: list[tuple[float, float]], hops: int):
@@ -499,10 +477,11 @@ def _palm_config(
     return PointConfig(params, blocks.positions, blocks.marks, seed), blocks.anchors[0].tolist()
 
 
-# Below this many points every pair is a candidate edge.  On unit-density
-# tori (gamma 0.3, beta 1) all pairs are faster than the window search up to
-# 40 points and slower from 44; a Palm neighbourhood, whose points all lie
-# near its anchors, rarely reaches the cut-off.
+# Below this many points every pair of a block is a candidate edge.  On
+# unit-density tori (gamma 0.3, beta 1) all pairs were faster than the block
+# window search up to 40 points and slower from 44; a Palm neighbourhood,
+# whose points all lie near its anchors, rarely reaches the cut-off.  A whole
+# configuration always takes the one-torus query, _torus_window_pairs.
 _ALL_PAIRS_BELOW = 42
 
 
@@ -596,37 +575,102 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float) -> tuple[np.ndarray
     one for all), so each edge is found from its lower-mark end.  Each
     ordered pair may be a candidate at most once.
     """
-    keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
+    size = xs.size
+    # Each point's rank in the (mark, index) order: a stable sort breaks ties by index.
+    rank = np.empty(size, dtype=np.int64)
+    rank[us.argsort(kind="stable")] = np.arange(size)
+    keep = rank[cols] > rank[rows]
     rows, cols = rows[keep], cols[keep]
     if isinstance(n, np.ndarray):
         n = n[keep]
-    d = torus_dist(xs[rows], xs[cols], n)
+    d = np.abs(xs[rows] - xs[cols])
+    # Canonical positions lie less than n apart, so this is their torus distance.
+    d = np.minimum(d, n - d)
     ok = d * (us**gamma)[rows] * (us ** (1.0 - gamma))[cols] <= beta
     rows = rows[ok]
-    size = xs.size
     # One int64 key per edge sorts the rows, and the columns within each row.
     key = rows * size + cols[ok]
     key.sort()
+    degree = np.bincount(rows, minlength=size)
     indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    return indptr, key % max(size, 1)
+    np.cumsum(degree, out=indptr[1:])
+    # The sorted keys' rows are each point's index, repeated by its degree.
+    key -= np.repeat(np.arange(size) * size, degree)
+    return indptr, key
 
 
-def _config_blocks(config: PointConfig) -> _Blocks:
-    """The configuration as the one block of a block set, with no anchors."""
-    p = config.params
-    return _Blocks(
-        config.positions, config.marks, np.array([0, len(config)]),
-        np.array([float(p.torus_length)]), np.zeros((1, 0), dtype=np.int64), p.gamma, p.beta,
+def _torus_window_pairs(xs: np.ndarray, us: np.ndarray, n: float, beta: float):
+    """Candidate pairs (rows, cols) of one torus from one window query.
+
+    Each point takes a window of its maximal up-radius beta/u over the
+    positions listed three times (shifted by -n, 0 and +n); a window of
+    radius n/2 or more is capped and takes every point once.  This costs
+    fewer numpy calls than _window_pairs, the same query over many tori.
+    """
+    size = xs.size
+    # Capped windows are replaced below, so the others need no cap at n/2.
+    radius = beta / us
+    ext = np.concatenate((xs - n, xs, xs + n))
+    lo = ext.searchsorted(xs - radius, side="left")
+    hi = ext.searchsorted(xs + radius, side="right")
+    capped = radius >= 0.5 * n
+    if capped.any():
+        lo = np.where(capped, size, lo)
+        hi = np.where(capped, 2 * size, hi)
+    counts = hi - lo
+    rows = np.repeat(np.arange(size), counts)
+    at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(rows.size)
+    return rows, np.tile(np.arange(size), 3)[at]
+
+
+def _shared_adjacency(configs: list[PointConfig]) -> None:
+    """Build the edge lists of configurations of one model together, and keep each on its configuration.
+
+    The configurations become the blocks of one block set, whose edge list
+    is one block-diagonal CSR (_block_adjacency); each configuration keeps
+    its block, which equals the CSR neighborhood_adjacency would build.  For
+    many small tori this costs fewer numpy calls than one query per torus.
+    """
+    p = configs[0].params
+    bounds = np.zeros(len(configs) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in configs], out=bounds[1:])
+    blocks = _Blocks(
+        np.concatenate([c.positions for c in configs]),
+        np.concatenate([c.marks for c in configs]),
+        bounds,
+        np.full(len(configs), float(p.torus_length)),
+        np.zeros((len(configs), 0), dtype=np.int64),
+        p.gamma,
+        p.beta,
     )
+    indptr, indices = _block_adjacency(blocks)
+    for config, lo, hi in zip(configs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        graph = (indptr[lo : hi + 1] - indptr[lo], indices[indptr[lo] : indptr[hi]] - lo)
+        for array in graph:
+            array.setflags(write=False)
+        config._graph = graph
+
+
+def _adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]:
+    """neighborhood_adjacency(config), built at the first call and kept, read-only, on config."""
+    if config._graph is None:
+        p = config.params
+        xs, us = config.positions, config.marks
+        rows, cols = _torus_window_pairs(xs, us, p.torus_length, p.beta)
+        graph = _edges(xs, us, rows, cols, p.torus_length, p.gamma, p.beta)
+        for array in graph:
+            array.setflags(write=False)
+        config._graph = graph
+    return config._graph
 
 
 def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]:
     """Mark-oriented adjacency of the configuration graph as CSR; see _edges.
 
-    The configuration is the one-block case of _block_adjacency.
+    The CSR is built once per configuration and kept on it; its arrays are
+    read-only.
     """
-    return _block_adjacency(_config_blocks(config))
+    return _adjacency(config)
 
 
 def _transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

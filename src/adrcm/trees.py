@@ -8,6 +8,7 @@ induced copies: leaves may or may not be adjacent to each other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -17,9 +18,7 @@ from .model import (
     ModelParams,
     ParameterError,
     PointConfig,
-    _Blocks,
     _check_index,
-    _config_blocks,
     _csr_contains,
     _csr_rows,
     _transpose,
@@ -58,6 +57,8 @@ class DirectedTreeSpec:
     root_degree_one: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        # Tuples keep the spec hashable, so its assignment plan is cached.
+        object.__setattr__(self, "edges", tuple(tuple(edge) for edge in self.edges))
         m = self.vertex_count
         if m < 1:
             raise TreeSpecError(f"vertex_count must be >= 1, got {m}")
@@ -146,7 +147,8 @@ def _parse_int(value: str, line_no: int) -> int:
 # -- embedding counts ----------------------------------------------------
 
 
-def _assignment_plan(spec: DirectedTreeSpec) -> list[tuple[int, int, bool]]:
+@functools.lru_cache(maxsize=64)
+def _assignment_plan(spec: DirectedTreeSpec) -> tuple[tuple[int, int, bool], ...]:
     """BFS assignment order: (vertex slot, parent slot, parent_is_lower).
 
     ``parent_is_lower`` is true when the tree edge points child -> parent, so
@@ -168,7 +170,7 @@ def _assignment_plan(spec: DirectedTreeSpec) -> list[tuple[int, int, bool]]:
             slot_of[w] = len(slot_of)
             plan.append((slot_of[w], slot_of[v], (w, v) in directed))
             queue.append(w)
-    return plan
+    return tuple(plan)
 
 
 def _rooted(
@@ -198,7 +200,12 @@ def _rooted(
         if step + 1 == len(plan):
             count = indptr[parents + 1] - indptr[parents]
             for slot, images in enumerate(emb):
-                if slot != parent_slot:
+                if slot == parent_slot:
+                    continue
+                if slot and plan[slot - 1][1:] == (parent_slot, parent_is_lower):
+                    # A sibling's image was listed from this very row, so it lies in it.
+                    count -= 1
+                else:
                     count -= _csr_contains(indptr, indices, parents, images)
             np.add.at(out, owner, count)
             break
@@ -224,24 +231,13 @@ def d_in(config: PointConfig, i: int, spec: DirectedTreeSpec) -> int:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _block_totals(values: np.ndarray, bounds: np.ndarray) -> list[int]:
-    """The sum of values over each block bounds[b]:bounds[b + 1], in Python ints that never wrap."""
-    flat = values.tolist()
-    return [sum(flat[lo:hi]) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-
-
-def _tree_totals(graph, spec: DirectedTreeSpec, bounds: np.ndarray) -> list[int]:
-    """Total injective homomorphism count of the tree in each block bounds[b]:bounds[b + 1]."""
-    return _block_totals(_rooted(graph, spec, np.arange(bounds[-1])), bounds)
-
-
 def count_trees(config: PointConfig, spec: DirectedTreeSpec) -> int:
     """Total injective homomorphism count, summed over all root images.
 
     The per-root counts are summed as Python integers, so the total never
     wraps.
     """
-    return _tree_totals(neighborhood_adjacency(config), spec, np.array([0, len(config)]))[0]
+    return sum(_rooted(neighborhood_adjacency(config), spec, np.arange(len(config))).tolist())
 
 
 # -- block sums and covariance diagnostics --------------------------------
@@ -264,31 +260,6 @@ class BlockSums:
         return sum(self.values.tolist())
 
 
-def _block_sums(graph, blocks: _Blocks, spec: DirectedTreeSpec) -> list[BlockSums]:
-    """The block sums of every block of a block set, from one count; see block_sums."""
-    widths = []
-    for n in blocks.lengths.tolist():
-        width = int(round(n))
-        if abs(n - width) > 1e-9 or width < 1:
-            raise ParameterError(f"block sums need an integer torus length, got {n}")
-        widths.append(width)
-    bounds = blocks.bounds
-    per_point = _rooted(graph, spec, np.arange(bounds[-1]))
-    # Counts are nonnegative, so no interval can wrap once its block's total fits.
-    if max(_block_totals(per_point, bounds), default=0) > _INT64_MAX:
-        raise OverflowError("block sums exceed int64; aborting")
-    widths = np.array(widths)
-    starts = np.cumsum(widths) - widths
-    block = np.repeat(np.arange(widths.size), bounds[1:] - bounds[:-1])
-    unit = np.floor(blocks.positions + 0.5 * blocks.lengths[block]).astype(np.int64)
-    values = np.zeros(widths.sum(), dtype=np.int64)
-    np.add.at(values, starts[block] + np.minimum(unit, widths[block] - 1), per_point)
-    return [
-        BlockSums(values[start : start + width], ModelParams(blocks.gamma, blocks.beta, n))
-        for start, width, n in zip(starts.tolist(), widths.tolist(), blocks.lengths.tolist())
-    ]
-
-
 def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     """Embedding counts aggregated over the unit blocks [i-1, i).
 
@@ -296,8 +267,20 @@ def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     torus splits into exactly n unit intervals; requires integer n.  Raises
     OverflowError when the total, and so possibly a block, exceeds int64.
     """
-    [sums] = _block_sums(neighborhood_adjacency(config), _config_blocks(config), spec)
-    return BlockSums(values=sums.values, params=config.params)
+    n = config.params.torus_length
+    blocks = int(round(n))
+    if abs(n - blocks) > 1e-9 or blocks < 1:
+        raise ParameterError(f"block sums need an integer torus length, got {n}")
+    per_point = _rooted(neighborhood_adjacency(config), spec, np.arange(len(config)))
+    # Counts are nonnegative, so no block can wrap once the total fits.
+    if sum(per_point.tolist()) > _INT64_MAX:
+        raise OverflowError("block sums exceed int64; aborting")
+    values = np.zeros(blocks, dtype=np.int64)
+    if len(config):
+        shifted = config.positions + 0.5 * n
+        idx = np.minimum(np.floor(shifted).astype(np.int64), blocks - 1)
+        np.add.at(values, idx, per_point)
+    return BlockSums(values=values, params=config.params)
 
 
 def _replicate_matrix(replicates: Sequence[BlockSums]) -> np.ndarray:
@@ -316,8 +299,11 @@ def _cyclic_lag_cov(centered: np.ndarray, lag: int) -> float:
     """Across-replicate covariance at a block lag, averaged over the circle."""
     r, n = centered.shape
     # One temporary per lag: with a second one of this size the allocator can
-    # return and re-fault their pages on every call, tripling the cost.
-    product = np.roll(centered, -lag, axis=1)
+    # return and re-fault their pages on every call, tripling the cost.  It
+    # holds np.roll(centered, -lag, axis=1), copied in two slices.
+    product = np.empty_like(centered)
+    product[:, : n - lag] = centered[:, lag:]
+    product[:, n - lag :] = centered[:, :lag]
     np.multiply(centered, product, out=product)
     return float(np.sum(product) / (n * (r - 1)))
 

@@ -78,10 +78,10 @@ def test_run_replicates_wall_time_positive():
 
 
 def test_replicate_failure_identifies_seed(monkeypatch):
-    def failing(graph, spec, bounds):
+    def failing(config, spec):
         raise RuntimeError("count failed")
 
-    monkeypatch.setattr(harness, "_tree_totals", failing)
+    monkeypatch.setattr(harness, "count_trees", failing)
     plan = ExperimentPlan(
         params=ModelParams(0.3, 1.0, 10.0),
         statistic=TreeStatistic(spec=tree_wedge()),
@@ -127,44 +127,78 @@ def test_whole_torus_runs_map_one_replicate_task(monkeypatch, runner):
     assert serial == parallel
 
 
-def _recording_chunks(monkeypatch):
-    """The seeds of every chunk drawn in this process, in call order."""
-    chunks = []
-    draw = harness._torus_blocks
-
-    def recording(params, seeds):
-        chunks.append(list(seeds))
-        return draw(params, seeds)
-
-    monkeypatch.setattr(harness, "_torus_blocks", recording)
-    return chunks
-
-
-def test_chunks_count_each_torus_as_sample_config_and_the_point_level_counters_do(monkeypatch):
-    # 64 tori of n = 64 per chunk, so 130 replicates cut into 64 + 64 + 2.
-    chunks = _recording_chunks(monkeypatch)
+def test_replicates_record_the_edge_list_of_their_configuration():
+    # 64 tori of n = 64 per chunk, so 70 replicates make chunks of 64 and 6.
     params = ModelParams(0.2, 1.0, 64.0)
-    seeds = [derive_seed(9, 0, i) for i in range(130)]
-    cliques = run_replicates(ExperimentPlan(params, CliqueStatistic((1, 2, 3)), 130, 9))
-    trees = run_replicates(ExperimentPlan(params, TreeStatistic(tree_wedge()), 130, 9))
-    sums = run_block_replicates(params, tree_wedge(), 130, 9)
-    assert [len(c) for c in chunks] == [64, 64, 2] * 3
-    assert sum(chunks[:3], []) == seeds
-    for i, seed in enumerate(seeds):
-        config = sample_config(params, seed)
+    cliques = run_replicates(ExperimentPlan(params, CliqueStatistic((1, 2, 3)), 70, 9))
+    trees = run_replicates(ExperimentPlan(params, TreeStatistic(tree_wedge()), 70, 9))
+    sums = run_block_replicates(params, tree_wedge(), 70, 9)
+    for i in range(70):
+        config = sample_config(params, derive_seed(9, 0, i))
         indptr, indices = neighborhood_adjacency(config)
         for rep in (cliques[i], trees[i]):
-            assert (rep.seed, rep.point_count) == (seed, len(config))
+            assert (rep.seed, rep.point_count) == (config.seed, len(config))
             assert (rep.edges, rep.max_up_degree) == (indices.size, np.diff(indptr).max(initial=0))
         assert cliques[i].values.tolist() == count_cliques_upto(config, 3)
         assert trees[i].values.tolist() == [count_trees(config, tree_wedge())]
-        expected = block_sums(config, tree_wedge())
-        assert sums[i].values.tolist() == expected.values.tolist()
-        assert sums[i].params == expected.params
+        assert sums[i].values.tolist() == block_sums(config, tree_wedge()).values.tolist()
     assert sum(rep.values[2] for rep in cliques) > 0
 
 
-def test_a_chunk_of_mostly_empty_tori_counts_them_as_empty():
+def test_a_serial_run_samples_each_torus_once_in_chunks(monkeypatch):
+    sampled, shared = [], []
+    sample, share = harness.sample_config, harness._shared_adjacency
+
+    def recording_sample(params, seed):
+        sampled.append(seed)
+        return sample(params, seed)
+
+    def recording_share(configs):
+        shared.append(len(configs))
+        share(configs)
+
+    monkeypatch.setattr(harness, "sample_config", recording_sample)
+    monkeypatch.setattr(harness, "_shared_adjacency", recording_share)
+    run_replicates(ExperimentPlan(ModelParams(0.3, 1.0, 64.0), CliqueStatistic((2,)), 130, 2))
+    assert sampled == [derive_seed(2, 0, i) for i in range(130)]
+    assert shared == [64, 64, 2]
+    # A torus of 400 or more is a chunk of its own.
+    run_replicates(ExperimentPlan(ModelParams(0.3, 1.0, 400.0), CliqueStatistic((2,)), 3, 2))
+    assert shared == [64, 64, 2]
+
+
+def test_with_several_workers_every_replicate_is_its_own_chunk(monkeypatch):
+    chunks = []
+
+    def recording(fn, items, threads=1):
+        chunks.extend(len(chunk.seeds) for _, chunk, _, _ in items)
+        return parallel_map(fn, items, threads)
+
+    monkeypatch.setattr(harness, "parallel_map", recording)
+    plan = ExperimentPlan(ModelParams(0.3, 1.0, 64.0), CliqueStatistic((2,)), 6, 2)
+    assert [r.values.tolist() for r in run_replicates(plan, 2)] == [
+        r.values.tolist() for r in run_replicates(plan, 1)
+    ]
+    assert chunks == [1] * 6 + [6] * 6
+
+
+def test_a_failing_draw_in_a_chunk_names_its_own_seed(monkeypatch):
+    sample = harness.sample_config
+    bad = derive_seed(5, 0, 7)
+
+    def failing(params, seed):
+        if seed == bad:
+            raise RuntimeError("draw failed")
+        return sample(params, seed)
+
+    monkeypatch.setattr(harness, "sample_config", failing)
+    plan = ExperimentPlan(ModelParams(0.3, 1.0, 10.0), CliqueStatistic((2,)), 12, 5)
+    with pytest.raises(ReplicateFailure) as err:
+        run_replicates(plan)
+    assert err.value.seed == bad
+
+
+def test_empty_tori_record_no_points_and_no_edges():
     params = ModelParams(0.3, 1.0, 0.7)
     results = run_replicates(ExperimentPlan(params, CliqueStatistic((1, 2)), 40, 1))
     sums = run_block_replicates(ModelParams(0.3, 1.0, 1.0), tree_wedge(), 40, 1)
@@ -179,7 +213,7 @@ def test_a_chunk_of_mostly_empty_tori_counts_them_as_empty():
     assert all(b.values.size == 1 for b in sums)
 
 
-def _chunked_run(threads):
+def _edge_run(threads):
     plan = ExperimentPlan(ModelParams(0.3, 1.0, 16.0), CliqueStatistic((2, 3)), 22, 4)
     results = run_replicates(plan, threads)
     reps = run_block_replicates(ModelParams(0.1, 1.0, 16.0), tree_wedge(), 22, 4, threads)
@@ -189,29 +223,10 @@ def _chunked_run(threads):
     )
 
 
-def test_chunked_results_do_not_depend_on_the_worker_count(monkeypatch):
-    # Four tori per chunk: 22 replicates make six chunks, the last of two.
-    monkeypatch.setattr(harness, "_CHUNK_POINTS", 64)
-    one = _chunked_run(1)
-    assert _chunked_run(2) == one
-    assert _chunked_run(3) == one
-
-
-def test_a_failing_chunk_names_its_first_seed(monkeypatch):
-    # Four tori per chunk; replicate 5 lies in the second chunk, which starts at 4.
-    monkeypatch.setattr(harness, "_CHUNK_POINTS", 40)
-    draw = harness._torus_blocks
-
-    def failing(params, seeds):
-        if derive_seed(5, 0, 5) in seeds:
-            raise RuntimeError("draw failed")
-        return draw(params, seeds)
-
-    monkeypatch.setattr(harness, "_torus_blocks", failing)
-    plan = ExperimentPlan(ModelParams(0.3, 1.0, 10.0), CliqueStatistic((2,)), 12, 5)
-    with pytest.raises(ReplicateFailure) as err:
-        run_replicates(plan)
-    assert err.value.seed == derive_seed(5, 0, 4)
+def test_edge_columns_do_not_depend_on_the_worker_count():
+    one = _edge_run(1)
+    assert _edge_run(2) == one
+    assert _edge_run(3) == one
 
 
 @pytest.mark.parametrize("threads, items, workers", [(3, 2, 2), (5, 1, None), (2, 4, 2)])

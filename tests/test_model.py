@@ -518,6 +518,48 @@ def test_small_blocks_list_each_pair_once_with_the_same_edge_list(tie_every, one
     assert indices.size > 100
 
 
+def _sampled_and_hand_built(case):
+    """Configurations of one model: sampled tori, or hand-built ones of chosen sizes."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    if case == "sampled tori":
+        params = ModelParams(0.2, 1.0, 64.0)
+        return [sample_config(params, seed) for seed in range(12)]
+    if case == "tiny tori":
+        params = ModelParams(0.3, 1.0, 3.0)
+        return [sample_config(params, seed) for seed in range(40)]
+    params = ModelParams(0.3, 1.0, 30.0)
+    last = model._ALL_PAIRS_BELOW
+    blocks = _blocks_of(rng, [0, last - 1, last, last + 1, 1, 0, 90], [30.0] * 7, tie_every=5)
+    bounds = blocks.bounds.tolist()
+    return [
+        PointConfig(params, blocks.positions[lo:hi], blocks.marks[lo:hi], 0)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+@pytest.mark.parametrize("case", ["sampled tori", "tiny tori", "empty, cut-off and tied"])
+def test_shared_edge_lists_equal_each_configurations_own(case):
+    configs = _sampled_and_hand_built(case)
+    model._shared_adjacency(configs)
+    edges = 0
+    for config in configs:
+        shared = neighborhood_adjacency(config)
+        fresh = neighborhood_adjacency(PointConfig(config.params, config.positions, config.marks, 0))
+        assert shared[0].tolist() == fresh[0].tolist()
+        assert shared[1].tolist() == fresh[1].tolist()
+        assert not shared[0].flags.writeable and not shared[1].flags.writeable
+        edges += shared[1].size
+    assert edges > 20
+
+
+def test_a_configuration_keeps_its_edge_list():
+    config = sample_config(ModelParams(0.3, 1.0, 50.0), 3)
+    first = neighborhood_adjacency(config)
+    assert neighborhood_adjacency(config) is first
+    with pytest.raises(ValueError):
+        first[1][0] = 0
+
+
 def test_an_empty_block_set_has_no_candidate_pairs():
     blocks = _blocks_of(np.random.default_rng(0), [0, 0], [4.0, 4.0])
     rows, cols = model._candidate_pairs(blocks)
@@ -579,6 +621,24 @@ def test_one_window_query_gives_every_block_its_own_edge_list(case):
     assert indices.size > 100
 
 
+@pytest.mark.parametrize("n", [1.0, 2.5, 8.0, 64.0])
+def test_one_torus_query_lists_each_pair_once_near_the_cap(n):
+    rng = np.random.default_rng(int(n * 10))
+    beta = 1.0
+    xs, us = _antipodal_block(n, beta, rng)
+    rows, cols = model._torus_window_pairs(xs, us, n, beta)
+    assert np.unique(rows * xs.size + cols).size == rows.size
+    config = PointConfig(ModelParams(0.3, beta, n), xs, us, 0)
+    blocks = model._Blocks(
+        xs, us, np.array([0, xs.size]), np.array([n]), np.zeros((1, 0), dtype=np.int64), 0.3, beta
+    )
+    expected = _every_ordered_pair_adjacency(blocks)
+    indptr, indices = neighborhood_adjacency(config)
+    assert indptr.tolist() == expected[0].tolist()
+    assert indices.tolist() == expected[1].tolist()
+    assert indices.size > 0
+
+
 def _lexsort_edges(xs, us, rows, cols, n, gamma, beta):
     """The edge list as built before the one-key sort: powers per candidate, one lexsort."""
     keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
@@ -596,7 +656,13 @@ def _lexsort_edges(xs, us, rows, cols, n, gamma, beta):
 def _block_sets(source, trial, rng):
     if source == "tori":
         params = ModelParams(rng.uniform(0.05, 0.5), rng.uniform(0.3, 2.0), rng.uniform(2.0, 400.0))
-        return [model._torus_blocks(params, [trial, trial + 100])]
+        configs = [sample_config(params, seed) for seed in (trial, trial + 100)]
+        bounds = np.concatenate(([0], np.cumsum([len(c) for c in configs])))
+        return [model._Blocks(
+            np.concatenate([c.positions for c in configs]), np.concatenate([c.marks for c in configs]),
+            bounds, np.full(2, params.torus_length), np.zeros((2, 0), dtype=np.int64),
+            params.gamma, params.beta,
+        )]
     # A wedge-root chunk at one anchor, and a joint sigma chunk on tori of many lengths.
     params = ModelParams(0.3, 1.0, 256.0)
     return [
