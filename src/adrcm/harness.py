@@ -20,8 +20,8 @@ from scipy import special
 from ._parallel import ReplicateFailure, parallel_map
 from .cliques import count_cliques_upto
 from .model import (
-    ModelParams, ParameterError, PointConfig, _adjacency, _derive_seeds, _shared_adjacency,
-    derive_seed, sample_config,
+    ModelParams, ParameterError, PointConfig, _derive_seeds, _shared_adjacency, derive_seed,
+    sample_config,
 )
 from .trees import (
     BlockSums,
@@ -109,8 +109,8 @@ class ReplicateResult:
 
     edges and max_up_degree describe the configuration's graph: its edge
     count and its largest number of higher-mark neighbours.  wall_time is
-    the replicate's sampling and count; the first replicate of a chunk also
-    carries the sampling and edge lists of the chunk's other tori.
+    the replicate's count plus an even share of its chunk's sampling and
+    edge lists.
     """
 
     values: np.ndarray | BlockSums
@@ -145,10 +145,17 @@ class _Chunk:
         self.params = params
         self.seeds = seeds
         self._configs: list[PointConfig | None] | None = None
+        self._share = 0.0
 
-    def take(self, i: int) -> PointConfig:
-        """The configuration of the chunk's replicate i, sample_config(params, seeds[i])."""
+    def take(self, i: int) -> tuple[PointConfig, float]:
+        """The configuration of the chunk's replicate i, sample_config(params, seeds[i]).
+
+        Also returns the replicate's part of the sampling time: the time the
+        chunk took to sample and build edge lists together, spread evenly
+        over its replicates.
+        """
         if self._configs is None:
+            start = time.perf_counter()
             try:
                 configs = [sample_config(self.params, seed) for seed in self.seeds]
             except Exception:  # noqa: BLE001 - raised again below, by the replicate whose torus fails
@@ -157,25 +164,29 @@ class _Chunk:
                 if len(configs) > 1:
                     _shared_adjacency(configs)
             self._configs = configs
+            self._share = (time.perf_counter() - start) / len(self.seeds)
         config, self._configs[i] = self._configs[i], None
-        return sample_config(self.params, self.seeds[i]) if config is None else config
+        if config is not None:
+            return config, self._share
+        start = time.perf_counter()
+        config = sample_config(self.params, self.seeds[i])
+        return config, self._share + time.perf_counter() - start
 
 
 def _replicate(task: tuple[Callable[[PointConfig], object], _Chunk, int, int]) -> ReplicateResult:
     count, chunk, i, seed = task
+    config, sampling = chunk.take(i)
     start = time.perf_counter()
-    config = chunk.take(i)
     values = count(config)
-    # The configuration kept the edge list the count read.  Reading it
-    # through _adjacency leaves one neighborhood_adjacency call per
-    # replicate, which the benchmark's tracer counts.
-    indptr = _adjacency(config)[0]
+    wall_time = sampling + time.perf_counter() - start
+    # Every count reads the edge list that the configuration keeps.
+    indptr = config._graph[0]
     return ReplicateResult(
         values=values,
         point_count=len(config),
         edges=int(indptr[-1]),
         max_up_degree=int(np.diff(indptr).max(initial=0)),
-        wall_time=time.perf_counter() - start,
+        wall_time=wall_time,
         seed=seed,
     )
 

@@ -8,7 +8,6 @@ induced copies: leaves may or may not be adjacent to each other.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -57,8 +56,6 @@ class DirectedTreeSpec:
     root_degree_one: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        # Tuples keep the spec hashable, so its assignment plan is cached.
-        object.__setattr__(self, "edges", tuple(tuple(edge) for edge in self.edges))
         m = self.vertex_count
         if m < 1:
             raise TreeSpecError(f"vertex_count must be >= 1, got {m}")
@@ -147,8 +144,7 @@ def _parse_int(value: str, line_no: int) -> int:
 # -- embedding counts ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _assignment_plan(spec: DirectedTreeSpec) -> tuple[tuple[int, int, bool], ...]:
+def _assignment_plan(spec: DirectedTreeSpec) -> list[tuple[int, int, bool]]:
     """BFS assignment order: (vertex slot, parent slot, parent_is_lower).
 
     ``parent_is_lower`` is true when the tree edge points child -> parent, so
@@ -170,7 +166,7 @@ def _assignment_plan(spec: DirectedTreeSpec) -> tuple[tuple[int, int, bool], ...
             slot_of[w] = len(slot_of)
             plan.append((slot_of[w], slot_of[v], (w, v) in directed))
             queue.append(w)
-    return tuple(plan)
+    return plan
 
 
 def _rooted(

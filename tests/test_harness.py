@@ -167,6 +167,24 @@ def test_a_serial_run_samples_each_torus_once_in_chunks(monkeypatch):
     assert shared == [64, 64, 2]
 
 
+def test_a_chunk_spreads_its_sampling_time_evenly(monkeypatch):
+    class TickingClock:
+        """A clock that advances one second at every reading."""
+
+        now = 0.0
+
+        def perf_counter(self):
+            self.now += 1.0
+            return self.now
+
+    # 70 replicates at n = 64: chunks of 64 and 6 tori.  Each chunk's
+    # sampling reads the clock twice (1 s), and so does each count.
+    monkeypatch.setattr(harness, "time", TickingClock())
+    plan = ExperimentPlan(ModelParams(0.3, 1.0, 64.0), CliqueStatistic((2,)), 70, 2)
+    wall = [r.wall_time for r in run_replicates(plan)]
+    assert wall == pytest.approx([1.0 + 1.0 / 64] * 64 + [1.0 + 1.0 / 6] * 6)
+
+
 def test_with_several_workers_every_replicate_is_its_own_chunk(monkeypatch):
     chunks = []
 
