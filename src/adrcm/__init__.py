@@ -10,14 +10,13 @@ from .model import (
     sample_config,
     torus_dist,
 )
-from .cliques import count_cliques_centered, count_cliques_upto
+from .cliques import count_cliques_upto
 from .trees import (
     BlockSums,
     DirectedTreeSpec,
     TreeSpecError,
     block_sums,
     count_trees,
-    d_in,
     parse_tree_spec,
 )
 from .theory import (

@@ -54,7 +54,7 @@ from .theory import (
 )
 from .trees import TreeSpecError, lag_covariance_table, parse_tree_spec
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "render_config", "run", "main"]
+__all__ = ["ConfigError", "RunConfig", "render_config", "run", "main"]
 
 MODES = ("sample", "cliques", "trees", "clt", "sigma", "moments", "blocks")
 DEFAULT_U_GRID = (0.3, 0.2, 0.1, 0.05, 0.02, 0.01)
@@ -147,16 +147,6 @@ _COMMENT = re.compile(r"(?:^|\s)[#;].*")
 def _suggest(key: str, options: tuple[str, ...]) -> str:
     close = difflib.get_close_matches(key, options, n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
-
-
-def parse_config(text: str, override_regime: bool = False) -> RunConfig:
-    """Parse and validate a configuration document.
-
-    All problems are collected and reported together in a ConfigError, not
-    just the first one.
-    """
-    values, errors = _read_config(text)
-    return _validate(values, errors, override_regime)
 
 
 def _read_config(text: str) -> tuple[dict[str, str], list[str]]:
@@ -332,7 +322,7 @@ def _read_text(path: str, name: str) -> str:
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(render_config(c)) == c."""
+    """Canonical text form; read and validated again it gives back c."""
     lines = [
         "[model]",
         f"gamma = {cfg.gamma!r}",

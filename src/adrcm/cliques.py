@@ -8,9 +8,9 @@ vertex that are adjacent to every earlier vertex, so each clique is listed
 exactly once, from its center (ordered listing after Chiba and Nishizeki).
 Counts are plain Python integers and therefore never wrap.
 
-Point-level counts take vertex indices of the configuration they are given.
-A Palm configuration holds its anchors, so a count at an extra point is a
-count at that anchor's index.
+The point-level kernels (_centered, _through, _joint) count at rows of
+vertex indices of one edge list; the Palm estimators call them once per
+chunk of samples, with each sample's anchors as the indices.
 """
 
 from __future__ import annotations
@@ -20,20 +20,13 @@ import numpy as np
 from .model import (
     ParameterError,
     PointConfig,
-    _check_index,
     _csr_contains,
     _csr_rows,
     _transpose,
     neighborhood_adjacency,
 )
 
-__all__ = [
-    "count_cliques_upto",
-    "count_cliques_centered",
-    "diff1_clique_upto",
-    "diff2_clique_upto",
-    "joint_clique_counts",
-]
+__all__ = ["count_cliques_upto"]
 
 
 def _check_k(k: int) -> None:
@@ -87,19 +80,13 @@ def _centered(graph: tuple[np.ndarray, np.ndarray], centers: np.ndarray, k_max: 
     return np.column_stack([np.bincount(o, minlength=centers.size) for o in owners])
 
 
-def count_cliques_centered(config: PointConfig, i: int, k_max: int) -> list[int]:
-    """Cliques of every size 1..k_max whose lowest-mark vertex is vertex i, from one listing."""
-    _check_k(k_max)
-    center = np.array([_check_index(config, i)])
-    return _centered(neighborhood_adjacency(config), center, k_max)[0].tolist()
-
-
 def _through(graph: tuple[np.ndarray, np.ndarray], members: np.ndarray, k_max: int) -> np.ndarray:
     """Cliques of sizes 1..k_max that contain every vertex of each row of members.
 
     Row s of the (len(members), k_max) result counts the cliques through all
-    of members[s], which are one or two vertices; two must differ.  The
-    lowest-mark vertex of a clique through a row's first member is that
+    of members[s], which are one or two vertices; two must differ.  These
+    are the add-one and the second-order differences of the clique counts.
+    The lowest-mark vertex of a clique through a row's first member is that
     member or one of its lower-mark neighbours, so the listing starts there,
     and only for rows whose two members are adjacent.
     """
@@ -122,31 +109,6 @@ def _through(graph: tuple[np.ndarray, np.ndarray], members: np.ndarray, k_max: i
             hit &= (level == m[:, None]).any(axis=1)
         counts[:, size] = np.bincount(owner[hit], minlength=len(members))
     return counts
-
-
-def diff1_clique_upto(config: PointConfig, i: int, k_max: int) -> list[int]:
-    """Cliques of every size 1..k_max through vertex i, from one listing.
-
-    Entry k-1 is the add-one difference of the k-clique count at vertex i:
-    the count with it less the count without it, found without a recount.
-    """
-    _check_k(k_max)
-    member = np.array([[_check_index(config, i)]])
-    return _through(neighborhood_adjacency(config), member, k_max)[0].tolist()
-
-
-def diff2_clique_upto(config: PointConfig, i: int, j: int, k_max: int) -> list[int]:
-    """Cliques of every size 1..k_max through both vertices i and j, from one listing.
-
-    Entry k-1 equals the second-order difference F(P+x+y) - F(P+x) - F(P+y)
-    + F(P) of the k-clique count, with x and y vertices i and j and P the
-    configuration without them.
-    """
-    _check_k(k_max)
-    i, j = _check_index(config, i), _check_index(config, j)
-    if i == j:
-        raise ParameterError(f"the two vertices must differ, got {i} twice")
-    return _through(neighborhood_adjacency(config), np.array([[i, j]]), k_max)[0].tolist()
 
 
 def _joint(graph: tuple[np.ndarray, np.ndarray], pairs: np.ndarray, k: int, l: int) -> np.ndarray:
@@ -183,22 +145,3 @@ def _joint(graph: tuple[np.ndarray, np.ndarray], pairs: np.ndarray, k: int, l: i
     union = np.unique(np.column_stack((owner[a], np.sort(union, axis=1))), axis=0)
     out[:, 1] = np.bincount(union[:, 0], minlength=len(pairs))
     return out
-
-
-def joint_clique_counts(
-    config: PointConfig, i: int, j: int, k: int, l: int
-) -> tuple[int, int]:
-    """Intersecting (k-clique at vertex i, l-clique at vertex j) pairs, and distinct unions.
-
-    Returns ``(pairs, unions)`` where ``pairs`` counts ordered pairs (A, B)
-    with A a k-clique centered at i, B an l-clique centered at j and
-    A and B sharing at least one point, while ``unions`` counts the distinct
-    point sets A | B arising that way.
-    """
-    _check_k(k)
-    _check_k(l)
-    i, j = _check_index(config, i), _check_index(config, j)
-    if i == j:
-        raise ParameterError(f"the two vertices must differ, got {i} twice")
-    pairs, unions = _joint(neighborhood_adjacency(config), np.array([[i, j]]), k, l)[0].tolist()
-    return pairs, unions

@@ -13,7 +13,6 @@ Lower marks act as "older" nodes and collect heavy-tailed neighborhoods.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
@@ -315,17 +314,6 @@ class PointConfig:
         )
 
 
-def _check_index(config: PointConfig, i: int) -> int:
-    """i as a vertex index of config; ParameterError outside 0..len(config)-1.
-
-    Without the check numpy would read -1 as the last point.
-    """
-    i = operator.index(i)
-    if not 0 <= i < len(config):
-        raise ParameterError(f"vertex index {i} outside 0..{len(config) - 1}")
-    return i
-
-
 def _draw(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The random stream of a configuration: positions and marks in draw order."""
     rng = _rng(seed)
@@ -465,23 +453,12 @@ def _palm_blocks(samples, hops: int) -> _Blocks:
     )
 
 
-def _palm_config(
-    params: ModelParams, seed: int, anchors: list[MarkedPoint], hops: int
-) -> tuple[PointConfig, list[int]]:
-    """The one block of the sample (params, anchors, seed) as a configuration.
-
-    Returns the configuration and the index of each anchor in it; see
-    _palm_blocks.
-    """
-    blocks = _palm_blocks([(params, anchors, seed)], hops)
-    return PointConfig(params, blocks.positions, blocks.marks, seed), blocks.anchors[0].tolist()
-
-
 # Below this many points every pair of a block is a candidate edge.  On
 # unit-density tori (gamma 0.3, beta 1) all pairs were faster than the block
 # window search up to 40 points and slower from 44; a Palm neighbourhood,
-# whose points all lie near its anchors, rarely reaches the cut-off.  A whole
-# configuration always takes the one-torus query, _torus_window_pairs.
+# whose points all lie near its anchors, rarely reaches the cut-off.  A lone
+# configuration takes _torus_window_pairs; a replicate chunk of several tori
+# takes _candidate_pairs, so there a torus under 42 points takes every pair.
 _ALL_PAIRS_BELOW = 42
 
 

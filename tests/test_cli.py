@@ -20,12 +20,13 @@ from adrcm.cli import (
     config_hash,
     export_plotdata,
     main,
-    parse_config,
     render_config,
 )
 from adrcm.harness import MIN_TEST_SAMPLES, CliqueStatistic, ExperimentPlan, variance_scaling
 from adrcm.model import ModelParams, neighborhood_adjacency, sample_config
 from adrcm.theory import MomentProfile, lambda_up
+
+from oracles import parse_config
 
 WEDGE_TEXT = "m=3\nroot=1\nedge=2->1\nedge=3->1\n"
 

@@ -3,18 +3,12 @@
 import numpy as np
 import pytest
 
-from adrcm.cliques import (
-    count_cliques_centered,
-    count_cliques_upto,
-    diff1_clique_upto,
-    diff2_clique_upto,
-    joint_clique_counts,
-)
+from adrcm.cliques import count_cliques_upto
 from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
-    _palm_config,
+    _palm_blocks,
     sample_config,
     wrap_position,
 )
@@ -22,12 +16,16 @@ from adrcm.model import (
 from oracles import (
     add_point,
     add_points,
+    centered,
     centered_cliques_oracle,
     cliques_containing_oracle,
     cliques_oracle,
     config_from_points,
     connects,
+    diff1,
+    diff2,
     index_of,
+    joint,
     joint_cliques_oracle,
     neighbors_oracle,
     random_config,
@@ -41,7 +39,7 @@ def _param_grid(rng):
 
 
 def _per_center(cfg, k):
-    return {i: count_cliques_centered(cfg, i, k)[k - 1] for i in range(len(cfg))}
+    return {i: centered(cfg, i, k)[k - 1] for i in range(len(cfg))}
 
 
 def test_count_cliques_k1_is_point_count():
@@ -89,20 +87,14 @@ def test_count_cliques_upto_consistent():
 
 def test_invalid_k_rejected():
     cfg = sample_config(ModelParams(0.3, 1.0, 10.0), 0)
-    both, (i, j) = add_points(cfg, [MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6)])
     with pytest.raises(ParameterError):
         count_cliques_upto(cfg, -2)
-    with pytest.raises(ParameterError):
-        count_cliques_centered(both, i, 0)
-    with pytest.raises(ParameterError):
-        diff1_clique_upto(both, i, 0)
-    with pytest.raises(ParameterError):
-        diff2_clique_upto(both, i, j, 0)
-    with pytest.raises(ParameterError):
-        joint_clique_counts(both, i, j, 0, 2)
 
 
 # -- vertex indices ----------------------------------------------------------------
+# The kernels take index rows as given; the helpers refuse a row that is not
+# distinct vertices of the configuration, such as index_of's -1 for a point
+# that add_point failed to insert.
 
 
 def _triangle():
@@ -115,26 +107,26 @@ def _triangle():
 @pytest.mark.parametrize("i", [-1, 3])
 def test_centered_rejects_an_index_outside_the_configuration(i):
     with pytest.raises(ParameterError, match="outside 0..2"):
-        count_cliques_centered(_triangle(), i, 3)
+        centered(_triangle(), i, 3)
 
 
 @pytest.mark.parametrize("i", [-1, 3])
 def test_diff1_rejects_an_index_outside_the_configuration(i):
     with pytest.raises(ParameterError, match="outside 0..2"):
-        diff1_clique_upto(_triangle(), i, 3)
+        diff1(_triangle(), i, 3)
 
 
 @pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)])
 @pytest.mark.parametrize("k_max", [1, 3])
 def test_diff2_rejects_indices_outside_the_configuration_or_equal(i, j, k_max):
     with pytest.raises(ParameterError, match="outside 0..2|must differ"):
-        diff2_clique_upto(_triangle(), i, j, k_max)
+        diff2(_triangle(), i, j, k_max)
 
 
 @pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)])
 def test_joint_rejects_indices_outside_the_configuration_or_equal(i, j):
     with pytest.raises(ParameterError, match="outside 0..2|must differ"):
-        joint_clique_counts(_triangle(), i, j, 2, 2)
+        joint(_triangle(), i, j, 2, 2)
 
 
 # -- centered counts -------------------------------------------------------
@@ -145,9 +137,9 @@ def test_centered_k1_and_k2():
     params = ModelParams(0.3, 1.0, 20.0)
     cfg = random_config(params, rng, 25)
     aug, i = add_point(cfg, MarkedPoint(0.0, 0.4))
-    assert count_cliques_centered(aug, i, 1) == [1]
+    assert centered(aug, i, 1) == [1]
     ups, _ = neighbors_oracle(aug, aug.point(i), member_index=i)
-    assert count_cliques_centered(aug, i, 2) == [1, len(ups)]
+    assert centered(aug, i, 2) == [1, len(ups)]
 
 
 def test_centered_matches_oracle():
@@ -158,8 +150,8 @@ def test_centered_matches_oracle():
         if len(cfg) == 0:
             continue
         i = int(rng.integers(len(cfg)))
-        counts = count_cliques_centered(cfg, i, 3)
-        assert count_cliques_centered(cfg, i, 2) == counts[:2]
+        counts = centered(cfg, i, 3)
+        assert centered(cfg, i, 2) == counts[:2]
         for k in (2, 3):
             assert counts[k - 1] == len(centered_cliques_oracle(cfg, i, k))
 
@@ -170,7 +162,7 @@ def test_centered_palm_translation_invariance():
     cfg = random_config(params, rng, 25)
     u = 0.21
     aug, i = add_point(cfg, MarkedPoint(0.0, u))
-    base = count_cliques_centered(aug, i, 3)[2]
+    base = centered(aug, i, 3)[2]
     # translate every point by a constant and re-center the probe
     delta = 3.7
     pts = [
@@ -178,7 +170,7 @@ def test_centered_palm_translation_invariance():
         for x, m in zip(cfg.positions, cfg.marks)
     ]
     moved, j = add_point(config_from_points(params, pts), MarkedPoint(delta, u))
-    assert count_cliques_centered(moved, j, 3)[2] == base
+    assert centered(moved, j, 3)[2] == base
 
 
 # -- difference operators -----------------------------------------------------
@@ -186,7 +178,7 @@ def test_centered_palm_translation_invariance():
 
 def test_diff1_empty_config_k1():
     cfg, i = add_point(config_from_points(ModelParams(0.3, 1.0, 10.0), []), MarkedPoint(0.0, 0.5))
-    assert diff1_clique_upto(cfg, i, 1) == [1]
+    assert diff1(cfg, i, 1) == [1]
 
 
 def test_diff1_k2_is_degree():
@@ -200,7 +192,7 @@ def test_diff1_k2_is_degree():
         for j in range(len(aug))
         if j != idx and connects(aug.point(j), p, params)
     )
-    assert diff1_clique_upto(aug, idx, 2) == [1, degree]
+    assert diff1(aug, idx, 2) == [1, degree]
 
 
 def test_diff1_matches_recount_difference():
@@ -213,7 +205,7 @@ def test_diff1_matches_recount_difference():
             continue
         aug, i = add_point(cfg, MarkedPoint(0.0, u))
         recount = [a - b for a, b in zip(count_cliques_upto(aug, 3), count_cliques_upto(cfg, 3))]
-        assert diff1_clique_upto(aug, i, 3) == recount
+        assert diff1(aug, i, 3) == recount
 
 
 def test_diff1_upto_matches_individual():
@@ -222,9 +214,9 @@ def test_diff1_upto_matches_individual():
     for _ in range(30):
         cfg = random_config(params, rng, 20)
         aug, i = add_point(cfg, MarkedPoint(0.0, 1.0 - float(rng.random())))
-        vec = diff1_clique_upto(aug, i, 4)
+        vec = diff1(aug, i, 4)
         for k in (1, 2, 3, 4):
-            assert diff1_clique_upto(aug, i, k) == vec[:k]
+            assert diff1(aug, i, k) == vec[:k]
 
 
 def test_diff2_trivial_cases():
@@ -232,9 +224,9 @@ def test_diff2_trivial_cases():
     params = ModelParams(0.3, 1.0, 30.0)
     cfg = random_config(params, rng, 15)
     both, (i, j) = add_points(cfg, [MarkedPoint(0.0, 0.998), MarkedPoint(14.0, 0.999)])
-    assert diff2_clique_upto(both, i, j, 1) == [0]
+    assert diff2(both, i, j, 1) == [0]
     # distance ~14 at marks near 1 cannot connect for beta = 1
-    assert diff2_clique_upto(both, i, j, 3) == [0, 0, 0]
+    assert diff2(both, i, j, 3) == [0, 0, 0]
 
 
 def _without(cfg, *members):
@@ -258,9 +250,9 @@ def test_diff_counts_points_already_present_as_members():
             count_cliques_upto(c, 4)
             for c in (cfg, _without(cfg, i), _without(cfg, j), _without(cfg, i, j))
         )
-        assert diff1_clique_upto(cfg, i, 4) == [a - b for a, b in zip(full, no_i)]
+        assert diff1(cfg, i, 4) == [a - b for a, b in zip(full, no_i)]
         four_term = [a - b - c + d for a, b, c, d in zip(full, no_j, no_i, neither)]
-        assert diff2_clique_upto(cfg, i, j, 4) == four_term
+        assert diff2(cfg, i, j, 4) == four_term
 
 
 def test_diff2_rejects_equal_added_points():
@@ -269,9 +261,9 @@ def test_diff2_rejects_equal_added_points():
     # The same point added twice is not a pair, whatever its position's wrap.
     for k_max in (2, 3):
         with pytest.raises(ParameterError):
-            diff2_clique_upto(cfg, i, i, k_max)
+            diff2(cfg, i, i, k_max)
     with pytest.raises(ParameterError, match="duplicate point"):
-        _palm_config(params, 7, [MarkedPoint(0.0, 0.7), MarkedPoint(10.0, 0.7)], 1)
+        _palm_blocks([(params, [MarkedPoint(0.0, 0.7), MarkedPoint(10.0, 0.7)], 7)], 1)
 
 
 def test_diff2_matches_four_term_recount():
@@ -291,7 +283,7 @@ def test_diff2_matches_four_term_recount():
         with_both, (i, j) = add_points(cfg, [p0, q])
         counts = [count_cliques_upto(c, 3) for c in (with_both, with_p, with_q, cfg)]
         four_term = [a - b - c + d for a, b, c, d in zip(*counts)]
-        assert diff2_clique_upto(with_both, i, j, 3) == four_term
+        assert diff2(with_both, i, j, 3) == four_term
 
 
 def test_diff2_symmetric_under_exchange():
@@ -304,7 +296,7 @@ def test_diff2_symmetric_under_exchange():
         if q.x == 0.0 and q.u == u:
             continue
         both, (i, j) = add_points(cfg, [MarkedPoint(0.0, u), q])
-        direct = diff2_clique_upto(both, i, j, 3)
+        direct = diff2(both, i, j, 3)
         # translate so q sits at the origin; the old origin point moves to -q.x
         pts = [
             (wrap_position(x - q.x, params.torus_length), m)
@@ -313,7 +305,7 @@ def test_diff2_symmetric_under_exchange():
         moved, (a, b) = add_points(
             config_from_points(params, pts), [MarkedPoint(0.0, q.u), MarkedPoint(-q.x, u)]
         )
-        assert direct == diff2_clique_upto(moved, a, b, 3)
+        assert direct == diff2(moved, a, b, 3)
 
 
 def test_add_point_never_decreases_counts():
@@ -325,7 +317,7 @@ def test_add_point_never_decreases_counts():
         if index_of(cfg, MarkedPoint(0.0, u)) >= 0:
             continue
         aug, i = add_point(cfg, MarkedPoint(0.0, u))
-        assert min(diff1_clique_upto(aug, i, 3)) >= 0
+        assert min(diff1(aug, i, 3)) >= 0
 
 
 # -- joint counts ----------------------------------------------------------------
@@ -336,7 +328,7 @@ def test_joint_singletons_disjoint():
     params = ModelParams(0.3, 1.0, 12.0)
     cfg = random_config(params, rng, 10)
     both, (i, j) = add_points(cfg, [MarkedPoint(0.0, 0.5), MarkedPoint(1.0, 0.6)])
-    assert joint_clique_counts(both, i, j, 1, 1) == (0, 0)
+    assert joint(both, i, j, 1, 1) == (0, 0)
 
 
 def test_joint_empty_config_no_edge():
@@ -344,7 +336,7 @@ def test_joint_empty_config_no_edge():
     cfg = config_from_points(params, [(0.0, 0.9), (19.0, 0.95)])
     p, q = cfg.point(0), cfg.point(1)
     assert not connects(p, q, params)
-    assert joint_clique_counts(cfg, 0, 1, 2, 2) == (0, 0)
+    assert joint(cfg, 0, 1, 2, 2) == (0, 0)
 
 
 def test_joint_matches_double_loop_oracle():
@@ -357,7 +349,7 @@ def test_joint_matches_double_loop_oracle():
         i, j = (int(m) for m in rng.choice(len(cfg), size=2, replace=False))
         for k, l in ((2, 2), (2, 3), (3, 3)):
             expect = joint_cliques_oracle(cfg, i, j, k, l)
-            got = joint_clique_counts(cfg, i, j, k, l)
+            got = joint(cfg, i, j, k, l)
             assert got == expect
 
 
@@ -366,7 +358,7 @@ def test_joint_requires_membership():
     cfg = config_from_points(params, [(0.0, 0.5)])
     # (2.0, 0.7) is not a member, so it has no index: 1 is past the end.
     with pytest.raises(ParameterError):
-        joint_clique_counts(cfg, 0, 1, 2, 2)
+        joint(cfg, 0, 1, 2, 2)
 
 
 # -- containment counts ---------------------------------------------------------
@@ -382,6 +374,6 @@ def test_containment_counts_match_subset_oracle():
         if index_of(cfg, p0) >= 0:
             continue
         aug, idx = add_point(cfg, p0)
-        diffs = diff1_clique_upto(aug, idx, 3)
+        diffs = diff1(aug, idx, 3)
         for k in (2, 3):
             assert diffs[k - 1] == cliques_containing_oracle(aug, (idx,), k)

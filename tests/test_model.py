@@ -1,8 +1,10 @@
 """Core model tests: sampling laws, toroidal metric, kernel, the CSR edge list."""
 
+import ast
 import inspect
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from adrcm.model import (
     ParameterError,
     PointConfig,
     _derive_seeds,
-    _palm_config,
+    _palm_blocks,
     _transpose,
     config_to_csv,
     derive_seed,
@@ -37,6 +39,7 @@ from oracles import (
     connects,
     index_of,
     neighbors_oracle,
+    palm_config,
     random_config,
 )
 
@@ -44,25 +47,60 @@ from oracles import (
 # -- package -----------------------------------------------------------------
 
 
-def test_the_package_exports_its_public_names():
-    # The count is ROADMAP aim 2's progress measure; submodules do not count.
-    public = {
+def _package_names() -> set[str]:
+    """The public names of the package namespace; submodules do not count."""
+    return {
         name for name, value in vars(adrcm).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
+
+
+def test_the_package_exports_its_public_names():
+    # The count is ROADMAP aim 2's progress measure.
+    public = _package_names()
     assert public == {
         "MarkedPoint", "ModelParams", "ParameterError", "PointConfig", "config_to_csv",
         "derive_seed", "sample_config", "torus_dist",
-        "count_cliques_centered", "count_cliques_upto",
+        "count_cliques_upto",
         "BlockSums", "DirectedTreeSpec", "TreeSpecError", "block_sums", "count_trees",
-        "d_in", "parse_tree_spec",
+        "parse_tree_spec",
         "RegimeError", "SigmaEstimate", "gamma_diagnostics", "lambda_down", "lambda_up",
         "sigma_palm",
         "CliqueStatistic", "ExperimentPlan", "ReplicateResult", "TreeStatistic",
         "ks_distance_normal", "run_replicates", "standardize", "variance_scaling",
         "wasserstein1_distance_normal",
     }
-    assert len(public) == 32
+    assert len(public) == 30
+
+
+def _module_names_read(paths) -> tuple[set[str], dict[str, list[str]]]:
+    """The names the modules read, as a loaded name or an attribute, and each module's __all__.
+
+    A definition, an import or a string in __all__ reads nothing.
+    """
+    read, exported = set(), {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported[path.name] = ast.literal_eval(node.value)
+    return read, exported
+
+
+def test_every_public_name_has_a_caller():
+    # ROADMAP aim 2: no public name that only tests call.  The program and
+    # its benchmark are the callers; the tests are not.
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "adrcm").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    read, exported = _module_names_read(paths)
+    assert exported
+    unread = sorted((_package_names() | {n for names in exported.values() for n in names}) - read)
+    assert not unread, f"public names that only tests call: {unread}"
 
 
 # -- parameters and points -------------------------------------------------
@@ -249,13 +287,13 @@ def test_mark_ties_are_redrawn_in_both_samplers(monkeypatch):
     # one step further (2, 0.125) reaches (3, 0.5) and, across the seam,
     # (-4, 0.25).  The anchor itself is kept too.
     anchor = MarkedPoint(0.0, 0.5)
-    near, anchor_indices = _palm_config(params, 7, [anchor], 1)
+    near, anchor_indices = palm_config(params, 7, [anchor], 1)
     assert near.positions.tolist() == [-1.0, 0.0, 0.5, 2.0]
     assert near.marks.tolist() == [0.75, 0.5, 0.375, 0.125]
     assert near.seed == 7 and near.params == params
     assert anchor_indices == [1]
     whole, i = add_point(cfg, anchor)
-    assert _palm_config(params, 7, [anchor], 2) == (whole, [i])
+    assert palm_config(params, 7, [anchor], 2) == (whole, [i])
 
 
 def test_palm_config_rejects_a_drawn_point_equal_to_an_anchor(monkeypatch):
@@ -263,14 +301,14 @@ def test_palm_config_rejects_a_drawn_point_equal_to_an_anchor(monkeypatch):
     drawn = (np.array([3.0, -1.0, 2.0]), np.array([0.25, 0.75, 0.5]))
     monkeypatch.setattr(model, "_draw", lambda params, seed: drawn)
     with pytest.raises(ParameterError, match="duplicate point"):
-        _palm_config(params, 7, [MarkedPoint(2.0, 0.5)], 1)
+        _palm_blocks([(params, [MarkedPoint(2.0, 0.5)], 7)], 1)
     # The anchor wraps onto the drawn point at -1.
     with pytest.raises(ParameterError, match="duplicate point"):
-        _palm_config(params, 7, [MarkedPoint(0.0, 0.3), MarkedPoint(9.0, 0.75)], 1)
+        _palm_blocks([(params, [MarkedPoint(0.0, 0.3), MarkedPoint(9.0, 0.75)], 7)], 1)
     # Two equal anchors are refused as well.
     with pytest.raises(ParameterError, match="duplicate point"):
-        _palm_config(params, 7, [MarkedPoint(0.0, 0.3), MarkedPoint(0.0, 0.3)], 1)
-    near, anchor_indices = _palm_config(params, 7, [MarkedPoint(2.0, 0.4)], 1)
+        _palm_blocks([(params, [MarkedPoint(0.0, 0.3), MarkedPoint(0.0, 0.3)], 7)], 1)
+    near, anchor_indices = palm_config(params, 7, [MarkedPoint(2.0, 0.4)], 1)
     # The anchor follows the drawn point of equal position.
     assert (near.positions.tolist(), near.marks.tolist()) == ([2.0, 2.0, 3.0], [0.5, 0.4, 0.25])
     assert anchor_indices == [1]
@@ -311,7 +349,7 @@ def test_palm_config_keeps_the_points_within_hops(gamma, beta, n, anchors, hops)
     for i in range(8):
         seed = derive_seed(41, i)
         full = sample_config(params, seed)
-        near, anchor_indices = _palm_config(params, seed, anchors, hops)
+        near, anchor_indices = palm_config(params, seed, anchors, hops)
         expected = _within_hops(full, anchors, hops)
         kept = PointConfig(params, full.positions[expected], full.marks[expected], seed)
         kept, expected_indices = add_points(kept, anchors)

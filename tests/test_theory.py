@@ -11,13 +11,11 @@ import pytest
 from scipy import integrate
 
 from adrcm import model, theory
-from adrcm.cliques import diff1_clique_upto, diff2_clique_upto
 from adrcm.harness import ReplicateFailure
 from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
-    _palm_config,
     derive_seed,
     sample_config,
 )
@@ -35,9 +33,11 @@ from adrcm.theory import (
     sigma_palm,
     tree_root_moment_profile,
 )
-from adrcm.trees import DirectedTreeSpec, d_in
+from adrcm.trees import DirectedTreeSpec
 
-from oracles import add_points, sigma_direct_from_samples, tree_path, tree_wedge
+from oracles import (
+    add_points, d_in, diff1, diff2, palm_config, sigma_direct_from_samples, tree_path, tree_wedge,
+)
 
 
 # -- neighborhood intensities -------------------------------------------------
@@ -506,7 +506,7 @@ def _chunk_sizes(monkeypatch) -> list[list[int]]:
 
 def _one_block(params, seed, anchors, hops) -> tuple:
     """The sample's configuration and its anchors' indices, as arguments of a counter."""
-    config, idx = _palm_config(params, seed, anchors, hops)
+    config, idx = palm_config(params, seed, anchors, hops)
     return (config, *idx)
 
 
@@ -532,7 +532,7 @@ def test_palm_chunks_count_each_sample_as_its_own_configuration(monkeypatch, siz
     assert seen == [_split(size + 3) + _split(size)]
     for seed, out in ((61, first), (62, second)):
         assert out == [
-            diff1_clique_upto(*_one_block(params, derive_seed(seed, i), anchors, 1), 3)
+            diff1(*_one_block(params, derive_seed(seed, i), anchors, 1), 3)
             for i in range(len(out))
         ]
     assert third == [
@@ -563,7 +563,7 @@ def test_gamma_diagnostics_chunks_count_each_sample_as_its_own_configuration(mon
     for (_, _, sampler, size), out in zip(nodes, results):
         for i, (p, anchors, seed) in enumerate(sampler(0, size)):
             args = _one_block(p, seed, anchors, 1)
-            expected = diff1_clique_upto(*args, 2) if len(args) == 2 else diff2_clique_upto(*args, 2)
+            expected = diff1(*args, 2) if len(args) == 2 else diff2(*args, 2)
             assert out[i] == expected
             checked += 1
     assert checked == sum(one) + sum(two)

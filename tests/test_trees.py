@@ -16,7 +16,6 @@ from adrcm.trees import (
     TreeSpecError,
     block_sums,
     count_trees,
-    d_in,
     lag_covariance_table,
     parse_tree_spec,
 )
@@ -27,6 +26,7 @@ from oracles import (
     config_from_points,
     count_trees_oracle,
     cox_grimmett_oracle,
+    d_in,
     d_in_oracle,
     lag_covariance_oracle,
     neighbors_oracle,
