@@ -8,7 +8,6 @@ from .model import (
     config_to_csv,
     derive_seed,
     sample_config,
-    torus_dist,
 )
 from .cliques import count_cliques_upto
 from .trees import (

@@ -17,7 +17,8 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
@@ -63,12 +64,6 @@ KS_ALPHA = 0.01
 # The fewest replicates each mode can reduce: a standard error needs 2, every
 # blocks jackknife subsample 2 (so 3 in all), and sigma_palm a budget of 8.
 _MIN_R = {"cliques": 2, "trees": 2, "clt": 2, "moments": 2, "sigma": 8, "blocks": 3}
-
-_SECTION_KEYS = {
-    "model": ("gamma", "beta", "n"),
-    "experiment": ("mode", "k_list", "tree_file", "r", "n_list", "seed"),
-    "output": ("directory", "formats"),
-}
 
 CONFIG_GRAMMAR = """\
 configuration grammar
@@ -139,6 +134,47 @@ class RunConfig:
         return ModelParams(self.gamma, self.beta, self.n)
 
 
+def _split(parse):
+    """A parser of comma-separated items, each read by parse."""
+    return lambda text: tuple(parse(t.strip()) for t in text.split(",") if t.strip())
+
+
+def _joined(render):
+    return lambda values: ",".join(map(render, values))
+
+
+def _formats(text: str) -> tuple[str, ...]:
+    out = _split(str)(text)
+    bad = [f for f in out if f not in ("csv", "json")]
+    if bad:
+        raise ValueError(f"unsupported formats {bad}; allowed: csv, json")
+    if not out:
+        raise ValueError("formats must not be empty")
+    return out
+
+
+# The one config schema: each RunConfig field, in field order, with its
+# section, the parser of its text and the renderer of its value.  RunConfig
+# gives the defaults; a field without one is a required key.  A key left out,
+# or whose text does not parse, takes its default in the checks.
+_SCHEMA = {
+    "gamma": ("model", float, repr),
+    "beta": ("model", float, repr),
+    "n": ("model", float, repr),
+    "mode": ("experiment", str, str),
+    "k_list": ("experiment", _split(int), _joined(str)),
+    "tree_file": ("experiment", str, str),
+    "r": ("experiment", int, str),
+    "n_list": ("experiment", _split(float), _joined(repr)),
+    "seed": ("experiment", int, str),
+    "directory": ("output", str, str),
+    "formats": ("output", _formats, ",".join),
+}
+_SECTION_KEYS = {
+    section: tuple(key for key, (where, _, _) in _SCHEMA.items() if where == section)
+    for section in dict.fromkeys(where for where, _, _ in _SCHEMA.values())
+}
+
 # A comment starts at '#' or ';' only at the start of a line or after
 # whitespace, so a path such as a#b.tree survives.
 _COMMENT = re.compile(r"(?:^|\s)[#;].*")
@@ -191,124 +227,87 @@ def _read_config(text: str) -> tuple[dict[str, str], list[str]]:
 
 def _validate(values: dict[str, str], errors: list[str], override_regime: bool) -> RunConfig:
     """Convert and check the key/value texts; raise one ConfigError with every problem."""
-
-    def take(key: str, conv, default=None, required=False):
+    parsed = {}
+    for field in fields(RunConfig):
+        key, required = field.name, field.default is MISSING
+        parsed[key] = None if required else field.default
         if key not in values:
             if required:
                 errors.append(f"missing required key {key!r}")
-            return default
+            continue
         try:
-            return conv(values[key])
+            parsed[key] = _SCHEMA[key][1](values[key])
         except (ValueError, ParameterError) as exc:
             errors.append(f"key {key!r}: {exc}")
-            return default
+    c = SimpleNamespace(**parsed)
 
-    def int_list(text_value: str) -> tuple[int, ...]:
-        return tuple(int(t.strip()) for t in text_value.split(",") if t.strip())
-
-    def float_list(text_value: str) -> tuple[float, ...]:
-        return tuple(float(t.strip()) for t in text_value.split(",") if t.strip())
-
-    def formats_list(text_value: str) -> tuple[str, ...]:
-        out = tuple(t.strip() for t in text_value.split(",") if t.strip())
-        bad = [f for f in out if f not in ("csv", "json")]
-        if bad:
-            raise ValueError(f"unsupported formats {bad}; allowed: csv, json")
-        if not out:
-            raise ValueError("formats must not be empty")
-        return out
-
-    gamma = take("gamma", float, required=True)
-    beta = take("beta", float, required=True)
-    n = take("n", float, required=True)
-    mode = take("mode", str, required=True)
-    k_list = take("k_list", int_list, default=())
-    tree_file = take("tree_file", str)
-    r = take("r", int, default=1000)
-    n_list = take("n_list", float_list, default=())
-    seed = take("seed", int, default=0)
-    directory = take("directory", str, default="out")
-    formats = take("formats", formats_list, default=("csv", "json"))
-
-    if mode is not None and mode not in MODES:
-        errors.append(f"mode must be one of {', '.join(MODES)}; got {mode!r}" + _suggest(mode or "", MODES))
-    if gamma is not None and not (0.0 < gamma < 1.0):
-        errors.append(f"gamma must lie in (0, 1), got {gamma}")
+    if c.mode is not None and c.mode not in MODES:
+        errors.append(f"mode must be one of {', '.join(MODES)}; got {c.mode!r}" + _suggest(c.mode, MODES))
+    if c.gamma is not None and not (0.0 < c.gamma < 1.0):
+        errors.append(f"gamma must lie in (0, 1), got {c.gamma}")
     # In-range conjunctions, so that NaN and inf fail too.
-    if beta is not None and not 0.0 < beta < math.inf:
-        errors.append(f"beta must be positive and finite, got {beta}")
-    if n is not None and not 0.0 < n < math.inf:
-        errors.append(f"n must be positive and finite, got {n}")
-    if any(not 0.0 < v < math.inf for v in n_list):
-        errors.append(f"n_list entries must be positive and finite, got {n_list}")
-    if r is not None and r < 1:
-        errors.append(f"r must be >= 1, got {r}")
-    if k_list and any(k < 1 for k in k_list):
-        errors.append(f"k_list entries must be >= 1, got {k_list}")
-    if seed is not None and not 0 <= seed < 2**64:
-        errors.append(f"seed must lie in [0, 2^64), got {seed}")
+    if c.beta is not None and not 0.0 < c.beta < math.inf:
+        errors.append(f"beta must be positive and finite, got {c.beta}")
+    if c.n is not None and not 0.0 < c.n < math.inf:
+        errors.append(f"n must be positive and finite, got {c.n}")
+    if any(not 0.0 < v < math.inf for v in c.n_list):
+        errors.append(f"n_list entries must be positive and finite, got {c.n_list}")
+    if c.r < 1:
+        errors.append(f"r must be >= 1, got {c.r}")
+    if c.k_list and any(k < 1 for k in c.k_list):
+        errors.append(f"k_list entries must be >= 1, got {c.k_list}")
+    if not 0 <= c.seed < 2**64:
+        errors.append(f"seed must lie in [0, 2^64), got {c.seed}")
 
     leaves: int | None = None
-    if tree_file is not None:
-        if not os.path.exists(tree_file):
-            errors.append(f"tree_file {tree_file!r} does not exist")
+    if c.tree_file is not None:
+        if not os.path.exists(c.tree_file):
+            errors.append(f"tree_file {c.tree_file!r} does not exist")
         else:
             try:
-                leaves = parse_tree_spec(_read_text(tree_file, "tree_file")).leaf_count
+                leaves = parse_tree_spec(_read_text(c.tree_file, "tree_file")).leaf_count
             except ParameterError as exc:
                 errors.append(str(exc))
             except TreeSpecError as exc:
-                errors.append(f"tree_file {tree_file!r}: {exc}")
+                errors.append(f"tree_file {c.tree_file!r}: {exc}")
 
-    if mode in ("cliques",) and not k_list:
+    if c.mode in ("cliques",) and not c.k_list:
         errors.append("mode cliques requires k_list")
-    if mode in ("trees", "blocks") and tree_file is None:
-        errors.append(f"mode {mode} requires tree_file")
-    if mode == "blocks" and n is not None and not n.is_integer():
-        errors.append(f"mode blocks requires an integer n (one block per unit length), got {n}")
-    if mode in _MIN_R and r is not None and r < _MIN_R[mode]:
-        errors.append(f"mode {mode} requires r >= {_MIN_R[mode]}, got {r}")
-    if mode in ("clt", "moments") and bool(k_list) == bool(tree_file):
-        errors.append(f"mode {mode} requires exactly one of k_list or tree_file")
-    if mode == "sigma" and len(k_list) not in (1, 2):
+    if c.mode in ("trees", "blocks") and c.tree_file is None:
+        errors.append(f"mode {c.mode} requires tree_file")
+    if c.mode == "blocks" and c.n is not None and not c.n.is_integer():
+        errors.append(f"mode blocks requires an integer n (one block per unit length), got {c.n}")
+    if c.mode in _MIN_R and c.r < _MIN_R[c.mode]:
+        errors.append(f"mode {c.mode} requires r >= {_MIN_R[c.mode]}, got {c.r}")
+    if c.mode in ("clt", "moments") and bool(c.k_list) == bool(c.tree_file):
+        errors.append(f"mode {c.mode} requires exactly one of k_list or tree_file")
+    if c.mode == "sigma" and len(c.k_list) not in (1, 2):
         errors.append("mode sigma requires k_list with one or two entries")
-    if mode == "moments" and len(k_list) > 1:
-        errors.append(f"mode moments takes one clique size, got k_list {k_list}")
-    if mode == "clt" and not n_list:
+    if c.mode == "moments" and len(c.k_list) > 1:
+        errors.append(f"mode moments takes one clique size, got k_list {c.k_list}")
+    if c.mode == "clt" and not c.n_list:
         errors.append("mode clt requires n_list")
     # Each torus writes its results under its "%g" label, which must be unique.
-    labels = ["%g" % v for v in n_list]
+    labels = ["%g" % v for v in c.n_list]
     for label in sorted({l for l in labels if labels.count(l) > 1}):
-        same = ", ".join(repr(v) for v, l in zip(n_list, labels) if l == label)
+        same = ", ".join(repr(v) for v, l in zip(c.n_list, labels) if l == label)
         errors.append(f"n_list entries {same} share the output label n{label}")
 
-    if mode == "clt" and gamma is not None and not override_regime:
-        if k_list and gamma >= _regime_bound():
+    if c.mode == "clt" and c.gamma is not None and not override_regime:
+        if c.k_list and c.gamma >= _regime_bound():
             errors.append(
-                f"clt mode with clique counts requires gamma < 1/2 (got {gamma}); "
+                f"clt mode with clique counts requires gamma < 1/2 (got {c.gamma}); "
                 "pass --override-regime to explore anyway"
             )
-        if leaves is not None and gamma >= _regime_bound(leaves):
+        if leaves is not None and c.gamma >= _regime_bound(leaves):
             errors.append(
                 f"clt mode with this tree requires gamma < 1/(2*{leaves}) "
-                f"(got {gamma}); pass --override-regime to explore anyway"
+                f"(got {c.gamma}); pass --override-regime to explore anyway"
             )
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        gamma=gamma,
-        beta=beta,
-        n=n,
-        mode=mode,
-        k_list=k_list,
-        tree_file=tree_file,
-        r=r,
-        n_list=n_list,
-        seed=seed,
-        directory=directory,
-        formats=formats,
-    )
+    return RunConfig(**parsed)
 
 
 def _read_text(path: str, name: str) -> str:
@@ -322,32 +321,19 @@ def _read_text(path: str, name: str) -> str:
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Canonical text form; read and validated again it gives back c."""
-    lines = [
-        "[model]",
-        f"gamma = {cfg.gamma!r}",
-        f"beta = {cfg.beta!r}",
-        f"n = {cfg.n!r}",
-        "",
-        "[experiment]",
-        f"mode = {cfg.mode}",
-    ]
-    if cfg.k_list:
-        lines.append("k_list = " + ",".join(str(k) for k in cfg.k_list))
-    if cfg.tree_file is not None:
-        lines.append(f"tree_file = {cfg.tree_file}")
-    lines.append(f"r = {cfg.r}")
-    if cfg.n_list:
-        lines.append("n_list = " + ",".join(repr(v) for v in cfg.n_list))
-    lines.append(f"seed = {cfg.seed}")
-    lines += [
-        "",
-        "[output]",
-        f"directory = {cfg.directory}",
-        "formats = " + ",".join(cfg.formats),
-        "",
-    ]
-    return "\n".join(lines)
+    """Canonical text form; read and validated again it gives back cfg.
+
+    Each section's keys follow in schema order; an empty value (() or None)
+    is left out.
+    """
+    lines: list[str] = []
+    for key, (section, _, render) in _SCHEMA.items():
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+        value = getattr(cfg, key)
+        if value not in ((), None):
+            lines.append(f"{key} = {render(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -753,7 +739,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to the configuration document")
     common.add_argument("--seed", type=int, help="override the master seed")
     common.add_argument("--threads", type=int, default=1, help="worker processes")
-    common.add_argument("--out", help="override the output directory")
+    common.add_argument("--out", dest="directory", metavar="OUT", help="override the output directory")
     common.add_argument("--assert", dest="assert_mode", action="store_true",
                         help="exit 1 when a statistical check fails")
     common.add_argument("--override-regime", action="store_true",
@@ -779,16 +765,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if not args.config:
         raise ConfigError(["--config is required for this command"])
     values, errors = _read_config(_read_text(args.config, "--config"))
-    # The subcommand and the flags replace the file's texts before the one
-    # validation, so every rule sees the values the run uses.
-    overrides = {
-        "mode": args.command, "seed": args.seed, "directory": args.out,
-        "gamma": args.gamma, "beta": args.beta, "n": args.n,
-    }
+    # The subcommand and the flags named after a key replace the file's texts
+    # before the one validation, so every rule sees the values the run uses.
+    overrides = {key: getattr(args, key, None) for key in _SCHEMA}
+    overrides["mode"] = args.command
     values.update((key, str(value)) for key, value in overrides.items() if value is not None)
     # config_hash and re-runs render the directory on a config line, which
     # must read it back unchanged.
-    out = args.out
+    out = args.directory
     if out is not None and _read_config(f"[output]\ndirectory = {out}") != ({"directory": out}, []):
         errors.append(f"directory {out!r} cannot be written on a config line")
     return _validate(values, errors, args.override_regime)

@@ -21,7 +21,7 @@ from ._parallel import ReplicateFailure, parallel_map
 from .cliques import count_cliques_upto
 from .model import (
     ModelParams, ParameterError, PointConfig, _derive_seeds, _shared_adjacency, derive_seed,
-    sample_config,
+    neighborhood_adjacency, sample_config,
 )
 from .trees import (
     BlockSums,
@@ -179,8 +179,8 @@ def _replicate(task: tuple[Callable[[PointConfig], object], _Chunk, int, int]) -
     start = time.perf_counter()
     values = count(config)
     wall_time = sampling + time.perf_counter() - start
-    # Every count reads the edge list that the configuration keeps.
-    indptr = config._graph[0]
+    # The configuration keeps its edge list, so this reads the one the count built.
+    indptr = neighborhood_adjacency(config)[0]
     return ReplicateResult(
         values=values,
         point_count=len(config),

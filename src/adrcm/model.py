@@ -25,7 +25,6 @@ __all__ = [
     "PointConfig",
     "derive_seed",
     "sample_config",
-    "torus_dist",
     "wrap_position",
     "config_to_csv",
 ]
@@ -86,18 +85,13 @@ def wrap_position(x: float, torus_length: float) -> float:
     return (x + half) % torus_length - half
 
 
-def torus_dist(x, y, torus_length):
-    """Toroidal distance min_k |x - y + k*n|; accepts scalars or arrays, torus_length too."""
-    n = torus_length
-    if not ((n > 0.0).all() if isinstance(n, np.ndarray) else n > 0.0):
-        raise ParameterError(f"torus_length must be positive, got {n}")
-    d = np.abs(np.asarray(x) - np.asarray(y))
-    # The reduction is exact and slow; up to d = n it changes no result
-    # (d = n gives 0 either way), and canonical inputs never exceed n.
-    if (d > n).any():
-        d = d % n
-    out = np.minimum(d, n - d)
-    return float(out) if out.ndim == 0 else out
+def _torus_gap(diff, n):
+    """Torus distance of canonical positions, less than n apart, from their difference.
+
+    It overwrites diff, the caller's temporary, so no second array of that size is kept.
+    """
+    np.abs(diff, out=diff)
+    return np.minimum(diff, n - diff, out=diff)
 
 
 def _check_seed_path(values) -> None:
@@ -252,10 +246,10 @@ def _rng(seed: int) -> np.random.Generator:
 class PointConfig:
     """An immutable sampled configuration, sorted by position.
 
-    Points are indexed by their rank in the position-sorted order.  Marks are
-    pairwise distinct for sampled configurations; residual ties introduced by
-    hand-built inputs are broken by point index so that every pair has a total
-    mark order.
+    Points are indexed by their rank in the position-sorted order.  Every
+    pair has a total order by (mark, index): two equal marks, which a sampled
+    configuration of m points holds with probability about m^2 / 2^54 and a
+    hand-built one may hold, are ranked by index like any other pair.
     """
 
     __slots__ = ("params", "seed", "_xs", "_us", "_graph")
@@ -315,21 +309,12 @@ class PointConfig:
 
 
 def _draw(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The random stream of a configuration: positions and marks in draw order."""
+    """The random stream of a configuration: positions and marks in draw order, ties kept."""
     rng = _rng(seed)
     n = params.torus_length
     count = int(rng.poisson(n))
     xs = rng.uniform(-0.5 * n, 0.5 * n, size=count)
     us = 1.0 - rng.random(count)  # (0, 1]
-    # Exact mark ties have probability zero but would break the direction of
-    # an edge; redraw duplicates until all marks are distinct.
-    while count > 1:
-        ranked = np.sort(us)
-        if not (ranked[1:] == ranked[:-1]).any():
-            break
-        _, first = np.unique(us, return_index=True)
-        dup = np.setdiff1d(np.arange(count), first)
-        us[dup] = 1.0 - rng.random(dup.size)
     return xs, us
 
 
@@ -378,7 +363,7 @@ def _kept(params: ModelParams, seed: int, start: list[tuple[float, float]], hops
     for _ in range(hops):
         reached = []
         for x, u in frontier:
-            d = torus_dist(xs, x, n)
+            d = _torus_gap(xs - x, n)
             # u_min^gamma * u_max^(1-gamma) >= u_min, so the kernel needs
             # d * u_min <= beta; that cheap test leaves few points to check.
             lo = np.minimum(us, u)
@@ -435,7 +420,7 @@ def _palm_blocks(samples, hops: int) -> _Blocks:
             # The later copy is an anchor; the first such, block by block, is refused.
             first = by_point[1:][same].min()
             raise ParameterError(
-                f"duplicate point ({xs[first]}, {us[first]}); marks must be distinct"
+                f"duplicate point ({xs[first]}, {us[first]}); an added point must be new"
             )
     # The inverse permutation maps each anchor to its sorted index.
     inverse = np.empty_like(order)
@@ -560,9 +545,7 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float) -> tuple[np.ndarray
     rows, cols = rows[keep], cols[keep]
     if isinstance(n, np.ndarray):
         n = n[keep]
-    d = np.abs(xs[rows] - xs[cols])
-    # Canonical positions lie less than n apart, so this is their torus distance.
-    d = np.minimum(d, n - d)
+    d = _torus_gap(xs[rows] - xs[cols], n)
     ok = d * (us**gamma)[rows] * (us ** (1.0 - gamma))[cols] <= beta
     rows = rows[ok]
     # One int64 key per edge sorts the rows, and the columns within each row.

@@ -353,7 +353,11 @@ def lag_covariance_table(
         return [_cyclic_lag_cov(centered, int(lag)) for lag in lags]
 
     def tail(covs: list[float], k: int) -> float:
-        return 2.0 * sum(covs[k - 1 : half - 1])
+        # Left to right: from Python 3.12 on, the built-in sum of floats is compensated.
+        total = 0.0
+        for cov in covs[k - 1 : half - 1]:
+            total += cov
+        return 2.0 * total
 
     full = lag_covs(matrix)
     subsamples = [lag_covs(m) for m in _leave_one_batch_out(matrix)]

@@ -2,10 +2,10 @@
 
 Everything here works from first principles on explicit point lists, so the
 package's CSR edge list, level-wise clique listing and tree embeddings are
-checked against plain O(N^2) / O(N^k) scans.  Point insertion, the standard
-tree specs and the statistical references at the end (the direct covariance
-estimate, the Poisson chi-square test and the looped bootstrap) are used by
-the tests only.
+checked against plain O(N^2) / O(N^k) scans.  Point insertion, the torus
+distance of any positions, the standard tree specs and the statistical
+references at the end (the direct covariance estimate, the Poisson
+chi-square test and the looped bootstrap) are used by the tests only.
 
 The point-level counts (centered, diff1, diff2, joint, d_in) and palm_config
 are no oracles: they run the package's block kernels and Palm block
@@ -25,7 +25,7 @@ from adrcm.cliques import _centered, _joint, _through
 from adrcm.harness import MIN_TEST_SAMPLES, DegenerateSampleError
 from adrcm.model import (
     MarkedPoint, ModelParams, ParameterError, PointConfig, _palm_blocks,
-    neighborhood_adjacency, torus_dist, wrap_position,
+    neighborhood_adjacency, wrap_position,
 )
 from adrcm.trees import DirectedTreeSpec, _rooted
 
@@ -47,11 +47,11 @@ def add_point(config: PointConfig, p: MarkedPoint) -> tuple[PointConfig, int]:
     """config with p inserted after the points of equal position, and p's index there.
 
     The position wraps onto the torus first; a point already present is
-    refused, as marks must be distinct.
+    refused, as the library refuses it.
     """
     p = MarkedPoint(wrap_position(p.x, config.params.torus_length), p.u)
     if index_of(config, p) >= 0:
-        raise ParameterError(f"duplicate point ({p.x}, {p.u}); marks must be distinct")
+        raise ParameterError(f"duplicate point ({p.x}, {p.u}); an added point must be new")
     points = list(zip(config.positions.tolist(), config.marks.tolist())) + [(p.x, p.u)]
     grown = config_from_points(config.params, points, config.seed)
     return grown, index_of(grown, p)
@@ -125,6 +125,20 @@ def palm_config(params: ModelParams, seed: int, anchors, hops: int) -> tuple[Poi
 def parse_config(text: str, override_regime: bool = False) -> cli.RunConfig:
     """The configuration document read and validated as a run validates it."""
     return cli._validate(*cli._read_config(text), override_regime)
+
+
+def torus_dist(x, y, torus_length):
+    """Toroidal distance min_k |x - y + k*n| of any positions; scalars or arrays, torus_length too."""
+    n = torus_length
+    if not ((n > 0.0).all() if isinstance(n, np.ndarray) else n > 0.0):
+        raise ParameterError(f"torus_length must be positive, got {n}")
+    d = np.abs(np.asarray(x) - np.asarray(y))
+    # The reduction is exact and slow; up to d = n it changes no result
+    # (d = n gives 0 either way), and canonical inputs never exceed n.
+    if (d > n).any():
+        d = d % n
+    out = np.minimum(d, n - d)
+    return float(out) if out.ndim == 0 else out
 
 
 def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
@@ -323,7 +337,12 @@ def cox_grimmett_oracle(blocks, k: int) -> tuple[float, float]:
 
     def stat(m: np.ndarray) -> float:
         centered = m - m.mean(axis=0, keepdims=True)
-        return 2.0 * sum(_cyclic_lag_cov_reference(centered, lag) for lag in range(k, half))
+        # Left to right, as the library adds them; the built-in sum is
+        # compensated from Python 3.12 on.
+        total = 0.0
+        for lag in range(k, half):
+            total += _cyclic_lag_cov_reference(centered, lag)
+        return 2.0 * total
 
     return stat(matrix), _jackknife_reference(stat, matrix)
 

@@ -116,10 +116,8 @@ def test_parse_missing_tree_file(tmp_path):
     assert any("does not exist" in e for e in err.value.errors)
 
 
-def test_render_parse_round_trip(tmp_path):
-    tree = tmp_path / "wedge.tree"
-    tree.write_text(WEDGE_TEXT, encoding="utf-8")
-    configs = [
+def _four_configs(tree) -> list[RunConfig]:
+    return [
         RunConfig(gamma=0.3, beta=1.0, n=50.0, mode="sample"),
         RunConfig(gamma=0.2, beta=0.5, n=64.0, mode="cliques", k_list=(2, 3), r=7, seed=9),
         RunConfig(
@@ -134,8 +132,32 @@ def test_render_parse_round_trip(tmp_path):
         ),
         RunConfig(gamma=0.1, beta=1.0, n=16.0, mode="blocks", tree_file=str(tree), r=12),
     ]
-    for cfg in configs:
+
+
+def test_render_parse_round_trip(tmp_path):
+    tree = tmp_path / "wedge.tree"
+    tree.write_text(WEDGE_TEXT, encoding="utf-8")
+    for cfg in _four_configs(tree):
         assert parse_config(render_config(cfg)) == cfg
+
+
+def test_render_config_text_is_pinned():
+    # config_hash hashes this text, so a reordered or reformatted line would
+    # change every recorded hash.
+    output = "\n[output]\ndirectory = {}\nformats = {}\n"
+    expected = [
+        "[model]\ngamma = 0.3\nbeta = 1.0\nn = 50.0\n\n"
+        "[experiment]\nmode = sample\nr = 1000\nseed = 0\n" + output.format("out", "csv,json"),
+        "[model]\ngamma = 0.2\nbeta = 0.5\nn = 64.0\n\n"
+        "[experiment]\nmode = cliques\nk_list = 2,3\nr = 7\nseed = 9\n" + output.format("out", "csv,json"),
+        "[model]\ngamma = 0.2\nbeta = 0.5\nn = 64.0\n\n"
+        "[experiment]\nmode = clt\nk_list = 3\nr = 1000\nn_list = 32.0,64.0\nseed = 0\n"
+        + output.format("elsewhere", "json"),
+        "[model]\ngamma = 0.1\nbeta = 1.0\nn = 16.0\n\n"
+        "[experiment]\nmode = blocks\ntree_file = a b/w.tree\nr = 12\nseed = 0\n"
+        + output.format("out", "csv,json"),
+    ]
+    assert [render_config(cfg) for cfg in _four_configs("a b/w.tree")] == expected
 
 
 _TREE_NAMES = ("e.tree", "a#b;c.tree", "a b.tree", "a #b.tree", "a ;b.tree", "a\tb.tree")

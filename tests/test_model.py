@@ -26,7 +26,6 @@ from adrcm.model import (
     derive_seed,
     neighborhood_adjacency,
     sample_config,
-    torus_dist,
     wrap_position,
 )
 from adrcm.theory import lambda_down, lambda_up, neighborhood_counts, sigma_palm
@@ -41,6 +40,7 @@ from oracles import (
     neighbors_oracle,
     palm_config,
     random_config,
+    torus_dist,
 )
 
 
@@ -60,7 +60,7 @@ def test_the_package_exports_its_public_names():
     public = _package_names()
     assert public == {
         "MarkedPoint", "ModelParams", "ParameterError", "PointConfig", "config_to_csv",
-        "derive_seed", "sample_config", "torus_dist",
+        "derive_seed", "sample_config",
         "count_cliques_upto",
         "BlockSums", "DirectedTreeSpec", "TreeSpecError", "block_sums", "count_trees",
         "parse_tree_spec",
@@ -70,7 +70,7 @@ def test_the_package_exports_its_public_names():
         "ks_distance_normal", "run_replicates", "standardize", "variance_scaling",
         "wasserstein1_distance_normal",
     }
-    assert len(public) == 30
+    assert len(public) == 29
 
 
 def _module_names_read(paths) -> tuple[set[str], dict[str, list[str]]]:
@@ -275,25 +275,45 @@ class _TiedStream:
         return draw
 
 
-def test_mark_ties_are_redrawn_in_both_samplers(monkeypatch):
-    # Marks 1 - draw are 0.5, 0.75, 0.5, 0.25, 0.75: the later copies (draws
-    # 2 and 4) are redrawn as 1 - 0.875 and 1 - 0.625, in draw order.
+def _oriented_edges(cfg):
+    """The edges of cfg as (lower end, upper end) point pairs, by the (mark, index) order."""
+    indptr, indices = neighborhood_adjacency(cfg)
+    points = list(zip(cfg.positions.tolist(), cfg.marks.tolist()))
+    return {(points[i], points[j]) for i, row in enumerate(_csr_as_lists(indptr, indices)) for j in row}
+
+
+def test_mark_ties_are_kept_and_ranked_by_index_in_both_samplers(monkeypatch):
+    # Marks 1 - draw are 0.5, 0.75, 0.5, 0.25, 0.75 in draw order, ties
+    # kept; the stream's second mark draw is never read.
     monkeypatch.setattr(model, "_rng", _TiedStream)
     params = ModelParams(0.5, 1.0, 10.0)
     cfg = sample_config(params, 7)
     assert cfg.positions.tolist() == [-4.0, -1.0, 0.5, 2.0, 3.0]
-    assert cfg.marks.tolist() == [0.25, 0.75, 0.375, 0.125, 0.5]
-    # From (0, 0.5) the kernel d * sqrt(u v) <= 1 reaches x = -1, 0.5 and 2;
-    # one step further (2, 0.125) reaches (3, 0.5) and, across the seam,
-    # (-4, 0.25).  The anchor itself is kept too.
+    assert cfg.marks.tolist() == [0.25, 0.75, 0.75, 0.5, 0.5]
+    # From (0, 0.5) the kernel d * sqrt(u v) <= 1 reaches x = -1 and 0.5;
+    # (2, 0.5), at 1 + 2e-16, is kept by the restriction's slack.  One step
+    # further (2, 0.5) reaches (3, 0.5); (-4, 0.25) has no neighbour.
     anchor = MarkedPoint(0.0, 0.5)
     near, anchor_indices = palm_config(params, 7, [anchor], 1)
     assert near.positions.tolist() == [-1.0, 0.0, 0.5, 2.0]
-    assert near.marks.tolist() == [0.75, 0.5, 0.375, 0.125]
+    assert near.marks.tolist() == [0.75, 0.5, 0.75, 0.5]
     assert near.seed == 7 and near.params == params
     assert anchor_indices == [1]
-    whole, i = add_point(cfg, anchor)
-    assert palm_config(params, 7, [anchor], 2) == (whole, [i])
+    far, anchor_indices = palm_config(params, 7, [anchor], 2)
+    assert far.positions.tolist() == [-1.0, 0.0, 0.5, 2.0, 3.0]
+    assert anchor_indices == [1]
+    # Each restriction has the edges of the whole torus with the anchor
+    # added, among its points and oriented alike: the tied marks rank by
+    # index in both, and the index order is the position order.
+    whole, _ = add_point(cfg, anchor)
+    edges = _oriented_edges(whole)
+    for block in (near, far):
+        points = set(zip(block.positions.tolist(), block.marks.tolist()))
+        assert _oriented_edges(block) == {e for e in edges if points.issuperset(e)}
+    # The one tied edge runs from the lower index up.
+    assert ((2.0, 0.5), (3.0, 0.5)) in edges and ((3.0, 0.5), (2.0, 0.5)) not in edges
+    for tied in (cfg, whole, near, far):
+        _assert_edge_list_matches_oracle(tied)
 
 
 def test_palm_config_rejects_a_drawn_point_equal_to_an_anchor(monkeypatch):

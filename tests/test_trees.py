@@ -401,6 +401,15 @@ def test_lag_covariance_table_matches_per_lag_reference(n):
             assert _same(u_values[k], cox_grimmett_oracle(matrix, k)), (n, r, k)
 
 
+def test_cox_grimmett_tails_add_left_to_right(monkeypatch):
+    # Left to right, 1e16 + 1.0 rounds back to 1e16 and the tail is 0; a
+    # compensated sum (the built-in sum from Python 3.12 on) would give 2.
+    covs = {1: 1e16, 2: 1.0, 3: -1e16, 4: 0.0}
+    monkeypatch.setattr(trees, "_cyclic_lag_cov", lambda centered, lag: covs[lag])
+    reps = _as_block_sums(np.arange(24).reshape(3, 8))
+    assert lag_covariance_table(reps, [1])[3][1] == (0.0, 0.0)
+
+
 def test_lag_covariance_table_rejects_cutoffs_outside_one_to_n():
     reps = _as_block_sums(np.arange(24).reshape(3, 8))
     for bad in ([0], [9], [1, 9], [-1]):
