@@ -378,7 +378,7 @@ def _kept(params: ModelParams, seed: int, start: list[tuple[float, float]], hops
 
 
 def _palm_blocks(samples, hops: int) -> _Blocks:
-    """One block per sample (params, anchors, seed): its anchors and the points near them.
+    """One block per sample (params, anchors, seed, draw): its anchors and the points near them.
 
     A block holds the anchors and the points of sample_config(params, seed)
     within hops graph steps of them.  The stream drawn is sample_config's,
@@ -386,18 +386,22 @@ def _palm_blocks(samples, hops: int) -> _Blocks:
     connects it to an anchor or, for hops > 1, to a point kept one step
     earlier.  A count that only sees points within hops steps of the anchors
     is the same on a block as on the whole torus with the anchors inserted,
-    and far cheaper to build.  The samples share gamma, beta and their
-    number of anchors.  Raises ParameterError when a drawn point or an
-    earlier anchor equals an anchor.
+    and far cheaper to build.  A sample with draw False is one whose count
+    its estimator has proved zero on every configuration (see the rules in
+    adrcm.theory); its block is its anchors alone, and nothing is drawn for
+    it.  This is the one place a draw is skipped: the count still runs on
+    the block, and the sample keeps its seed.  The samples share gamma, beta
+    and their number of anchors.  Raises ParameterError when a drawn point
+    or an earlier anchor equals an anchor.
     """
     params = samples[0][0]
     width = len(samples[0][1])
     xs, us, start = [], [], []
-    for p, anchors, seed in samples:
+    for p, anchors, seed, draw in samples:
         if (p.gamma, p.beta, len(anchors)) != (params.gamma, params.beta, width):
             raise ParameterError("samples of one block set must share gamma, beta and anchor count")
         points = [(wrap_position(a.x, p.torus_length), a.u) for a in anchors]
-        kept_x, kept_u = _kept(p, seed, points, hops)
+        kept_x, kept_u = _kept(p, seed, points, hops) if draw else (np.empty(0), np.empty(0))
         xs.append(kept_x)
         us.append(kept_u)
         start += points
@@ -431,7 +435,7 @@ def _palm_blocks(samples, hops: int) -> _Blocks:
         xs_sorted,
         us[order],
         bounds,
-        np.array([p.torus_length for p, _, _ in samples]),
+        np.array([p.torus_length for p, *_ in samples]),
         inverse[order.size - len(start) :].reshape(kept.size, width),
         params.gamma,
         params.beta,

@@ -6,20 +6,40 @@ estimated by Palm sampling: deterministic extra points, the anchors, are
 inserted into fresh configurations and local counts are averaged.
 
 Each Palm estimator lists its samples as nodes and counts them in one
-dispatch.  A sample is (params, anchors, seed): its configuration is the
-anchors and the points of sample_config(params, seed) within a few graph
+dispatch.  A sample is (params, anchors, seed, draw): its configuration is
+the anchors and the points of sample_config(params, seed) within a few graph
 steps of them, on which every count equals its value on the whole torus
-with the anchors inserted.  Consecutive samples with one count and hop range
-form a chunk task of at most _CHUNK samples, cut by sample index alone.  A
-node's sampler gives a run of consecutive samples at once, sampler(start,
-stop), and derives the seeds of the run in one vectorized call.  A chunk
-takes its samples run by run, draws and restricts each on its own stream,
-then lays the samples' configurations side by side as the blocks of one
-index space, builds one block-diagonal edge list and counts at every anchor
-with one kernel call; the counts come back one per sample.  The samples,
-their seeds included, are drawn inside the chunk, so the workers do that
-work.  Every stream is drawn from the process's one generator, reset to the
-stream's seed (model._rng), so a sample's draws end before the next begin.
+with the anchors inserted.  draw is False for a sample whose count is
+provably zero on every configuration; its configuration is then its
+anchors alone, and no torus is drawn for it (model._palm_blocks).  Two rules
+set it, each beside its estimator, with _kept's slack _REACH_SLACK on beta
+so that float rounding can never flag a sample whose count is not zero:
+
+- Rule 1, term two of sigma_palm, per sample: |y| > beta/u + beta/v.  A
+  clique centred at an anchor (its lowest-mark vertex) holds the anchor and
+  up-neighbours only, each within beta / (u^gamma w^(1-gamma)) <= beta/u of
+  it.  The sample's torus is at least 4 (|y| + beta/v), so the anchors lie
+  |y| apart, and a vertex shared by a clique at (0, u) and one at (y, v)
+  would put them within beta/u + beta/v.  So _joint gives (pairs, unions)
+  = (0, 0) for every k, l >= 1; at k = 1 the cliques are the two distinct
+  anchors.
+- Rule 2, the second differences of gamma_diagnostics, per node: anchors
+  that the kernel does not join, d u_lo^gamma u_hi^(1-gamma) > beta with d
+  the torus gap of their wrapped positions (_joined).  A clique through
+  both anchors holds the edge between them, so every clique count through
+  both is zero.
+
+Consecutive samples with one count and hop range form a chunk task of at
+most _CHUNK samples, cut by sample index alone.  A node's sampler gives a
+run of consecutive samples at once, sampler(start, stop), and derives the
+seeds of the run in one vectorized call.  A chunk takes its samples run by
+run, draws and restricts each on its own stream, then lays the samples'
+configurations side by side as the blocks of one index space, builds one
+block-diagonal edge list and counts at every anchor with one kernel call;
+the counts come back one per sample.  The samples, their seeds included,
+are drawn inside the chunk, so the workers do that work.  Every stream is
+drawn from the process's one generator, reset to the stream's seed
+(model._rng), so a sample's draws end before the next begin.
 """
 
 from __future__ import annotations
@@ -32,8 +52,9 @@ from itertools import islice
 import numpy as np
 
 from ._parallel import parallel_map
-from .cliques import _centered, _joint, _through
+from .cliques import _centered, _check_k, _joint, _through
 from .model import (
+    _REACH_SLACK,
     MarkedPoint,
     ModelParams,
     ParameterError,
@@ -41,6 +62,8 @@ from .model import (
     _derive_seeds,
     _palm_blocks,
     _rng,
+    _torus_gap,
+    wrap_position,
 )
 from .trees import _assignment_plan, _jackknife_se, _rooted
 
@@ -140,6 +163,9 @@ def _sigma_samples(params, half, floor_width, seed, key, start, stop) -> list[tu
     configuration seed is that seed's child 1; each run derives both in one
     call.  The torus is at least floor_width and four times the reach of the
     counted cliques, which reproduces the infinite-volume count exactly in law.
+    A term-two sample whose anchors lie more than beta/u + beta/v apart draws
+    no torus: its joint count is zero on every configuration (rule 1 of the
+    module docstring).  Its torus and seed are what they would be otherwise.
     """
     own = _derive_seeds(seed, key, np.arange(start, stop))
     samples = []
@@ -148,14 +174,20 @@ def _sigma_samples(params, half, floor_width, seed, key, start, stop) -> list[tu
         u = rng.uniform(MARK_FLOOR, 1.0)
         if half is None:
             # Every member of a clique centered at (0, u) connects to it.
-            anchors, reach = [MarkedPoint(0.0, u)], params.beta / u
+            anchors, reach, draw = [MarkedPoint(0.0, u)], params.beta / u, True
         else:
             v = rng.uniform(MARK_FLOOR, 1.0)
             y = rng.uniform(-half, half)
             anchors = [MarkedPoint(0.0, u), MarkedPoint(y, v)]
             reach = max(params.beta / u, abs(y) + params.beta / v)
+            # Rule 1: every vertex of a clique centred at (0, u) lies within
+            # beta/u of it, and of one centred at (y, v) within beta/v of y.
+            # The torus below keeps the anchors |y| apart, so two such
+            # cliques share no vertex once |y| > beta/u + beta/v, and _joint
+            # gives (0, 0).  The slack keeps a sample on the bound drawn.
+            draw = abs(y) <= (params.beta / u + params.beta / v) * (1.0 + _REACH_SLACK)
         torus = max(floor_width, 4.0 * reach)
-        samples.append((ModelParams(params.gamma, params.beta, torus), anchors, config_seed))
+        samples.append((ModelParams(params.gamma, params.beta, torus), anchors, config_seed, draw))
     return samples
 
 
@@ -262,25 +294,30 @@ def _palm_chunk(task):
     """Count one chunk (count, hops, runs, seed) of Palm samples, one result per sample.
 
     Each run (sampler, start, stop) stands for the samples sampler(start,
-    stop), a list of (params, anchors, seed).  Every sample is drawn and
-    restricted on its own stream; the chunk then builds one edge list over
-    all their blocks and counts at every anchor in one call of count, which
-    takes the edge list and the blocks.  The task's seed, which names a
-    failure, is its first sample's.
+    stop), a list of (params, anchors, seed, draw).  Every sample is drawn
+    and restricted on its own stream, or stands for its anchors alone when
+    draw is False; the chunk then builds one edge list over all their blocks
+    and counts at every anchor in one call of count, which takes the edge
+    list and the blocks.  The task's seed, which names a failure, is its
+    first sample's.
     """
     count, hops, runs, _ = task
     blocks = _palm_blocks([s for sampler, start, stop in runs for s in sampler(start, stop)], hops)
     return count(_block_adjacency(blocks), blocks)
 
 
-def _palm_node(count, params, anchors, hops, replicates, seed, *key) -> tuple:
-    """A node of samples at the same anchors; sample i's configuration seed is (seed, *key, i)."""
-    return count, hops, partial(_at_anchors, params, anchors, seed, key), replicates
+def _palm_node(count, params, anchors, hops, replicates, seed, *key, draw=True) -> tuple:
+    """A node of samples at the same anchors; sample i's configuration seed is (seed, *key, i).
+
+    draw False marks a node whose count is zero on every configuration.
+    """
+    return count, hops, partial(_at_anchors, params, anchors, seed, key, draw=draw), replicates
 
 
-def _at_anchors(params, anchors, seed, key, start, stop) -> list[tuple]:
+def _at_anchors(params, anchors, seed, key, start, stop, draw=True) -> list[tuple]:
     """Samples start..stop-1 of a node at fixed anchors, their seeds derived in one call."""
-    return [(params, anchors, s) for s in _derive_seeds(seed, key, np.arange(start, stop)).tolist()]
+    seeds = _derive_seeds(seed, key, np.arange(start, stop)).tolist()
+    return [(params, anchors, s, draw) for s in seeds]
 
 
 def _mark_nodes(count, params, u_grid, hops, replicates, seed, key) -> list[tuple]:
@@ -348,6 +385,8 @@ def neighborhood_counts(
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Higher/lower-mark neighbor counts of (0, u) over fresh configurations."""
+    if replicates < 1:
+        raise ParameterError(f"neighborhood counts need 1 replicate or more, got {replicates}")
     node = _palm_node(_up_down_degrees, params, [MarkedPoint(0.0, u)], 1, replicates, seed, 0)
     [out] = _palm_map([node], threads)
     ups = np.asarray([o[0] for o in out], dtype=np.int64)
@@ -399,6 +438,8 @@ def _exact_law_check(profile: MomentProfile, target) -> dict:
 def log_slope(u_grid, values) -> float:
     """Least-squares slope of log(values) against log(1/u)."""
     x = np.log(1.0 / np.asarray(u_grid, dtype=np.float64))
+    if np.unique(x).size < 2:
+        raise ParameterError("a log slope needs two distinct marks or more")
     y = np.log(np.asarray(values, dtype=np.float64))
     if np.any(~np.isfinite(y)):
         raise ParameterError("moment estimates must be positive for a log slope")
@@ -414,12 +455,16 @@ def _tree_depth(spec) -> int:
     return max(depth)
 
 
+def _check_profile_replicates(replicates: int) -> None:
+    """A moment profile's SE needs two samples per mark; checked before any task runs."""
+    if replicates < 2:
+        raise ParameterError(f"a moment profile needs 2 replicates or more, got {replicates}")
+
+
 def _profile(samples_per_u, u_grid, power) -> MomentProfile:
     means = np.empty(len(u_grid))
     ses = np.empty(len(u_grid))
     for i, samples in enumerate(samples_per_u):
-        if len(samples) < 2:
-            raise ParameterError(f"a moment profile needs 2 replicates or more, got {len(samples)}")
         # Python float powers (libm pow): numpy's vectorized pow may differ
         # from it in the last bit at non-integer powers.
         vals = np.asarray([float(x) ** power for x in samples])
@@ -443,6 +488,8 @@ def clique_diff_moment_profile(
     threads: int = 1,
 ) -> MomentProfile:
     """E[(add-one clique difference)^power] at each mark of the grid."""
+    _check_k(k)
+    _check_profile_replicates(replicates)
     nodes = _mark_nodes(partial(_cliques_through, k_max=k), params, u_grid, 1, replicates, seed, 7)
     samples = [[s[k - 1] for s in node] for node in _palm_map(nodes, threads)]
     return _profile(samples, u_grid, power)
@@ -458,6 +505,7 @@ def tree_root_moment_profile(
     threads: int = 1,
 ) -> MomentProfile:
     """E[(rooted embedding count)^power] at each mark of the grid."""
+    _check_profile_replicates(replicates)
     count = partial(_tree_roots, spec=spec)
     nodes = _mark_nodes(count, params, u_grid, _tree_depth(spec), replicates, seed, 8)
     return _profile(_palm_map(nodes, threads), u_grid, power)
@@ -485,6 +533,19 @@ def _feasible_eta_interval(gamma: float) -> tuple[float, float]:
     return 1.0, 1.0 / limit
 
 
+def _joined(params: ModelParams, anchors) -> bool:
+    """Whether the kernel may join the two anchors: model._kept's test, with its slack.
+
+    Rule 2: a clique through both anchors holds the edge between them, so
+    when this is False every clique count through both is zero.  d is the
+    torus gap of the wrapped anchor positions.
+    """
+    n, g = params.torus_length, params.gamma
+    (x, u), (y, v) = ((wrap_position(a.x, n), a.u) for a in anchors)
+    d = float(_torus_gap(np.array(y - x), n))
+    return d * min(u, v) ** g * max(u, v) ** (1.0 - g) <= params.beta * (1.0 + _REACH_SLACK)
+
+
 def gamma_diagnostics(
     params: ModelParams,
     eta: float,
@@ -498,8 +559,12 @@ def gamma_diagnostics(
     The integrals mix (2 eta)-th and (eta+1)-th moments of first and second
     difference counts; moments are estimated on stratified (u, y, v) grids
     and integrated by midpoint/trapezoid rules.  Useful for comparing growth
-    across torus lengths, not for tight numerics.
+    across torus lengths, not for tight numerics.  A second-difference node
+    whose anchors (0, u) and (y, v) the kernel does not join draws no torus:
+    a clique through both anchors holds the edge between them, so its counts
+    are zero on every configuration (rule 2 of the module docstring).
     """
+    _check_k(k0)
     lo, hi = _feasible_eta_interval(params.gamma)
     if not (1.0 < eta < 2.0) or eta * max(2.0 * params.gamma, 1.0 - params.gamma) >= 1.0:
         raise ParameterError(
@@ -531,10 +596,11 @@ def gamma_diagnostics(
         _mark_nodes(diff1, params, g3_grid, 1, r3, seed, 3)
         + _mark_nodes(diff1, params, v_grid, 1, r_node, seed, 4)
         + [
-            _palm_node(diff2, params, [MarkedPoint(0.0, float(u_grid[gi])),
-                                       MarkedPoint(float(y_grid_arr[yi]), float(v_grid[vi]))],
-                       1, r_node, seed, 5, gi, yi, vi)
+            _palm_node(diff2, params, anchors, 1, r_node, seed, 5, gi, yi, vi,
+                       draw=_joined(params, anchors))
             for gi, yi, vi in nodes
+            for anchors in [[MarkedPoint(0.0, float(u_grid[gi])),
+                             MarkedPoint(float(y_grid_arr[yi]), float(v_grid[vi]))]]
         ]
     )
     powers = [eta + 1.0] * g3_grid.size + [2.0 * eta] * (g_v + len(nodes))

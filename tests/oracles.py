@@ -117,8 +117,8 @@ def d_in(config: PointConfig, i: int, spec: DirectedTreeSpec) -> int:
 
 
 def palm_config(params: ModelParams, seed: int, anchors, hops: int) -> tuple[PointConfig, list[int]]:
-    """The one Palm block of the sample (params, anchors, seed), and each anchor's index in it."""
-    blocks = _palm_blocks([(params, anchors, seed)], hops)
+    """The Palm block of the drawn sample (params, anchors, seed, True) and its anchors' indices."""
+    blocks = _palm_blocks([(params, anchors, seed, True)], hops)
     return PointConfig(params, blocks.positions, blocks.marks, seed), blocks.anchors[0].tolist()
 
 

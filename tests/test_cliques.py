@@ -263,7 +263,7 @@ def test_diff2_rejects_equal_added_points():
         with pytest.raises(ParameterError):
             diff2(cfg, i, i, k_max)
     with pytest.raises(ParameterError, match="duplicate point"):
-        _palm_blocks([(params, [MarkedPoint(0.0, 0.7), MarkedPoint(10.0, 0.7)], 7)], 1)
+        _palm_blocks([(params, [MarkedPoint(0.0, 0.7), MarkedPoint(10.0, 0.7)], 7, True)], 1)
 
 
 def test_diff2_matches_four_term_recount():

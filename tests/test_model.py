@@ -321,13 +321,16 @@ def test_palm_config_rejects_a_drawn_point_equal_to_an_anchor(monkeypatch):
     drawn = (np.array([3.0, -1.0, 2.0]), np.array([0.25, 0.75, 0.5]))
     monkeypatch.setattr(model, "_draw", lambda params, seed: drawn)
     with pytest.raises(ParameterError, match="duplicate point"):
-        _palm_blocks([(params, [MarkedPoint(2.0, 0.5)], 7)], 1)
+        _palm_blocks([(params, [MarkedPoint(2.0, 0.5)], 7, True)], 1)
     # The anchor wraps onto the drawn point at -1.
     with pytest.raises(ParameterError, match="duplicate point"):
-        _palm_blocks([(params, [MarkedPoint(0.0, 0.3), MarkedPoint(9.0, 0.75)], 7)], 1)
+        _palm_blocks([(params, [MarkedPoint(0.0, 0.3), MarkedPoint(9.0, 0.75)], 7, True)], 1)
     # Two equal anchors are refused as well.
     with pytest.raises(ParameterError, match="duplicate point"):
-        _palm_blocks([(params, [MarkedPoint(0.0, 0.3), MarkedPoint(0.0, 0.3)], 7)], 1)
+        _palm_blocks([(params, [MarkedPoint(0.0, 0.3), MarkedPoint(0.0, 0.3)], 7, True)], 1)
+    # A sample that draws nothing still has its anchors checked.
+    with pytest.raises(ParameterError, match="duplicate point"):
+        _palm_blocks([(params, [MarkedPoint(0.0, 0.3), MarkedPoint(10.0, 0.3)], 7, False)], 1)
     near, anchor_indices = palm_config(params, 7, [MarkedPoint(2.0, 0.4)], 1)
     # The anchor follows the drawn point of equal position.
     assert (near.positions.tolist(), near.marks.tolist()) == ([2.0, 2.0, 3.0], [0.5, 0.4, 0.25])

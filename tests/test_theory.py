@@ -262,7 +262,7 @@ def test_palm_estimator_worker_independent_in_one_pool(monkeypatch, name):
 
 def _whole_torus_blocks(samples, hops):
     """Each sample's whole torus with its anchors inserted, as the blocks of one chunk."""
-    configs = [add_points(sample_config(params, seed), anchors) for params, anchors, seed in samples]
+    configs = [add_points(sample_config(p, seed), anchors) for p, anchors, seed, _ in samples]
     bounds = np.concatenate(([0], np.cumsum([len(config) for config, _ in configs])))
     return model._Blocks(
         np.concatenate([config.positions for config, _ in configs]),
@@ -282,6 +282,12 @@ def _restricted_and_whole(monkeypatch, nodes):
         m.setattr(theory, "_palm_blocks", _whole_torus_blocks)
         whole = [r for results in theory._palm_map(nodes, 1) for r in results]
     return restricted, whole
+
+
+def _flagged(node) -> int:
+    """How many samples of a node draw no torus: their count is zero on every configuration."""
+    *_, sampler, size = node
+    return sum(1 for *_, draw in sampler(0, size) if not draw)
 
 
 def _smallest_marks(count: int) -> list[int]:
@@ -312,6 +318,8 @@ def test_sigma_terms_count_the_same_on_the_palm_neighbourhood(monkeypatch):
     ]
     restricted, whole = _restricted_and_whole(monkeypatch, nodes)
     assert restricted == whole
+    # The far node's flagged samples are its anchors alone, yet count as the whole torus.
+    assert _flagged(nodes[4]) > 50
     counts = [out[0] if isinstance(out, tuple) else out for out in restricted]
     assert sum(1 for c in counts if c > 0) > 100
     # A joint count with the second point more than 10 from the first.
@@ -354,13 +362,17 @@ def test_neighbourhood_and_diff_samples_count_the_same(monkeypatch):
     ]
     items += [(ModelParams(0.3, 1.0, 16.0), 0.0625, q, 3, 2.4, 55, 20) for q in qs[:2]]
     # q is an anchor too; without one the task counts the add-one difference.
+    # A pair of anchors that the kernel does not join is flagged, as in gamma_diagnostics.
     nodes = [
         (through[params.torus_length, k0, q is None], 1,
-         partial(theory._at_anchors, params, [MarkedPoint(0.0, u)] + ([] if q is None else [q]),
-                 seed, ()),
+         partial(theory._at_anchors, params, anchors, seed, (),
+                 draw=q is None or theory._joined(params, anchors)),
          size)
         for params, u, q, k0, _, seed, size in items
+        for anchors in [[MarkedPoint(0.0, u)] + ([] if q is None else [q])]
     ]
+    far = [node for node, (_, u, q, *_) in zip(nodes, items) if q == qs[-1] and u >= 0.05]
+    assert len(far) == 4 and all(_flagged(node) == node[-1] for node in far)
     powers = [power for *_, power, _, size in items for _ in range(size)]
     restricted, whole = (
         [np.asarray(out, dtype=np.float64) ** power for out, power in zip(outs, powers)]
@@ -435,7 +447,7 @@ def test_the_reset_generator_draws_what_a_fresh_generator_draws(monkeypatch):
         configs = [model._draw(params, s) for s in seeds]
         runs = [theory._sigma_samples(base, half, 8.0, 72, (t,), 0, 20000)
                 for t, half in ((1, None), (2, 30.0))]
-        marks = [[(a.x, a.u) for _, anchors, _ in run for a in anchors] for run in runs]
+        marks = [[(a.x, a.u) for _, anchors, *_ in run for a in anchors] for run in runs]
         return configs, marks
 
     reset_configs, reset_marks = draws()
@@ -558,10 +570,12 @@ def test_gamma_diagnostics_chunks_count_each_sample_as_its_own_configuration(mon
     one = [size for count, _, sampler, size in nodes if len(sampler(0, 1)[0][1]) == 1]
     two = [size for count, _, sampler, size in nodes if len(sampler(0, 1)[0][1]) == 2]
     assert len(one) + len(two) == len(nodes) and one and two
+    # 114 of the 288 second-difference nodes have anchors the kernel does not join.
+    assert sum(1 for node in nodes if _flagged(node)) == 114
     assert seen == [_split(sum(one)) + _split(sum(two))]
     checked = 0
     for (_, _, sampler, size), out in zip(nodes, results):
-        for i, (p, anchors, seed) in enumerate(sampler(0, size)):
+        for i, (p, anchors, seed, _) in enumerate(sampler(0, size)):
             args = _one_block(p, seed, anchors, 1)
             expected = diff1(*args, 2) if len(args) == 2 else diff2(*args, 2)
             assert out[i] == expected
@@ -579,6 +593,85 @@ def test_palm_estimators_check_marks_before_any_task_runs(monkeypatch):
         clique_diff_moment_profile(params, 3, (0.3, 1.5), 4)
     with pytest.raises(ParameterError, match="mark must lie in"):
         neighborhood_counts(params, 0.0, 3)
+    # Sizes too: a bad argument is refused by name, never blamed on a sample's seed.
+    cases = [
+        (lambda: clique_diff_moment_profile(params, 0, (0.3, 0.1), 4), "clique size must be >= 1"),
+        (lambda: clique_diff_moment_profile(params, -1, (0.3, 0.1), 4), "clique size must be >= 1"),
+        (lambda: gamma_diagnostics(ModelParams(0.3, 1.0, 16.0), 1.2, 600, k0=0),
+         "clique size must be >= 1"),
+        (lambda: clique_diff_moment_profile(params, 3, (0.3, 0.1), 1), "2 replicates or more"),
+        (lambda: tree_root_moment_profile(params, tree_wedge(), (0.3, 0.1), 1),
+         "2 replicates or more"),
+        (lambda: neighborhood_counts(params, 0.1, -3), "1 replicate or more"),
+        (lambda: neighborhood_counts(params, 0.1, 0), "1 replicate or more"),
+        (lambda: log_slope((0.3, 0.3), (1.0, 2.0)), "two distinct marks"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+
+def _counted_draws(monkeypatch) -> list[int]:
+    """Record the seed of every torus that model._draw draws."""
+    seeds = []
+    draw = model._draw
+
+    def recording(params, seed):
+        seeds.append(seed)
+        return draw(params, seed)
+
+    monkeypatch.setattr(model, "_draw", recording)
+    return seeds
+
+
+def test_a_flagged_sample_draws_no_torus(monkeypatch):
+    base = ModelParams(0.3, 1.0, 100.0)
+    params = ModelParams(0.3, 1.0, 64.0)
+    anchors = [MarkedPoint(0.0, 0.3), MarkedPoint(20.0, 0.9)]
+    nodes = [
+        (partial(theory._joint_term, k=3, l=3), 1,
+         partial(theory._sigma_samples, base, 200.0, 8.0, 81, (2,)), 300),
+        theory._palm_node(partial(theory._cliques_through, k_max=3), params, anchors, 1, 40, 82,
+                          draw=theory._joined(params, anchors)),
+    ]
+    for node in nodes:
+        with monkeypatch.context() as m:
+            drawn = _counted_draws(m)
+            theory._palm_map([node], 1)
+        samples = node[2](0, node[3])
+        assert drawn == [seed for _, _, seed, draw in samples if draw]
+    assert 0 < _flagged(nodes[0]) < 300
+    assert _flagged(nodes[1]) == 40
+
+
+class _FixedDraws:
+    """A generator stand-in whose uniform draws are given in advance."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def uniform(self, low, high):
+        return next(self.values)
+
+
+def test_the_flag_boundaries_are_not_flagged(monkeypatch):
+    # Rule 1: beta/u + beta/v = 2 + 4 at u = 0.5, v = 0.25, beta = 1.
+    base = ModelParams(0.3, 1.0, 100.0)
+    beyond = 6.0 * (1.0 + 2e-9)
+    for y, draw in ((6.0, True), (-6.0, True), (beyond, False), (-beyond, False)):
+        with monkeypatch.context() as m:
+            m.setattr(theory, "_rng", lambda seed: _FixedDraws([0.5, 0.25, y]))
+            [(_, anchors, _, flag)] = theory._sigma_samples(base, 30.0, 8.0, 1, (2,), 0, 1)
+        assert (anchors[1].x, flag) == (y, draw)
+    # Rule 2: d u_lo^gamma u_hi^(1 - gamma) = 2 * 0.5 * 1 = beta at gamma 0.25, across the seam too.
+    params = ModelParams(0.25, 1.0, 64.0)
+    for x, y in ((0.0, 2.0), (31.0, -31.0), (31.0, 33.0)):
+        on = [MarkedPoint(x, 0.0625), MarkedPoint(y, 1.0)]
+        assert theory._joined(params, on)
+        # The kernel joins them: flagging them would drop the 2-clique through both.
+        assert diff2(*_one_block(params, 5, on, 1), 2) == [0, 1]
+        # Each y lies 2 after x on the torus; 4e-9 more is beyond the slack.
+        assert not theory._joined(params, [on[0], MarkedPoint(y + 4e-9, 1.0)])
 
 
 @pytest.mark.parametrize("replicates", [0, 1])
