@@ -794,8 +794,44 @@ _PLOT_TABLES = {
 }
 
 
+def _is_json_number(value) -> bool:
+    """An int or a float, as json reads a number; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _unusable_entry(summary: dict, kind: str) -> str | None:
+    """What the plot kind reads from the summary but cannot use, described; None if nothing."""
+    if not isinstance(summary.get("plan", {}), dict):
+        return "its 'plan' is not a table"
+    if kind == "qq":
+        if not summary["files"]:
+            return "its 'files' table is empty"
+        for key, name in summary["files"].items():
+            length = key.removeprefix("replicates_n")
+            if length == key or not _is_number(length) or not isinstance(name, str):
+                return f"'files' entry {key!r}: {name!r} is not replicates_n<length>: <file name>"
+    elif kind == "scaling":
+        for table in ("var_over_n", "ci_lo", "ci_hi"):
+            entries = summary["estimates"].get(table, {})
+            if not isinstance(entries, dict):
+                return f"its {table!r} is not a table"
+            for key, value in entries.items():
+                if not (_is_number(key) and _is_json_number(value)):
+                    return f"{table!r} entry {key!r}: {value!r} is not <length>: <number>"
+    else:
+        for entry in summary["estimates"]["lag_covariance"]:
+            if not (
+                isinstance(entry, dict)
+                and type(entry.get("k")) is int
+                and _is_json_number(entry.get("covariance"))
+                and _is_json_number(entry.get("se"))
+            ):
+                return f"'lag_covariance' entry {entry!r} needs an integer k, a covariance and an se"
+    return None
+
+
 def _load_summary(path: str, kind: str) -> dict:
-    """The result summary at path, with the table the plot kind reads."""
+    """The result summary at path, with the table the plot kind reads and usable entries."""
     try:
         summary = json.loads(_read_text(path, "--results"))
     except json.JSONDecodeError as exc:
@@ -806,6 +842,9 @@ def _load_summary(path: str, kind: str) -> dict:
         table = table.get(key) if isinstance(table, dict) else None
     if not isinstance(summary, dict) or not isinstance(table, kind_of):
         raise ParameterError(f"--results {path!r} is not a summary with a {keys[-1]!r} table")
+    problem = _unusable_entry(summary, kind)
+    if problem is not None:
+        raise ParameterError(f"--results {path!r}: {problem}")
     return summary
 
 

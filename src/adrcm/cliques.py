@@ -87,20 +87,13 @@ def _through(graph: tuple[np.ndarray, np.ndarray], members: np.ndarray, k_max: i
     of members[s], which are one or two vertices; two must differ.  These
     are the add-one and the second-order differences of the clique counts.
     The lowest-mark vertex of a clique through a row's first member is that
-    member or one of its lower-mark neighbours, so the listing starts there,
-    and only for rows whose two members are adjacent.
+    member or one of its lower-mark neighbours, so the listing starts there.
+    Two members that are not adjacent give zeros: no listed clique holds both.
     """
-    indptr, indices = graph
-    rows = np.arange(len(members))
-    if members.shape[1] == 2:
-        i, j = members[:, 0], members[:, 1]
-        rows = rows[
-            _csr_contains(indptr, indices, i, j) | _csr_contains(indptr, indices, j, i)
-        ]
-    first = members[rows, 0]
-    down_owner, down = _csr_rows(*_transpose(indptr, indices), first)
+    first = members[:, 0]
+    down_owner, down = _csr_rows(*_transpose(*graph), first)
     seeds = np.concatenate((first, down))
-    seed_owner = np.concatenate((rows, rows[down_owner]))
+    seed_owner = np.concatenate((np.arange(len(members)), down_owner))
     levels = _clique_levels(graph, seeds, k_max)
     counts = np.zeros((len(members), k_max), dtype=np.int64)
     for size, (level, owner) in enumerate(zip(levels, _owners(levels, seeds, seed_owner))):

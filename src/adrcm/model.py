@@ -353,23 +353,28 @@ def sample_config(params: ModelParams, seed: int) -> PointConfig:
     return PointConfig(params, xs[order], us[order], seed)
 
 
+def _joinable(params: ModelParams, xs, us, x: float, u: float) -> np.ndarray:
+    """Indices of the canonical points (xs, us) that the kernel may join to (x, u), with slack."""
+    g = params.gamma
+    reach = params.beta * (1.0 + _REACH_SLACK)
+    d = _torus_gap(xs - x, params.torus_length)
+    # u_min^gamma * u_max^(1-gamma) >= u_min, so the kernel needs
+    # d * u_min <= beta; that cheap test leaves few points to check.
+    lo = np.minimum(us, u)
+    near = (d * lo <= reach).nonzero()[0]
+    hi = np.maximum(us[near], u)
+    return near[d[near] * lo[near] ** g * hi ** (1.0 - g) <= reach]
+
+
 def _kept(params: ModelParams, seed: int, start: list[tuple[float, float]], hops: int):
     """The points of sample_config(params, seed) within hops graph steps of start, in draw order."""
     xs, us = _draw(params, seed)
-    n, g = params.torus_length, params.gamma
-    reach = params.beta * (1.0 + _REACH_SLACK)
     keep = np.zeros(xs.size, dtype=bool)
     frontier = start
     for _ in range(hops):
         reached = []
         for x, u in frontier:
-            d = _torus_gap(xs - x, n)
-            # u_min^gamma * u_max^(1-gamma) >= u_min, so the kernel needs
-            # d * u_min <= beta; that cheap test leaves few points to check.
-            lo = np.minimum(us, u)
-            near = (d * lo <= reach).nonzero()[0]
-            hi = np.maximum(us[near], u)
-            near = near[d[near] * lo[near] ** g * hi ** (1.0 - g) <= reach]
+            near = _joinable(params, xs, us, x, u)
             new = near[~keep[near]]
             keep[new] = True
             reached += zip(xs[new].tolist(), us[new].tolist())

@@ -12,8 +12,9 @@ steps of them, on which every count equals its value on the whole torus
 with the anchors inserted.  draw is False for a sample whose count is
 provably zero on every configuration; its configuration is then its
 anchors alone, and no torus is drawn for it (model._palm_blocks).  Two rules
-set it, each beside its estimator, with _kept's slack _REACH_SLACK on beta
-so that float rounding can never flag a sample whose count is not zero:
+set it, each beside its estimator, with the restriction's slack _REACH_SLACK
+on beta so that float rounding can never flag a sample whose count is not
+zero:
 
 - Rule 1, term two of sigma_palm, per sample: |y| > beta/u + beta/v.  A
   clique centred at an anchor (its lowest-mark vertex) holds the anchor and
@@ -25,9 +26,10 @@ so that float rounding can never flag a sample whose count is not zero:
   anchors.
 - Rule 2, the second differences of gamma_diagnostics, per node: anchors
   that the kernel does not join, d u_lo^gamma u_hi^(1-gamma) > beta with d
-  the torus gap of their wrapped positions (_joined).  A clique through
-  both anchors holds the edge between them, so every clique count through
-  both is zero.
+  the torus gap of their wrapped positions.  _joined asks model._joinable,
+  the one-hop test of the restriction itself.  A clique through both
+  anchors holds the edge between them, so every clique count through both
+  is zero.
 
 Consecutive samples with one count and hop range form a chunk task of at
 most _CHUNK samples, cut by sample index alone.  A node's sampler gives a
@@ -60,12 +62,12 @@ from .model import (
     ParameterError,
     _block_adjacency,
     _derive_seeds,
+    _joinable,
     _palm_blocks,
     _rng,
-    _torus_gap,
     wrap_position,
 )
-from .trees import _assignment_plan, _jackknife_se, _rooted
+from .trees import _jackknife_se, _rooted
 
 __all__ = [
     "RegimeError",
@@ -212,8 +214,8 @@ def sigma_palm(
         raise RegimeError(
             f"finite-variance regime needs gamma < 1/2, got {params.gamma}"
         )
-    if k < 1 or l < 1:
-        raise ParameterError("clique sizes must be >= 1")
+    _check_k(k)
+    _check_k(l)
     if mc_budget < 8:
         raise ParameterError("mc_budget too small")
     big_l = _window_half_width(params)
@@ -450,7 +452,7 @@ def log_slope(u_grid, values) -> float:
 def _tree_depth(spec) -> int:
     """Graph steps from the root (0, u) to the deepest image of a tree vertex."""
     depth = [0]
-    for _, parent_slot, _ in _assignment_plan(spec):
+    for _, parent_slot, _ in spec.plan:
         depth.append(depth[parent_slot] + 1)
     return max(depth)
 
@@ -534,16 +536,14 @@ def _feasible_eta_interval(gamma: float) -> tuple[float, float]:
 
 
 def _joined(params: ModelParams, anchors) -> bool:
-    """Whether the kernel may join the two anchors: model._kept's test, with its slack.
+    """Whether the kernel may join the two anchors: model._joinable, the test of the restriction.
 
     Rule 2: a clique through both anchors holds the edge between them, so
-    when this is False every clique count through both is zero.  d is the
-    torus gap of the wrapped anchor positions.
+    when this is False every clique count through both is zero.
     """
-    n, g = params.torus_length, params.gamma
+    n = params.torus_length
     (x, u), (y, v) = ((wrap_position(a.x, n), a.u) for a in anchors)
-    d = float(_torus_gap(np.array(y - x), n))
-    return d * min(u, v) ** g * max(u, v) ** (1.0 - g) <= params.beta * (1.0 + _REACH_SLACK)
+    return _joinable(params, np.array([y]), np.array([v]), x, u).size > 0
 
 
 def gamma_diagnostics(

@@ -44,7 +44,10 @@ class DirectedTreeSpec:
 
     Construction checks the tree invariants.  ``leaf_count`` is the number of
     degree-one vertices other than the root; ``root_degree_one`` flags the
-    ambiguous case of a root that is itself a skeleton leaf.
+    ambiguous case of a root that is itself a skeleton leaf.  ``plan``, the
+    counters' BFS order, holds (slot, parent slot, parent_is_lower) per other
+    vertex; parent_is_lower means the edge points child -> parent, so the
+    child's image is a higher-mark neighbour of the parent's.
     """
 
     vertex_count: int
@@ -52,6 +55,7 @@ class DirectedTreeSpec:
     root: int
     leaf_count: int = field(init=False)
     root_degree_one: bool = field(init=False)
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.vertex_count
@@ -63,35 +67,37 @@ class DirectedTreeSpec:
             raise TreeSpecError(
                 f"a tree on {m} vertices needs {m - 1} edges, got {len(self.edges)}"
             )
-        seen: set[frozenset[int]] = set()
+        directed: set[tuple[int, int]] = set()
         adjacency: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
         for i, j in self.edges:
             if not (1 <= i <= m and 1 <= j <= m):
                 raise TreeSpecError(f"edge {i}->{j} references a vertex outside 1..{m}")
             if i == j:
                 raise TreeSpecError(f"self-loop {i}->{j}")
-            key = frozenset((i, j))
-            if key in seen:
+            if (i, j) in directed or (j, i) in directed:
                 raise TreeSpecError(f"multi-edge between {i} and {j}")
-            seen.add(key)
+            directed.add((i, j))
             adjacency[i].add(j)
             adjacency[j].add(i)
-        # Connectivity; with m-1 distinct edges this also rules out cycles.
-        reached = {self.root}
-        frontier = [self.root]
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
-        if len(reached) != m:
+        # Connected exactly when the BFS gives every vertex a slot; with m-1
+        # distinct edges that also rules out cycles.
+        slot_of = {self.root: 0}
+        order = [self.root]
+        plan = []
+        for v in order:
+            for w in sorted(adjacency[v]):
+                if w not in slot_of:
+                    slot_of[w] = len(order)
+                    order.append(w)
+                    plan.append((slot_of[w], slot_of[v], (w, v) in directed))
+        if len(order) != m:
             raise TreeSpecError("tree skeleton is not connected")
         leaves = sum(
             1 for v in range(1, m + 1) if v != self.root and len(adjacency[v]) == 1
         )
         object.__setattr__(self, "leaf_count", leaves)
         object.__setattr__(self, "root_degree_one", m >= 2 and len(adjacency[self.root]) == 1)
+        object.__setattr__(self, "plan", tuple(plan))
 
 
 def parse_tree_spec(text: str) -> DirectedTreeSpec:
@@ -142,31 +148,6 @@ def _parse_int(value: str, line_no: int) -> int:
 # -- embedding counts ----------------------------------------------------
 
 
-def _assignment_plan(spec: DirectedTreeSpec) -> list[tuple[int, int, bool]]:
-    """BFS assignment order: (vertex slot, parent slot, parent_is_lower).
-
-    ``parent_is_lower`` is true when the tree edge points child -> parent, so
-    the child's image must come from the parent's higher-mark neighborhood.
-    """
-    children: dict[int, list[int]] = {v: [] for v in range(1, spec.vertex_count + 1)}
-    directed = set(spec.edges)
-    for i, j in spec.edges:
-        children[i].append(j)
-        children[j].append(i)
-    slot_of = {spec.root: 0}
-    plan: list[tuple[int, int, bool]] = []
-    queue = [spec.root]
-    while queue:
-        v = queue.pop(0)
-        for w in sorted(children[v]):
-            if w in slot_of:
-                continue
-            slot_of[w] = len(slot_of)
-            plan.append((slot_of[w], slot_of[v], (w, v) in directed))
-            queue.append(w)
-    return plan
-
-
 def _rooted(
     up: tuple[np.ndarray, np.ndarray], spec: DirectedTreeSpec, roots: np.ndarray
 ) -> np.ndarray:
@@ -179,7 +160,7 @@ def _rooted(
     listed.  Up rows come from the CSR edge list and down rows from its
     transpose, built only when the plan has a down step.
     """
-    plan = _assignment_plan(spec)
+    plan = spec.plan
     if not plan:
         return np.ones(roots.size, dtype=np.int64)
     down = _transpose(*up) if any(not lower for _, _, lower in plan) else None
@@ -293,25 +274,6 @@ def _cyclic_lag_cov(centered: np.ndarray, lag: int) -> float:
     return float(np.sum(product) / (n * (r - 1)))
 
 
-def _leave_one_batch_out(matrix: np.ndarray, batches: int = 20):
-    """The rows of matrix without each of min(batches, rows) contiguous batches."""
-    r = matrix.shape[0]
-    b = min(batches, r)
-    bounds = np.linspace(0, r, b + 1, dtype=int)
-    for i in range(b):
-        keep = np.ones(r, dtype=bool)
-        keep[bounds[i] : bounds[i + 1]] = False
-        yield matrix[keep]
-
-
-def _jackknife_spread(estimates) -> float | np.ndarray:
-    """Jackknife standard error from the leave-one-batch-out estimates."""
-    est = np.asarray(estimates)
-    b = est.shape[0]
-    se = np.sqrt((b - 1) / b * np.sum((est - est.mean(axis=0)) ** 2, axis=0))
-    return float(se) if se.ndim == 0 else se
-
-
 def _jackknife_se(
     values_fn: Callable[[np.ndarray], float | np.ndarray], matrix: np.ndarray, batches: int = 20
 ) -> float | np.ndarray:
@@ -319,11 +281,25 @@ def _jackknife_se(
 
     The rows of matrix are replicates, split into min(batches, rows)
     contiguous batches.  values_fn may return a scalar, giving a float, or an
-    array, giving element-wise standard errors; NaN with fewer than 2 batches.
+    array or list, giving element-wise standard errors; NaN with fewer than 2
+    batches.  Each element's estimates are reduced as one contiguous row, so
+    it equals the jackknife of that element alone bit for bit.
     """
-    if min(batches, matrix.shape[0]) < 2:
+    r = matrix.shape[0]
+    b = min(batches, r)
+    if b < 2:
         return float("nan")
-    return _jackknife_spread([values_fn(m) for m in _leave_one_batch_out(matrix, batches)])
+    bounds = np.linspace(0, r, b + 1, dtype=int)
+    estimates = []
+    for i in range(b):
+        keep = np.ones(r, dtype=bool)
+        keep[bounds[i] : bounds[i + 1]] = False
+        estimates.append(values_fn(matrix[keep]))
+    est = np.asarray(estimates)
+    rows = np.ascontiguousarray(est.reshape(b, -1).T)
+    spread = np.sum((rows - rows.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    se = np.sqrt((b - 1) / b * spread).reshape(est.shape[1:])
+    return float(se) if se.ndim == 0 else se
 
 
 def lag_covariance_table(
@@ -348,10 +324,6 @@ def lag_covariance_table(
     lags = np.arange(1, n // 2 + 1)
     half = (n + 1) // 2
 
-    def lag_covs(m: np.ndarray) -> list[float]:
-        centered = m - m.mean(axis=0, keepdims=True)
-        return [_cyclic_lag_cov(centered, int(lag)) for lag in lags]
-
     def tail(covs: list[float], k: int) -> float:
         # Left to right: from Python 3.12 on, the built-in sum of floats is compensated.
         total = 0.0
@@ -359,11 +331,13 @@ def lag_covariance_table(
             total += cov
         return 2.0 * total
 
-    full = lag_covs(matrix)
-    subsamples = [lag_covs(m) for m in _leave_one_batch_out(matrix)]
-    ses = np.array([_jackknife_spread(column) for column in zip(*subsamples)])
-    u_values = {
-        k: (tail(full, k), _jackknife_spread([tail(s, k) for s in subsamples]))
-        for k in cutoffs
-    }
-    return lags, np.array(full), ses, u_values
+    def covs_and_tails(m: np.ndarray) -> list[float]:
+        """Every lag covariance, then every tail, with m centred once."""
+        centered = m - m.mean(axis=0, keepdims=True)
+        covs = [_cyclic_lag_cov(centered, int(lag)) for lag in lags]
+        return covs + [tail(covs, k) for k in cutoffs]
+
+    full = covs_and_tails(matrix)
+    ses = _jackknife_se(covs_and_tails, matrix)
+    tails = zip(full[lags.size :], ses[lags.size :].tolist())
+    return lags, np.array(full[: lags.size]), ses[: lags.size], dict(zip(cutoffs, tails))

@@ -837,16 +837,10 @@ def _unreadable_input(tmp_path, case):
         return ["trees", "--config", cfgp], str(tmp_path)
     if case == "results are not JSON":
         summary.write_text("n,var_over_n\n", encoding="utf-8")
-    elif case == "results have no files table":
-        summary.write_text(json.dumps({"plan": {"mode": "clt"}}), encoding="utf-8")
-    elif case == "results have no estimates table":
-        summary.write_text(json.dumps({"plan": {"mode": "clt"}, "files": {}}), encoding="utf-8")
-        return ["plotdata", "--kind", "scaling", "--results", str(summary)], str(summary)
-    elif case == "results have no var_over_n table":
-        summary.write_text(
-            json.dumps({"plan": {"mode": "clt"}, "estimates": {"ci_lo": {}}}), encoding="utf-8"
-        )
-        return ["plotdata", "--kind", "scaling", "--results", str(summary)], str(summary)
+    elif case in _MALFORMED_SUMMARIES:
+        kind, body = _MALFORMED_SUMMARIES[case]
+        summary.write_text(json.dumps(body), encoding="utf-8")
+        return ["plotdata", "--kind", kind, "--results", str(summary)], str(summary)
     elif case == "results are a directory":
         summary = tmp_path
     elif case in _MALFORMED_REPLICATES:
@@ -859,6 +853,33 @@ def _unreadable_input(tmp_path, case):
         return ["plotdata", "--kind", "qq", "--results", str(summary)], str(replicates)
     return ["plotdata", "--kind", "qq", "--results", str(summary)], str(summary)
 
+
+def _clt(**estimates):
+    return {"plan": {"mode": "clt"}, "estimates": estimates}
+
+
+def _decay(*entries):
+    return {"plan": {"mode": "blocks"}, "estimates": {"lag_covariance": list(entries)}}
+
+
+# Summaries that plotdata can read but not use, by case: (plot kind, summary).
+_MALFORMED_SUMMARIES = {
+    "results have no files table": ("qq", {"plan": {"mode": "clt"}}),
+    "results have no estimates table": ("scaling", {"plan": {"mode": "clt"}, "files": {}}),
+    "results have no var_over_n table": ("scaling", _clt(ci_lo={})),
+    "results have an empty files table": ("qq", {"plan": {"mode": "clt"}, "files": {}}),
+    "results name no torus length for a file": (
+        "qq", {"plan": {"mode": "clt"}, "files": {"replicates_nx": "r.csv"}}
+    ),
+    "results have a plan that is not a table": (
+        "qq", {"plan": [], "files": {"replicates_n20": "r.csv"}}
+    ),
+    "var_over_n key is not a torus length": ("scaling", _clt(var_over_n={"abc": 1.0})),
+    "var_over_n value is not a number": ("scaling", _clt(var_over_n={"20": "x"})),
+    "ci_lo value is not a number": ("scaling", _clt(var_over_n={"20": 1.0}, ci_lo={"20": None})),
+    "decay entry lacks its covariance": ("decay", _decay({"k": 1})),
+    "decay entry is not a table": ("decay", _decay({"k": 1, "covariance": 2.0, "se": 0.5}, "a")),
+}
 
 # Replicate files that plotdata can read but not use, by case.
 _MALFORMED_REPLICATES = {
@@ -876,9 +897,7 @@ _MALFORMED_REPLICATES = {
         "config is not UTF-8",
         "tree_file is a directory",
         "results are not JSON",
-        "results have no files table",
-        "results have no estimates table",
-        "results have no var_over_n table",
+        *_MALFORMED_SUMMARIES,
         "results are a directory",
         *_MALFORMED_REPLICATES,
     ],

@@ -361,6 +361,26 @@ def test_joint_requires_membership():
         joint(cfg, 0, 1, 2, 2)
 
 
+def test_diff2_of_members_that_are_not_adjacent_is_zero():
+    # _through lists from the first member whether or not the two are
+    # adjacent; brute force finds no clique through two that are not.
+    rng = np.random.default_rng(89)
+    params = ModelParams(0.3, 1.0, 12.0)
+    apart = 0
+    for _ in range(80):
+        cfg = random_config(params, rng, 16)
+        if len(cfg) < 2:
+            continue
+        i, j = (int(m) for m in rng.choice(len(cfg), size=2, replace=False))
+        brute = [0] + [cliques_containing_oracle(cfg, (i, j), k) for k in (2, 3, 4)]
+        assert diff2(cfg, i, j, 4) == brute
+        p, q = (MarkedPoint(cfg.positions[v], cfg.marks[v]) for v in (i, j))
+        if not connects(p, q, params):
+            apart += 1
+            assert brute == [0, 0, 0, 0]
+    assert apart > 20
+
+
 # -- containment counts ---------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Directed-tree embedding counts against exhaustive assignment oracles."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -86,6 +87,10 @@ def test_validate_edge_vertex_out_of_range():
         (0, (), 1, "vertex_count must be >= 1, got 0"),
         (2, ((1, 1),), 1, "self-loop 1->1"),
         (4, ((2, 3), (3, 4), (4, 2)), 1, "tree skeleton is not connected"),
+        # m-1 distinct edges that leave a vertex unreached close a cycle.
+        (4, ((1, 2), (2, 3), (3, 1)), 4, "tree skeleton is not connected"),
+        (4, ((1, 2), (2, 3), (3, 1)), 1, "tree skeleton is not connected"),
+        (5, ((2, 3), (3, 4), (4, 2), (1, 5)), 1, "tree skeleton is not connected"),
     ],
 )
 def test_validate_remaining_invariants_rejected(m, edges, root, message):
@@ -216,6 +221,35 @@ def test_d_in_rejects_an_index_outside_the_configuration(i):
 # image, and an up step 4 -> 1: whole-configuration counts read the down
 # rows (the transposed edge list) at two depths.
 DOWN_DOWN_SPEC = DirectedTreeSpec(4, ((1, 2), (2, 3), (4, 1)), 1)
+
+
+@pytest.mark.parametrize(
+    "spec, plan",
+    [
+        (tree_edge(), ((1, 0, True),)),
+        (tree_wedge(), ((1, 0, True), (2, 0, True))),
+        (tree_path(3), ((1, 0, True), (2, 1, True))),
+        (MIXED_SPEC, ((1, 0, True), (2, 0, False))),
+        (DOWN_DOWN_SPEC, ((1, 0, False), (2, 0, True), (3, 1, False))),
+        (DirectedTreeSpec(1, (), 1), ()),
+    ],
+)
+def test_the_spec_carries_its_assignment_plan(spec, plan):
+    assert spec.plan == plan
+    assert pickle.loads(pickle.dumps(spec)).plan == plan
+
+
+def test_the_plan_is_not_part_of_a_specs_identity():
+    spec = tree_wedge()
+    assert repr(spec) == (
+        "DirectedTreeSpec(vertex_count=3, edges=((2, 1), (3, 1)), root=1, "
+        "leaf_count=2, root_degree_one=False)"
+    )
+    assert hash(spec) == hash((3, ((2, 1), (3, 1)), 1, 2, False))
+    other = DirectedTreeSpec(3, ((2, 1), (3, 1)), 1)
+    object.__setattr__(other, "plan", ())
+    assert other == spec and hash(other) == hash(spec)
+    assert spec != DirectedTreeSpec(3, ((1, 2), (3, 1)), 1)
 
 
 def test_count_trees_matches_oracle():
@@ -462,7 +496,14 @@ def test_jackknife_se_is_elementwise_for_array_statistics():
     for j in range(3):
         expect = x[:, j].reshape(20, 6).mean(axis=1).std(ddof=1) / math.sqrt(20)
         assert got[j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-        assert got[j] == pytest.approx(trees._jackknife_se(np.mean, x[:, j], batches=20), rel=1e-12)
+    # Bit for bit: each element of a list statistic gets the SE of that
+    # element alone, as lag_covariance_table's covariances and tails do.
+    for _ in range(50):
+        b = int(rng.integers(9, 41))
+        y = rng.normal(size=(int(rng.integers(b, 200)), 7)) * rng.gamma(1.0, 10.0, size=7)
+        got = trees._jackknife_se(lambda m: [np.mean(col) for col in m.T], y, batches=b)
+        for j in range(7):
+            assert got[j] == trees._jackknife_se(np.mean, y[:, j], batches=b), (b, j)
     cov_se = trees._jackknife_se(lambda m: np.cov(m.T), x, batches=20)
     assert cov_se.shape == (3, 3)
     assert np.allclose(cov_se, cov_se.T, rtol=1e-12, atol=0.0)
