@@ -460,9 +460,8 @@ def _mode_clt(cfg: RunConfig, threads: int) -> _ModeOutput:
     failures: list[str] = []
     failed = False
     plan = ExperimentPlan(cfg.params, statistic, cfg.r, cfg.seed, cfg.n_list)
-    scaling = variance_scaling(plan, threads)
-    rows = [row for row in scaling.rows if row.label == label]
-    for row, results in zip(rows, scaling.replicates.values()):
+    scaling = variance_scaling(plan, threads, labels=(label,))
+    for row, results in zip(scaling.rows, scaling.replicates.values()):
         key = "%g" % row.n
         estimates["var_over_n"][key] = row.var_over_n
         if row.ci_lo is not None:
@@ -658,8 +657,14 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
     """Plot-ready CSV derived from a result summary.
 
     qq needs the replicate CSVs next to the summary; scaling and decay read
-    the summary alone.  The summary's mode must match the requested kind.
+    the summary alone.  The summary's mode must match the requested kind,
+    and the entries the kind reads must be usable (see _unusable_entry).
     """
+    if kind not in _PLOT_TABLES:
+        raise ParameterError(f"unknown plot kind {kind!r}")
+    problem = _unusable_entry(summary, kind)
+    if problem is not None:
+        raise ParameterError(f"summary: {problem}")
     mode = summary.get("plan", {}).get("mode")
     if kind == "qq":
         if mode != "clt":
@@ -718,7 +723,6 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
         for entry in sorted(summary["estimates"]["lag_covariance"], key=lambda d: d["k"]):
             rows.append("%d,%.17g,%.17g" % (entry["k"], entry["covariance"], entry["se"]))
         return "\n".join(rows) + "\n"
-    raise ParameterError(f"unknown plot kind {kind!r}")
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -799,8 +803,14 @@ def _is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _unusable_entry(summary: dict, kind: str) -> str | None:
+def _unusable_entry(summary, kind: str) -> str | None:
     """What the plot kind reads from the summary but cannot use, described; None if nothing."""
+    keys, kind_of = _PLOT_TABLES[kind]
+    found = summary
+    for key in keys:
+        found = found.get(key) if isinstance(found, dict) else None
+    if not isinstance(summary, dict) or not isinstance(found, kind_of):
+        return f"not a summary with a {keys[-1]!r} table"
     if not isinstance(summary.get("plan", {}), dict):
         return "its 'plan' is not a table"
     if kind == "qq":
@@ -836,12 +846,6 @@ def _load_summary(path: str, kind: str) -> dict:
         summary = json.loads(_read_text(path, "--results"))
     except json.JSONDecodeError as exc:
         raise ParameterError(f"--results {path!r} is not JSON: {exc}") from None
-    keys, kind_of = _PLOT_TABLES[kind]
-    table = summary
-    for key in keys:
-        table = table.get(key) if isinstance(table, dict) else None
-    if not isinstance(summary, dict) or not isinstance(table, kind_of):
-        raise ParameterError(f"--results {path!r} is not a summary with a {keys[-1]!r} table")
     problem = _unusable_entry(summary, kind)
     if problem is not None:
         raise ParameterError(f"--results {path!r}: {problem}")

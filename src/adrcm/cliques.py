@@ -2,11 +2,15 @@
 
 Every k-clique has a unique lowest-mark vertex, its *center*.  All counters
 here list cliques level by level along the mark orientation of the graph's
-CSR edge list: a j-clique is a row of j vertices in increasing mark order,
-and it grows into (j+1)-cliques by the higher-mark neighbours of its last
-vertex that are adjacent to every earlier vertex, so each clique is listed
-exactly once, from its center (ordered listing after Chiba and Nishizeki).
-Counts are plain Python integers and therefore never wrap.
+CSR edge list: level j holds the j-cliques as j contiguous vertex columns,
+column c the (c+1)-th lowest-mark vertex of each clique.  A j-clique grows
+into (j+1)-cliques by the higher-mark neighbours of its last vertex that are
+adjacent to every earlier vertex, so each clique is listed exactly once,
+from its center (ordered listing after Chiba and Nishizeki).  Adjacency is
+tested on one membership table per listing (model._RowSpans), one boolean
+cell per index between each CSR row's first and last entry, shared by every
+earlier column of every level.  Counts are plain Python integers and
+therefore never wrap.
 
 The point-level kernels (_centered, _through, _joint) count at rows of
 vertex indices of one edge list; the Palm estimators call them once per
@@ -20,8 +24,8 @@ import numpy as np
 from .model import (
     ParameterError,
     PointConfig,
-    _csr_contains,
     _csr_rows,
+    _RowSpans,
     _transpose,
     neighborhood_adjacency,
 )
@@ -36,22 +40,24 @@ def _check_k(k: int) -> None:
 
 def _clique_levels(
     graph: tuple[np.ndarray, np.ndarray], seeds: np.ndarray, k_max: int
-) -> list[np.ndarray]:
-    """Cliques whose lowest-mark vertex is a seed, one array per size 1..k_max.
+) -> list[tuple[np.ndarray, ...]]:
+    """Cliques whose lowest-mark vertex is a seed, one level per size 1..k_max.
 
-    Level j is a (count, j) array with one clique per row in mark order.  A
-    row extends by each entry of its last vertex's CSR row that is also an
-    entry of the CSR row of every earlier vertex.
+    Level j is a tuple of j vertex columns of equal length, one clique per
+    index in mark order.  A clique extends by each entry of its last
+    vertex's CSR row that is also an entry of the CSR row of every earlier
+    vertex; one membership table answers every such test of the listing.
     """
     indptr, indices = graph
-    level = seeds[:, None]
+    contains = _RowSpans(indptr, indices)
+    level = (seeds,)
     levels = [level]
     for _ in range(k_max - 1):
-        parent, cand = _csr_rows(indptr, indices, level[:, -1])
-        for col in range(level.shape[1] - 1):
-            ok = _csr_contains(indptr, indices, level[parent, col], cand)
+        parent, cand = _csr_rows(indptr, indices, level[-1])
+        for col in level[:-1]:
+            ok = contains(col[parent], cand)
             parent, cand = parent[ok], cand[ok]
-        level = np.column_stack([level[parent], cand])
+        level = tuple(col[parent] for col in level) + (cand,)
         levels.append(level)
     return levels
 
@@ -60,14 +66,14 @@ def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
     """Totals for every clique size 1..k_max in a single listing pass."""
     _check_k(k_max)
     levels = _clique_levels(neighborhood_adjacency(config), np.arange(len(config)), k_max)
-    return [len(level) for level in levels]
+    return [level[0].size for level in levels]
 
 
-def _owners(levels: list[np.ndarray], seeds: np.ndarray, owner: np.ndarray):
-    """The owner of each row of each level: the owner of its seed, its first vertex."""
+def _owners(levels: list[tuple[np.ndarray, ...]], seeds: np.ndarray, owner: np.ndarray):
+    """The owner of each clique of each level: the owner of its seed, its first vertex."""
     lookup = np.zeros(seeds.max() + 1 if seeds.size else 0, dtype=np.int64)
     lookup[seeds] = owner
-    return [lookup[level[:, 0]] for level in levels]
+    return [lookup[level[0]] for level in levels]
 
 
 def _centered(graph: tuple[np.ndarray, np.ndarray], centers: np.ndarray, k_max: int) -> np.ndarray:
@@ -97,9 +103,9 @@ def _through(graph: tuple[np.ndarray, np.ndarray], members: np.ndarray, k_max: i
     levels = _clique_levels(graph, seeds, k_max)
     counts = np.zeros((len(members), k_max), dtype=np.int64)
     for size, (level, owner) in enumerate(zip(levels, _owners(levels, seeds, seed_owner))):
-        hit = np.ones(len(level), dtype=bool)
+        hit = np.ones(owner.size, dtype=bool)
         for m in members[owner].T:
-            hit &= (level == m[:, None]).any(axis=1)
+            hit &= np.logical_or.reduce([col == m for col in level])
         counts[:, size] = np.bincount(owner[hit], minlength=len(members))
     return counts
 
@@ -121,19 +127,22 @@ def _joint(graph: tuple[np.ndarray, np.ndarray], pairs: np.ndarray, k: int, l: i
     cliques_i = _clique_levels(graph, i[rows], k)[k - 1]
     cliques_j = _clique_levels(graph, j[rows], l)[l - 1]
     [owner] = _owners([cliques_i], i[rows], rows)
-    # Every (clique at i, clique at j) pair that shares a vertex, once per shared vertex.
-    by_vertex = np.argsort(cliques_j.ravel(), kind="stable")
-    vertex_j = cliques_j.ravel()[by_vertex]
-    lo = vertex_j.searchsorted(cliques_i.ravel(), side="left")
-    hi = vertex_j.searchsorted(cliques_i.ravel(), side="right")
+    size_i, size_j = cliques_i[0].size, cliques_j[0].size
+    # Every (clique at i, clique at j) pair that shares a vertex, once per shared
+    # vertex; entry e of a level's joined columns is a vertex of clique e % size.
+    vertex_i, vertex_j = np.concatenate(cliques_i), np.concatenate(cliques_j)
+    by_vertex = np.argsort(vertex_j, kind="stable")
+    vertex_j = vertex_j[by_vertex]
+    lo = vertex_j.searchsorted(vertex_i, side="left")
+    hi = vertex_j.searchsorted(vertex_i, side="right")
     hits = hi - lo
     first = np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
-    a = np.repeat(np.arange(cliques_i.size) // k, hits)
-    b = by_vertex[first] // l
-    a, b = np.divmod(np.unique(a * len(cliques_j) + b), len(cliques_j))
+    a = np.repeat(np.arange(vertex_i.size) % size_i, hits)
+    b = by_vertex[first] % size_j
+    a, b = np.divmod(np.unique(a * size_j + b), size_j)
     out[:, 0] = np.bincount(owner[a], minlength=len(pairs))
     # A union is its sorted vertex row, with a repeated vertex masked as -1.
-    union = np.sort(np.concatenate((cliques_i[a], cliques_j[b]), axis=1), axis=1)
+    union = np.sort(np.column_stack([c[a] for c in cliques_i] + [c[b] for c in cliques_j]), axis=1)
     union[:, 1:][union[:, 1:] == union[:, :-1]] = -1
     union = np.unique(np.column_stack((owner[a], np.sort(union, axis=1))), axis=0)
     out[:, 1] = np.bincount(union[:, 0], minlength=len(pairs))

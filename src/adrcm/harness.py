@@ -325,13 +325,17 @@ class ScalingResult:
     replicates: dict[float, list[ReplicateResult]] = field(repr=False)
 
 
-def variance_scaling(plan: ExperimentPlan, threads: int = 1) -> ScalingResult:
+def variance_scaling(
+    plan: ExperimentPlan, threads: int = 1, *, labels: Sequence[str] | None = None
+) -> ScalingResult:
     """Per-size sample variance divided by n, with percentile bootstrap CIs.
 
-    Rows run over n_list, then over the statistic's labels.  Length index i
-    replicates under the master seed derive_seed(master_seed, 1, i), and the
-    CI of its label j uses the seed derive_seed(master_seed, 2, i, j); with
-    fewer than MIN_TEST_SAMPLES replicates a row has no CI.
+    Rows run over n_list, then over the statistic's labels, or over those in
+    labels alone: a caller that reports some labels pays no bootstrap for
+    the others.  Length index i replicates under the master seed
+    derive_seed(master_seed, 1, i), and the CI of its label j (the label's
+    index among the statistic's) uses the seed derive_seed(master_seed, 2,
+    i, j); with fewer than MIN_TEST_SAMPLES replicates a row has no CI.
     """
     if not plan.n_list:
         raise ParameterError("variance scaling needs at least one torus length")
@@ -349,6 +353,8 @@ def variance_scaling(plan: ExperimentPlan, threads: int = 1) -> ScalingResult:
             return np.var(a, axis=-1, ddof=1) / n
 
         for j, label in enumerate(plan.statistic.labels):
+            if labels is not None and label not in labels:
+                continue
             col = matrix[:, j]
             lo = hi = None
             if col.size >= MIN_TEST_SAMPLES:

@@ -547,10 +547,9 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float) -> tuple[np.ndarray
     ordered pair may be a candidate at most once.
     """
     size = xs.size
-    # Each point's rank in the (mark, index) order: a stable sort breaks ties by index.
-    rank = np.empty(size, dtype=np.int64)
-    rank[us.argsort(kind="stable")] = np.arange(size)
-    keep = rank[cols] > rank[rows]
+    # The (mark, index) order: a higher mark, or an equal mark and a higher index.
+    u_row, u_col = us[rows], us[cols]
+    keep = (u_col > u_row) | ((u_col == u_row) & (cols > rows))
     rows, cols = rows[keep], cols[keep]
     if isinstance(n, np.ndarray):
         n = n[keep]
@@ -665,20 +664,36 @@ def _csr_rows(
     return owner, indices[first + np.arange(owner.size)]
 
 
-def _csr_contains(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Element-wise test that values[i] is an entry of CSR row rows[i].
+class _RowSpans:
+    """Membership table of a CSR: is value v an entry of row i?
 
-    Each row is sorted, so the keys (row << 32) + entry of all entries are
-    sorted; a key's last position at or below a query holds the query
-    exactly when it is present.
+    Each row holds one boolean cell per index from its first entry to its
+    last (rows are sorted), so the table has sum-of-row-spans cells plus one
+    False cell at 0 for every query outside its row's span.  Points are
+    indexed in position order and edges are short, so a torus's rows span
+    few indices, and a block-diagonal CSR's rows never leave their block:
+    the size does not grow with the index gaps between blocks.  A query is
+    two compares and one read of the table.
     """
-    if indices.size == 0 or values.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    keys = (np.arange(indptr.size - 1) << 32).repeat(indptr[1:] - indptr[:-1]) + indices
-    query = (rows << 32) + values
-    return keys[keys.searchsorted(query, side="right") - 1] == query
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        degree = np.diff(indptr)
+        empty = degree == 0
+        # An empty row gets first 0 and last -1, a span no value lies in; its
+        # reads of the padded entries (the pad, or a neighbour's) are discarded.
+        padded = np.append(indices, 0)
+        self.first = np.where(empty, 0, padded[indptr[:-1]])
+        self.last = np.where(empty, -1, padded[indptr[1:] - 1])
+        span = self.last - self.first + 1
+        self.cells = np.zeros(1 + int(span.sum()), dtype=bool)
+        # Row i's cell of value v is base[i] + v, after the rows before it.
+        self.base = np.cumsum(span) - span - self.first + 1
+        self.cells[np.repeat(self.base, degree) + indices] = True
+
+    def __call__(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Element-wise test that values[i] is an entry of row rows[i]."""
+        inside = (values >= self.first[rows]) & (values <= self.last[rows])
+        return self.cells[(self.base[rows] + values) * inside]
 
 
 # -- CSV export ------------------------------------------------------

@@ -17,8 +17,8 @@ from .model import (
     ModelParams,
     ParameterError,
     PointConfig,
-    _csr_contains,
     _csr_rows,
+    _RowSpans,
     _transpose,
     neighborhood_adjacency,
 )
@@ -174,6 +174,7 @@ def _rooted(
         parents = emb[parent_slot]
         if step + 1 == len(plan):
             count = indptr[parents + 1] - indptr[parents]
+            contains = None
             for slot, images in enumerate(emb):
                 if slot == parent_slot:
                     continue
@@ -181,7 +182,10 @@ def _rooted(
                     # A sibling's image was listed from this very row, so it lies in it.
                     count -= 1
                 else:
-                    count -= _csr_contains(indptr, indices, parents, images)
+                    # One table per call, built only for a tree that tests membership.
+                    if contains is None:
+                        contains = _RowSpans(indptr, indices)
+                    count -= contains(parents, images)
             np.add.at(out, owner, count)
             break
         row, cand = _csr_rows(indptr, indices, parents)

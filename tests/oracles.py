@@ -3,7 +3,8 @@
 Everything here works from first principles on explicit point lists, so the
 package's CSR edge list, level-wise clique listing and tree embeddings are
 checked against plain O(N^2) / O(N^k) scans.  Point insertion, the torus
-distance of any positions, the standard tree specs and the statistical
+distance of any positions, the key search for CSR membership (the reference
+of the listing's membership table), the standard tree specs and the statistical
 references at the end (the direct covariance estimate, the Poisson
 chi-square test and the looped bootstrap) are used by the tests only.
 
@@ -176,6 +177,21 @@ def neighbors_oracle(config: PointConfig, p: MarkedPoint, member_index: int | No
         else:
             downs.append(i)
     return ups, downs
+
+
+def csr_contains_oracle(indptr, indices, rows, values) -> np.ndarray:
+    """Element-wise test that values[i] is an entry of CSR row rows[i], by key search.
+
+    Each row is sorted, so the keys (row << 32) + entry of all entries are
+    sorted; a key's last position at or below a query holds the query
+    exactly when it is present.  This is the reference for model._RowSpans.
+    """
+    rows, values = np.asarray(rows, dtype=np.int64), np.asarray(values, dtype=np.int64)
+    if indices.size == 0 or values.size == 0:
+        return np.zeros(values.size, dtype=bool)
+    keys = (np.arange(indptr.size - 1) << 32).repeat(indptr[1:] - indptr[:-1]) + indices
+    query = (rows << 32) + values
+    return keys[keys.searchsorted(query, side="right") - 1] == query
 
 
 def cliques_oracle(config: PointConfig, k: int) -> tuple[int, dict[int, int]]:

@@ -23,7 +23,7 @@ from adrcm.cli import (
     render_config,
 )
 from adrcm.harness import MIN_TEST_SAMPLES, CliqueStatistic, ExperimentPlan, variance_scaling
-from adrcm.model import ModelParams, neighborhood_adjacency, sample_config
+from adrcm.model import ModelParams, ParameterError, neighborhood_adjacency, sample_config
 from adrcm.theory import MomentProfile, lambda_up
 
 from oracles import parse_config
@@ -614,8 +614,6 @@ def test_plotdata_scaling_rows(tmp_path):
 def test_plotdata_mode_mismatch(tmp_path):
     out = _run_clt(tmp_path)
     summary = json.loads((out / "clt_summary.json").read_text())
-    from adrcm.model import ParameterError
-
     with pytest.raises(ParameterError):
         export_plotdata(summary, "decay", str(out))
 
@@ -874,12 +872,21 @@ _MALFORMED_SUMMARIES = {
     "results have a plan that is not a table": (
         "qq", {"plan": [], "files": {"replicates_n20": "r.csv"}}
     ),
+    "results have a plan that is not a table and no files": ("qq", {"plan": []}),
     "var_over_n key is not a torus length": ("scaling", _clt(var_over_n={"abc": 1.0})),
     "var_over_n value is not a number": ("scaling", _clt(var_over_n={"20": "x"})),
     "ci_lo value is not a number": ("scaling", _clt(var_over_n={"20": 1.0}, ci_lo={"20": None})),
     "decay entry lacks its covariance": ("decay", _decay({"k": 1})),
     "decay entry is not a table": ("decay", _decay({"k": 1, "covariance": 2.0, "se": 0.5}, "a")),
 }
+
+@pytest.mark.parametrize("case", list(_MALFORMED_SUMMARIES))
+def test_export_plotdata_refuses_each_malformed_summary_with_a_parameter_error(tmp_path, case):
+    # Library callers get the plotdata command's entry checks.
+    kind, body = _MALFORMED_SUMMARIES[case]
+    with pytest.raises(ParameterError, match="^summary: "):
+        export_plotdata(body, kind, str(tmp_path))
+
 
 # Replicate files that plotdata can read but not use, by case.
 _MALFORMED_REPLICATES = {

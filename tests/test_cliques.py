@@ -68,6 +68,23 @@ def test_count_cliques_matches_subset_enumeration():
             assert _per_center(cfg, k) == per_center
 
 
+def test_count_cliques_upto_five_matches_subset_enumeration_on_dense_tori():
+    # Level 5 tests each candidate against three earlier columns on one table.
+    rng = np.random.default_rng(55)
+    params = ModelParams(0.3, 2.0, 5.0)
+    fives = 0
+    for _ in range(4):
+        cfg = random_config(params, rng, 16)
+        totals = count_cliques_upto(cfg, 5)
+        assert totals[0] == len(cfg)
+        for k in (2, 3, 4, 5):
+            total, per_center = cliques_oracle(cfg, k)
+            assert totals[k - 1] == total
+            assert _per_center(cfg, k) == per_center
+        fives += totals[4]
+    assert fives > 100
+
+
 def test_center_decomposition_identity():
     rng = np.random.default_rng(99)
     for _ in range(30):

@@ -456,6 +456,29 @@ def test_variance_scaling_rows_and_their_bootstrap_seeds():
         assert (row.ci_lo, row.ci_hi) == looped
 
 
+def test_variance_scaling_bootstraps_only_the_labels_asked_for(monkeypatch):
+    plan = _plan(k_list=(1, 2, 3), r=40, n_list=(30.0, 60.0), seed=5)
+    full = variance_scaling(plan)
+    for labels in (("cliques_k3",), ("cliques_k1", "cliques_k3")):
+        part = variance_scaling(plan, labels=labels)
+        assert part.rows == tuple(row for row in full.rows if row.label in labels)
+        for n in plan.n_list:
+            assert np.array_equal(
+                samples_matrix(part.replicates[n]), samples_matrix(full.replicates[n])
+            )
+    seeds = []
+    bootstrap = harness.bootstrap_ci
+
+    def recording(col, stat_fn, seed):
+        seeds.append(seed)
+        return bootstrap(col, stat_fn, seed)
+
+    monkeypatch.setattr(harness, "bootstrap_ci", recording)
+    variance_scaling(plan, labels=("cliques_k3",))
+    # One bootstrap per length, each under its label's own seed.
+    assert seeds == [derive_seed(5, 2, i, 2) for i in range(len(plan.n_list))]
+
+
 def test_variance_scaling_requires_ladder_and_replicates():
     with pytest.raises(ParameterError):
         variance_scaling(_plan(r=250, n_list=()))

@@ -36,6 +36,7 @@ from oracles import (
     config_from_points,
     connected_oracle,
     connects,
+    csr_contains_oracle,
     index_of,
     neighbors_oracle,
     palm_config,
@@ -744,6 +745,76 @@ def test_the_one_key_sort_gives_the_lexsort_edge_list(source):
         assert indptr.tolist() == expected[0].tolist()
         assert indices.tolist() == expected[1].tolist()
         assert indices.size > 0
+
+
+# -- CSR membership table ---------------------------------------------------------
+
+
+def _every_query(indptr, indices):
+    """The table's answer and the key search's to every (row, value), values one past each end."""
+    size = indptr.size - 1
+    rows = np.repeat(np.arange(size), size + 2)
+    values = np.tile(np.arange(-1, size + 1), size)
+    found = model._RowSpans(indptr, indices)(rows, values)
+    return found, csr_contains_oracle(indptr, indices, rows, values)
+
+
+def _membership_case(case):
+    """CSRs of one kind of input, as (indptr, indices) pairs."""
+    if case == "empty graphs":
+        empty = np.zeros(0, dtype=np.int64)
+        return [(np.zeros(1, dtype=np.int64), empty), (np.zeros(6, dtype=np.int64), empty)]
+    if case == "empty and single-entry rows":
+        lists = [[], [3], [], [0], [1, 4], [], [2]]
+        indptr = np.concatenate(([0], np.cumsum([len(row) for row in lists])))
+        return [(indptr, np.array([v for row in lists for v in row], dtype=np.int64))]
+    # Capped windows join points across the seam, so rows straddle 0 and N - 1.
+    graphs = []
+    for n in (2.0, 5.0, 16.0):
+        for seed in range(5):
+            up = neighborhood_adjacency(sample_config(ModelParams(0.3, 1.0, n), seed))
+            graphs += [up, _transpose(*up)]
+    return graphs
+
+
+@pytest.mark.parametrize("case", ["empty graphs", "empty and single-entry rows", "capped windows"])
+def test_the_membership_table_answers_as_the_key_search(case):
+    empty = np.zeros(0, dtype=np.int64)
+    straddles = 0
+    for indptr, indices in _membership_case(case):
+        found, expected = _every_query(indptr, indices)
+        assert found.tolist() == expected.tolist()
+        assert found.sum() == indices.size
+        # An empty query, as a listing with no candidates asks.
+        assert model._RowSpans(indptr, indices)(empty, empty).size == 0
+        size = indptr.size - 1
+        for row in _csr_as_lists(indptr, indices):
+            straddles += bool(row) and row[0] < size // 4 and row[-1] >= size - size // 4
+    if case == "capped windows":
+        assert straddles > 20
+
+
+def test_the_membership_table_of_far_apart_blocks_does_not_grow_with_the_gap():
+    graphs = [neighborhood_adjacency(sample_config(ModelParams(0.3, 1.0, 64.0), s)) for s in (1, 2)]
+    (ptr_a, idx_a), (ptr_b, idx_b) = graphs
+    size_a = ptr_a.size - 1
+    cells = []
+    for gap in (0, 7, 10**6):
+        # Block b's indices start gap empty rows after block a's last row.
+        indptr = np.concatenate((ptr_a, np.full(gap, ptr_a[-1]), ptr_b[1:] + ptr_a[-1]))
+        indices = np.concatenate((idx_a, idx_b + size_a + gap))
+        table = model._RowSpans(indptr, indices)
+        cells.append(table.cells.size)
+        # Every row of both blocks against every vertex of both blocks.
+        vertices = np.concatenate((np.arange(size_a), size_a + gap + np.arange(ptr_b.size - 1)))
+        rows = np.repeat(vertices, vertices.size)
+        values = np.tile(vertices, vertices.size)
+        found = table(rows, values)
+        assert found.tolist() == csr_contains_oracle(indptr, indices, rows, values).tolist()
+        assert found.sum() == indices.size > 0
+    assert cells[0] == cells[1] == cells[2]
+    spans = [row[-1] - row[0] + 1 for g in graphs for row in _csr_as_lists(*g) if row]
+    assert cells[0] == 1 + sum(spans)
 
 
 # -- seeds -----------------------------------------------------------------------
