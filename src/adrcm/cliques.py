@@ -1,4 +1,4 @@
-"""Exact clique counting and first/second add-one difference counts.
+"""Exact clique counting, centred, joint and add-one difference counts.
 
 Every k-clique has a unique lowest-mark vertex, its *center*.  All counters
 here list cliques level by level along the mark orientation of the graph's
@@ -39,20 +39,20 @@ def _check_k(k: int) -> None:
 
 
 def _clique_levels(
-    graph: tuple[np.ndarray, np.ndarray], seeds: np.ndarray, k_max: int
+    graph: tuple[np.ndarray, np.ndarray], level: tuple[np.ndarray, ...], k_max: int
 ) -> list[tuple[np.ndarray, ...]]:
-    """Cliques whose lowest-mark vertex is a seed, one level per size 1..k_max.
+    """Cliques that grow from the given level, one level per size len(level)..k_max.
 
-    Level j is a tuple of j vertex columns of equal length, one clique per
-    index in mark order.  A clique extends by each entry of its last
-    vertex's CSR row that is also an entry of the CSR row of every earlier
-    vertex; one membership table answers every such test of the listing.
+    A level is a tuple of j vertex columns of equal length, one j-clique
+    per index in mark order; the listing starts from the seeds (seeds,) or
+    from the edges.  A clique extends by each entry of its last vertex's
+    CSR row that is also an entry of the CSR row of every earlier vertex;
+    one membership table answers every such test of the listing.
     """
     indptr, indices = graph
     contains = _RowSpans(indptr, indices)
-    level = (seeds,)
     levels = [level]
-    for _ in range(k_max - 1):
+    for _ in range(k_max - len(level)):
         parent, cand = _csr_rows(indptr, indices, level[-1])
         for col in level[:-1]:
             ok = contains(col[parent], cand)
@@ -63,10 +63,12 @@ def _clique_levels(
 
 
 def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
-    """Totals for every clique size 1..k_max in a single listing pass."""
+    """Totals for every clique size 1..k_max in one listing pass, which starts from the edges."""
     _check_k(k_max)
-    levels = _clique_levels(neighborhood_adjacency(config), np.arange(len(config)), k_max)
-    return [level[0].size for level in levels]
+    indptr, indices = neighborhood_adjacency(config)
+    edges = (np.repeat(np.arange(len(config)), np.diff(indptr)), indices)
+    levels = _clique_levels((indptr, indices), edges, k_max)
+    return ([len(config)] + [level[0].size for level in levels])[:k_max]
 
 
 def _owners(levels: list[tuple[np.ndarray, ...]], seeds: np.ndarray, owner: np.ndarray):
@@ -81,32 +83,26 @@ def _centered(graph: tuple[np.ndarray, np.ndarray], centers: np.ndarray, k_max: 
 
     Row s of the (len(centers), k_max) result counts the cliques at centers[s].
     """
-    levels = _clique_levels(graph, centers, k_max)
+    levels = _clique_levels(graph, (centers,), k_max)
     owners = _owners(levels, centers, np.arange(centers.size))
     return np.column_stack([np.bincount(o, minlength=centers.size) for o in owners])
 
 
-def _through(graph: tuple[np.ndarray, np.ndarray], members: np.ndarray, k_max: int) -> np.ndarray:
-    """Cliques of sizes 1..k_max that contain every vertex of each row of members.
+def _through(graph: tuple[np.ndarray, np.ndarray], vertices: np.ndarray, k_max: int) -> np.ndarray:
+    """Cliques of sizes 1..k_max that contain each of the vertices: the add-one differences.
 
-    Row s of the (len(members), k_max) result counts the cliques through all
-    of members[s], which are one or two vertices; two must differ.  These
-    are the add-one and the second-order differences of the clique counts.
-    The lowest-mark vertex of a clique through a row's first member is that
-    member or one of its lower-mark neighbours, so the listing starts there.
-    Two members that are not adjacent give zeros: no listed clique holds both.
+    Row s of the (len(vertices), k_max) result counts the cliques through
+    vertices[s].  The lowest-mark vertex of such a clique is the vertex or
+    one of its lower-mark neighbours, so the listing starts there.
     """
-    first = members[:, 0]
-    down_owner, down = _csr_rows(*_transpose(*graph), first)
-    seeds = np.concatenate((first, down))
-    seed_owner = np.concatenate((np.arange(len(members)), down_owner))
-    levels = _clique_levels(graph, seeds, k_max)
-    counts = np.zeros((len(members), k_max), dtype=np.int64)
+    down_owner, down = _csr_rows(*_transpose(*graph), vertices)
+    seeds = np.concatenate((vertices, down))
+    seed_owner = np.concatenate((np.arange(vertices.size), down_owner))
+    levels = _clique_levels(graph, (seeds,), k_max)
+    counts = np.zeros((vertices.size, k_max), dtype=np.int64)
     for size, (level, owner) in enumerate(zip(levels, _owners(levels, seeds, seed_owner))):
-        hit = np.ones(owner.size, dtype=bool)
-        for m in members[owner].T:
-            hit &= np.logical_or.reduce([col == m for col in level])
-        counts[:, size] = np.bincount(owner[hit], minlength=len(members))
+        hit = np.logical_or.reduce([col == vertices[owner] for col in level])
+        counts[:, size] = np.bincount(owner[hit], minlength=vertices.size)
     return counts
 
 
@@ -124,8 +120,8 @@ def _joint(graph: tuple[np.ndarray, np.ndarray], pairs: np.ndarray, k: int, l: i
     rows = np.flatnonzero((up_degree[i] >= k - 1) & (up_degree[j] >= l - 1))
     if rows.size == 0:
         return out
-    cliques_i = _clique_levels(graph, i[rows], k)[k - 1]
-    cliques_j = _clique_levels(graph, j[rows], l)[l - 1]
+    cliques_i = _clique_levels(graph, (i[rows],), k)[k - 1]
+    cliques_j = _clique_levels(graph, (j[rows],), l)[l - 1]
     [owner] = _owners([cliques_i], i[rows], rows)
     size_i, size_j = cliques_i[0].size, cliques_j[0].size
     # Every (clique at i, clique at j) pair that shares a vertex, once per shared

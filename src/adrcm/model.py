@@ -392,7 +392,7 @@ def _palm_blocks(samples, hops: int) -> _Blocks:
     earlier.  A count that only sees points within hops steps of the anchors
     is the same on a block as on the whole torus with the anchors inserted,
     and far cheaper to build.  A sample with draw False is one whose count
-    its estimator has proved zero on every configuration (see the rules in
+    its estimator has proved zero on every configuration (see the rule in
     adrcm.theory); its block is its anchors alone, and nothing is drawn for
     it.  This is the one place a draw is skipped: the count still runs on
     the block, and the sample keeps its seed.  The samples share gamma, beta
@@ -554,6 +554,8 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float) -> tuple[np.ndarray
     if isinstance(n, np.ndarray):
         n = n[keep]
     d = _torus_gap(xs[rows] - xs[cols], n)
+    # theory._adjacent repeats this test, operation for operation, for the
+    # exact second differences; the two stay apart (see there).
     ok = d * (us**gamma)[rows] * (us ** (1.0 - gamma))[cols] <= beta
     rows = rows[ok]
     # One int64 key per edge sorts the rows, and the columns within each row.

@@ -8,9 +8,11 @@ of the listing's membership table), the standard tree specs and the statistical
 references at the end (the direct covariance estimate, the Poisson
 chi-square test and the looped bootstrap) are used by the tests only.
 
-The point-level counts (centered, diff1, diff2, joint, d_in) and palm_config
-are no oracles: they run the package's block kernels and Palm block
-assembly on one configuration, so that the oracles can check them there.
+The point-level counts (centered, diff1, joint, d_in) and palm_config are
+no oracles: they run the package's block kernels and Palm block assembly on
+one configuration, so that the oracles can check them there.  diff2_recount
+is a recount: the second differences from the totals of four
+configurations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from adrcm import cli
-from adrcm.cliques import _centered, _joint, _through
+from adrcm.cliques import _centered, _joint, _through, count_cliques_upto
 from adrcm.harness import MIN_TEST_SAMPLES, DegenerateSampleError
 from adrcm.model import (
     MarkedPoint, ModelParams, ParameterError, PointConfig, _palm_blocks,
@@ -98,12 +100,23 @@ def centered(config: PointConfig, i: int, k_max: int) -> list[int]:
 
 def diff1(config: PointConfig, i: int, k_max: int) -> list[int]:
     """Cliques of every size 1..k_max through vertex i: the add-one differences at i."""
-    return _through(neighborhood_adjacency(config), _vertices(config, i), k_max)[0].tolist()
+    return _through(neighborhood_adjacency(config), _vertices(config, i)[0], k_max)[0].tolist()
 
 
-def diff2(config: PointConfig, i: int, j: int, k_max: int) -> list[int]:
-    """Cliques of every size 1..k_max through vertices i and j: the second-order differences."""
-    return _through(neighborhood_adjacency(config), _vertices(config, i, j), k_max)[0].tolist()
+def without(config: PointConfig, *members: int) -> PointConfig:
+    """config less the given member indices."""
+    kept = [i for i in range(len(config)) if i not in members]
+    return config_from_points(config.params, list(zip(config.positions[kept], config.marks[kept])))
+
+
+def diff2_recount(config: PointConfig, i: int, j: int, k_max: int) -> list[int]:
+    """Cliques of every size 1..k_max through vertices i and j, by the four-term recount of the totals."""
+    _vertices(config, i, j)
+    full, no_i, no_j, neither = (
+        count_cliques_upto(c, k_max)
+        for c in (config, without(config, i), without(config, j), without(config, i, j))
+    )
+    return [a - b - c + d for a, b, c, d in zip(full, no_i, no_j, neither)]
 
 
 def joint(config: PointConfig, i: int, j: int, k: int, l: int) -> tuple[int, int]:
@@ -147,6 +160,20 @@ def connects(p: MarkedPoint, q: MarkedPoint, params: ModelParams) -> bool:
     d = torus_dist(p.x, q.x, params.torus_length)
     u_min, u_max = (p.u, q.u) if p.u <= q.u else (q.u, p.u)
     return bool(d * u_min**params.gamma * u_max ** (1.0 - params.gamma) <= params.beta)
+
+
+def common_neighbours_oracle(config: PointConfig, p: MarkedPoint, q: MarkedPoint) -> int:
+    """Points of config, other than p and q, that the kernel joins to both, by a scan of every point."""
+    params, xs, us = config.params, config.positions, config.marks
+
+    def joined(a: MarkedPoint) -> np.ndarray:
+        d = torus_dist(xs, a.x, params.torus_length)
+        lo, hi = np.minimum(us, a.u), np.maximum(us, a.u)
+        return (d * lo**params.gamma * hi ** (1.0 - params.gamma) <= params.beta) & ~(
+            (xs == a.x) & (us == a.u)
+        )
+
+    return int(np.count_nonzero(joined(p) & joined(q)))
 
 
 def dist_oracle(x: float, y: float, n: float) -> float:

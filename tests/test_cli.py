@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adrcm.cli as cli
+from adrcm import theory
 from adrcm.cli import (
     ConfigError,
     RunConfig,
@@ -733,6 +734,20 @@ def test_gamma_diag_requires_a_clique_size(tmp_path, capsys):
     assert main(["moments", "--config", _wedge_moments_config(tmp_path, r=20), "--gamma-diag", "1.05"]) == 2
     assert "error: --gamma-diag needs k_list" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_gamma_diag_refuses_cliques_of_four(tmp_path, capsys, monkeypatch):
+    # The second differences of 4-cliques have no exact law, so the run
+    # stops before any Palm sample is drawn.
+    def no_dispatch(*args):
+        raise AssertionError("a task was dispatched")
+
+    monkeypatch.setattr(theory, "parallel_map", no_dispatch)
+    out = tmp_path / "o"
+    cfgp = _write_config(tmp_path, _minimal("moments", "k_list = 4\nr = 600\n", str(out)))
+    assert main(["moments", "--config", cfgp, "--gamma-diag", "1.2"]) == 2
+    assert "error: gamma_diagnostics takes clique sizes up to k0 = 3, got 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_list", ["16,16.0000001", "16,32,16"])

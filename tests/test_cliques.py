@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from adrcm import theory
 from adrcm.cliques import count_cliques_upto
 from adrcm.model import (
     MarkedPoint,
@@ -20,15 +21,17 @@ from oracles import (
     centered_cliques_oracle,
     cliques_containing_oracle,
     cliques_oracle,
+    common_neighbours_oracle,
     config_from_points,
     connects,
     diff1,
-    diff2,
+    diff2_recount,
     index_of,
     joint,
     joint_cliques_oracle,
     neighbors_oracle,
     random_config,
+    without,
 )
 
 
@@ -137,7 +140,7 @@ def test_diff1_rejects_an_index_outside_the_configuration(i):
 @pytest.mark.parametrize("k_max", [1, 3])
 def test_diff2_rejects_indices_outside_the_configuration_or_equal(i, j, k_max):
     with pytest.raises(ParameterError, match="outside 0..2|must differ"):
-        diff2(_triangle(), i, j, k_max)
+        diff2_recount(_triangle(), i, j, k_max)
 
 
 @pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)])
@@ -236,40 +239,42 @@ def test_diff1_upto_matches_individual():
             assert diff1(aug, i, k) == vec[:k]
 
 
+def _exact_diff2(cfg, i, j) -> list[int]:
+    """The exact law's second differences at vertices i and j for sizes 1..3: 0, 1{i~j} and 1{i~j} M.
+
+    1{i~j} is theory's kernel indicator, and M the common neighbours of the
+    two by brute force.
+    """
+    p, q = (MarkedPoint(float(cfg.positions[m]), float(cfg.marks[m])) for m in (i, j))
+    joined = int(theory._adjacent(cfg.params, p.u, q.x - p.x, q.u)[0])
+    return [0, joined, joined * common_neighbours_oracle(cfg, p, q)]
+
+
 def test_diff2_trivial_cases():
     rng = np.random.default_rng(3)
     params = ModelParams(0.3, 1.0, 30.0)
     cfg = random_config(params, rng, 15)
     both, (i, j) = add_points(cfg, [MarkedPoint(0.0, 0.998), MarkedPoint(14.0, 0.999)])
-    assert diff2(both, i, j, 1) == [0]
+    assert diff2_recount(both, i, j, 1) == [0]
     # distance ~14 at marks near 1 cannot connect for beta = 1
-    assert diff2(both, i, j, 3) == [0, 0, 0]
-
-
-def _without(cfg, *members):
-    """cfg less the given member indices."""
-    kept = [i for i in range(len(cfg)) if i not in members]
-    return config_from_points(cfg.params, list(zip(cfg.positions[kept], cfg.marks[kept])))
+    assert diff2_recount(both, i, j, 3) == [0, 0, 0]
+    assert not theory._adjacent(params, 0.998, 14.0, 0.999)[0]
+    assert _exact_diff2(both, i, j) == [0, 0, 0]
 
 
 def test_diff_counts_points_already_present_as_members():
-    # A configuration that already holds the added points, as a Palm
-    # configuration holds its anchors, gives at their indices the
-    # differences to the configuration without them.
+    # A configuration that already holds the added point, as a Palm
+    # configuration holds its anchor, gives at its index the difference to
+    # the configuration without it.
     rng = np.random.default_rng(45)
     for _ in range(100):
         params = _param_grid(rng)
         cfg = random_config(params, rng, 18)
-        if len(cfg) < 2:
+        if len(cfg) < 1:
             continue
-        i, j = (int(m) for m in rng.choice(len(cfg), size=2, replace=False))
-        full, no_i, no_j, neither = (
-            count_cliques_upto(c, 4)
-            for c in (cfg, _without(cfg, i), _without(cfg, j), _without(cfg, i, j))
-        )
+        i = int(rng.integers(len(cfg)))
+        full, no_i = count_cliques_upto(cfg, 4), count_cliques_upto(without(cfg, i), 4)
         assert diff1(cfg, i, 4) == [a - b for a, b in zip(full, no_i)]
-        four_term = [a - b - c + d for a, b, c, d in zip(full, no_j, no_i, neither)]
-        assert diff2(cfg, i, j, 4) == four_term
 
 
 def test_diff2_rejects_equal_added_points():
@@ -278,13 +283,17 @@ def test_diff2_rejects_equal_added_points():
     # The same point added twice is not a pair, whatever its position's wrap.
     for k_max in (2, 3):
         with pytest.raises(ParameterError):
-            diff2(cfg, i, i, k_max)
+            diff2_recount(cfg, i, i, k_max)
     with pytest.raises(ParameterError, match="duplicate point"):
         _palm_blocks([(params, [MarkedPoint(0.0, 0.7), MarkedPoint(10.0, 0.7)], 7, True)], 1)
 
 
 def test_diff2_matches_four_term_recount():
+    # The exact law that gamma_diagnostics uses, on configurations: the
+    # four-term recount of the totals at two added points is 0 for 1-cliques,
+    # 1{p~q} for edges and 1{p~q} times their common neighbours for triangles.
     rng = np.random.default_rng(44)
+    joined = 0
     for _ in range(200):
         params = _param_grid(rng)
         cfg = random_config(params, rng, 18)
@@ -300,7 +309,10 @@ def test_diff2_matches_four_term_recount():
         with_both, (i, j) = add_points(cfg, [p0, q])
         counts = [count_cliques_upto(c, 3) for c in (with_both, with_p, with_q, cfg)]
         four_term = [a - b - c + d for a, b, c, d in zip(*counts)]
-        assert diff2(with_both, i, j, 3) == four_term
+        assert diff2_recount(with_both, i, j, 3) == four_term
+        assert _exact_diff2(with_both, i, j) == four_term
+        joined += four_term[2] > 0
+    assert joined > 20
 
 
 def test_diff2_symmetric_under_exchange():
@@ -313,7 +325,7 @@ def test_diff2_symmetric_under_exchange():
         if q.x == 0.0 and q.u == u:
             continue
         both, (i, j) = add_points(cfg, [MarkedPoint(0.0, u), q])
-        direct = diff2(both, i, j, 3)
+        direct = diff2_recount(both, i, j, 3)
         # translate so q sits at the origin; the old origin point moves to -q.x
         pts = [
             (wrap_position(x - q.x, params.torus_length), m)
@@ -322,7 +334,11 @@ def test_diff2_symmetric_under_exchange():
         moved, (a, b) = add_points(
             config_from_points(params, pts), [MarkedPoint(0.0, q.u), MarkedPoint(-q.x, u)]
         )
-        assert direct == diff2(moved, a, b, 3)
+        assert direct == diff2_recount(moved, a, b, 3)
+        # The exact law is symmetric too: the kernel indicator exactly, mu to rounding.
+        assert theory._adjacent(params, u, q.x, q.u) == theory._adjacent(params, q.u, -q.x, u)
+        mu = [float(theory._common_mean(params, *node)) for node in ((u, q.x, q.u), (q.u, -q.x, u))]
+        assert mu[0] == pytest.approx(mu[1], rel=1e-12)
 
 
 def test_add_point_never_decreases_counts():
@@ -379,8 +395,8 @@ def test_joint_requires_membership():
 
 
 def test_diff2_of_members_that_are_not_adjacent_is_zero():
-    # _through lists from the first member whether or not the two are
-    # adjacent; brute force finds no clique through two that are not.
+    # No clique holds two vertices that are not adjacent, so the exact law
+    # carries the factor 1{i~j}; brute force agrees with it up to triangles.
     rng = np.random.default_rng(89)
     params = ModelParams(0.3, 1.0, 12.0)
     apart = 0
@@ -390,7 +406,7 @@ def test_diff2_of_members_that_are_not_adjacent_is_zero():
             continue
         i, j = (int(m) for m in rng.choice(len(cfg), size=2, replace=False))
         brute = [0] + [cliques_containing_oracle(cfg, (i, j), k) for k in (2, 3, 4)]
-        assert diff2(cfg, i, j, 4) == brute
+        assert brute[:3] == _exact_diff2(cfg, i, j)
         p, q = (MarkedPoint(cfg.positions[v], cfg.marks[v]) for v in (i, j))
         if not connects(p, q, params):
             apart += 1

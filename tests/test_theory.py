@@ -1,8 +1,10 @@
 """Closed-form targets against quadrature and high-precision oracles."""
 
+import functools
 import hashlib
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -16,8 +18,10 @@ from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
+    PointConfig,
     derive_seed,
     sample_config,
+    wrap_position,
 )
 from adrcm.theory import (
     MARK_FLOOR,
@@ -36,7 +40,8 @@ from adrcm.theory import (
 from adrcm.trees import DirectedTreeSpec
 
 from oracles import (
-    add_points, d_in, diff1, diff2, palm_config, sigma_direct_from_samples, tree_path, tree_wedge,
+    add_points, common_neighbours_oracle, d_in, diff1, palm_config, sigma_direct_from_samples,
+    tree_path, tree_wedge,
 )
 
 
@@ -204,6 +209,104 @@ def test_gamma_diagnostics_bounded_across_torus_lengths():
     assert max(totals) < 2.0 * min(totals), totals
 
 
+# -- exact second differences -------------------------------------------------------
+
+
+def _gamma_grid(n: float) -> tuple[np.ndarray, ...]:
+    """The (u, y, v) nodes of gamma_diagnostics on the n-torus."""
+    y_grid = [0.0, 0.5]
+    while y_grid[-1] < 0.5 * n:
+        y_grid.append(min(y_grid[-1] * 2.0, 0.5 * n))
+    return np.meshgrid((np.arange(8) + 0.5) / 8, y_grid, (np.arange(6) + 0.5) / 6, indexing="ij")
+
+
+# (params, p, q) nodes for the whole-torus checks: capped arcs at n = 16,
+# and a pair across the seam at n = 64, whose offset -62 wraps to a gap of 2.
+_COMMON_NODES = [
+    (ModelParams(0.3, 1.0, 16.0), MarkedPoint(0.0, 0.0625), MarkedPoint(0.0, 1.0 / 12.0)),
+    (ModelParams(0.3, 1.0, 16.0), MarkedPoint(0.0, 0.3), MarkedPoint(5.5, 0.05)),
+    (ModelParams(0.3, 1.0, 64.0), MarkedPoint(31.0, 0.1), MarkedPoint(-31.0, 0.15)),
+    (ModelParams(0.3, 1.0, 64.0), MarkedPoint(0.0, 0.02), MarkedPoint(12.0, 0.6)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _common_counts(node: int) -> np.ndarray:
+    """Common neighbours of the node's p and q on 3000 whole tori, by brute force."""
+    params, p, q = _COMMON_NODES[node]
+    return np.array([
+        common_neighbours_oracle(sample_config(params, derive_seed(91, node, i)), p, q)
+        for i in range(3000)
+    ])
+
+
+def _exact_mean(node: int) -> float:
+    params, p, q = _COMMON_NODES[node]
+    return float(theory._common_mean(params, p.u, q.x - p.x, q.u))
+
+
+def test_common_mean_matches_whole_torus_common_neighbour_counts():
+    for node, (params, p, q) in enumerate(_COMMON_NODES):
+        counts = _common_counts(node)
+        se = counts.std(ddof=1) / math.sqrt(counts.size)
+        mu = _exact_mean(node)
+        assert abs(counts.mean() - mu) <= 4.0 * se, (node, counts.mean(), mu, se)
+    # At n = 16 the arcs of marks below 0.06 span the whole circle.
+    assert theory._arc(ModelParams(0.3, 1.0, 16.0), math.log(0.0625), math.log(0.05)) == 8.0
+
+
+def test_common_mean_converges_under_panel_refinement():
+    # The panels split at every kink of the arc overlap, so eight panels per
+    # interval move mu by less than 1e-10 of itself (measured: 1e-15).
+    for params in (ModelParams(g, 1.0, n) for g in (0.1, 0.3) for n in (16.0, 64.0, 256.0)):
+        nodes = _gamma_grid(params.torus_length)
+        fine = theory._common_mean(params, *nodes, panels=8)
+        assert np.all(fine > 0.0)
+        assert np.max(np.abs(theory._common_mean(params, *nodes) / fine - 1.0)) < 1e-10
+
+
+def test_poisson_moment_matches_whole_torus_counts():
+    for node in (0, 2):
+        powered = _common_counts(node) ** 2.4
+        se = powered.std(ddof=1) / math.sqrt(powered.size)
+        exact = float(theory._poisson_moment(_exact_mean(node), 2.4))
+        assert abs(powered.mean() - exact) <= 4.0 * se, (node, powered.mean(), exact, se)
+    # Integer powers against the Poisson moments in closed form.
+    mu = np.array([0.01, 1.0, 7.5, 60.0])
+    assert theory._poisson_moment(mu, 1.0) == pytest.approx(mu, rel=1e-12)
+    assert theory._poisson_moment(mu, 2.0) == pytest.approx(mu + mu**2, rel=1e-12)
+    assert theory._poisson_moment(mu, 3.0) == pytest.approx(mu**3 + 3 * mu**2 + mu, rel=1e-12)
+
+
+def test_the_kernel_indicator_is_the_samplers_edge_test():
+    # d u_lo^gamma u_hi^(1 - gamma) = 2 * 0.5 * 1 = beta at gamma 0.25, across the seam too.
+    params = ModelParams(0.25, 1.0, 64.0)
+    n = params.torus_length
+    joined = []
+    for x, y in ((0.0, 2.0), (31.0, -31.0), (31.0, 33.0)):
+        # Each y lies 2 after x on the torus; 4e-9 more is 2e-9 beyond the kernel.
+        for y_q in (y, y + 4e-9):
+            for u, v in ((0.0625, 1.0), (1.0, 0.0625)):
+                first, second = (x, u), (wrap_position(y_q, n), v)
+                config = PointConfig(params, *np.array(sorted([first, second])).T, seed=0)
+                edge = model.neighborhood_adjacency(config)[1].size == 1
+                assert theory._adjacent(params, u, second[0] - x, v)[0] == edge
+                joined.append(edge)
+    assert joined == [True, True, False, False] * 3
+
+
+def test_the_exact_law_raises_no_warning_at_zero_mean_or_apart():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments = theory._poisson_moment(np.array([0.0, 0.0, 1e-300]), 2.4)
+        assert moments.tolist()[:2] == [0.0, 0.0] and np.isfinite(moments[2])
+        params = ModelParams(0.3, 1.0, 16.0)
+        nodes = _gamma_grid(16.0)
+        assert not theory._adjacent(params, *nodes).all()
+        diag = gamma_diagnostics(params, eta=1.2, mc_budget=600, seed=4, k0=3)
+    assert all(math.isfinite(x) for x in (diag.gamma1, diag.gamma2, diag.se1)) and diag.se2 == 0.0
+
+
 # -- dispatch ---------------------------------------------------------------------
 
 
@@ -339,40 +442,21 @@ def test_neighbourhood_and_diff_samples_count_the_same(monkeypatch):
     restricted, whole = _restricted_and_whole(monkeypatch, nodes)
     assert restricted == whole
 
-    params = ModelParams(0.3, 1.0, 64.0)
-    qs = [
-        None,
-        MarkedPoint(0.5, 0.4),
-        MarkedPoint(31.999, 0.2),  # just below the seam
-        MarkedPoint(-32.0, 0.01),  # on the seam
-        MarkedPoint(32.0, 0.05),  # wraps onto the seam
-        MarkedPoint(20.0, 0.9),  # not adjacent to (0, u) for u >= 0.05
-    ]
-    # One count per torus, clique size and anchor count: a chunk holds one
-    # anchor count, gamma and beta.
+    # One count per torus and clique size: a chunk holds one gamma and beta.
     through = {
-        (n, k0, q is None): partial(theory._cliques_through, k_max=k0)
-        for n in (16.0, 64.0) for k0 in (3, 4) for q in qs[:2]
+        (n, k0): partial(theory._cliques_through, k_max=k0) for n in (16.0, 64.0) for k0 in (3, 4)
     }
     items = [
-        (params, u, q, k0, power, 54, 6)
+        (ModelParams(0.3, 1.0, 64.0), u, k0, power, 54, 6)
         for k0, power in ((3, 1.0), (4, 1.37))
-        for q in qs
         for u in (MARK_FLOOR, 0.05, 0.3)
     ]
-    items += [(ModelParams(0.3, 1.0, 16.0), 0.0625, q, 3, 2.4, 55, 20) for q in qs[:2]]
-    # q is an anchor too; without one the task counts the add-one difference.
-    # A pair of anchors that the kernel does not join is flagged, as in gamma_diagnostics.
+    items += [(ModelParams(0.3, 1.0, 16.0), 0.0625, 3, 2.4, 55, 20)]
     nodes = [
-        (through[params.torus_length, k0, q is None], 1,
-         partial(theory._at_anchors, params, anchors, seed, (),
-                 draw=q is None or theory._joined(params, anchors)),
-         size)
-        for params, u, q, k0, _, seed, size in items
-        for anchors in [[MarkedPoint(0.0, u)] + ([] if q is None else [q])]
+        (through[params.torus_length, k0], 1,
+         partial(theory._at_anchors, params, [MarkedPoint(0.0, u)], seed, ()), size)
+        for params, u, k0, _, seed, size in items
     ]
-    far = [node for node, (_, u, q, *_) in zip(nodes, items) if q == qs[-1] and u >= 0.05]
-    assert len(far) == 4 and all(_flagged(node) == node[-1] for node in far)
     powers = [power for *_, power, _, size in items for _ in range(size)]
     restricted, whole = (
         [np.asarray(out, dtype=np.float64) ** power for out, power in zip(outs, powers)]
@@ -567,20 +651,17 @@ def test_gamma_diagnostics_chunks_count_each_sample_as_its_own_configuration(mon
     monkeypatch.setattr(theory, "_palm_map", recording)
     gamma_diagnostics(params, eta=1.2, mc_budget=600, seed=4, k0=2, threads=threads)
     [(nodes, results)] = calls
-    one = [size for count, _, sampler, size in nodes if len(sampler(0, 1)[0][1]) == 1]
-    two = [size for count, _, sampler, size in nodes if len(sampler(0, 1)[0][1]) == 2]
-    assert len(one) + len(two) == len(nodes) and one and two
-    # 114 of the 288 second-difference nodes have anchors the kernel does not join.
-    assert sum(1 for node in nodes if _flagged(node)) == 114
-    assert seen == [_split(sum(one)) + _split(sum(two))]
+    # The 12 Gamma_3 marks and the 6 v marks, each a node at one anchor.
+    assert len(nodes) == 18
+    assert all(len(sampler(0, 1)[0][1]) == 1 for _, _, sampler, _ in nodes)
+    assert seen == [_split(sum(size for *_, size in nodes))]
     checked = 0
     for (_, _, sampler, size), out in zip(nodes, results):
-        for i, (p, anchors, seed, _) in enumerate(sampler(0, size)):
-            args = _one_block(p, seed, anchors, 1)
-            expected = diff1(*args, 2) if len(args) == 2 else diff2(*args, 2)
-            assert out[i] == expected
+        for i, (p, anchors, seed, draw) in enumerate(sampler(0, size)):
+            assert draw
+            assert out[i] == diff1(*_one_block(p, seed, anchors, 1), 2)
             checked += 1
-    assert checked == sum(one) + sum(two)
+    assert checked == sum(size for *_, size in nodes)
 
 
 def test_palm_estimators_check_marks_before_any_task_runs(monkeypatch):
@@ -599,6 +680,8 @@ def test_palm_estimators_check_marks_before_any_task_runs(monkeypatch):
         (lambda: clique_diff_moment_profile(params, -1, (0.3, 0.1), 4), "clique size must be >= 1"),
         (lambda: gamma_diagnostics(ModelParams(0.3, 1.0, 16.0), 1.2, 600, k0=0),
          "clique size must be >= 1"),
+        (lambda: gamma_diagnostics(ModelParams(0.3, 1.0, 16.0), 1.2, 600, k0=4),
+         "clique sizes up to k0 = 3, got 4"),
         (lambda: clique_diff_moment_profile(params, 3, (0.3, 0.1), 1), "2 replicates or more"),
         (lambda: tree_root_moment_profile(params, tree_wedge(), (0.3, 0.1), 1),
          "2 replicates or more"),
@@ -626,22 +709,13 @@ def _counted_draws(monkeypatch) -> list[int]:
 
 def test_a_flagged_sample_draws_no_torus(monkeypatch):
     base = ModelParams(0.3, 1.0, 100.0)
-    params = ModelParams(0.3, 1.0, 64.0)
-    anchors = [MarkedPoint(0.0, 0.3), MarkedPoint(20.0, 0.9)]
-    nodes = [
-        (partial(theory._joint_term, k=3, l=3), 1,
-         partial(theory._sigma_samples, base, 200.0, 8.0, 81, (2,)), 300),
-        theory._palm_node(partial(theory._cliques_through, k_max=3), params, anchors, 1, 40, 82,
-                          draw=theory._joined(params, anchors)),
-    ]
-    for node in nodes:
-        with monkeypatch.context() as m:
-            drawn = _counted_draws(m)
-            theory._palm_map([node], 1)
-        samples = node[2](0, node[3])
-        assert drawn == [seed for _, _, seed, draw in samples if draw]
-    assert 0 < _flagged(nodes[0]) < 300
-    assert _flagged(nodes[1]) == 40
+    node = (partial(theory._joint_term, k=3, l=3), 1,
+            partial(theory._sigma_samples, base, 200.0, 8.0, 81, (2,)), 300)
+    drawn = _counted_draws(monkeypatch)
+    theory._palm_map([node], 1)
+    samples = node[2](0, node[3])
+    assert drawn == [seed for _, _, seed, draw in samples if draw]
+    assert 0 < _flagged(node) < 300
 
 
 class _FixedDraws:
@@ -655,7 +729,7 @@ class _FixedDraws:
 
 
 def test_the_flag_boundaries_are_not_flagged(monkeypatch):
-    # Rule 1: beta/u + beta/v = 2 + 4 at u = 0.5, v = 0.25, beta = 1.
+    # beta/u + beta/v = 2 + 4 at u = 0.5, v = 0.25, beta = 1.
     base = ModelParams(0.3, 1.0, 100.0)
     beyond = 6.0 * (1.0 + 2e-9)
     for y, draw in ((6.0, True), (-6.0, True), (beyond, False), (-beyond, False)):
@@ -663,15 +737,6 @@ def test_the_flag_boundaries_are_not_flagged(monkeypatch):
             m.setattr(theory, "_rng", lambda seed: _FixedDraws([0.5, 0.25, y]))
             [(_, anchors, _, flag)] = theory._sigma_samples(base, 30.0, 8.0, 1, (2,), 0, 1)
         assert (anchors[1].x, flag) == (y, draw)
-    # Rule 2: d u_lo^gamma u_hi^(1 - gamma) = 2 * 0.5 * 1 = beta at gamma 0.25, across the seam too.
-    params = ModelParams(0.25, 1.0, 64.0)
-    for x, y in ((0.0, 2.0), (31.0, -31.0), (31.0, 33.0)):
-        on = [MarkedPoint(x, 0.0625), MarkedPoint(y, 1.0)]
-        assert theory._joined(params, on)
-        # The kernel joins them: flagging them would drop the 2-clique through both.
-        assert diff2(*_one_block(params, 5, on, 1), 2) == [0, 1]
-        # Each y lies 2 after x on the torus; 4e-9 more is beyond the slack.
-        assert not theory._joined(params, [on[0], MarkedPoint(y + 4e-9, 1.0)])
 
 
 @pytest.mark.parametrize("replicates", [0, 1])
