@@ -9,7 +9,8 @@ adjacent to every earlier vertex, so each clique is listed exactly once,
 from its center (ordered listing after Chiba and Nishizeki).  Adjacency is
 tested on one membership table per listing (model._RowSpans), one boolean
 cell per index between each CSR row's first and last entry, shared by every
-earlier column of every level.  Counts are plain Python integers and
+earlier column of every level.  count_cliques_upto counts its last level
+without building its columns.  Counts are plain Python integers and
 therefore never wrap.
 
 The point-level kernels (_centered, _through, _joint) count at rows of
@@ -39,21 +40,28 @@ def _check_k(k: int) -> None:
 
 
 def _clique_levels(
-    graph: tuple[np.ndarray, np.ndarray], level: tuple[np.ndarray, ...], k_max: int
-) -> list[tuple[np.ndarray, ...]]:
+    graph: tuple[np.ndarray, np.ndarray], level: tuple[np.ndarray, ...], k_max: int, count_last=False
+) -> list:
     """Cliques that grow from the given level, one level per size len(level)..k_max.
 
     A level is a tuple of j vertex columns of equal length, one j-clique
     per index in mark order; the listing starts from the seeds (seeds,) or
     from the edges.  A clique extends by each entry of its last vertex's
     CSR row that is also an entry of the CSR row of every earlier vertex;
-    one membership table answers every such test of the listing.
+    one membership table answers every such test of the listing.  With
+    count_last, the last level, of size k_max > len(level), is its clique
+    count alone: its candidates are tested against every earlier column
+    uncompressed, and the candidates that pass them all are counted.
     """
     indptr, indices = graph
     contains = _RowSpans(indptr, indices)
     levels = [level]
-    for _ in range(k_max - len(level)):
+    for size in range(len(level) + 1, k_max + 1):
         parent, cand = _csr_rows(indptr, indices, level[-1])
+        if count_last and size == k_max:
+            ok = np.logical_and.reduce([contains(col[parent], cand) for col in level[:-1]])
+            levels.append(int(np.count_nonzero(ok)))
+            break
         for col in level[:-1]:
             ok = contains(col[parent], cand)
             parent, cand = parent[ok], cand[ok]
@@ -66,9 +74,12 @@ def count_cliques_upto(config: PointConfig, k_max: int) -> list[int]:
     """Totals for every clique size 1..k_max in one listing pass, which starts from the edges."""
     _check_k(k_max)
     indptr, indices = neighborhood_adjacency(config)
-    edges = (np.repeat(np.arange(len(config)), np.diff(indptr)), indices)
-    levels = _clique_levels((indptr, indices), edges, k_max)
-    return ([len(config)] + [level[0].size for level in levels])[:k_max]
+    counts = [len(config), indices.size]
+    if k_max > 2:
+        edges = (np.repeat(np.arange(len(config)), np.diff(indptr)), indices)
+        _, *levels, last = _clique_levels((indptr, indices), edges, k_max, count_last=True)
+        counts += [level[0].size for level in levels] + [last]
+    return counts[:k_max]
 
 
 def _owners(levels: list[tuple[np.ndarray, ...]], seeds: np.ndarray, owner: np.ndarray):

@@ -123,13 +123,14 @@ class ReplicateResult:
 
 # In one process, consecutive replicates of a run on a torus of length n
 # below _CHUNK_BELOW share a chunk of _CHUNK_POINTS // ceil(n) tori; a
-# longer torus is a chunk of its own.  Measured per clique replicate, chunks
-# took 232 -> 187 us at n = 96 and 513 -> 459 us at n = 250, but 783 -> 871
-# us at n = 500.  A process pool's batches of tasks would split chunks, and
+# longer torus is a chunk of its own.  Per k <= 3 clique replicate (medians
+# of 15 runs, 2-core x86-64, numpy 2.4), chunks took 280 -> 272 us at n =
+# 250 and 322 -> 333 us at 300, but 342 -> 364 us at 350, 362 -> 428 us at
+# 400 and 442 -> 574 us at 500.  A process pool's batches of tasks would split chunks, and
 # each part would sample its whole chunk, so with several workers every
 # replicate is a chunk of its own.
 _CHUNK_POINTS = 4096
-_CHUNK_BELOW = 400.0
+_CHUNK_BELOW = 300.0
 
 
 class _Chunk:

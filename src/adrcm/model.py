@@ -447,12 +447,13 @@ def _palm_blocks(samples, hops: int) -> _Blocks:
     )
 
 
-# Below this many points every pair of a block is a candidate edge.  On
-# unit-density tori (gamma 0.3, beta 1) all pairs were faster than the block
-# window search up to 40 points and slower from 44; a Palm neighbourhood,
-# whose points all lie near its anchors, rarely reaches the cut-off.  A lone
-# configuration takes _torus_window_pairs; a replicate chunk of several tori
-# takes _candidate_pairs, so there a torus under 42 points takes every pair.
+# Below this many points every pair of a block is a candidate edge.  A Palm
+# block rarely reaches it: on the 7400 blocks of one palm_mix execution
+# (median 5 points), _block_adjacency took 21.6, 20.8, 20.6 and 19.8 ms at
+# cut-offs 16, 24, 32 and 42 (2-core x86-64, numpy 2.4).  Chunks of tori of
+# 16 and 64 points (gamma 0.3, beta 1) took the same, and of 32 points 18.9
+# ms at cut-off 24 against 33.4 ms at 42.  A lone configuration takes its
+# own window query, _torus_edges, at every size.
 _ALL_PAIRS_BELOW = 42
 
 
@@ -532,34 +533,42 @@ def _block_adjacency(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     if (lengths == lengths[0]).all():
         n = float(lengths[0])
     else:
-        n = lengths[blocks.bounds.searchsorted(rows, side="right") - 1]
+        n = np.repeat(lengths, blocks.bounds[1:] - blocks.bounds[:-1])
     return _edges(blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
 
 
-def _edges(xs, us, rows, cols, n, gamma: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _edges(xs, us, rows, cols, n, gamma: float, beta: float, copies=1, self_pairs=0):
     """The candidate pairs (rows, cols) that are edges, as a mark-oriented CSR.
 
     Returns (indptr, indices): indices[indptr[i]:indptr[i + 1]] are the
-    neighbours of point i with higher mark, sorted ascending.  A candidate
-    (i, j) becomes an edge when j ranks above i in the (mark, index) order
-    and the kernel connects them on the torus of length n (one per pair, or
-    one for all), so each edge is found from its lower-mark end.  Each
-    ordered pair may be a candidate at most once.
+    neighbours of point i with higher mark, sorted ascending.  Column c
+    names point c % size in the points listed copies times over, so a window
+    query's candidates read their columns from lists as long and only edges
+    become point indices.  A candidate (i, c) is an edge when its column
+    ranks above i in the (mark, index) order and the kernel connects them on
+    the torus of length n (one for all, or one per point), so each edge is
+    found from its lower-mark end.  Each ordered pair may be a candidate at
+    most once.  self_pairs is a lower bound on the candidates (i, i): while
+    no more candidates tie in mark, the index comparison is skipped.
     """
     size = xs.size
+    per_point = (xs, us, us ** (1.0 - gamma), np.arange(size))
+    col_xs, col_us, col_pow, col_ids = (np.concatenate([a] * copies) for a in per_point)
+    u_row, u_col = us[rows], col_us[cols]
     # The (mark, index) order: a higher mark, or an equal mark and a higher index.
-    u_row, u_col = us[rows], us[cols]
-    keep = (u_col > u_row) | ((u_col == u_row) & (cols > rows))
+    up, tie = u_col > u_row, u_col == u_row
+    if np.count_nonzero(tie) > self_pairs:
+        up |= tie & (col_ids[cols] > rows)
+    keep = np.flatnonzero(up)
     rows, cols = rows[keep], cols[keep]
-    if isinstance(n, np.ndarray):
-        n = n[keep]
-    d = _torus_gap(xs[rows] - xs[cols], n)
+    del u_row, u_col, up, tie, keep  # freed for the kernel test's temporaries
+    d = _torus_gap(xs[rows] - col_xs[cols], n[rows] if isinstance(n, np.ndarray) else n)
     # theory._adjacent repeats this test, operation for operation, for the
     # exact second differences; the two stay apart (see there).
-    ok = d * (us**gamma)[rows] * (us ** (1.0 - gamma))[cols] <= beta
+    ok = np.flatnonzero(d * (us**gamma)[rows] * col_pow[cols] <= beta)
     rows = rows[ok]
     # One int64 key per edge sorts the rows, and the columns within each row.
-    key = rows * size + cols[ok]
+    key = rows * size + col_ids[cols[ok]]
     key.sort()
     degree = np.bincount(rows, minlength=size)
     indptr = np.zeros(size + 1, dtype=np.int64)
@@ -569,13 +578,16 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float) -> tuple[np.ndarray
     return indptr, key
 
 
-def _torus_window_pairs(xs: np.ndarray, us: np.ndarray, n: float, beta: float):
-    """Candidate pairs (rows, cols) of one torus from one window query.
+def _torus_edges(xs: np.ndarray, us: np.ndarray, n: float, gamma: float, beta: float):
+    """The edge list of one torus (see _edges), from one window query.
 
     Each point takes a window of its maximal up-radius beta/u over the
     positions listed three times (shifted by -n, 0 and +n); a window of
-    radius n/2 or more is capped and takes every point once.  This costs
-    fewer numpy calls than _window_pairs, the same query over many tori.
+    radius n/2 or more is capped and takes every point once.  A candidate
+    keeps its index into that list as its column (see _edges).  Each window
+    lists its own point once and any other point at most once, so every
+    mark tie beyond those self-pairs joins two points.  This costs fewer
+    numpy calls than _window_pairs, the same query over many tori.
     """
     size = xs.size
     # Capped windows are replaced below, so the others need no cap at n/2.
@@ -590,7 +602,7 @@ def _torus_window_pairs(xs: np.ndarray, us: np.ndarray, n: float, beta: float):
     counts = hi - lo
     rows = np.repeat(np.arange(size), counts)
     at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(rows.size)
-    return rows, np.tile(np.arange(size), 3)[at]
+    return _edges(xs, us, rows, at, n, gamma, beta, copies=3, self_pairs=size)
 
 
 def _shared_adjacency(configs: list[PointConfig]) -> None:
@@ -625,15 +637,14 @@ def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]
     """Mark-oriented adjacency of the configuration graph as CSR; see _edges.
 
     The CSR is built at the first call and kept on the configuration; its
-    arrays are read-only.  One torus takes _torus_window_pairs in place of
-    the block query of _shared_adjacency: the same edge list, about 0.1 ms
-    sooner per torus of 500 to 1000 points.
+    arrays are read-only.  One torus takes its own window query,
+    _torus_edges, in place of the block query of _shared_adjacency: the
+    same edge list, about 0.05 to 0.1 ms sooner per torus of 250 to 1000
+    points.
     """
     if config._graph is None:
         p = config.params
-        xs, us = config.positions, config.marks
-        rows, cols = _torus_window_pairs(xs, us, p.torus_length, p.beta)
-        graph = _edges(xs, us, rows, cols, p.torus_length, p.gamma, p.beta)
+        graph = _torus_edges(config.positions, config.marks, p.torus_length, p.gamma, p.beta)
         for array in graph:
             array.setflags(write=False)
         config._graph = graph

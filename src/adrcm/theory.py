@@ -506,11 +506,12 @@ def tree_root_moment_profile(
 def _adjacent(params: ModelParams, u, y, v) -> np.ndarray:
     """1{p~q} for p = (0, u) and q = (y, v), element-wise; y is a difference of canonical positions.
 
-    This is the kernel test of model._edges, operation for operation, with
-    no slack, so that it agrees with the sampler on the kernel boundary too.
-    Keep the two apart, each pointing to the other: a rewrite through _arc
-    would move float rounding at the boundary.  The powers run on arrays,
-    as in _edges: numpy's scalar pow may differ in the last bit.
+    This is the kernel test of model._edges, which every edge list runs,
+    operation for operation, with no slack, so that it agrees with the
+    sampler on the kernel boundary too.  Keep the two apart, each pointing
+    to the other: a rewrite through _arc would move float rounding at the
+    boundary.  The powers run on arrays, as in _edges: numpy's scalar pow
+    may differ in the last bit.
     """
     u, y, v = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (u, y, v)))
     lo, hi = np.minimum(u, v), np.maximum(u, v)

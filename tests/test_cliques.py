@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from adrcm import theory
-from adrcm.cliques import count_cliques_upto
+from adrcm.cliques import _clique_levels, count_cliques_upto
 from adrcm.model import (
     MarkedPoint,
     ModelParams,
     ParameterError,
     _palm_blocks,
+    neighborhood_adjacency,
     sample_config,
     wrap_position,
 )
@@ -86,6 +87,30 @@ def test_count_cliques_upto_five_matches_subset_enumeration_on_dense_tori():
             assert _per_center(cfg, k) == per_center
         fives += totals[4]
     assert fives > 100
+
+
+def _clique_case(case):
+    """Configurations of one kind: dense sampled tori, an edgeless one or an empty one."""
+    if case == "sampled tori":
+        return [sample_config(ModelParams(0.3, 2.0, 8.0), seed) for seed in range(6)]
+    # Marks of 1 join points only within beta = 0.3; these lie 3 apart.
+    params = ModelParams(0.3, 0.3, 30.0)
+    points = [(x, 1.0) for x in np.arange(-15.0, 15.0, 3.0).tolist()] if case == "edgeless" else []
+    return [config_from_points(params, points)]
+
+
+@pytest.mark.parametrize("case", ["sampled tori", "edgeless", "empty"])
+def test_the_counted_last_level_equals_the_listed_levels_and_subset_enumeration(case):
+    fives = 0
+    for cfg in _clique_case(case):
+        seeds = (np.arange(len(cfg)),)
+        listed = [level[0].size for level in _clique_levels(neighborhood_adjacency(cfg), seeds, 5)]
+        assert listed == [len(cfg)] + [cliques_oracle(cfg, k)[0] for k in range(2, 6)]
+        # k_max = 3 counts the level after the edges; k_max >= 4 lists one level or more first.
+        for k_max in range(1, 6):
+            assert count_cliques_upto(cfg, k_max) == listed[:k_max]
+        fives += listed[4]
+    assert (fives > 0) == (case == "sampled tori")
 
 
 def test_center_decomposition_identity():

@@ -162,8 +162,10 @@ def test_a_serial_run_samples_each_torus_once_in_chunks(monkeypatch):
     run_replicates(ExperimentPlan(ModelParams(0.3, 1.0, 64.0), CliqueStatistic((2,)), 130, 2))
     assert sampled == [derive_seed(2, 0, i) for i in range(130)]
     assert shared == [64, 64, 2]
-    # A torus of 400 or more is a chunk of its own.
-    run_replicates(ExperimentPlan(ModelParams(0.3, 1.0, 400.0), CliqueStatistic((2,)), 3, 2))
+    # A torus of _CHUNK_BELOW or more is a chunk of its own.
+    run_replicates(
+        ExperimentPlan(ModelParams(0.3, 1.0, harness._CHUNK_BELOW), CliqueStatistic((2,)), 3, 2)
+    )
     assert shared == [64, 64, 2]
 
 

@@ -555,7 +555,7 @@ def _every_ordered_pair_adjacency(blocks):
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     lengths = blocks.lengths
     n = float(lengths[0]) if (lengths == lengths[0]).all() else (
-        lengths[blocks.bounds.searchsorted(rows, side="right") - 1]
+        np.repeat(lengths, np.diff(blocks.bounds))
     )
     return model._edges(blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
 
@@ -683,22 +683,75 @@ def test_one_window_query_gives_every_block_its_own_edge_list(case):
     assert indices.size > 100
 
 
+def _one_block(config):
+    """The configuration as a block set of one block."""
+    p = config.params
+    return model._Blocks(
+        config.positions, config.marks, np.array([0, len(config)]), np.array([p.torus_length]),
+        np.zeros((1, 0), dtype=np.int64), p.gamma, p.beta,
+    )
+
+
+def _assert_lone_torus_edge_list(config):
+    """A configuration's own edge list equals every ordered pair's and the block query's."""
+    indptr, indices = neighborhood_adjacency(config)
+    block = _one_block(config)
+    for expected in (_every_ordered_pair_adjacency(block), model._block_adjacency(block)):
+        assert indptr.tolist() == expected[0].tolist()
+        assert indices.tolist() == expected[1].tolist()
+    return indptr, indices
+
+
 @pytest.mark.parametrize("n", [1.0, 2.5, 8.0, 64.0])
 def test_one_torus_query_lists_each_pair_once_near_the_cap(n):
     rng = np.random.default_rng(int(n * 10))
     beta = 1.0
     xs, us = _antipodal_block(n, beta, rng)
-    rows, cols = model._torus_window_pairs(xs, us, n, beta)
-    assert np.unique(rows * xs.size + cols).size == rows.size
     config = PointConfig(ModelParams(0.3, beta, n), xs, us, 0)
-    blocks = model._Blocks(
-        xs, us, np.array([0, xs.size]), np.array([n]), np.zeros((1, 0), dtype=np.int64), 0.3, beta
-    )
-    expected = _every_ordered_pair_adjacency(blocks)
-    indptr, indices = neighborhood_adjacency(config)
-    assert indptr.tolist() == expected[0].tolist()
-    assert indices.tolist() == expected[1].tolist()
-    assert indices.size > 0
+    indptr, indices = _assert_lone_torus_edge_list(config)
+    # A pair listed twice would be an edge twice, a repeated index in its row.
+    rows = np.repeat(np.arange(xs.size), np.diff(indptr))
+    assert np.unique(rows * xs.size + indices).size == indices.size
+    # Antipodal pairs, the ones that two copies of a window could both reach, are edges.
+    gap = np.abs(xs[rows] - xs[indices])
+    assert (np.minimum(gap, n - gap) == 0.5 * n).sum() > 0
+
+
+@pytest.mark.parametrize("n", [1.0, 3.0, 64.0, 1000.0])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 5.0])
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 0.9])
+def test_lone_torus_edge_list_equals_every_pair_and_the_block_query(gamma, beta, n):
+    params = ModelParams(gamma, beta, n)
+    edges = 0
+    for seed in range(8 if n < 64.0 else 1):
+        config = sample_config(params, seed)
+        # Each third point takes the mark of the point before it, its neighbour in position.
+        us = config.marks.copy()
+        us[1::3] = us[:-1:3]
+        for c in (config, PointConfig(params, config.positions, us, seed)):
+            edges += _assert_lone_torus_edge_list(c)[1].size
+    assert edges > 0
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [(0.0, 0.5)],
+        [(-1.0, 0.5), (1.0, 0.5), (0.0, 0.5), (3.0, 0.2), (4.5, 0.2)],
+        [(x, 0.5) for x in np.linspace(-5.0, 4.5, 12).tolist()],
+        [(-4.75, 0.3), (4.75, 0.3), (0.0, 0.01), (2.0, 0.01)],
+    ],
+    ids=["empty", "one point", "ties in one window", "every mark equal", "ties across the seam, capped"],
+)
+def test_lone_torus_edge_list_of_tied_empty_and_one_point_configurations(points):
+    config = config_from_points(ModelParams(0.5, 2.0, 10.0), points)
+    indptr, indices = _assert_lone_torus_edge_list(config)
+    assert indptr.size == len(points) + 1
+    marks = config.marks
+    tied = marks[np.repeat(np.arange(len(points)), np.diff(indptr))] == marks[indices]
+    # Every tied configuration has edges between equal marks, so the index comparison ran.
+    assert tied.any() == (len(points) > 1)
 
 
 def _lexsort_edges(xs, us, rows, cols, n, gamma, beta):
@@ -706,7 +759,7 @@ def _lexsort_edges(xs, us, rows, cols, n, gamma, beta):
     keep = (us[cols] > us[rows]) | ((us[cols] == us[rows]) & (cols > rows))
     rows, cols = rows[keep], cols[keep]
     if isinstance(n, np.ndarray):
-        n = n[keep]
+        n = n[rows]
     d = torus_dist(xs[rows], xs[cols], n)
     ok = d * us[rows] ** gamma * us[cols] ** (1.0 - gamma) <= beta
     rows, cols = rows[ok], cols[ok]
@@ -738,7 +791,7 @@ def test_the_one_key_sort_gives_the_lexsort_edge_list(source):
     rng = np.random.default_rng(41)
     for blocks in (b for trial in range(6) for b in _block_sets(source, trial, rng)):
         rows, cols = model._candidate_pairs(blocks)
-        n = blocks.lengths[blocks.bounds.searchsorted(rows, side="right") - 1]
+        n = np.repeat(blocks.lengths, np.diff(blocks.bounds))
         args = (blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
         indptr, indices = model._edges(*args)
         expected = _lexsort_edges(*args)
