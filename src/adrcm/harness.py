@@ -20,8 +20,8 @@ from scipy import special
 from ._parallel import ReplicateFailure, parallel_map
 from .cliques import count_cliques_upto
 from .model import (
-    ModelParams, ParameterError, PointConfig, _derive_seeds, _shared_adjacency, derive_seed,
-    neighborhood_adjacency, sample_config,
+    ModelParams, ParameterError, PointConfig, _derive_seeds, _rng, _shared_adjacency,
+    derive_seed, neighborhood_adjacency, sample_config,
 )
 from .trees import (
     BlockSums,
@@ -302,8 +302,7 @@ def bootstrap_ci(
     reduces that matrix along its last axis.
     """
     x = np.asarray(samples)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    values = stat_fn(x[rng.integers(0, x.size, size=(1000, x.size))])
+    values = stat_fn(x[_rng(seed).integers(0, x.size, size=(1000, x.size))])
     lo, hi = np.percentile(values, [2.5, 97.5])
     return float(lo), float(hi)
 

@@ -106,15 +106,14 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
     Children are independent streams for distinct paths, and the derivation is
     order-insensitive with respect to scheduling: replicate i always receives
-    the same seed no matter which worker draws it.
+    the same seed no matter which worker draws it.  It is the first uint64
+    state word of numpy's seed sequence with entropy master_seed and spawn
+    key path, computed by _derive_seeds.
     """
-    path = tuple(int(p) for p in path)
-    _check_seed_path((int(master_seed),) + path)
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=path)
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_derive_seeds(int(master_seed), path, None))
 
 
-# SeedSequence's constants (numpy/random/bit_generator.pyx), for _derive_seeds.
+# The constants of numpy's seed sequence (numpy/random/bit_generator.pyx), for _derive_seeds.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -123,7 +122,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def _words(value: int) -> list[int]:
-    """An integer as SeedSequence reads it: 32-bit words, least significant first."""
+    """An integer as numpy's seed sequence reads it: 32-bit words, least significant first."""
     words = [value & _MASK32]
     value >>= 32
     while value:
@@ -138,7 +137,7 @@ def _wrap(value):
 
 
 def _mix(entropy: list) -> np.ndarray:
-    """SeedSequence(...).generate_state(1, uint64) for each row of the entropy words.
+    """The seed sequence's first uint64 state word for each row of the entropy words.
 
     entropy holds the words of the assembled entropy in order, each a Python
     int shared by every row or a uint32 array with one value per row; every
@@ -180,11 +179,11 @@ def _derive_seeds(master, prefix, indices) -> np.ndarray:
 
     master is an int, or a uint64 array that broadcasts against indices (each
     element the master of its own seed); indices are integers below 2^64.
-    The result equals derive_seed element by element: it is SeedSequence's
-    mixing, done on whole columns of entropy words at once.
+    With an int master and indices None it is derive_seed(master, *prefix)
+    itself.  The result is the seed sequence's mixing, done on whole columns
+    of entropy words at once.
     """
     prefix = [int(p) for p in prefix]
-    indices = np.asarray(indices)
     if isinstance(master, np.ndarray):
         if master.size and master.dtype.kind == "i":
             _check_seed_path([master.min()])
@@ -194,13 +193,17 @@ def _derive_seeds(master, prefix, indices) -> np.ndarray:
     else:
         _check_seed_path([int(master)])
         run = _words(int(master))
+        # An empty spawn key is not padded, but numpy hashes a missing pool word as a zero.
         run += [0] * (_POOL_SIZE - len(run))
     _check_seed_path(prefix)
+    spawn = [word for p in prefix for word in _words(p)]
+    if indices is None:
+        return _mix(run + spawn)
+    indices = np.asarray(indices)
     if indices.size and indices.dtype.kind == "i":
         _check_seed_path([indices.min()])
     shape = indices.shape
     indices = indices.astype(np.uint64).ravel()
-    spawn = [word for p in prefix for word in _words(p)]
     low, high = indices & _MASK32, indices >> np.uint64(32)
     out = np.empty(indices.size, dtype=np.uint64)
     # An index takes one word below 2^32 and two from there on.
@@ -221,7 +224,7 @@ _ZEROS = np.zeros(4, dtype=np.uint64)
 
 
 def _rng(seed: int) -> np.random.Generator:
-    """The stream of Generator(Philox(key=seed)), on the process's one generator.
+    """The stream of a new Philox generator keyed by seed, on the process's one generator.
 
     Philox is counter-based, so per-seed streams never overlap.  Resetting the
     key, counter and buffer gives the draws a new generator would give, without
@@ -287,9 +290,6 @@ class PointConfig:
 
     def __len__(self) -> int:
         return int(self._xs.size)
-
-    def point(self, index: int) -> MarkedPoint:
-        return MarkedPoint(float(self._xs[index]), float(self._us[index]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointConfig):
@@ -447,18 +447,8 @@ def _palm_blocks(samples, hops: int) -> _Blocks:
     )
 
 
-# Below this many points every pair of a block is a candidate edge.  A Palm
-# block rarely reaches it: on the 7400 blocks of one palm_mix execution
-# (median 5 points), _block_adjacency took 21.6, 20.8, 20.6 and 19.8 ms at
-# cut-offs 16, 24, 32 and 42 (2-core x86-64, numpy 2.4).  Chunks of tori of
-# 16 and 64 points (gamma 0.3, beta 1) took the same, and of 32 points 18.9
-# ms at cut-off 24 against 33.4 ms at 42.  A lone configuration takes its
-# own window query, _torus_edges, at every size.
-_ALL_PAIRS_BELOW = 42
-
-
-def _window_pairs(blocks: _Blocks, large: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs of the blocks flagged in large, from one window query over all of them.
+def _window_pairs(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (rows, cols) within each block, from one window query over every block.
 
     Each point takes a window of its maximal up-radius beta/u on its block's
     torus.  Every block lists its positions three times (shifted by -n, 0
@@ -467,21 +457,22 @@ def _window_pairs(blocks: _Blocks, large: np.ndarray) -> tuple[np.ndarray, np.nd
     but it is monotone, so a window can only widen, by at most one spacing of
     the largest key at each end; a window within four such spacings of its
     torus could then take a point twice, so it counts as capped and takes
-    every point of its block once.
+    its block's middle copy, every point once.  So each window lists its own
+    point once and any other point at most once, as _edges asks.
     """
     bounds = blocks.bounds
-    m = (bounds[1:] - bounds[:-1])[large]
-    n = blocks.lengths[large]
-    before = np.cumsum(m) - m
-    local = np.arange(m.sum()) - np.repeat(before, m)
-    points = np.repeat(bounds[:-1][large], m) + local
-    x, u = blocks.positions[points], blocks.marks[points]
+    m = bounds[1:] - bounds[:-1]
+    n = blocks.lengths
+    x, u = blocks.positions, blocks.marks
+    points = np.arange(x.size)
     # Block b spans [4 (n_0 + ... + n_(b-1)), 4 (n_0 + ... + n_b)), its copies centred.
     shift = np.cumsum(4.0 * n) - 2.0 * n
     n_p, shift_p, m_p = np.repeat(n, m), np.repeat(shift, m), np.repeat(m, m)
-    lowest = 3 * np.repeat(before, m) + local
-    keys = np.empty(3 * points.size)
-    ids = np.empty(3 * points.size, dtype=np.int64)
+    first = np.repeat(bounds[:-1], m)
+    # Block b's copies fill 3 bounds[b] onwards; its first copy of point i sits at 2 bounds[b] + i.
+    lowest = 2 * first + points
+    keys = np.empty(3 * x.size)
+    ids = np.empty(3 * x.size, dtype=np.int64)
     for copy, ext in enumerate((x - n_p, x, x + n_p)):
         keys[lowest + copy * m_p] = ext + shift_p
         ids[lowest + copy * m_p] = points
@@ -490,45 +481,20 @@ def _window_pairs(blocks: _Blocks, large: np.ndarray) -> tuple[np.ndarray, np.nd
     hi = keys.searchsorted((x + radius) + shift_p, side="right")
     slack = 4.0 * np.spacing(4.0 * n.sum())
     capped = 2.0 * radius >= n_p - slack
-    lo = np.where(capped, lowest - local + m_p, lo)
+    lo = np.where(capped, 3 * first + m_p, lo)
     hi = np.where(capped, lo + m_p, hi)
     counts = hi - lo
     rows = np.repeat(points, counts)
     return rows, ids[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(rows.size)]
 
 
-def _candidate_pairs(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate edges (rows, cols) within each block, each ordered pair at most once.
-
-    A small block takes each pair once, its row the lower (mark, index) end
-    as in _edges; the larger ones share one vectorized window query.
-    """
-    bounds = blocks.bounds
-    sizes = bounds[1:] - bounds[:-1]
-    small = sizes < _ALL_PAIRS_BELOW
-    parts = []
-    if small.any():
-        m, ends = sizes[small], bounds[1:][small]
-        # Every point of a small block, and how many points follow it there.
-        points = np.repeat(ends - m, m) + np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-        later = np.repeat(ends, m) - points - 1
-        r = np.repeat(points, later)
-        c = r + 1 + np.arange(later.sum()) - np.repeat(np.cumsum(later) - later, later)
-        # r < c, so an equal mark leaves r the lower end.
-        flip = blocks.marks[c] < blocks.marks[r]
-        parts.append((np.where(flip, c, r), np.where(flip, r, c)))
-    if not small.all():
-        parts.append(_window_pairs(blocks, ~small))
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
-
-
 def _block_adjacency(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     """Mark-oriented adjacency of every block as one block-diagonal CSR; see _edges.
 
-    Candidate pairs lie within one block, and each pair is tested on its
-    block's torus.
+    The candidate pairs come from one window query over every block
+    (_window_pairs), and each pair is tested on its block's torus.
     """
-    rows, cols = _candidate_pairs(blocks)
+    rows, cols = _window_pairs(blocks)
     lengths = blocks.lengths
     if (lengths == lengths[0]).all():
         n = float(lengths[0])
@@ -537,7 +503,7 @@ def _block_adjacency(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     return _edges(blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
 
 
-def _edges(xs, us, rows, cols, n, gamma: float, beta: float, copies=1, self_pairs=0):
+def _edges(xs, us, rows, cols, n, gamma: float, beta: float, copies=1):
     """The candidate pairs (rows, cols) that are edges, as a mark-oriented CSR.
 
     Returns (indptr, indices): indices[indptr[i]:indptr[i + 1]] are the
@@ -547,9 +513,10 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float, copies=1, self_pair
     become point indices.  A candidate (i, c) is an edge when its column
     ranks above i in the (mark, index) order and the kernel connects them on
     the torus of length n (one for all, or one per point), so each edge is
-    found from its lower-mark end.  Each ordered pair may be a candidate at
-    most once.  self_pairs is a lower bound on the candidates (i, i): while
-    no more candidates tie in mark, the index comparison is skipped.
+    found from its lower-mark end.  Every caller lists each point as its own
+    candidate exactly once and any other ordered pair at most once, as both
+    window queries do; so the index comparison of mark ties runs only when
+    more candidates tie than there are points.
     """
     size = xs.size
     per_point = (xs, us, us ** (1.0 - gamma), np.arange(size))
@@ -557,7 +524,7 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float, copies=1, self_pair
     u_row, u_col = us[rows], col_us[cols]
     # The (mark, index) order: a higher mark, or an equal mark and a higher index.
     up, tie = u_col > u_row, u_col == u_row
-    if np.count_nonzero(tie) > self_pairs:
+    if np.count_nonzero(tie) > size:
         up |= tie & (col_ids[cols] > rows)
     keep = np.flatnonzero(up)
     rows, cols = rows[keep], cols[keep]
@@ -602,7 +569,7 @@ def _torus_edges(xs: np.ndarray, us: np.ndarray, n: float, gamma: float, beta: f
     counts = hi - lo
     rows = np.repeat(np.arange(size), counts)
     at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(rows.size)
-    return _edges(xs, us, rows, at, n, gamma, beta, copies=3, self_pairs=size)
+    return _edges(xs, us, rows, at, n, gamma, beta, copies=3)
 
 
 def _shared_adjacency(configs: list[PointConfig]) -> None:

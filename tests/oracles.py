@@ -46,6 +46,11 @@ def index_of(config: PointConfig, p: MarkedPoint) -> int:
     return int(hits[0]) if hits.size else -1
 
 
+def point_of(config: PointConfig, index: int) -> MarkedPoint:
+    """The point of config at index."""
+    return MarkedPoint(float(config.positions[index]), float(config.marks[index]))
+
+
 def add_point(config: PointConfig, p: MarkedPoint) -> tuple[PointConfig, int]:
     """config with p inserted after the points of equal position, and p's index there.
 
@@ -139,6 +144,12 @@ def palm_config(params: ModelParams, seed: int, anchors, hops: int) -> tuple[Poi
 def parse_config(text: str, override_regime: bool = False) -> cli.RunConfig:
     """The configuration document read and validated as a run validates it."""
     return cli._validate(*cli._read_config(text), override_regime)
+
+
+def seed_sequence_oracle(master_seed: int, *path: int) -> int:
+    """derive_seed's definition, from numpy's SeedSequence itself."""
+    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def torus_dist(x, y, torus_length):

@@ -31,6 +31,7 @@ from oracles import (
     joint,
     joint_cliques_oracle,
     neighbors_oracle,
+    point_of,
     random_config,
     without,
 )
@@ -183,7 +184,7 @@ def test_centered_k1_and_k2():
     cfg = random_config(params, rng, 25)
     aug, i = add_point(cfg, MarkedPoint(0.0, 0.4))
     assert centered(aug, i, 1) == [1]
-    ups, _ = neighbors_oracle(aug, aug.point(i), member_index=i)
+    ups, _ = neighbors_oracle(aug, point_of(aug, i), member_index=i)
     assert centered(aug, i, 2) == [1, len(ups)]
 
 
@@ -235,7 +236,7 @@ def test_diff1_k2_is_degree():
     degree = sum(
         1
         for j in range(len(aug))
-        if j != idx and connects(aug.point(j), p, params)
+        if j != idx and connects(point_of(aug, j), p, params)
     )
     assert diff1(aug, idx, 2) == [1, degree]
 
@@ -392,7 +393,7 @@ def test_joint_singletons_disjoint():
 def test_joint_empty_config_no_edge():
     params = ModelParams(0.5, 1.0, 40.0)
     cfg = config_from_points(params, [(0.0, 0.9), (19.0, 0.95)])
-    p, q = cfg.point(0), cfg.point(1)
+    p, q = point_of(cfg, 0), point_of(cfg, 1)
     assert not connects(p, q, params)
     assert joint(cfg, 0, 1, 2, 2) == (0, 0)
 

@@ -40,7 +40,9 @@ from oracles import (
     index_of,
     neighbors_oracle,
     palm_config,
+    point_of,
     random_config,
+    seed_sequence_oracle,
     torus_dist,
 )
 
@@ -74,12 +76,14 @@ def test_the_package_exports_its_public_names():
     assert len(public) == 29
 
 
-def _module_names_read(paths) -> tuple[set[str], dict[str, list[str]]]:
-    """The names the modules read, as a loaded name or an attribute, and each module's __all__.
+def _module_names_read(paths) -> tuple[set[str], dict[str, list[str]], set[str]]:
+    """The names the modules read, their __all__ lists, and their classes' public methods.
 
-    A definition, an import or a string in __all__ reads nothing.
+    A name is read as a loaded name or an attribute; a definition, an import
+    or a string in __all__ reads nothing.  Methods and properties are named
+    Class.method.
     """
-    read, exported = set(), {}
+    read, exported, methods = set(), {}, set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -90,17 +94,24 @@ def _module_names_read(paths) -> tuple[set[str], dict[str, list[str]]]:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 exported[path.name] = ast.literal_eval(node.value)
-    return read, exported
+            elif isinstance(node, ast.ClassDef):
+                methods |= {
+                    f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                }
+    return read, exported, methods
 
 
 def test_every_public_name_has_a_caller():
-    # ROADMAP aim 2: no public name that only tests call.  The program and
-    # its benchmark are the callers; the tests are not.
+    # ROADMAP aim 2: no public name, method or property that only tests
+    # call.  The program and its benchmark are the callers; the tests are not.
     root = Path(__file__).resolve().parents[1]
-    paths = sorted((root / "src" / "adrcm").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
-    read, exported = _module_names_read(paths)
-    assert exported
+    src = sorted((root / "src" / "adrcm").glob("*.py"))
+    read, exported, _ = _module_names_read(src + sorted((root / "perfbench").glob("*.py")))
+    _, _, methods = _module_names_read(src)
+    assert exported and methods
     unread = sorted((_package_names() | {n for names in exported.values() for n in names}) - read)
+    unread += sorted(m for m in methods if m.split(".")[1] not in read)
     assert not unread, f"public names that only tests call: {unread}"
 
 
@@ -427,7 +438,7 @@ def test_neighbor_queries_match_brute_force():
         x = rng.uniform(-n / 2, n / 2)
         u = 1.0 - rng.random()
         aug, i = add_point(cfg, MarkedPoint(x, u))
-        assert _up_down_rows(aug, i) == neighbors_oracle(aug, aug.point(i), member_index=i)
+        assert _up_down_rows(aug, i) == neighbors_oracle(aug, point_of(aug, i), member_index=i)
 
 
 def test_neighbors_of_member_point_match_brute_force():
@@ -438,7 +449,7 @@ def test_neighbors_of_member_point_match_brute_force():
         if len(cfg) == 0:
             continue
         i = int(rng.integers(len(cfg)))
-        assert _up_down_rows(cfg, i) == neighbors_oracle(cfg, cfg.point(i), member_index=i)
+        assert _up_down_rows(cfg, i) == neighbors_oracle(cfg, point_of(cfg, i), member_index=i)
 
 
 def test_up_down_partition_neighbors():
@@ -450,7 +461,7 @@ def test_up_down_partition_neighbors():
         aug, i = add_point(cfg, p)
         ups, downs = _up_down_rows(aug, i)
         assert not (set(ups) & set(downs))
-        o_ups, o_downs = neighbors_oracle(aug, aug.point(i), member_index=i)
+        o_ups, o_downs = neighbors_oracle(aug, point_of(aug, i), member_index=i)
         assert set(ups) | set(downs) == set(o_ups) | set(o_downs)
 
 
@@ -468,27 +479,46 @@ def _csr_as_lists(indptr, indices):
     return [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(indptr.size - 1)]
 
 
-def _assert_edge_list_matches_oracle(cfg):
-    indptr, indices = neighborhood_adjacency(cfg)
-    assert indptr.size == len(cfg) + 1
-    # The oracle lists ascending indices, so equality also checks the order.
-    expected = [neighbors_oracle(cfg, cfg.point(i), member_index=i)[0] for i in range(len(cfg))]
-    assert _csr_as_lists(indptr, indices) == expected
+def _assert_edge_list_matches_oracle(*configs):
+    """Each configuration's lone query, and the block query over all of them, against the oracle.
+
+    The configurations share one model; the block query is the one
+    _shared_adjacency builds for a replicate chunk.
+    """
+    shared = [PointConfig(c.params, c.positions, c.marks, 0) for c in configs]
+    model._shared_adjacency(shared)
+    for cfg, block in zip(configs, shared):
+        # The oracle lists ascending indices, so equality also checks the order.
+        expected = [
+            neighbors_oracle(cfg, point_of(cfg, i), member_index=i)[0] for i in range(len(cfg))
+        ]
+        lone = neighborhood_adjacency(PointConfig(cfg.params, cfg.positions, cfg.marks, 0))
+        for indptr, indices in (lone, neighborhood_adjacency(block)):
+            assert indptr.size == len(cfg) + 1
+            assert _csr_as_lists(indptr, indices) == expected
+
+
+def _with_neighbour_ties(cfg):
+    """cfg with each third point taking the mark of the point before it, its neighbour in position."""
+    us = cfg.marks.copy()
+    us[1::3] = us[:-1:3]
+    return PointConfig(cfg.params, cfg.positions, us, cfg.seed)
 
 
 def test_edge_list_rows_match_brute_force():
     rng = np.random.default_rng(31)
-    sizes = []
+    capped = uncapped = 0
     for _ in range(150):
         # n down to 1 caps every window (2 beta / u >= n); larger n caps the
         # windows of small marks only.
         params = ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0))
-        cfg = random_config(params, rng, 2 * model._ALL_PAIRS_BELOW)
-        _assert_edge_list_matches_oracle(cfg)
-        sizes.append(len(cfg))
-    # Both candidate generators, every pair and the windows, were checked.
-    below = sum(size < model._ALL_PAIRS_BELOW for size in sizes)
-    assert 30 <= below <= 120
+        cfg = random_config(params, rng, 84)
+        _assert_edge_list_matches_oracle(cfg, _with_neighbour_ties(cfg))
+        windows = 2.0 * params.beta / cfg.marks >= params.torus_length
+        capped += int(windows.sum())
+        uncapped += int((~windows).sum())
+    # Both kinds of window were checked, each many times.
+    assert capped > 500 and uncapped > 500
 
 
 def test_edge_list_capped_windows_tied_marks_and_tiny_configs():
@@ -501,29 +531,23 @@ def test_edge_list_capped_windows_tied_marks_and_tiny_configs():
     assert _csr_as_lists(*neighborhood_adjacency(tied))[0] == [1, 2]
     for points in ([], [(0.0, 0.5)]):
         cfg = config_from_points(params, points)
+        _assert_edge_list_matches_oracle(cfg, cfg)
         indptr, indices = neighborhood_adjacency(cfg)
         assert indptr.tolist() == [0] * (len(points) + 1)
         assert indices.size == 0
 
 
-def test_local_edge_list_matches_brute_force(monkeypatch):
-    # Every configuration goes through both candidate generators: every pair
-    # (the former local edge list) and the windows.
+def test_local_edge_list_matches_brute_force():
+    # Each model's configurations go through the lone query one by one and
+    # through the block query together.
     rng = np.random.default_rng(32)
-    configs = [
-        random_config(
-            ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0)),
-            rng,
-            60,
-        )
-        for _ in range(100)
-    ]
+    for _ in range(20):
+        params = ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0))
+        configs = [random_config(params, rng, 60) for _ in range(5)]
+        _assert_edge_list_matches_oracle(*configs, *(_with_neighbour_ties(c) for c in configs))
     tied = config_from_points(ModelParams(0.5, 2.0, 10.0), [(-1.0, 0.5), (0.0, 0.5), (1.0, 0.5)])
-    for cut in (0, 10**9):
-        monkeypatch.setattr(model, "_ALL_PAIRS_BELOW", cut)
-        for cfg in configs:
-            _assert_edge_list_matches_oracle(cfg)
-        assert _csr_as_lists(*neighborhood_adjacency(tied)) == [[1, 2], [2], []]
+    _assert_edge_list_matches_oracle(tied, tied)
+    assert _csr_as_lists(*neighborhood_adjacency(tied)) == [[1, 2], [2], []]
 
 
 def _blocks_of(rng, sizes, lengths, tie_every=0):
@@ -560,26 +584,6 @@ def _every_ordered_pair_adjacency(blocks):
     return model._edges(blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
 
 
-@pytest.mark.parametrize("tie_every", [0, 1, 3])
-@pytest.mark.parametrize("one_length", [True, False])
-def test_small_blocks_list_each_pair_once_with_the_same_edge_list(tie_every, one_length):
-    rng = np.random.default_rng(90 + tie_every)
-    last = model._ALL_PAIRS_BELOW - 1
-    sizes = [0, 1, 2, last, 0, last] + rng.integers(0, model._ALL_PAIRS_BELOW, 40).tolist()
-    lengths = [6.0] * len(sizes) if one_length else rng.uniform(2.0, 40.0, len(sizes)).tolist()
-    blocks = _blocks_of(rng, sizes, lengths, tie_every)
-    rows, cols = model._candidate_pairs(blocks)
-    assert rows.size == sum(m * (m - 1) // 2 for m in sizes)
-    # Each row is the lower (mark, index) end of its pair.
-    marks = blocks.marks
-    assert ((marks[rows] < marks[cols]) | ((marks[rows] == marks[cols]) & (rows < cols))).all()
-    indptr, indices = model._block_adjacency(blocks)
-    expected = _every_ordered_pair_adjacency(blocks)
-    assert indptr.tolist() == expected[0].tolist()
-    assert indices.tolist() == expected[1].tolist()
-    assert indices.size > 100
-
-
 def _sampled_and_hand_built(case):
     """Configurations of one model: sampled tori, or hand-built ones of chosen sizes."""
     rng = np.random.default_rng(sum(map(ord, case)))
@@ -590,8 +594,7 @@ def _sampled_and_hand_built(case):
         params = ModelParams(0.3, 1.0, 3.0)
         return [sample_config(params, seed) for seed in range(40)]
     params = ModelParams(0.3, 1.0, 30.0)
-    last = model._ALL_PAIRS_BELOW
-    blocks = _blocks_of(rng, [0, last - 1, last, last + 1, 1, 0, 90], [30.0] * 7, tie_every=5)
+    blocks = _blocks_of(rng, [0, 41, 42, 43, 1, 0, 90], [30.0] * 7, tie_every=5)
     bounds = blocks.bounds.tolist()
     return [
         PointConfig(params, blocks.positions[lo:hi], blocks.marks[lo:hi], 0)
@@ -599,7 +602,7 @@ def _sampled_and_hand_built(case):
     ]
 
 
-@pytest.mark.parametrize("case", ["sampled tori", "tiny tori", "empty, cut-off and tied"])
+@pytest.mark.parametrize("case", ["sampled tori", "tiny tori", "empty, 41-43 points and tied"])
 def test_shared_edge_lists_equal_each_configurations_own(case):
     configs = _sampled_and_hand_built(case)
     model._shared_adjacency(configs)
@@ -624,7 +627,7 @@ def test_a_configuration_keeps_its_edge_list():
 
 def test_an_empty_block_set_has_no_candidate_pairs():
     blocks = _blocks_of(np.random.default_rng(0), [0, 0], [4.0, 4.0])
-    rows, cols = model._candidate_pairs(blocks)
+    rows, cols = model._window_pairs(blocks)
     assert rows.size == cols.size == 0
     assert model._block_adjacency(blocks)[0].tolist() == [0]
 
@@ -640,47 +643,67 @@ def _antipodal_block(n, beta, rng):
     return xs, rng.permutation(np.minimum(us, 1.0))
 
 
-def _window_case(name):
+def _window_cases(name):
+    """The block sets of one window-query case."""
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "tiny tori":
         sizes = [42, 50, 60, 45, 80]
-        return _blocks_of(rng, sizes, rng.uniform(1.0, 8.0, len(sizes)).tolist())
-    if name == "empty and cut-off sizes":
-        last = model._ALL_PAIRS_BELOW
-        sizes = [0, last - 1, last, last + 1, 0, last, 1, last + 1, 0]
-        return _blocks_of(rng, sizes, [30.0] * len(sizes), tie_every=4)
+        return [_blocks_of(rng, sizes, rng.uniform(1.0, 8.0, len(sizes)).tolist())]
+    if name == "empty and 41-43 points":
+        sizes = [0, 41, 42, 43, 0, 42, 1, 43, 0]
+        return [_blocks_of(rng, sizes, [30.0] * len(sizes), tie_every=4)]
+    if name == "blocks of 0-41 points":
+        # Ties every mark or every third, on one torus length or many.
+        sets = []
+        for tie_every in (1, 3):
+            for one_length in (True, False):
+                sizes = [0, 1, 2, 41, 0, 41] + rng.integers(0, 42, 40).tolist()
+                lengths = [6.0] * len(sizes) if one_length else rng.uniform(2.0, 40.0, len(sizes))
+                sets.append(_blocks_of(rng, sizes, list(lengths), tie_every))
+        return sets
     if name == "mixed lengths":
         sizes = rng.integers(0, 150, 30).tolist() + [60]
-        return _blocks_of(rng, sizes, rng.uniform(1.0, 300.0, 30).tolist() + [1e5])
+        return [_blocks_of(rng, sizes, rng.uniform(1.0, 300.0, 30).tolist() + [1e5])]
     # Windows within rounding of their torus, after a block 1e4 times longer,
     # whose length makes the offset keys of the short block round coarsely.
     blocks = _blocks_of(rng, [50, 64], [25000.0, 2.5])
     xs, us = _antipodal_block(2.5, blocks.beta, rng)
-    return blocks._replace(
+    return [blocks._replace(
         positions=np.concatenate([blocks.positions[:50], xs]),
         marks=np.concatenate([blocks.marks[:50], us]),
-    )
+    )]
+
+
+def _assert_self_once(rows, points, size):
+    """Each of size points is its own candidate exactly once."""
+    own = rows[rows == points]
+    assert np.bincount(own, minlength=size).tolist() == [1] * size
 
 
 @pytest.mark.parametrize(
-    "case", ["tiny tori", "empty and cut-off sizes", "mixed lengths", "windows near the cap"]
+    "case",
+    ["tiny tori", "empty and 41-43 points", "blocks of 0-41 points", "mixed lengths",
+     "windows near the cap"],
 )
 def test_one_window_query_gives_every_block_its_own_edge_list(case):
-    blocks = _window_case(case)
-    rows, cols = model._candidate_pairs(blocks)
-    size = blocks.positions.size
-    assert np.unique(rows * size + cols).size == rows.size
-    indptr, indices = model._block_adjacency(blocks)
-    expected = _every_ordered_pair_adjacency(blocks)
-    assert indptr.tolist() == expected[0].tolist()
-    assert indices.tolist() == expected[1].tolist()
-    # Block by block, the same rows as each block's own configuration.
-    for b, (lo, hi) in enumerate(zip(blocks.bounds[:-1].tolist(), blocks.bounds[1:].tolist())):
-        params = ModelParams(blocks.gamma, blocks.beta, float(blocks.lengths[b]))
-        config = PointConfig(params, blocks.positions[lo:hi], blocks.marks[lo:hi], 0)
-        own = [[j + lo for j in row] for row in _csr_as_lists(*neighborhood_adjacency(config))]
-        assert _csr_as_lists(indptr, indices)[lo:hi] == own
-    assert indices.size > 100
+    for blocks in _window_cases(case):
+        rows, cols = model._window_pairs(blocks)
+        size = blocks.positions.size
+        assert np.unique(rows * size + cols).size == rows.size
+        # The invariant that lets _edges skip the index comparison of self-pairs.
+        _assert_self_once(rows, cols, size)
+        indptr, indices = model._block_adjacency(blocks)
+        expected = _every_ordered_pair_adjacency(blocks)
+        assert indptr.tolist() == expected[0].tolist()
+        assert indices.tolist() == expected[1].tolist()
+        # Block by block, the same rows as each block's own configuration.
+        bounds, lists = blocks.bounds.tolist(), _csr_as_lists(indptr, indices)
+        for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            params = ModelParams(blocks.gamma, blocks.beta, float(blocks.lengths[b]))
+            config = PointConfig(params, blocks.positions[lo:hi], blocks.marks[lo:hi], 0)
+            own = [[j + lo for j in row] for row in _csr_as_lists(*neighborhood_adjacency(config))]
+            assert lists[lo:hi] == own
+        assert indices.size > 100
 
 
 def _one_block(config):
@@ -692,10 +715,33 @@ def _one_block(config):
     )
 
 
+def _lone_query_candidates(config):
+    """The candidates (rows, points) that _torus_edges hands to _edges, and the edge list it returns."""
+    edges, seen = model._edges, []
+
+    def record(xs, us, rows, cols, *args, **kwargs):
+        # Column c names point c % size of the tripled lists.
+        seen.append((rows, cols % max(xs.size, 1)))
+        return edges(xs, us, rows, cols, *args, **kwargs)
+
+    p = config.params
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_edges", record)
+        graph = model._torus_edges(config.positions, config.marks, p.torus_length, p.gamma, p.beta)
+    return seen[0], graph
+
+
 def _assert_lone_torus_edge_list(config):
-    """A configuration's own edge list equals every ordered pair's and the block query's."""
+    """A configuration's own edge list equals every ordered pair's and the block query's.
+
+    Its window query lists each point as its own candidate exactly once.
+    """
     indptr, indices = neighborhood_adjacency(config)
+    (rows, points), graph = _lone_query_candidates(config)
+    _assert_self_once(rows, points, len(config))
+    assert np.unique(rows * max(len(config), 1) + points).size == rows.size
     block = _one_block(config)
+    assert graph[0].tolist() == indptr.tolist() and graph[1].tolist() == indices.tolist()
     for expected in (_every_ordered_pair_adjacency(block), model._block_adjacency(block)):
         assert indptr.tolist() == expected[0].tolist()
         assert indices.tolist() == expected[1].tolist()
@@ -725,10 +771,7 @@ def test_lone_torus_edge_list_equals_every_pair_and_the_block_query(gamma, beta,
     edges = 0
     for seed in range(8 if n < 64.0 else 1):
         config = sample_config(params, seed)
-        # Each third point takes the mark of the point before it, its neighbour in position.
-        us = config.marks.copy()
-        us[1::3] = us[:-1:3]
-        for c in (config, PointConfig(params, config.positions, us, seed)):
+        for c in (config, _with_neighbour_ties(config)):
             edges += _assert_lone_torus_edge_list(c)[1].size
     assert edges > 0
 
@@ -778,6 +821,10 @@ def _block_sets(source, trial, rng):
             bounds, np.full(2, params.torus_length), np.zeros((2, 0), dtype=np.int64),
             params.gamma, params.beta,
         )]
+    if source == "every mark tied":
+        # Every candidate ties, so the index comparison decides each orientation.
+        blocks = _blocks_of(rng, rng.integers(0, 60, 8).tolist(), rng.uniform(1.0, 40.0, 8).tolist())
+        return [blocks._replace(marks=np.full(blocks.marks.size, 0.5))]
     # A wedge-root chunk at one anchor, and a joint sigma chunk on tori of many lengths.
     params = ModelParams(0.3, 1.0, 256.0)
     return [
@@ -786,11 +833,11 @@ def _block_sets(source, trial, rng):
     ]
 
 
-@pytest.mark.parametrize("source", ["tori", "palm chunks"])
+@pytest.mark.parametrize("source", ["tori", "every mark tied", "palm chunks"])
 def test_the_one_key_sort_gives_the_lexsort_edge_list(source):
     rng = np.random.default_rng(41)
     for blocks in (b for trial in range(6) for b in _block_sets(source, trial, rng)):
-        rows, cols = model._candidate_pairs(blocks)
+        rows, cols = model._window_pairs(blocks)
         n = np.repeat(blocks.lengths, np.diff(blocks.bounds))
         args = (blocks.positions, blocks.marks, rows, cols, n, blocks.gamma, blocks.beta)
         indptr, indices = model._edges(*args)
@@ -907,7 +954,11 @@ def test_derive_seeds_equal_derive_seed_element_by_element(master, prefix, indic
     # Also a guard: a numpy that changed SeedSequence would fail here.
     seeds = _derive_seeds(master, prefix, np.array(indices, dtype=np.uint64))
     assert seeds.dtype == np.uint64
-    assert seeds.tolist() == [derive_seed(master, *prefix, i) for i in indices]
+    expected = [seed_sequence_oracle(master, *prefix, i) for i in indices]
+    assert seeds.tolist() == expected
+    assert [derive_seed(master, *prefix, i) for i in indices] == expected
+    # The empty path and the bare prefix, which no index ends.
+    assert derive_seed(master, *prefix) == seed_sequence_oracle(master, *prefix)
 
 
 @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**63 + 1, 2**64 + 5, 2**128 + 7])
@@ -915,18 +966,21 @@ def test_derive_seeds_equal_derive_seed_element_by_element(master, prefix, indic
 def test_derive_seeds_named_shapes(master, prefix):
     indices = [0, 1, 2**32 - 1, 2**32, 2**40, 2**64 - 1]
     seeds = _derive_seeds(master, prefix, np.array(indices, dtype=np.uint64))
-    assert seeds.tolist() == [derive_seed(master, *prefix, i) for i in indices]
+    assert seeds.tolist() == [seed_sequence_oracle(master, *prefix, i) for i in indices]
     # A range of int64 indices, as the Palm runs pass them.
     assert _derive_seeds(master, prefix, np.arange(300)).tolist() == [
-        derive_seed(master, *prefix, i) for i in range(300)
+        seed_sequence_oracle(master, *prefix, i) for i in range(300)
     ]
+    assert derive_seed(master, *prefix) == seed_sequence_oracle(master, *prefix)
 
 
 def test_derive_seeds_take_a_uint64_master_array():
     masters = np.array([0, 1, 2**32 - 1, 2**32, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
-    assert _derive_seeds(masters, (), 1).tolist() == [derive_seed(m, 1) for m in masters.tolist()]
+    assert _derive_seeds(masters, (), 1).tolist() == [
+        seed_sequence_oracle(m, 1) for m in masters.tolist()
+    ]
     assert _derive_seeds(masters, (7, 2**40), np.arange(6)).tolist() == [
-        derive_seed(m, 7, 2**40, i) for i, m in enumerate(masters.tolist())
+        seed_sequence_oracle(m, 7, 2**40, i) for i, m in enumerate(masters.tolist())
     ]
     assert _derive_seeds(masters[:0], (), 1).shape == (0,)
 
@@ -962,7 +1016,7 @@ def test_add_point_monotone_up_neighbors():
             grown, _ = add_point(cfg, extra)
         except ParameterError:
             continue
-        after = len(_up_down_rows(grown, index_of(grown, cfg.point(probe)))[0])
+        after = len(_up_down_rows(grown, index_of(grown, point_of(cfg, probe)))[0])
         assert before <= after <= before + 1
 
 
@@ -976,7 +1030,7 @@ def test_add_point_down_neighbors_match_oracle():
             grown, idx = add_point(cfg, extra)
         except ParameterError:
             continue
-        _, downs = neighbors_oracle(grown, grown.point(idx), member_index=idx)
+        _, downs = neighbors_oracle(grown, point_of(grown, idx), member_index=idx)
         assert _up_down_rows(grown, idx)[1] == downs
 
 

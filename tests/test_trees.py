@@ -31,6 +31,7 @@ from oracles import (
     d_in_oracle,
     lag_covariance_oracle,
     neighbors_oracle,
+    point_of,
     random_config,
     tree_edge,
     tree_path,
@@ -203,7 +204,7 @@ def test_d_in_member_root_matches_oracle():
         if len(cfg) == 0:
             continue
         i = int(rng.integers(len(cfg)))
-        p = cfg.point(i)
+        p = point_of(cfg, i)
         for spec in (tree_wedge(), tree_path(3), MIXED_SPEC):
             assert d_in(cfg, i, spec) == d_in_oracle(
                 cfg, (p.x, p.u), spec, member_index=i
@@ -294,7 +295,7 @@ def test_wedge_counts_two_orderings_per_geometric_wedge():
     cfg = config_from_points(params, pts)
     geometric = 0
     for i in range(len(cfg)):
-        ups = len(neighbors_oracle(cfg, cfg.point(i), member_index=i)[0])
+        ups = len(neighbors_oracle(cfg, point_of(cfg, i), member_index=i)[0])
         geometric += ups * (ups - 1) // 2
     assert geometric == 7
     assert count_trees(cfg, tree_wedge()) == 14
