@@ -652,15 +652,6 @@ def _window_cases(name):
     if name == "empty and 41-43 points":
         sizes = [0, 41, 42, 43, 0, 42, 1, 43, 0]
         return [_blocks_of(rng, sizes, [30.0] * len(sizes), tie_every=4)]
-    if name == "blocks of 0-41 points":
-        # Ties every mark or every third, on one torus length or many.
-        sets = []
-        for tie_every in (1, 3):
-            for one_length in (True, False):
-                sizes = [0, 1, 2, 41, 0, 41] + rng.integers(0, 42, 40).tolist()
-                lengths = [6.0] * len(sizes) if one_length else rng.uniform(2.0, 40.0, len(sizes))
-                sets.append(_blocks_of(rng, sizes, list(lengths), tie_every))
-        return sets
     if name == "mixed lengths":
         sizes = rng.integers(0, 150, 30).tolist() + [60]
         return [_blocks_of(rng, sizes, rng.uniform(1.0, 300.0, 30).tolist() + [1e5])]
@@ -682,8 +673,7 @@ def _assert_self_once(rows, points, size):
 
 @pytest.mark.parametrize(
     "case",
-    ["tiny tori", "empty and 41-43 points", "blocks of 0-41 points", "mixed lengths",
-     "windows near the cap"],
+    ["tiny tori", "empty and 41-43 points", "mixed lengths", "windows near the cap"],
 )
 def test_one_window_query_gives_every_block_its_own_edge_list(case):
     for blocks in _window_cases(case):
@@ -704,6 +694,24 @@ def test_one_window_query_gives_every_block_its_own_edge_list(case):
             own = [[j + lo for j in row] for row in _csr_as_lists(*neighborhood_adjacency(config))]
             assert lists[lo:hi] == own
         assert indices.size > 100
+
+
+@pytest.mark.parametrize("tie_every", [0, 1, 3])
+@pytest.mark.parametrize("one_length", [True, False])
+def test_small_blocks_list_each_pair_once_with_the_same_edge_list(tie_every, one_length):
+    rng = np.random.default_rng(90 + tie_every)
+    sizes = [0, 1, 2, 41, 0, 41] + rng.integers(0, 42, 40).tolist()
+    lengths = [6.0] * len(sizes) if one_length else rng.uniform(2.0, 40.0, len(sizes)).tolist()
+    blocks = _blocks_of(rng, sizes, lengths, tie_every)
+    rows, cols = model._window_pairs(blocks)
+    size = blocks.positions.size
+    assert np.unique(rows * size + cols).size == rows.size
+    _assert_self_once(rows, cols, size)
+    indptr, indices = model._block_adjacency(blocks)
+    expected = _every_ordered_pair_adjacency(blocks)
+    assert indptr.tolist() == expected[0].tolist()
+    assert indices.tolist() == expected[1].tolist()
+    assert indices.size > 100
 
 
 def _one_block(config):
