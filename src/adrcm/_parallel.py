@@ -27,6 +27,8 @@ class ReplicateFailure(RuntimeError):
 def _call(fn: Callable[[T], R], item: T) -> R:
     try:
         return fn(item)
+    except ReplicateFailure:
+        raise  # it names its own seed already
     except Exception as exc:  # noqa: BLE001 - reported with the failing seed
         raise ReplicateFailure(item[-1], repr(exc)) from exc
 
@@ -37,7 +39,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> 
     Results come back indexed by input order, so any thread count yields the
     same list; each item is a tuple that carries its own seed last for that to
     hold.  A task that raises is reported as a ReplicateFailure naming the
-    seed.
+    seed, unless it raised a ReplicateFailure of its own.
     """
     call = partial(_call, fn)
     if threads <= 1 or len(items) <= 1:

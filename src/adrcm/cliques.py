@@ -27,6 +27,7 @@ from .model import (
     PointConfig,
     _csr_rows,
     _RowSpans,
+    _spans,
     _transpose,
     neighborhood_adjacency,
 )
@@ -140,12 +141,9 @@ def _joint(graph: tuple[np.ndarray, np.ndarray], pairs: np.ndarray, k: int, l: i
     vertex_i, vertex_j = np.concatenate(cliques_i), np.concatenate(cliques_j)
     by_vertex = np.argsort(vertex_j, kind="stable")
     vertex_j = vertex_j[by_vertex]
-    lo = vertex_j.searchsorted(vertex_i, side="left")
-    hi = vertex_j.searchsorted(vertex_i, side="right")
-    hits = hi - lo
-    first = np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
-    a = np.repeat(np.arange(vertex_i.size) % size_i, hits)
-    b = by_vertex[first] % size_j
+    lo, hi = (vertex_j.searchsorted(vertex_i, side=side) for side in ("left", "right"))
+    entry, first = _spans(lo, hi)
+    a, b = entry % size_i, by_vertex[first] % size_j
     a, b = np.divmod(np.unique(a * size_j + b), size_j)
     out[:, 0] = np.bincount(owner[a], minlength=len(pairs))
     # A union is its sorted vertex row, with a repeated vertex masked as -1.

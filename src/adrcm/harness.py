@@ -151,27 +151,24 @@ class _Chunk:
     def take(self, i: int) -> tuple[PointConfig, float]:
         """The configuration of the chunk's replicate i, sample_config(params, seeds[i]).
 
-        Also returns the replicate's part of the sampling time: the time the
-        chunk took to sample and build edge lists together, spread evenly
-        over its replicates.
+        Also returns the replicate's part of the sampling time: the time the chunk
+        took to sample and build edge lists together, spread evenly over its
+        replicates.  A failed draw raises a ReplicateFailure naming its torus's seed.
         """
         if self._configs is None:
             start = time.perf_counter()
-            try:
-                configs = [sample_config(self.params, seed) for seed in self.seeds]
-            except Exception:  # noqa: BLE001 - raised again below, by the replicate whose torus fails
-                configs = [None] * len(self.seeds)
-            else:
-                if len(configs) > 1:
-                    _shared_adjacency(configs)
+            configs = []
+            for seed in self.seeds:
+                try:
+                    configs.append(sample_config(self.params, seed))
+                except Exception as exc:  # noqa: BLE001 - reported with the failing torus's seed
+                    raise ReplicateFailure(seed, repr(exc)) from exc
+            if len(configs) > 1:
+                _shared_adjacency(configs)
             self._configs = configs
             self._share = (time.perf_counter() - start) / len(self.seeds)
         config, self._configs[i] = self._configs[i], None
-        if config is not None:
-            return config, self._share
-        start = time.perf_counter()
-        config = sample_config(self.params, self.seeds[i])
-        return config, self._share + time.perf_counter() - start
+        return config, self._share
 
 
 def _replicate(task: tuple[Callable[[PointConfig], object], _Chunk, int, int]) -> ReplicateResult:
@@ -330,15 +327,15 @@ def variance_scaling(
 ) -> ScalingResult:
     """Per-size sample variance divided by n, with percentile bootstrap CIs.
 
-    Rows run over n_list, then over the statistic's labels, or over those in
-    labels alone: a caller that reports some labels pays no bootstrap for
-    the others.  Length index i replicates under the master seed
-    derive_seed(master_seed, 1, i), and the CI of its label j (the label's
-    index among the statistic's) uses the seed derive_seed(master_seed, 2,
-    i, j); with fewer than MIN_TEST_SAMPLES replicates a row has no CI.
+    Rows run over n_list, whose lengths must differ, then over the statistic's
+    labels, or over those in labels alone: a caller that reports some labels
+    pays no bootstrap for the others.  Length index i replicates under the
+    master seed derive_seed(master_seed, 1, i), and the CI of its label j (the
+    label's index among the statistic's) uses the seed derive_seed(master_seed,
+    2, i, j); with fewer than MIN_TEST_SAMPLES replicates a row has no CI.
     """
-    if not plan.n_list:
-        raise ParameterError("variance scaling needs at least one torus length")
+    if not plan.n_list or len(set(plan.n_list)) < len(plan.n_list):
+        raise ParameterError(f"variance scaling needs torus lengths, none repeated: {plan.n_list}")
     runs = [
         (ModelParams(plan.params.gamma, plan.params.beta, n), derive_seed(plan.master_seed, 1, i))
         for i, n in enumerate(plan.n_list)

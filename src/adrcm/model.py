@@ -82,7 +82,8 @@ def wrap_position(x: float, torus_length: float) -> float:
     half = 0.5 * torus_length
     if -half <= x < half:
         return float(x)
-    return (x + half) % torus_length - half
+    wrapped = (x + half) % torus_length - half
+    return -half if wrapped == half else wrapped  # the remainder may round up to n: n/2 is -n/2
 
 
 def _torus_gap(diff, n):
@@ -483,9 +484,8 @@ def _window_pairs(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     capped = 2.0 * radius >= n_p - slack
     lo = np.where(capped, 3 * first + m_p, lo)
     hi = np.where(capped, lo + m_p, hi)
-    counts = hi - lo
-    rows = np.repeat(points, counts)
-    return rows, ids[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(rows.size)]
+    rows, at = _spans(lo, hi)
+    return rows, ids[at]
 
 
 def _block_adjacency(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -504,19 +504,18 @@ def _block_adjacency(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _edges(xs, us, rows, cols, n, gamma: float, beta: float, copies=1):
-    """The candidate pairs (rows, cols) that are edges, as a mark-oriented CSR.
+    """The candidate pairs (rows, cols) that are edges, as a mark-oriented CSR (see _csr).
 
-    Returns (indptr, indices): indices[indptr[i]:indptr[i + 1]] are the
-    neighbours of point i with higher mark, sorted ascending.  Column c
-    names point c % size in the points listed copies times over, so a window
-    query's candidates read their columns from lists as long and only edges
-    become point indices.  A candidate (i, c) is an edge when its column
-    ranks above i in the (mark, index) order and the kernel connects them on
-    the torus of length n (one for all, or one per point), so each edge is
-    found from its lower-mark end.  Every caller lists each point as its own
-    candidate exactly once and any other ordered pair at most once, as both
-    window queries do; so the index comparison of mark ties runs only when
-    more candidates tie than there are points.
+    Row i lists the neighbours of point i with higher mark.  Column c names
+    point c % size in the points listed copies times over, so a window query's
+    candidates read their columns from lists as long and only edges become
+    point indices.  A candidate (i, c) is an edge when its column ranks above i
+    in the (mark, index) order and the kernel connects them on the torus of
+    length n (one for all, or one per point), so each edge is found from its
+    lower-mark end.  Every caller lists each point as its own candidate exactly
+    once and any other ordered pair at most once, as both window queries do;
+    so the index comparison of mark ties runs only when more candidates tie
+    than there are points.
     """
     size = xs.size
     per_point = (xs, us, us ** (1.0 - gamma), np.arange(size))
@@ -533,16 +532,31 @@ def _edges(xs, us, rows, cols, n, gamma: float, beta: float, copies=1):
     # theory._adjacent repeats this test, operation for operation, for the
     # exact second differences; the two stay apart (see there).
     ok = np.flatnonzero(d * (us**gamma)[rows] * col_pow[cols] <= beta)
-    rows = rows[ok]
-    # One int64 key per edge sorts the rows, and the columns within each row.
-    key = rows * size + col_ids[cols[ok]]
+    return _csr(rows[ok], col_ids[cols[ok]], size)
+
+
+def _csr(rows, cols, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (rows, cols) of indices below size as a CSR: (indptr, indices).
+
+    indices[indptr[i]:indptr[i + 1]] are the columns of row i, sorted
+    ascending.  Every CSR of the package is built here.
+    """
+    # One int64 key per pair sorts the rows, and the columns within each row.
+    key = np.multiply(rows, size, dtype=np.int64) + cols
     key.sort()
     degree = np.bincount(rows, minlength=size)
     indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    # The sorted keys' rows are each point's index, repeated by its degree.
-    key -= np.repeat(np.arange(size) * size, degree)
+    degree.cumsum(out=indptr[1:])
+    # The sorted keys' rows are each row's index, repeated by its degree.
+    key -= (np.arange(size) * size).repeat(degree)
     return indptr, key
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the ranges [lo[i], hi[i]), range by range: (range i, index) arrays."""
+    counts = hi - lo
+    owner = np.arange(counts.size).repeat(counts)  # methods skip numpy's ~1 us function wrappers
+    return owner, (lo - counts.cumsum() + counts).repeat(counts) + np.arange(owner.size)
 
 
 def _torus_edges(xs: np.ndarray, us: np.ndarray, n: float, gamma: float, beta: float):
@@ -566,9 +580,7 @@ def _torus_edges(xs: np.ndarray, us: np.ndarray, n: float, gamma: float, beta: f
     if capped.any():
         lo = np.where(capped, size, lo)
         hi = np.where(capped, 2 * size, hi)
-    counts = hi - lo
-    rows = np.repeat(np.arange(size), counts)
-    at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(rows.size)
+    rows, at = _spans(lo, hi)
     return _edges(xs, us, rows, at, n, gamma, beta, copies=3)
 
 
@@ -594,10 +606,14 @@ def _shared_adjacency(configs: list[PointConfig]) -> None:
     )
     indptr, indices = _block_adjacency(blocks)
     for config, lo, hi in zip(configs, bounds[:-1].tolist(), bounds[1:].tolist()):
-        graph = (indptr[lo : hi + 1] - indptr[lo], indices[indptr[lo] : indptr[hi]] - lo)
-        for array in graph:
-            array.setflags(write=False)
-        config._graph = graph
+        _keep(config, (indptr[lo : hi + 1] - indptr[lo], indices[indptr[lo] : indptr[hi]] - lo))
+
+
+def _keep(config: PointConfig, graph: tuple[np.ndarray, np.ndarray]) -> None:
+    """Keep the edge list graph on its configuration, read-only, for every later reader."""
+    for array in graph:
+        array.setflags(write=False)
+    config._graph = graph
 
 
 def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -611,37 +627,23 @@ def neighborhood_adjacency(config: PointConfig) -> tuple[np.ndarray, np.ndarray]
     """
     if config._graph is None:
         p = config.params
-        graph = _torus_edges(config.positions, config.marks, p.torus_length, p.gamma, p.beta)
-        for array in graph:
-            array.setflags(write=False)
-        config._graph = graph
+        _keep(config, _torus_edges(config.positions, config.marks, p.torus_length, p.gamma, p.beta))
     return config._graph
 
 
 def _transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The transposed CSR: entry j of row i becomes entry i of row j.
 
-    Applied to the up edge list it gives the down rows, the lower-mark
-    neighbours of each point, sorted ascending (a stable sort keeps the
-    row order).
+    Of the up edge list, it gives each point's lower-mark neighbours, sorted ascending.
     """
     size = indptr.size - 1
-    order = np.argsort(indices, kind="stable")
-    down_idx = np.repeat(np.arange(size), np.diff(indptr))[order]
-    down_ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(indices, minlength=size), out=down_ptr[1:])
-    return down_ptr, down_idx
+    return _csr(indices, np.arange(size).repeat(np.diff(indptr)), size)
 
 
-def _csr_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _csr_rows(indptr, indices, rows) -> tuple[np.ndarray, np.ndarray]:
     """Every entry of the listed CSR rows: (position in rows, entry) arrays."""
-    start = indptr[rows]
-    deg = indptr[rows + 1] - start
-    owner = np.arange(rows.size).repeat(deg)
-    first = (start - deg.cumsum() + deg).repeat(deg)
-    return owner, indices[first + np.arange(owner.size)]
+    owner, at = _spans(indptr[rows], indptr[rows + 1])
+    return owner, indices[at]
 
 
 class _RowSpans:

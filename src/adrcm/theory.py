@@ -653,7 +653,7 @@ def gamma_diagnostics(
     g_u, g_v = 8, 6
     u_grid = (np.arange(g_u) + 0.5) / g_u
     v_grid = (np.arange(g_v) + 0.5) / g_v
-    y_grid = [0.0, 0.5]
+    y_grid = [0.0, min(0.5, 0.5 * n)]  # y spans half the torus: less than 0.5 when n < 1
     while y_grid[-1] < 0.5 * n:
         y_grid.append(min(y_grid[-1] * 2.0, 0.5 * n))
     y_grid_arr = np.asarray(y_grid)

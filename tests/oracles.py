@@ -232,6 +232,19 @@ def csr_contains_oracle(indptr, indices, rows, values) -> np.ndarray:
     return keys[keys.searchsorted(query, side="right") - 1] == query
 
 
+def transpose_oracle(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The transposed CSR by a stable argsort of the entries, which keeps each new row ascending.
+
+    This is the reference for model._transpose.
+    """
+    size = indptr.size - 1
+    order = np.argsort(indices, kind="stable")
+    down_idx = np.repeat(np.arange(size), np.diff(indptr))[order]
+    down_ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=size), out=down_ptr[1:])
+    return down_ptr, down_idx
+
+
 def cliques_oracle(config: PointConfig, k: int) -> tuple[int, dict[int, int]]:
     """All k-subsets, pairwise-connection check; centers keyed by lowest mark."""
     n = len(config)

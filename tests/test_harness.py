@@ -458,6 +458,17 @@ def test_variance_scaling_rows_and_their_bootstrap_seeds():
         assert (row.ci_lo, row.ci_hi) == looped
 
 
+def test_variance_scaling_refuses_a_repeated_torus_length_before_any_task(monkeypatch):
+    # One row per length: a repeated length would merge two runs' replicates into one row.
+    def no_task(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(harness, "parallel_map", no_task)
+    for n_list in ((16.0, 16.0), (16.0, 24.0, 16.0)):
+        with pytest.raises(ParameterError, match="none repeated"):
+            variance_scaling(_plan(k_list=(2,), r=40, n_list=n_list))
+
+
 def test_variance_scaling_bootstraps_only_the_labels_asked_for(monkeypatch):
     plan = _plan(k_list=(1, 2, 3), r=40, n_list=(30.0, 60.0), seed=5)
     full = variance_scaling(plan)

@@ -213,11 +213,21 @@ def test_gamma_diagnostics_bounded_across_torus_lengths():
 
 
 def _gamma_grid(n: float) -> tuple[np.ndarray, ...]:
-    """The (u, y, v) nodes of gamma_diagnostics on the n-torus."""
-    y_grid = [0.0, 0.5]
-    while y_grid[-1] < 0.5 * n:
-        y_grid.append(min(y_grid[-1] * 2.0, 0.5 * n))
-    return np.meshgrid((np.arange(8) + 0.5) / 8, y_grid, (np.arange(6) + 0.5) / 6, indexing="ij")
+    """The (u, y, v) nodes of gamma_diagnostics on the n-torus, as its details list them."""
+    details = gamma_diagnostics(ModelParams(0.3, 1.0, n), eta=1.2, mc_budget=0, k0=1).details
+    return np.meshgrid(details["u_grid"], details["y_grid"], details["v_grid"], indexing="ij")
+
+
+def test_gamma_diagnostics_integrates_y_over_half_a_short_torus():
+    # At n = 0.4 the y grid ends at n/2; a node at y = 0.5 would wrap to a
+    # negative gap, which the kernel joins at any beta.  At beta 1e-9 only
+    # y = 0 joins, so twice the trapezoid over [0, 0.2] gives Gamma_2 = 0.2^eta.
+    params = ModelParams(0.3, 1e-9, 0.4)
+    diag = gamma_diagnostics(params, eta=1.2, mc_budget=0, k0=2)
+    assert diag.details["y_grid"] == [0.0, 0.2]
+    u, y, v = _gamma_grid(0.4)
+    assert theory._adjacent(params, u, y, v).tolist() == (y == 0.0).tolist()
+    assert diag.gamma2 == pytest.approx(0.2**1.2, rel=1e-12)
 
 
 # (params, p, q) nodes for the whole-torus checks: capped arcs at n = 16,
