@@ -21,7 +21,6 @@ from dataclasses import MISSING, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import special
 
 from .harness import (
     CliqueStatistic,
@@ -693,6 +692,8 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
             std = np.sort(standardize(np.asarray(values)))
         except DegenerateSampleError as exc:
             raise ParameterError(f"no qq plot data from {fname}: {exc}") from None
+        from scipy import special
+
         m = std.size
         quantiles = special.ndtri((np.arange(1, m + 1) - 0.5) / m)
         rows = ["normal_quantile,sample_quantile"]

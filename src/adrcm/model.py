@@ -38,6 +38,11 @@ class ParameterError(ValueError):
     """Model or experiment parameters outside their admissible range."""
 
 
+# numpy's largest Poisson mean, 2^63 - 1 - 10 sqrt(2^63 - 1): a longer torus
+# cannot draw its point count.
+_MAX_TORUS_LENGTH = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full model specification: weight exponent, range, torus circumference.
@@ -58,6 +63,11 @@ class ModelParams:
         if not 0.0 < self.torus_length < math.inf:
             raise ParameterError(
                 f"torus_length must be positive and finite, got {self.torus_length}"
+            )
+        if self.torus_length > _MAX_TORUS_LENGTH:
+            raise ParameterError(
+                f"torus_length n must be at most {_MAX_TORUS_LENGTH}, the largest "
+                f"Poisson mean numpy draws, got {self.torus_length}"
             )
 
 

@@ -785,6 +785,25 @@ def test_lengths_must_be_positive_and_finite(tmp_path, capsys, mode, old, new, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, extra, old, new",
+    [
+        ("sample", "", "n = 50", "n = 1e20"),
+        ("clt", "k_list = 2\nr = 40\nn_list = 50\n", "n_list = 50", "n_list = 50,1e20"),
+    ],
+    ids=["n", "n_list"],
+)
+def test_a_torus_past_numpys_poisson_limit_exits_2(tmp_path, capsys, mode, extra, old, new):
+    # It once reached the sampler's Poisson draw and exited 3 with "lam value too large".
+    out = tmp_path / "o"
+    body = _minimal(mode, extra, str(out)).replace(old, new)
+    assert main([mode, "--config", _write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: torus_length n must be at most 9.22")
+    assert err.endswith(", got 1e+20\n")
+    assert not out.exists()
+
+
 def test_blocks_mode_rejects_non_integer_n(tmp_path, capsys):
     tree = tmp_path / "wedge.tree"
     tree.write_text(WEDGE_TEXT, encoding="utf-8")
@@ -958,6 +977,41 @@ def test_python_m_adrcm_runs_from_a_checkout(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "o" / "sample_summary.json").exists()
+
+
+def test_only_the_normal_law_functions_load_scipy_special(tmp_path):
+    # scipy.special doubles a process's import peak, so only clt's normality
+    # statistics and the qq export import it.  The test process already holds
+    # it: a fresh interpreter reports after each import and run.
+    script = (
+        "import json, sys\n"
+        "import adrcm\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        "import adrcm.cli\n"
+        "loaded.append('scipy.special' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert adrcm.cli.main(argv) == 0, argv\n"
+        "    loaded.append('scipy.special' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    modes = [
+        ("sigma", "k_list = 2\nr = 8\n"),
+        ("sample", ""),
+        ("clt", "k_list = 2\nr = 40\nn_list = 20\n"),
+    ]
+    argvs = [["blocks", "--config", _blocks_config(tmp_path, r=3)]] + [
+        [mode, "--config", _write_config(tmp_path, _minimal(mode, extra, str(tmp_path / mode)), f"{mode}.cfg")]
+        for mode, extra in modes
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    # import adrcm, import adrcm.cli, blocks, sigma, sample: not loaded; clt loads it.
+    assert json.loads(done.stdout.splitlines()[-1]) == [False] * 5 + [True]
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

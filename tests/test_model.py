@@ -142,6 +142,21 @@ def test_non_finite_params_rejected(beta, n, key):
         ModelParams(0.3, beta, n)
 
 
+def test_a_torus_past_numpys_poisson_limit_is_rejected():
+    # A longer torus once reached rng.poisson(n) and raised "lam value too large".
+    limit = model._MAX_TORUS_LENGTH
+    rng = np.random.default_rng(0)
+    assert rng.poisson(limit) >= 0  # one scalar draw: no torus is sampled
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(limit, math.inf))
+    assert ModelParams(0.3, 1.0, limit).torus_length == limit
+    for n in (np.nextafter(limit, math.inf), 1e20, 1e300):
+        with pytest.raises(ParameterError) as err:
+            ModelParams(0.3, 1.0, n)
+        assert str(err.value).startswith(f"torus_length n must be at most {limit}, ")
+        assert str(err.value).endswith(f", got {n}")
+
+
 def test_invalid_mark_rejected():
     with pytest.raises(ParameterError):
         MarkedPoint(0.0, 0.0)
