@@ -409,7 +409,7 @@ def test_bootstrap_ci_equals_the_looped_bootstrap(size):
 
 def test_bootstrap_ci_memory_does_not_grow_with_the_resample_count():
     # All 1000 resamples in one index matrix and its gathered copy peaked at
-    # 30.6 MB at m = 2000; blocks of _BOOTSTRAP_ROWS rows take a tenth of that.
+    # 32 MB at m = 2000; blocks of _BOOTSTRAP_ROWS rows take a tenth of that.
     data = np.floor(np.random.default_rng(5).pareto(1.5, size=2000) * 100.0)
     bootstrap_ci(data, _mean, seed=3)  # warm-up: first-call allocations are not the bootstrap's
     tracemalloc.start()
