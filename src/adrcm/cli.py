@@ -11,7 +11,6 @@ import difflib
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -22,6 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import cliques, harness, model, theory, trees
 from .harness import (
     CliqueStatistic,
     DegenerateSampleError,
@@ -60,9 +60,9 @@ MODES = ("sample", "cliques", "trees", "clt", "sigma", "moments", "blocks")
 DEFAULT_U_GRID = (0.3, 0.2, 0.1, 0.05, 0.02, 0.01)
 KS_ALPHA = 0.01
 
-# The fewest replicates each mode can reduce: a standard error needs 2, every
-# blocks jackknife subsample 2 (so 3 in all), and sigma_palm a budget of 8.
-_MIN_R = {"cliques": 2, "trees": 2, "clt": 2, "moments": 2, "sigma": 8, "blocks": 3}
+# The library's check of r in each mode that reduces replicates.
+_R_CHECKS = dict.fromkeys(("cliques", "trees", "clt", "moments"), harness._check_replicate_count)
+_R_CHECKS.update(sigma=theory._check_mc_budget, blocks=trees._check_block_replicates)
 
 CONFIG_GRAMMAR = """\
 configuration grammar
@@ -242,19 +242,11 @@ def _validate(values: dict[str, str], errors: list[str], override_regime: bool) 
 
     if c.mode is not None and c.mode not in MODES:
         errors.append(f"mode must be one of {', '.join(MODES)}; got {c.mode!r}" + _suggest(c.mode, MODES))
-    if c.gamma is not None and not (0.0 < c.gamma < 1.0):
-        errors.append(f"gamma must lie in (0, 1), got {c.gamma}")
-    # In-range conjunctions, so that NaN and inf fail too.
-    if c.beta is not None and not 0.0 < c.beta < math.inf:
-        errors.append(f"beta must be positive and finite, got {c.beta}")
-    if c.n is not None and not 0.0 < c.n < math.inf:
-        errors.append(f"n must be positive and finite, got {c.n}")
-    if any(not 0.0 < v < math.inf for v in c.n_list):
-        errors.append(f"n_list entries must be positive and finite, got {c.n_list}")
+    errors += model._range_errors(c.gamma, c.beta, c.n)
+    for length in c.n_list:
+        errors += model._range_errors(None, None, length)
     if c.r < 1:
         errors.append(f"r must be >= 1, got {c.r}")
-    if c.k_list and any(k < 1 for k in c.k_list):
-        errors.append(f"k_list entries must be >= 1, got {c.k_list}")
     if not 0 <= c.seed < 2**64:
         errors.append(f"seed must lie in [0, 2^64), got {c.seed}")
 
@@ -274,10 +266,17 @@ def _validate(values: dict[str, str], errors: list[str], override_regime: bool) 
         errors.append("mode cliques requires k_list")
     if c.mode in ("trees", "blocks") and c.tree_file is None:
         errors.append(f"mode {c.mode} requires tree_file")
-    if c.mode == "blocks" and c.n is not None and not c.n.is_integer():
-        errors.append(f"mode blocks requires an integer n (one block per unit length), got {c.n}")
-    if c.mode in _MIN_R and c.r < _MIN_R[c.mode]:
-        errors.append(f"mode {c.mode} requires r >= {_MIN_R[c.mode]}, got {c.r}")
+    # The library's checks of single values, each reported as a config error.
+    checks = [(cliques._check_k, k) for k in c.k_list]
+    if c.mode == "blocks" and c.n is not None:
+        checks.append((trees._block_count, c.n))
+    if c.mode in _R_CHECKS:
+        checks.append((_R_CHECKS[c.mode], c.r))
+    for check, value in checks:
+        try:
+            check(value)
+        except ParameterError as exc:
+            errors.append(str(exc))
     if c.mode in ("clt", "moments") and bool(c.k_list) == bool(c.tree_file):
         errors.append(f"mode {c.mode} requires exactly one of k_list or tree_file")
     if c.mode == "sigma" and len(c.k_list) not in (1, 2):
@@ -594,9 +593,6 @@ def _mode_blocks(cfg: RunConfig, threads: int) -> _ModeOutput:
         {"k": int(k), "covariance": float(c), "se": float(s)}
         for k, c, s in zip(lags, covs, ses)
     ]
-    rows = ["k,covariance,se"] + [
-        "%d,%.17g,%.17g" % (d["k"], d["covariance"], d["se"]) for d in decay
-    ]
     summary = _summary(
         cfg,
         estimates={
@@ -609,7 +605,8 @@ def _mode_blocks(cfg: RunConfig, threads: int) -> _ModeOutput:
     failure = None
     if any(c < -3.0 * s for c, s in zip(covs, ses)):
         failure = "a lag covariance is below -3 SE"
-    return "blocks", summary, {"blocks_decay.csv": "\n".join(rows) + "\n"}, failure
+    decay_csv = export_plotdata(summary, "decay", cfg.directory)  # the one decay writer
+    return "blocks", summary, {"blocks_decay.csv": decay_csv}, failure
 
 
 _MODE_RUNNERS = {
@@ -664,10 +661,7 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
     problem = _unusable_entry(summary, kind)
     if problem is not None:
         raise ParameterError(f"summary: {problem}")
-    mode = summary.get("plan", {}).get("mode")
     if kind == "qq":
-        if mode != "clt":
-            raise ParameterError(f"qq plot data needs a clt result, got mode {mode!r}")
         if n is None:
             # The largest torus by value; as strings, "1000" sorts before "250".
             key = max(summary["files"], key=lambda k: float(k.removeprefix("replicates_n")))
@@ -700,8 +694,6 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
         rows += ["%.17g,%.17g" % (q, s) for q, s in zip(quantiles, std)]
         return "\n".join(rows) + "\n"
     if kind == "scaling":
-        if mode != "clt":
-            raise ParameterError(f"scaling plot data needs a clt result, got mode {mode!r}")
         table = summary["estimates"]["var_over_n"]
         ci_lo = summary["estimates"].get("ci_lo", {})
         ci_hi = summary["estimates"].get("ci_hi", {})
@@ -717,13 +709,10 @@ def export_plotdata(summary: dict, kind: str, results_dir: str, n: float | None 
                 )
             )
         return "\n".join(rows) + "\n"
-    if kind == "decay":
-        if mode != "blocks":
-            raise ParameterError(f"decay plot data needs a blocks result, got mode {mode!r}")
-        rows = ["k,covariance,se"]
-        for entry in sorted(summary["estimates"]["lag_covariance"], key=lambda d: d["k"]):
-            rows.append("%d,%.17g,%.17g" % (entry["k"], entry["covariance"], entry["se"]))
-        return "\n".join(rows) + "\n"
+    rows = ["k,covariance,se"]
+    for entry in sorted(summary["estimates"]["lag_covariance"], key=lambda d: d["k"]):
+        rows.append("%d,%.17g,%.17g" % (entry["k"], entry["covariance"], entry["se"]))
+    return "\n".join(rows) + "\n"
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -791,11 +780,11 @@ def _is_number(text: str) -> bool:
     return True
 
 
-# The table each plot kind reads: its keys in the summary and its type.
+# What each plot kind reads: a result of one mode, and a table at these keys of this type.
 _PLOT_TABLES = {
-    "qq": (("files",), dict),
-    "scaling": (("estimates", "var_over_n"), dict),
-    "decay": (("estimates", "lag_covariance"), list),
+    "qq": ("clt", ("files",), dict),
+    "scaling": ("clt", ("estimates", "var_over_n"), dict),
+    "decay": ("blocks", ("estimates", "lag_covariance"), list),
 }
 
 
@@ -806,14 +795,17 @@ def _is_json_number(value) -> bool:
 
 def _unusable_entry(summary, kind: str) -> str | None:
     """What the plot kind reads from the summary but cannot use, described; None if nothing."""
-    keys, kind_of = _PLOT_TABLES[kind]
+    mode, keys, kind_of = _PLOT_TABLES[kind]
     found = summary
     for key in keys:
         found = found.get(key) if isinstance(found, dict) else None
     if not isinstance(summary, dict) or not isinstance(found, kind_of):
         return f"not a summary with a {keys[-1]!r} table"
-    if not isinstance(summary.get("plan", {}), dict):
+    plan = summary.get("plan", {})
+    if not isinstance(plan, dict):
         return "its 'plan' is not a table"
+    if plan.get("mode") != mode:
+        return f"{kind} plot data needs a {mode} result, got mode {plan.get('mode')!r}"
     if kind == "qq":
         if not summary["files"]:
             return "its 'files' table is empty"
@@ -841,18 +833,6 @@ def _unusable_entry(summary, kind: str) -> str | None:
     return None
 
 
-def _load_summary(path: str, kind: str) -> dict:
-    """The result summary at path, with the table the plot kind reads and usable entries."""
-    try:
-        summary = json.loads(_read_text(path, "--results"))
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"--results {path!r} is not JSON: {exc}") from None
-    problem = _unusable_entry(summary, kind)
-    if problem is not None:
-        raise ParameterError(f"--results {path!r}: {problem}")
-    return summary
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -860,10 +840,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         if args.command == "plotdata":
-            summary = _load_summary(args.results, args.kind)
-            text = export_plotdata(
-                summary, args.kind, os.path.dirname(args.results) or ".", n=args.n
-            )
+            path, where = args.results, os.path.dirname(args.results) or "."
+            document = _read_text(path, "--results")
+            try:
+                text = export_plotdata(json.loads(document), args.kind, where, n=args.n)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"--results {path!r} is not JSON: {exc}") from None
+            except ParameterError as exc:
+                raise ParameterError(f"--results {path!r}: {exc}") from None
             if args.out:
                 _write_atomic(args.out, text)
                 print(f"wrote {args.out}")

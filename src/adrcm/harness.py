@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._parallel import ReplicateFailure, parallel_map
-from .cliques import count_cliques_upto
+from .cliques import _check_k, count_cliques_upto
 from .model import (
     ModelParams, ParameterError, PointConfig, _derive_seeds, _rng, _shared_adjacency,
     derive_seed, neighborhood_adjacency, sample_config,
@@ -61,8 +61,9 @@ class CliqueStatistic:
     k_list: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.k_list or any(k < 1 for k in self.k_list):
-            raise ParameterError("k_list must be nonempty with entries >= 1")
+        if not self.k_list:
+            raise ParameterError("k_list must be nonempty")
+        _check_k(min(self.k_list))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -87,6 +88,12 @@ class TreeStatistic:
         return np.asarray([count_trees(config, self.spec)], dtype=np.float64)
 
 
+def _check_replicate_count(count: int) -> None:
+    """The fewest replicates of a plan or a moment profile: a standard error needs two."""
+    if count < 2:
+        raise ParameterError(f"a standard error needs 2 replicates or more, got {count}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Declarative Monte Carlo experiment over independent configurations."""
@@ -98,8 +105,7 @@ class ExperimentPlan:
     n_list: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.replicate_count < 2:
-            raise ParameterError("replicate_count must be >= 2")
+        _check_replicate_count(self.replicate_count)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,23 @@ class ParameterError(ValueError):
 _MAX_TORUS_LENGTH = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 
 
+def _range_errors(gamma, beta, torus_length) -> list[str]:
+    """Every rule of ModelParams that the values break, skipping a None; NaN and inf fail."""
+    errors = []
+    if gamma is not None and not 0.0 < gamma < 1.0:
+        errors.append(f"gamma must lie in (0, 1), got {gamma}")
+    if beta is not None and not 0.0 < beta < math.inf:
+        errors.append(f"beta must be positive and finite, got {beta}")
+    if torus_length is not None and not 0.0 < torus_length < math.inf:
+        errors.append(f"torus_length must be positive and finite, got {torus_length}")
+    elif torus_length is not None and torus_length > _MAX_TORUS_LENGTH:
+        errors.append(
+            f"torus_length n must be at most {_MAX_TORUS_LENGTH}, the largest "
+            f"Poisson mean numpy draws, got {torus_length}"
+        )
+    return errors
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full model specification: weight exponent, range, torus circumference.
@@ -56,19 +73,9 @@ class ModelParams:
     torus_length: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0.0 < self.beta < math.inf:
-            raise ParameterError(f"beta must be positive and finite, got {self.beta}")
-        if not 0.0 < self.torus_length < math.inf:
-            raise ParameterError(
-                f"torus_length must be positive and finite, got {self.torus_length}"
-            )
-        if self.torus_length > _MAX_TORUS_LENGTH:
-            raise ParameterError(
-                f"torus_length n must be at most {_MAX_TORUS_LENGTH}, the largest "
-                f"Poisson mean numpy draws, got {self.torus_length}"
-            )
+        errors = _range_errors(self.gamma, self.beta, self.torus_length)
+        if errors:
+            raise ParameterError("; ".join(errors))
 
 
 @dataclass(frozen=True)

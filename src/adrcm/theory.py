@@ -44,6 +44,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .cliques import _centered, _check_k, _joint, _through
+from .harness import _check_replicate_count
 from .model import (
     _REACH_SLACK,
     MarkedPoint,
@@ -183,6 +184,12 @@ def _sigma_samples(params, half, floor_width, seed, key, start, stop) -> list[tu
     return samples
 
 
+def _check_mc_budget(mc_budget: int) -> None:
+    """Term one draws a quarter of the budget, and its standard error needs two samples."""
+    if mc_budget < 8:
+        raise ParameterError(f"mc_budget must be >= 8, got {mc_budget}")
+
+
 def sigma_palm(
     params: ModelParams,
     k: int,
@@ -206,8 +213,7 @@ def sigma_palm(
         )
     _check_k(k)
     _check_k(l)
-    if mc_budget < 8:
-        raise ParameterError("mc_budget too small")
+    _check_mc_budget(mc_budget)
     big_l = _window_half_width(params)
 
     n_single = max(2, mc_budget // 4)
@@ -444,12 +450,6 @@ def _tree_depth(spec) -> int:
     return max(depth)
 
 
-def _check_profile_replicates(replicates: int) -> None:
-    """A moment profile's SE needs two samples per mark; checked before any task runs."""
-    if replicates < 2:
-        raise ParameterError(f"a moment profile needs 2 replicates or more, got {replicates}")
-
-
 def _profile(samples_per_u, u_grid, power) -> MomentProfile:
     means = np.empty(len(u_grid))
     ses = np.empty(len(u_grid))
@@ -478,7 +478,7 @@ def clique_diff_moment_profile(
 ) -> MomentProfile:
     """E[(add-one clique difference)^power] at each mark of the grid."""
     _check_k(k)
-    _check_profile_replicates(replicates)
+    _check_replicate_count(replicates)  # before any task runs
     nodes = _mark_nodes(partial(_cliques_through, k_max=k), params, u_grid, 1, replicates, seed, 7)
     samples = [[s[k - 1] for s in node] for node in _palm_map(nodes, threads)]
     return _profile(samples, u_grid, power)
@@ -494,7 +494,7 @@ def tree_root_moment_profile(
     threads: int = 1,
 ) -> MomentProfile:
     """E[(rooted embedding count)^power] at each mark of the grid."""
-    _check_profile_replicates(replicates)
+    _check_replicate_count(replicates)  # before any task runs
     count = partial(_tree_roots, spec=spec)
     nodes = _mark_nodes(count, params, u_grid, _tree_depth(spec), replicates, seed, 8)
     return _profile(_palm_map(nodes, threads), u_grid, power)

@@ -225,9 +225,12 @@ class BlockSums:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @property
-    def total(self) -> int:
-        return sum(self.values.tolist())
+
+def _block_count(n: float) -> int:
+    """The number of unit blocks of a torus of length n: n, which must be an exact integer."""
+    if not float(n).is_integer():
+        raise ParameterError(f"block sums need an integer torus length, got {n}")
+    return int(n)
 
 
 def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
@@ -238,9 +241,7 @@ def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     OverflowError when the total, and so possibly a block, exceeds int64.
     """
     n = config.params.torus_length
-    blocks = int(round(n))
-    if abs(n - blocks) > 1e-9 or blocks < 1:
-        raise ParameterError(f"block sums need an integer torus length, got {n}")
+    blocks = _block_count(n)
     per_point = _rooted(neighborhood_adjacency(config), spec, np.arange(len(config)))
     # Counts are nonnegative, so no block can wrap once the total fits.
     if sum(per_point.tolist()) > _INT64_MAX:
@@ -253,15 +254,16 @@ def block_sums(config: PointConfig, spec: DirectedTreeSpec) -> BlockSums:
     return BlockSums(values=values, params=config.params)
 
 
+def _check_block_replicates(count: int) -> None:
+    """Fewer than 3 leave a jackknife subsample of one row, whose covariance divides by zero."""
+    if count < 3:
+        raise ParameterError(f"block sums need 3 replicates or more, got {count}")
+
+
 def _replicate_matrix(replicates: Sequence[BlockSums]) -> np.ndarray:
-    # Fewer than 3 leave a jackknife subsample of one row, whose covariance
-    # divides by zero.
-    if len(replicates) < 3:
-        raise ParameterError("need at least 3 replicates of block sums")
-    width = replicates[0].values.size
-    for rep in replicates:
-        if rep.values.size != width:
-            raise ParameterError("replicates disagree on the number of blocks")
+    _check_block_replicates(len(replicates))
+    if len({rep.values.size for rep in replicates}) > 1:
+        raise ParameterError("replicates disagree on the number of blocks")
     return np.stack([rep.values for rep in replicates]).astype(np.float64)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adrcm.cli as cli
-from adrcm import theory
+from adrcm import model, theory
 from adrcm.cli import (
     ConfigError,
     RunConfig,
@@ -23,9 +24,12 @@ from adrcm.cli import (
     main,
     render_config,
 )
-from adrcm.harness import MIN_TEST_SAMPLES, CliqueStatistic, ExperimentPlan, variance_scaling
+from adrcm.harness import (
+    MIN_TEST_SAMPLES, CliqueStatistic, ExperimentPlan, TreeStatistic, variance_scaling,
+)
 from adrcm.model import ModelParams, ParameterError, neighborhood_adjacency, sample_config
-from adrcm.theory import MomentProfile, lambda_up
+from adrcm.theory import MomentProfile, clique_diff_moment_profile, lambda_up, sigma_palm
+from adrcm.trees import block_sums, lag_covariance_table, parse_tree_spec
 
 from oracles import parse_config
 
@@ -474,9 +478,7 @@ def _strict_json(path):
 
 def test_blocks_mode_rejects_fewer_than_three_replicates(tmp_path, capsys):
     assert main(["blocks", "--config", _blocks_config(tmp_path, r=2)]) == 2
-    err = capsys.readouterr().err
-    assert "config error: mode blocks requires r >= 3" in err
-    assert "got 2" in err and "internal error" not in err
+    assert capsys.readouterr().err == "config error: block sums need 3 replicates or more, got 2\n"
     assert not (tmp_path / "o").exists()
     # Three replicates leave two in every jackknife subsample: finite SEs.
     assert main(["blocks", "--config", _blocks_config(tmp_path, r=3)]) == 0
@@ -675,6 +677,10 @@ def test_gamma_flag_outside_the_regime_is_rejected(tmp_path, capsys):
     [("cliques", 2), ("trees", 2), ("clt", 2), ("moments", 2), ("sigma", 8), ("blocks", 3)],
 )
 def test_each_mode_rejects_too_few_replicates(tmp_path, capsys, mode, minimum):
+    rule = {
+        "sigma": "mc_budget must be >= 8",
+        "blocks": "block sums need 3 replicates or more",
+    }.get(mode, "a standard error needs 2 replicates or more")
     tree = tmp_path / "wedge.tree"
     tree.write_text(WEDGE_TEXT, encoding="utf-8")
     extra = {"trees": f"tree_file = {tree}", "blocks": f"tree_file = {tree}", "clt": "k_list = 1\nn_list = 20"}
@@ -686,7 +692,7 @@ def test_each_mode_rejects_too_few_replicates(tmp_path, capsys, mode, minimum):
         err = capsys.readouterr().err
         if r < minimum:
             assert code == 2
-            assert err == f"config error: mode {mode} requires r >= {minimum}, got {r}\n"
+            assert err == f"config error: {rule}, got {r}\n"
             assert not out.exists()
         else:
             assert code == 0, err
@@ -766,12 +772,12 @@ def test_clt_rejects_n_list_entries_with_one_label(tmp_path, capsys, n_list):
 @pytest.mark.parametrize(
     "mode, old, new, flags, message",
     [
-        ("cliques", "n = 50", "n = inf", [], "n must be positive and finite, got inf"),
-        ("cliques", "", "", ["--n", "inf"], "n must be positive and finite, got inf"),
+        ("cliques", "n = 50", "n = inf", [], "torus_length must be positive and finite, got inf"),
+        ("cliques", "", "", ["--n", "inf"], "torus_length must be positive and finite, got inf"),
         ("cliques", "beta = 1.0", "beta = inf", [], "beta must be positive and finite, got inf"),
-        ("clt", "n_list = 50", "n_list = inf", [], "n_list entries must be positive and finite, got (inf,)"),
-        ("clt", "n_list = 50", "n_list = 0,50", [], "n_list entries must be positive and finite, got (0.0, 50.0)"),
-        ("clt", "n_list = 50", "n_list = nan", [], "n_list entries must be positive and finite, got (nan,)"),
+        ("clt", "n_list = 50", "n_list = inf", [], "torus_length must be positive and finite, got inf"),
+        ("clt", "n_list = 50", "n_list = 0,50", [], "torus_length must be positive and finite, got 0.0"),
+        ("clt", "n_list = 50", "n_list = nan", [], "torus_length must be positive and finite, got nan"),
     ],
     ids=["n-inf", "n-flag-inf", "beta-inf", "n_list-inf", "n_list-zero", "n_list-nan"],
 )
@@ -794,13 +800,90 @@ def test_lengths_must_be_positive_and_finite(tmp_path, capsys, mode, old, new, f
     ids=["n", "n_list"],
 )
 def test_a_torus_past_numpys_poisson_limit_exits_2(tmp_path, capsys, mode, extra, old, new):
-    # It once reached the sampler's Poisson draw and exited 3 with "lam value too large".
+    # It once reached the sampler's Poisson draw and exited 3 with "lam value too large",
+    # then exited 2 with an error that the config errors hid.
     out = tmp_path / "o"
     body = _minimal(mode, extra, str(out)).replace(old, new)
     assert main([mode, "--config", _write_config(tmp_path, body)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: torus_length n must be at most 9.22")
-    assert err.endswith(", got 1e+20\n")
+    assert capsys.readouterr().err == (
+        f"config error: torus_length n must be at most {model._MAX_TORUS_LENGTH}, "
+        "the largest Poisson mean numpy draws, got 1e+20\n"
+    )
+    assert not out.exists()
+
+
+def _refusal(call) -> str:
+    """The text of the ParameterError that a library call raises."""
+    with pytest.raises(ParameterError) as err:
+        call()
+    return str(err.value)
+
+
+def _wedge_block_sums(n):
+    return block_sums(sample_config(ModelParams(0.3, 1.0, n), 0), parse_tree_spec(WEDGE_TEXT))
+
+
+_PARAMS = ModelParams(0.3, 1.0, 50.0)
+
+# One config value that breaks one library rule, by case: (mode, the
+# [experiment] lines, replacements in the [model] section, and a library call
+# that refuses the same value).
+_LIBRARY_RULES = {
+    "n-inf": ("cliques", "k_list = 2\nr = 5", {"n = 50": "n = inf"}, lambda: ModelParams(0.3, 1.0, math.inf)),
+    "n-1e20": ("cliques", "k_list = 2\nr = 5", {"n = 50": "n = 1e20"}, lambda: ModelParams(0.3, 1.0, 1e20)),
+    "n_list-1e20": ("clt", "k_list = 2\nr = 40\nn_list = 50,1e20", {}, lambda: ModelParams(0.3, 1.0, 1e20)),
+    "beta-inf": (
+        "cliques", "k_list = 2\nr = 5", {"beta = 1.0": "beta = inf"}, lambda: ModelParams(0.3, math.inf, 50.0)
+    ),
+    "gamma-1": ("cliques", "k_list = 2\nr = 5", {"gamma = 0.3": "gamma = 1"}, lambda: ModelParams(1.0, 1.0, 50.0)),
+    "k-0": ("cliques", "k_list = 0\nr = 5", {}, lambda: CliqueStatistic((0,))),
+    "blocks-n-16.5": ("blocks", "tree_file = {tree}\nr = 12", {"n = 50": "n = 16.5"}, lambda: _wedge_block_sums(16.5)),
+    "r-cliques": ("cliques", "k_list = 2\nr = 1", {}, lambda: ExperimentPlan(_PARAMS, CliqueStatistic((2,)), 1, 0)),
+    "r-trees": (
+        "trees", "tree_file = {tree}\nr = 1", {},
+        lambda: ExperimentPlan(_PARAMS, TreeStatistic(parse_tree_spec(WEDGE_TEXT)), 1, 0),
+    ),
+    "r-clt": (
+        "clt", "k_list = 1\nr = 1\nn_list = 20", {},
+        lambda: ExperimentPlan(_PARAMS, CliqueStatistic((1,)), 1, 0, (20.0,)),
+    ),
+    "r-moments": (
+        "moments", "k_list = 2\nr = 1", {}, lambda: clique_diff_moment_profile(_PARAMS, 2, cli.DEFAULT_U_GRID, 1)
+    ),
+    "r-sigma": ("sigma", "k_list = 2\nr = 7", {}, lambda: sigma_palm(_PARAMS, 2, 2, mc_budget=7)),
+    "r-blocks": (
+        "blocks", "tree_file = {tree}\nr = 2", {"n = 50": "n = 16"},
+        lambda: lag_covariance_table([_wedge_block_sums(16.0)] * 2, [1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_LIBRARY_RULES))
+def test_a_broken_library_rule_is_reported_in_the_librarys_words(tmp_path, capsys, case):
+    # Each input rule has one home, the library module that owns the value;
+    # the CLI reports its text, so the two cannot drift apart.
+    mode, experiment, model_edits, call = _LIBRARY_RULES[case]
+    tree = tmp_path / "wedge.tree"
+    tree.write_text(WEDGE_TEXT, encoding="utf-8")
+    out = tmp_path / "o"
+    body = _minimal(mode, experiment.format(tree=tree) + "\n", str(out))
+    for old, new in model_edits.items():
+        body = body.replace(old, new)
+    assert main([mode, "--config", _write_config(tmp_path, body)]) == 2
+    assert capsys.readouterr().err == f"config error: {_refusal(call)}\n"
+    assert not out.exists()
+
+
+def test_every_broken_model_rule_is_listed(tmp_path, capsys):
+    # The torus limit was once checked after the config errors and hid behind them.
+    out = tmp_path / "o"
+    body = _minimal("cliques", "k_list = 2\nr = 5\n", str(out))
+    body = body.replace("gamma = 0.3", "gamma = 1.5").replace("n = 50", "n = 1e20")
+    assert main(["cliques", "--config", _write_config(tmp_path, body)]) == 2
+    gamma = _refusal(lambda: ModelParams(1.5, 1.0, 50.0))
+    length = _refusal(lambda: ModelParams(0.3, 1.0, 1e20))
+    assert capsys.readouterr().err == f"config error: {gamma}\nconfig error: {length}\n"
+    assert _refusal(lambda: ModelParams(1.5, 1.0, 1e20)) == f"{gamma}; {length}"
     assert not out.exists()
 
 
@@ -816,9 +899,7 @@ def test_blocks_mode_rejects_non_integer_n(tmp_path, capsys):
     good = _write_config(tmp_path, body.format(n="16"), "good.cfg")
     for argv in (["blocks", "--config", bad], ["blocks", "--config", good, "--n", "16.5"]):
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "config error: mode blocks requires an integer n" in err
-        assert "16.5" in err and "internal error" not in err
+        assert capsys.readouterr().err == "config error: block sums need an integer torus length, got 16.5\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -852,7 +933,7 @@ def test_clt_zero_variance_length_is_a_note_and_fails_assert(tmp_path, capsys):
     results = str(out / "clt_summary.json")
     assert main(["plotdata", "--kind", "qq", "--results", results]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no qq plot data from clt_replicates_n20.csv: zero-variance")
+    assert err.startswith(f"error: --results {results!r}: no qq plot data from clt_replicates_n20.csv: zero-variance")
 
 
 def _unreadable_input(tmp_path, case):

@@ -332,7 +332,7 @@ def test_block_sums_partition_identity():
     for i in range(100):
         cfg = sample_config(params, derive_seed(900, i))
         bs = block_sums(cfg, tree_wedge())
-        assert bs.total == count_trees(cfg, tree_wedge())
+        assert sum(bs.values.tolist()) == count_trees(cfg, tree_wedge())
 
 
 def test_block_sums_single_point_placement():
@@ -340,15 +340,16 @@ def test_block_sums_single_point_placement():
     # shifted coordinate x + 4 in [3, 4) -> block index 3
     cfg = config_from_points(params, [(-0.5, 0.2), (-0.4, 0.6), (-0.3, 0.7)])
     bs = block_sums(cfg, tree_wedge())
-    assert bs.values[3] == bs.total
+    assert bs.values[3] == sum(bs.values.tolist())
     assert bs.values[3] == sum(d_in(cfg, i, tree_wedge()) for i in range(len(cfg)))
 
 
 def test_block_sums_requires_integer_length():
-    params = ModelParams(0.3, 1.0, 8.5)
-    cfg = config_from_points(params, [])
-    with pytest.raises(ParameterError):
-        block_sums(cfg, tree_wedge())
+    # An exact integer: a length within rounding of one once passed too.
+    for n in (8.5, 16.0 + 1e-10):
+        cfg = config_from_points(ModelParams(0.3, 1.0, n), [])
+        with pytest.raises(ParameterError, match=f"^block sums need an integer torus length, got {n}$"):
+            block_sums(cfg, tree_wedge())
 
 
 def test_tree_totals_never_wrap(monkeypatch):
@@ -359,7 +360,7 @@ def test_tree_totals_never_wrap(monkeypatch):
     assert count_trees(cfg, tree_wedge()) == 2**63
     with pytest.raises(OverflowError):
         block_sums(cfg, tree_wedge())
-    assert BlockSums(values=huge, params=params).total == 2**63
+    assert sum(BlockSums(values=huge, params=params).values.tolist()) == 2**63
 
 
 # -- covariance diagnostics -----------------------------------------------------------
